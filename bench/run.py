@@ -11,10 +11,10 @@ command's operations as failed.
 
 `--trace 0` times the rounds untraced and reports the end-to-end metrics:
 `setup_s` (median of five cold set-ups: import, seeded inputs, one warm-up
-command), `wall_norm_s` (median round wall time, rescaled for the host's
-speed drift; see Calibration) and `peak_rss_mb`.  The report lines above
-the JSON line add the raw `wall_s`, `samples_per_s` or `path_steps_per_s`,
-and `failed_frac`.
+command), `wall_norm_s` (median round wall time of the program, rescaled
+for the host's speed drift; see Calibration) and `peak_rss_mb`.  The report
+lines above the JSON line add the raw `wall_s`, `samples_per_s` or
+`path_steps_per_s`, and `failed_frac`.
 
 `--trace 1` alternates untraced and traced rounds on the same input set: the
 traced ones run with layer spans installed from outside (see tracing.py) and
@@ -56,10 +56,12 @@ WORK = ROOT / ".bench_work"
 WORKLOAD_NAMES = ("sweep_1d", "check_regime2", "mc_motor")
 SETUP_CHILDREN = 4          # extra cold set-ups, each in a fresh process
 INPUT_SETS = 8              # seeded input sets a run cycles through
-COMMAND_LIMIT_S = 20.0      # a command still running after this has stalled
+COMMAND_LIMIT_S = 60.0      # a command still running after this has stalled
+                            # (the slowest, 1000-path simulate, takes 11-25 s)
 RUN_LIMIT_S = 150.0         # no command starts or runs past this (of 180 s)
 
-CALIBRATION_REF_S = 0.1    # nominal time of the calibration mix
+CALIBRATION_REF_S = 0.025   # nominal time of one calibration sample
+CALIBRATION_PERIOD_S = 0.2  # a sample every this many seconds of a command
 
 E2E_UNITS = {"setup_s": "s", "wall_norm_s": "s", "peak_rss_mb": "MB"}
 
@@ -67,10 +69,6 @@ E2E_UNITS = {"setup_s": "s", "wall_norm_s": "s", "peak_rss_mb": "MB"}
 class CommandTimeout(BaseException):
     """Raised in the CLI call by the alarm; BaseException, so the CLI's own
     `except Exception` handlers cannot swallow it."""
-
-
-def _on_alarm(signum, frame):
-    raise CommandTimeout()
 
 
 # ---------------------------------------------------------------------------
@@ -116,21 +114,93 @@ def child_setups(args) -> list:
 # rounds
 # ---------------------------------------------------------------------------
 
-def run_command(cli, cmd, limit: float) -> dict:
+class Calibration:
+    """A fixed mix of the kinds of work the program does (dense LU solves,
+    tiny numpy calls, a plain Python loop) that uses no effham code, timed
+    as a sample of the shared host's speed.
+
+    The host's speed drifts by 10-40 % over minutes and jitters by as much
+    from one tenth of a second to the next, and samples taken only between
+    commands tracked it poorly.  So an interval timer interrupts each timed
+    command every CALIBRATION_PERIOD_S for one sample (about a tenth of the
+    time); the command's wall time minus the time in samples is the
+    program's, and `wall_norm_s` rescales it to the speed at which a sample
+    takes CALIBRATION_REF_S.  The same timer enforces the per-command limit.
+    """
+
+    def __init__(self):
+        import numpy as np
+        rng = np.random.default_rng(0)
+        self._solve = np.linalg.solve     # bound before any tracing patch
+        self._big = rng.random((256, 256)) + 256.0 * np.eye(256)
+        self._small = rng.random((3, 3)) + 3.0 * np.eye(3)
+        self._rhs = np.ones(256)
+        self.samples = []
+        self._active = False      # a command is running under the timer
+        self._deadline = 0.0
+        self.busy = 0.0           # seconds spent in samples inside commands
+        signal.signal(signal.SIGALRM, self._on_alarm)
+        self.sample()
+
+    def sample(self) -> None:
+        solve, big, small, rhs = self._solve, self._big, self._small, self._rhs
+        t0 = time.perf_counter()
+        for _ in range(10):
+            solve(big, rhs)
+        for _ in range(1000):
+            solve(small, rhs[:3])
+        acc = 0.0
+        for k in range(75_000):
+            acc += 0.5 * k
+        self.samples.append(time.perf_counter() - t0)
+
+    def _arm(self, now: float) -> None:
+        signal.setitimer(signal.ITIMER_REAL,
+                         max(min(CALIBRATION_PERIOD_S, self._deadline - now), 1e-3))
+
+    def program_clock(self) -> float:
+        """perf_counter() without the time spent in samples: the clock of
+        the traced round's spans."""
+        return time.perf_counter() - self.busy
+
+    def _on_alarm(self, signum, frame):
+        if not self._active:      # delivered after the command ended
+            return
+        t0 = time.perf_counter()
+        if t0 >= self._deadline:
+            raise CommandTimeout()
+        self.sample()
+        t1 = time.perf_counter()
+        self.busy += t1 - t0
+        self._arm(t1)
+
+    def run(self, call, limit: float):
+        """call() under the time limit.  Returns (its result or "timeout",
+        program seconds, mean sample time over the command)."""
+        first, busy = len(self.samples), self.busy
+        t0 = time.perf_counter()
+        self._deadline = t0 + limit
+        self._active = True
+        self._arm(t0)
+        try:
+            result = call()
+        except CommandTimeout:
+            result = "timeout"
+        finally:
+            self._active = False
+            signal.setitimer(signal.ITIMER_REAL, 0)
+        wall = time.perf_counter() - t0 - (self.busy - busy)
+        self.sample()             # every command gets at least one sample
+        return result, wall, statistics.mean(self.samples[first:])
+
+
+def run_command(cli, cmd, limit: float, calib: Calibration) -> dict:
     """Run one CLI command under a time limit, then check its artifacts."""
     cmd.clear()
     if limit <= 0:
-        return {"name": cmd.name, "wall": 0.0, "exit": "skipped",
-                "failed": cmd.ops}
-    signal.setitimer(signal.ITIMER_REAL, limit)
-    t0 = time.perf_counter()
-    try:
-        code = cli.main(list(cmd.argv))
-    except CommandTimeout:
-        code = "timeout"
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-    wall = time.perf_counter() - t0
+        return {"name": cmd.name, "wall": 0.0, "calibration": CALIBRATION_REF_S,
+                "exit": "skipped", "failed": cmd.ops}
+    code, wall, speed = calib.run(lambda: cli.main(list(cmd.argv)), limit)
     failed = cmd.ops
     if code == 0:
         try:
@@ -140,48 +210,15 @@ def run_command(cli, cmd, limit: float) -> dict:
     if failed:
         print(f"# {cmd.name}: exit {code}, {failed}/{cmd.ops} operations failed",
               file=sys.stderr)
-    return {"name": cmd.name, "wall": wall, "exit": code, "failed": failed}
-
-
-class Calibration:
-    """A fixed mix of the kinds of work the program does (dense LU solves,
-    tiny numpy calls, a plain Python loop) that uses no effham code.
-
-    The shared host's speed drifts by 10-20 % over tens of seconds.  Timing
-    this mix just before and after each command measures that drift, and
-    `wall_norm_s` rescales each command's wall time to the speed at which
-    the mix takes CALIBRATION_REF_S."""
-
-    def __init__(self):
-        import numpy as np
-        rng = np.random.default_rng(0)
-        self._solve = np.linalg.solve     # bound before any tracing patch
-        self._big = rng.random((256, 256)) + 256.0 * np.eye(256)
-        self._small = rng.random((3, 3)) + 3.0 * np.eye(3)
-        self._rhs = np.ones(256)
-        self.last = self.measure()
-
-    def measure(self) -> float:
-        solve, big, small, rhs = self._solve, self._big, self._small, self._rhs
-        t0 = time.perf_counter()
-        for _ in range(40):
-            solve(big, rhs)
-        for _ in range(4000):
-            solve(small, rhs[:3])
-        acc = 0.0
-        for k in range(300_000):
-            acc += 0.5 * k
-        self.last = time.perf_counter() - t0
-        return self.last
+    return {"name": cmd.name, "wall": wall, "calibration": speed,
+            "exit": code, "failed": failed}
 
 
 def run_round(cli, wl, deadline: float, calib: Calibration) -> dict:
-    commands = []
-    for cmd in wl.commands:
-        before = calib.last
-        limit = min(COMMAND_LIMIT_S, deadline - time.perf_counter())
-        commands.append(run_command(cli, cmd, limit))
-        commands[-1]["calibration"] = 0.5 * (before + calib.measure())
+    commands = [run_command(cli, cmd,
+                            min(COMMAND_LIMIT_S, deadline - time.perf_counter()),
+                            calib)
+                for cmd in wl.commands]
     ok = {c["name"]: c["failed"] == 0 for c in commands}
     return {
         "wall": sum(c["wall"] for c in commands),
@@ -208,7 +245,7 @@ def run_rounds(cli, sets, seconds: float, deadline: float, traced: bool):
         plain.append(run_round(cli, wl, deadline, calib))
         if traced:
             import tracing
-            tracer = tracing.Tracer()
+            tracer = tracing.Tracer(calib.program_clock)
             tracer.install()
             try:
                 rnd = run_round(cli, wl, deadline, calib)
@@ -309,7 +346,6 @@ def main(argv=None) -> int:
     run_start = time.perf_counter()
     cli, sets, own_setup = setup(args.workload, args.seed, work)
     setups = [own_setup] + child_setups(args)
-    signal.signal(signal.SIGALRM, _on_alarm)
     wl = sets[0]
     plain, traced, tracers = run_rounds(cli, sets, args.seconds,
                                         run_start + RUN_LIMIT_S, bool(args.trace))

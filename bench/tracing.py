@@ -15,7 +15,6 @@ import inspect
 import json
 import math
 import sys
-import time
 from collections import Counter
 
 import numpy as np
@@ -118,9 +117,11 @@ def _span_info(name, args, kwargs, result):
 
 
 class Tracer:
-    """Records spans as [name, start, end, parent index, info, error]."""
+    """Records spans as [name, start, end, parent index, info, error], timed
+    by `clock`: a perf_counter that leaves out the benchmark's own work."""
 
-    def __init__(self):
+    def __init__(self, clock):
+        self.clock = clock
         self.spans = []
         self.counts = Counter()
         self._stack = []
@@ -129,11 +130,11 @@ class Tracer:
     # -- wrappers -------------------------------------------------------------
 
     def _span_wrapper(self, name, fn):
-        spans, stack = self.spans, self._stack
+        spans, stack, clock = self.spans, self._stack, self.clock
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            rec = [name, time.perf_counter(), 0.0,
+            rec = [name, clock(), 0.0,
                    stack[-1] if stack else -1, None, None]
             stack.append(len(spans))
             spans.append(rec)
@@ -147,7 +148,7 @@ class Tracer:
                               "iterations": getattr(cert, "iterations", 0)}
                 raise
             finally:
-                rec[2] = time.perf_counter()
+                rec[2] = clock()
                 stack.pop()
             rec[4] = _span_info(name, args, kwargs, result)
             return result

@@ -21,7 +21,13 @@ from typing import Callable, List
 import numpy as np
 
 N_GRID = 256          # README's documented grid: 512 unknowns for J = 2
-TOL = 1e-10
+# Not the README's 1e-10: at N = 256 the solver's shift is ~65,600, whose
+# ulp is 1.46e-11, and near H = 0 the Collatz-Wielandt gap's round-off floor
+# reaches 4-7 ulps (up to 1.02e-10).  At tol 1e-10 some random models never
+# stop (e.g. seed 84457904, input set 0, velocity at p = 0.002); a workload at
+# 1e-10 has to wait for a solver that stops at its round-off floor.  1e-9
+# keeps the same matrices ten times above that floor.
+TOL = 1e-9
 H0_TOL = 1e-8
 L_FLOOR = -1e-6
 
@@ -217,7 +223,12 @@ def check_regime2(work: Path, seed: int, index: int) -> Workload:
 def mc_motor(work: Path, seed: int, index: int) -> Workload:
     rng = np.random.default_rng([seed, index, 3])
     sim_seed = int(rng.integers(2 ** 32))
-    T, paths, dt_factor = 1.0, 400, 200.0
+    # criterion 9's 1000 paths and dt.  With 400 paths a 3-SE check failed
+    # by chance about once per 100 scales (the eps = 0.1 mean sits ~0.024
+    # above DH(0) from the dt bias, with SE ~0.01; n = 16 has SE ~0.024), so
+    # runs over many seeds flagged correct programs; at these counts every
+    # scale's limit is at least 4 SE away from its expected mean.
+    T, paths, disc_paths, dt_factor = 1.0, 1000, 2000, 200.0
     eps = [0.1, 0.05]
     steps = sum(paths * math.ceil(T / (e / dt_factor)) for e in eps)
     return Workload("mc_motor", (
@@ -229,7 +240,7 @@ def mc_motor(work: Path, seed: int, index: int) -> Workload:
         _command(work, "simulate_discrete", "simulate",
                  {"preset": "discrete_two_state",
                   "simulate": {"scales": [16, 32, 64], "T": T,
-                               "paths": paths, "seed": sim_seed}},
+                               "paths": disc_paths, "seed": sim_seed}},
                  3, check_summary),
     ), dominant=("simulator.",))
 
