@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import ContinuousModel, DiscreteModel, SwitchingRateMatrix, \
-    _strongly_connected
+    _strongly_connected, negative_rates
 from .fields import grid_points, sampling_resolution
 
 
@@ -22,9 +22,9 @@ class ReducibleChainError(RuntimeError):
 def generator_at(rates: SwitchingRateMatrix, y) -> np.ndarray:
     """Generator matrix Q with Q_ij = r_ij(y) off the diagonal, zero row sums."""
     R = rates.rates_at(y)
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(R))))
-    if np.any(R < -tol):
-        i, j = np.argwhere(R < -tol)[0]
+    negative = negative_rates(R)
+    if np.any(negative):
+        i, j = np.argwhere(negative)[0]
         raise ValueError(f"negative switching rate r[{i+1}][{j+1}]({y}) = {R[i, j]}")
     return _generator_from_rates(np.clip(R, 0.0, None))
 

@@ -108,7 +108,7 @@ def _certificates_json(table: ham.HamiltonianTable) -> dict:
     return {"provenance": table.provenance, "samples": rows}
 
 
-def _run_sweep(model, block: dict, threads: int) -> ham.HamiltonianTable:
+def _run_sweep(model, block: dict) -> ham.HamiltonianTable:
     _check_keys(block, _SWEEP_KEYS, '"sweep" block')
     try:
         p_min = float(block["p_min"])
@@ -120,15 +120,14 @@ def _run_sweep(model, block: dict, threads: int) -> ham.HamiltonianTable:
                      regime=block.get("regime"),
                      N=int(block.get("N", 128)),
                      tol=float(block.get("tol", 1e-10)),
-                     gamma=float(block.get("gamma", 1.0)),
-                     threads=threads)
+                     gamma=float(block.get("gamma", 1.0)))
 
 
-def cmd_sweep(cfg: dict, model, outdir: Path, threads: int = 1) -> int:
+def cmd_sweep(cfg: dict, model, outdir: Path) -> int:
     block = cfg.get("sweep")
     if block is None:
         raise ConfigError('sweep command needs a "sweep" config block')
-    table = _run_sweep(model, block, threads)
+    table = _run_sweep(model, block)
     table.to_csv(outdir / "hamiltonian.csv")
     _write_json(outdir / "certificates.json", _certificates_json(table))
     if table.failures:
@@ -137,7 +136,7 @@ def cmd_sweep(cfg: dict, model, outdir: Path, threads: int = 1) -> int:
     return EXIT_OK
 
 
-def cmd_velocity(cfg: dict, model, outdir: Path, threads: int = 1) -> int:
+def cmd_velocity(cfg: dict, model, outdir: Path) -> int:
     block = cfg.get("velocity", {})
     _check_keys(block, _VELOCITY_KEYS, '"velocity" block')
     v, err = ham.velocity_of_model(model, regime=block.get("regime"),
@@ -152,7 +151,7 @@ def cmd_velocity(cfg: dict, model, outdir: Path, threads: int = 1) -> int:
     return EXIT_OK
 
 
-def cmd_legendre(cfg: dict, model, outdir: Path, threads: int = 1) -> int:
+def cmd_legendre(cfg: dict, model, outdir: Path) -> int:
     sweep_block = cfg.get("sweep")
     block = cfg.get("legendre")
     if sweep_block is None or block is None:
@@ -165,7 +164,7 @@ def cmd_legendre(cfg: dict, model, outdir: Path, threads: int = 1) -> int:
         raise ConfigError(f'"legendre" block is missing {exc}') from exc
     if len(v_grid) == 0:
         raise ConfigError("empty velocity grid")
-    table = _run_sweep(model, sweep_block, threads)
+    table = _run_sweep(model, sweep_block)
     table.to_csv(outdir / "hamiltonian.csv")
     if table.failures:
         log.error("sweep failures prevent the transform")
@@ -175,7 +174,7 @@ def cmd_legendre(cfg: dict, model, outdir: Path, threads: int = 1) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(cfg: dict, model, outdir: Path, threads: int = 1,
+def cmd_simulate(cfg: dict, model, outdir: Path,
                  seed_override: Optional[int] = None) -> int:
     block = cfg.get("simulate")
     if block is None:
@@ -197,7 +196,7 @@ def cmd_simulate(cfg: dict, model, outdir: Path, threads: int = 1,
         predicted_v=block.get("predicted_v"),
         dt_factor=float(block.get("dt_factor", 20.0)),
         gamma=float(block.get("gamma", 1.0)),
-        solver_n=int(block.get("N", 128)), threads=threads)
+        solver_n=int(block.get("N", 128)))
     report.to_csv(outdir / "summary.csv")
     if block.get("dump_trajectories", False):
         for row in report.rows:
@@ -213,7 +212,7 @@ def cmd_simulate(cfg: dict, model, outdir: Path, threads: int = 1,
     return EXIT_OK
 
 
-def cmd_check(cfg: dict, model, outdir: Path, threads: int = 1) -> int:
+def cmd_check(cfg: dict, model, outdir: Path) -> int:
     block = cfg.get("check", {})
     _check_keys(block, _CHECK_KEYS, '"check" block')
     N = int(block.get("N", 128))
@@ -225,7 +224,7 @@ def cmd_check(cfg: dict, model, outdir: Path, threads: int = 1) -> int:
     regime = block.get("regime")
 
     table = ham.sweep(model, -p_max, p_max, count, regime=regime, N=N, tol=tol,
-                      gamma=gamma, threads=threads)
+                      gamma=gamma)
     if table.failures:
         log.error("sweep failures during check")
         return EXIT_NUMERICAL
@@ -254,7 +253,7 @@ def cmd_check(cfg: dict, model, outdir: Path, threads: int = 1) -> int:
     return EXIT_OK
 
 
-def cmd_validate(cfg: dict, model, outdir: Path, threads: int = 1) -> int:
+def cmd_validate(cfg: dict, model, outdir: Path) -> int:
     report = validate(model)
     obj = {"valid": not report,
            "violations": [{"kind": v.kind, "location": v.location,
@@ -285,8 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--preset", help="named model preset: "
                         + ", ".join(sorted(PRESETS)))
     parser.add_argument("--seed", type=int, help="seed override for simulate")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweeps and batches")
     return parser
 
 
@@ -306,9 +303,8 @@ def main(argv=None) -> int:
     command = _COMMANDS[args.command]
     try:
         if args.command == "simulate":
-            return command(cfg, model, outdir, args.threads,
-                           seed_override=args.seed)
-        return command(cfg, model, outdir, args.threads)
+            return command(cfg, model, outdir, seed_override=args.seed)
+        return command(cfg, model, outdir)
     except (ConfigError, ModelFormatError) as exc:
         log.error("%s", exc)
         return EXIT_INVALID

@@ -1,9 +1,13 @@
 """Cell-problem operators as Metzler matrices and their principal eigenpairs.
 
-Four assemblies (continuous/discrete x plain/averaged switching) produce dense
-matrices with nonnegative off-diagonal entries whose principal eigenvalue is
-the effective Hamiltonian at momentum p.  The continuous operators are
-discretized with an exponentially fitted (locally tilted generator) scheme:
+Every cell operator is one `TiltedGenerator`: per-state hop weights, a
+switching block and the neighbor tables, all free of the momentum.
+`cell_operator` fills it from one of four weight builders (continuous/discrete
+x plain/averaged switching) once per model; `TiltedGenerator.at(p)` tilts the
+hops by e^{+-p_a h} and returns a dense matrix with nonnegative off-diagonal
+entries whose principal eigenvalue is the effective Hamiltonian at momentum p.
+The continuous operators are discretized with an exponentially fitted
+(locally tilted generator) scheme:
 
 * hop weights are exp(-2 * half-step potential increment) / (2 h^2), so every
   off-diagonal entry is positive regardless of the drift strength,
@@ -25,11 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
+
 import numpy as np
 
 from .chains import averaged_hop_rates, generator_at, stationary_measure
 from .fields import grid_points
-from .model import ContinuousModel, DiscreteModel, _strongly_connected
+from .model import (ContinuousModel, DiscreteModel, Model, _strongly_connected,
+                    negative_rates)
 
 _EPS = np.finfo(float).eps
 
@@ -111,69 +118,8 @@ class EigenCertificate:
         object.__setattr__(self, "eigenvector", g)
 
 
-def _check_metzler_irreducible(M: np.ndarray, context: str) -> None:
-    off = M.copy()
-    np.fill_diagonal(off, 0.0)
-    assert np.all(off >= 0), f"{context}: Metzler violation (negative off-diagonal)"
-    if M.shape[0] > 1 and not _strongly_connected(off):
-        raise ValueError(f"{context}: assembled operator is reducible")
-
-
 # ---------------------------------------------------------------------------
-# discrete assemblies
-# ---------------------------------------------------------------------------
-
-def assemble_discrete_I(model: DiscreteModel, p: float,
-                        gamma: float = 1.0) -> AssembledOperator:
-    """Hop + switching operator on (ell * J) states, hop weights tilted by e^{+-p}.
-
-    `gamma` scales the switching block; gamma -> infinity is the fast-switching
-    regime whose limit is `assemble_discrete_II`.
-    """
-    ell, J = model.ell, model.J
-    n = ell * J
-    ep, em = math.exp(p), math.exp(-p)
-    M = np.zeros((n, n))
-    for i in range(J):
-        base = i * ell
-        for k in range(ell):
-            row = base + k
-            rp = model.hop_rates_plus[i, k]
-            rm = model.hop_rates_minus[i, k]
-            M[row, base + (k + 1) % ell] += rp * ep
-            M[row, base + (k - 1) % ell] += rm * em
-            diag = -(rp + rm)
-            for j in range(J):
-                if j == i:
-                    continue
-                r = gamma * model.switching[i, j, k]
-                M[row, j * ell + k] += r
-                diag -= r
-            M[row, row] += diag
-    _check_metzler_irreducible(M, "assemble_discrete_I")
-    return AssembledOperator(M, "discrete_I", ell, J,
-                             {"p": p, "ell": ell, "J": J, "gamma": gamma,
-                              "regime": "I"})
-
-
-def assemble_discrete_II(model: DiscreteModel, p: float) -> AssembledOperator:
-    """Averaged hop operator on ell sites, rates rbar_+-(k) from the stationary
-    measure of the switching chain at each site."""
-    ell = model.ell
-    ep, em = math.exp(p), math.exp(-p)
-    M = np.zeros((ell, ell))
-    for k in range(ell):
-        rp, rm = averaged_hop_rates(model, k)
-        M[k, (k + 1) % ell] += rp * ep
-        M[k, (k - 1) % ell] += rm * em
-        M[k, k] += -(rp + rm)
-    _check_metzler_irreducible(M, "assemble_discrete_II")
-    return AssembledOperator(M, "discrete_II", ell, 1,
-                             {"p": p, "ell": ell, "J": model.J, "regime": "II"})
-
-
-# ---------------------------------------------------------------------------
-# continuous assemblies
+# the tilted-generator operator
 # ---------------------------------------------------------------------------
 
 def _as_momentum(p, dim: int) -> np.ndarray:
@@ -200,78 +146,189 @@ def _peclet_guard(max_drift: float, h: float, period: float, N: int,
             f"(max |p - drift| = {max_drift:.3g}); need N >= {n_min}", n_min)
 
 
+class TiltedGenerator:
+    """Cell operator with the momentum factored out.
+
+    Row (i, y) of the operator at momentum p hops to y +- h e_a with weight
+    up[i, a, y] e^{+p_a h} / down[i, a, y] e^{-p_a h} and switches to (j, y)
+    at rate switching[i, j, y].  Its diagonal is minus the sum of the untilted
+    weights and rates, so rows sum to zero at p = 0.  The structural checks
+    run once, here; `at` only applies the tilt and, when a drift field is
+    given, the Peclet guard.
+    """
+
+    def __init__(self, kind: str, up: np.ndarray, down: np.ndarray,
+                 switching: Optional[np.ndarray], neighbours: tuple, h: float,
+                 drift: Optional[np.ndarray], metadata: dict):
+        self.kind = kind
+        self.up = up                  # (J, d, n) weights towards the +1 neighbor
+        self.down = down              # (J, d, n) weights towards the -1 neighbor
+        self.ups, self.downs = neighbours
+        self.h = h
+        self.drift = drift            # (K, n, d) for the Peclet bound, or None
+        self.metadata = metadata
+        context = f"assemble_{kind}"
+        if not (np.all(up > 0) and np.all(down > 0)):
+            raise ValueError(f"{context}: hop weights must be positive")
+        J, _, n = up.shape
+        if switching is not None:
+            for i in range(J):
+                for j in range(J):
+                    if i != j and np.any(negative_rates(switching[i, j])):
+                        raise ValueError(f"{context}: negative switching rate "
+                                         f"sampled in r[{i+1}][{j+1}]")
+            # rates touching zero round to -1e-16
+            switching = np.clip(switching, 0.0, None)
+            switching[range(J), range(J)] = 0.0
+            # each layer is a cycle of positive hops, so the operator is
+            # irreducible exactly when the switching digraph is
+            if not _strongly_connected(np.max(switching, axis=2)):
+                raise ValueError(f"{context}: switching rates leave the "
+                                 "operator reducible")
+        self.switching = switching    # (J, J, n) with zero diagonal, or None
+        diagonal = np.zeros((J, n))
+        for a in range(up.shape[1]):
+            diagonal -= up[:, a] + down[:, a]
+        if switching is not None:
+            for j in range(J):
+                diagonal -= switching[:, j]
+        self.diagonal = diagonal
+
+    def at(self, p) -> AssembledOperator:
+        """The dense Metzler matrix at momentum p."""
+        J, dim, n = self.up.shape
+        pvec = _as_momentum(p, dim)
+        if self.drift is not None:
+            _peclet_guard(float(np.max(np.abs(pvec - self.drift))), self.h,
+                          self.metadata["period"], self.metadata["N"],
+                          f"assemble_{self.kind}")
+        M = np.zeros((J * n, J * n))
+        space = np.arange(n)
+        for i in range(J):
+            rows = i * n + space
+            for a in range(dim):
+                M[rows, i * n + self.ups[a]] += (
+                    self.up[i, a] * math.exp(pvec[a] * self.h))
+                M[rows, i * n + self.downs[a]] += (
+                    self.down[i, a] * math.exp(-pvec[a] * self.h))
+            if self.switching is not None:
+                for j in range(J):
+                    if j != i:
+                        M[rows, j * n + space] += self.switching[i, j]
+        M[np.diag_indices(J * n)] += self.diagonal.ravel()
+        return AssembledOperator(M, self.kind, n, J,
+                                 {**self.metadata, "p": tuple(pvec)})
+
+
+def cell_operator(model: Model, regime: str, *, N: int = 128,
+                  gamma: float = 1.0) -> TiltedGenerator:
+    """The momentum-free cell operator of `model` in `regime` ("I" or "II")."""
+    if isinstance(model, ContinuousModel):
+        if regime == "I":
+            return _continuous_I(model, N)
+        return _continuous_II(model, N)
+    if isinstance(model, DiscreteModel):
+        if regime == "I":
+            return _discrete_I(model, gamma)
+        return _discrete_II(model)
+    raise TypeError(f"not a model: {type(model)!r}")
+
+
+def assemble_discrete_I(model: DiscreteModel, p: float,
+                        gamma: float = 1.0) -> AssembledOperator:
+    """Hop + switching operator on (ell * J) states, hop weights tilted by e^{+-p}.
+
+    `gamma` scales the switching block; gamma -> infinity is the fast-switching
+    regime whose limit is `assemble_discrete_II`.
+    """
+    return cell_operator(model, "I", gamma=gamma).at(p)
+
+
+def assemble_discrete_II(model: DiscreteModel, p: float) -> AssembledOperator:
+    """Averaged hop operator on ell sites, rates rbar_+-(k) from the stationary
+    measure of the switching chain at each site."""
+    return cell_operator(model, "II").at(p)
+
+
 def assemble_continuous_I(model: ContinuousModel, p, N: int) -> AssembledOperator:
     """Tilted-generator discretization of the J-state cell operator on N**d points."""
-    if N < 3:
-        raise ValueError("continuous assembly needs N >= 3")
-    dim, J = model.dim, model.J
-    pvec = _as_momentum(p, dim)
-    period = model.period
-    h = period / N
-    ng = N ** dim
-    pts = grid_points(dim, N, period)
-
-    grad_bound = 0.0
-    for a in range(dim):
-        for psi in model.potentials:
-            g = psi.gradients(pts)[:, a]
-            grad_bound = max(grad_bound,
-                             float(np.max(np.abs(pvec[a] - g))))
-    _peclet_guard(grad_bound, h, period, N, "assemble_continuous_I")
-
-    fac = 1.0 / (2.0 * h * h)
-    ups, downs = _neighbor_tables(N, dim)
-    n = ng * J
-    M = np.zeros((n, n))
-    rows_per_state = np.arange(ng)
-    for i, psi in enumerate(model.potentials):
-        base = i * ng
-        rows = base + rows_per_state
-        vals = psi.periodic_values(pts)
-        diag = np.zeros(ng)
-        for a in range(dim):
-            mid_pts = pts.copy()
-            mid_pts[:, a] += 0.5 * h
-            mids = psi.periodic_values(mid_pts)   # psi at (y + h/2 e_a)
-            # half-step increments: periodic part by evaluation, affine part
-            # analytically so the torus seam carries the same local tilt
-            tilt = float(psi.slope[a]) * 0.5 * h
-            up_w = fac * np.exp(-2.0 * ((mids - vals) + tilt))
-            dn_w = fac * np.exp(-2.0 * ((mids[downs[a]] - vals) - tilt))
-            M[rows, base + ups[a]] += up_w * math.exp(pvec[a] * h)
-            M[rows, base + downs[a]] += dn_w * math.exp(-pvec[a] * h)
-            diag -= up_w + dn_w
-        for j in range(J):
-            if j == i:
-                continue
-            entry = model.rates.entries[i][j]
-            if entry is None:
-                continue
-            r = entry.values(pts)
-            if np.min(r) < -1e-12 * max(1.0, float(np.max(np.abs(r)))):
-                raise ValueError(f"negative switching rate sampled in r[{i+1}][{j+1}]")
-            r = np.clip(r, 0.0, None)   # fields touching zero round to -1e-16
-            M[rows, j * ng + rows_per_state] += r
-            diag -= r
-        M[rows, rows] += diag
-    _check_metzler_irreducible(M, "assemble_continuous_I")
-    return AssembledOperator(M, "continuous_I", ng, J,
-                             {"p": tuple(pvec), "N": N, "dim": dim, "J": J,
-                              "period": period, "regime": "I"})
+    return cell_operator(model, "I", N=N).at(p)
 
 
 def assemble_continuous_II(model: ContinuousModel, p, N: int) -> AssembledOperator:
     """Averaged scalar cell operator: drift is the stationary-measure average of
     the potential gradients; hop weights use mu-weighted potential increments so
     the J=1 / equal-potentials / constant-rates cases reduce exactly."""
+    return cell_operator(model, "II", N=N).at(p)
+
+
+# ---------------------------------------------------------------------------
+# per-model weight builders
+# ---------------------------------------------------------------------------
+
+def _discrete_I(model: DiscreteModel, gamma: float) -> TiltedGenerator:
+    return TiltedGenerator(
+        "discrete_I", model.hop_rates_plus[:, None, :],
+        model.hop_rates_minus[:, None, :], gamma * model.switching,
+        _neighbor_tables(model.ell, 1), 1.0, None,
+        {"ell": model.ell, "J": model.J, "gamma": gamma, "regime": "I"})
+
+
+def _discrete_II(model: DiscreteModel) -> TiltedGenerator:
+    rates = np.array([averaged_hop_rates(model, k) for k in range(model.ell)])
+    return TiltedGenerator(
+        "discrete_II", rates[None, None, :, 0], rates[None, None, :, 1], None,
+        _neighbor_tables(model.ell, 1), 1.0, None,
+        {"ell": model.ell, "J": model.J, "regime": "II"})
+
+
+def _continuous_grid(model: ContinuousModel, N: int):
     if N < 3:
         raise ValueError("continuous assembly needs N >= 3")
+    return model.period / N, grid_points(model.dim, N, model.period)
+
+
+def _shifted(pts: np.ndarray, axis: int, offset: float) -> np.ndarray:
+    out = pts.copy()
+    out[:, axis] += offset
+    return out
+
+
+def _continuous_metadata(model: ContinuousModel, N: int, regime: str) -> dict:
+    return {"N": N, "dim": model.dim, "J": model.J, "period": model.period,
+            "regime": regime}
+
+
+def _continuous_I(model: ContinuousModel, N: int) -> TiltedGenerator:
     dim, J = model.dim, model.J
-    pvec = _as_momentum(p, dim)
-    period = model.period
-    h = period / N
-    ng = N ** dim
-    pts = grid_points(dim, N, period)
+    h, pts = _continuous_grid(model, N)
+    fac = 1.0 / (2.0 * h * h)
+    ups, downs = _neighbor_tables(N, dim)
+    up = np.empty((J, dim, N ** dim))
+    down = np.empty_like(up)
+    for i, psi in enumerate(model.potentials):
+        vals = psi.periodic_values(pts)
+        for a in range(dim):
+            mids = psi.periodic_values(_shifted(pts, a, 0.5 * h))
+            # half-step increments: periodic part by evaluation, affine part
+            # analytically so the torus seam carries the same local tilt
+            tilt = float(psi.slope[a]) * 0.5 * h
+            up[i, a] = fac * np.exp(-2.0 * ((mids - vals) + tilt))
+            down[i, a] = fac * np.exp(-2.0 * ((mids[downs[a]] - vals) - tilt))
+    switching = np.zeros((J, J, N ** dim))
+    for i in range(J):
+        for j in range(J):
+            entry = model.rates.entries[i][j]
+            if i != j and entry is not None:
+                switching[i, j] = entry.values(pts)
+    drift = np.stack([psi.gradients(pts) for psi in model.potentials])
+    return TiltedGenerator("continuous_I", up, down, switching, (ups, downs),
+                           h, drift, _continuous_metadata(model, N, "I"))
+
+
+def _continuous_II(model: ContinuousModel, N: int) -> TiltedGenerator:
+    dim, J = model.dim, model.J
+    h, pts = _continuous_grid(model, N)
 
     def mu_at(points: np.ndarray) -> np.ndarray:
         out = np.empty((len(points), J))
@@ -280,41 +337,26 @@ def assemble_continuous_II(model: ContinuousModel, p, N: int) -> AssembledOperat
         return out
 
     grads = np.stack([psi.gradients(pts) for psi in model.potentials])  # (J, ng, d)
-    mu_grid = mu_at(pts)
-    bbar = np.einsum("gj,jga->ga", mu_grid, grads)
-    grad_bound = float(np.max(np.abs(pvec[None, :] - bbar)))
-    _peclet_guard(grad_bound, h, period, N, "assemble_continuous_II")
+    bbar = np.einsum("gj,jga->ga", mu_at(pts), grads)
 
     fac = 1.0 / (2.0 * h * h)
     ups, downs = _neighbor_tables(N, dim)
-    M = np.zeros((ng, ng))
-    rows = np.arange(ng)
+    up = np.empty((1, dim, N ** dim))
+    down = np.empty_like(up)
     vals = np.stack([psi.periodic_values(pts) for psi in model.potentials])  # (J, ng)
     slopes = np.stack([psi.slope for psi in model.potentials])               # (J, d)
-    diag = np.zeros(ng)
     for a in range(dim):
-        mid_pts = pts.copy()
-        mid_pts[:, a] += 0.5 * h
+        mid_pts = _shifted(pts, a, 0.5 * h)
         mids = np.stack([psi.periodic_values(mid_pts) for psi in model.potentials])
-        q1_pts = pts.copy()
-        q1_pts[:, a] += 0.25 * h
-        q3_pts = pts.copy()
-        q3_pts[:, a] += 0.75 * h
-        mu_q1 = mu_at(q1_pts)   # governs the increment y -> y + h/2
-        mu_q3 = mu_at(q3_pts)   # governs the increment y + h/2 -> y + h
+        mu_q1 = mu_at(_shifted(pts, a, 0.25 * h))   # increment y -> y + h/2
+        mu_q3 = mu_at(_shifted(pts, a, 0.75 * h))   # increment y + h/2 -> y + h
         tilt = slopes[:, a][:, None] * 0.5 * h                               # (J, 1)
         inc_up = np.einsum("gj,jg->g", mu_q1, (mids - vals) + tilt)
         inc_dn_src = np.einsum("gj,jg->g", mu_q3, (mids - vals[:, ups[a]]) - tilt)
-        up_w = fac * np.exp(-2.0 * inc_up)
-        dn_w = fac * np.exp(-2.0 * inc_dn_src[downs[a]])
-        M[rows, ups[a]] += up_w * math.exp(pvec[a] * h)
-        M[rows, downs[a]] += dn_w * math.exp(-pvec[a] * h)
-        diag -= up_w + dn_w
-    M[rows, rows] += diag
-    _check_metzler_irreducible(M, "assemble_continuous_II")
-    return AssembledOperator(M, "continuous_II", ng, 1,
-                             {"p": tuple(pvec), "N": N, "dim": dim, "J": J,
-                              "period": period, "regime": "II"})
+        up[0, a] = fac * np.exp(-2.0 * inc_up)
+        down[0, a] = fac * np.exp(-2.0 * inc_dn_src[downs[a]])
+    return TiltedGenerator("continuous_II", up, down, None, (ups, downs), h,
+                           bbar[None], _continuous_metadata(model, N, "II"))
 
 
 # ---------------------------------------------------------------------------

@@ -79,18 +79,6 @@ class PeriodicScalarField:
         )
         object.__setattr__(self, "affine_slope", tuple(slope))
 
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def constant_zero(cls, dim: int, period: float = 1.0) -> "PeriodicScalarField":
-        return cls(dim=dim, period=period)
-
-    @classmethod
-    def from_modes(cls, dim, modes, slope=(), period: float = 1.0):
-        """Build from an iterable of (wavevector, cos_amp, sin_amp) triples."""
-        return cls(dim=dim, period=period, fourier_coeffs=tuple(modes),
-                   affine_slope=tuple(slope))
-
     # -- evaluation ------------------------------------------------------------
 
     def _check_point(self, y) -> np.ndarray:
@@ -158,11 +146,6 @@ class PeriodicScalarField:
 
     def is_periodic(self) -> bool:
         return bool(np.all(self._slope == 0.0))
-
-    def min_on_grid(self, points_per_axis: int) -> float:
-        """Minimum of the periodic part over a uniform sampling lattice."""
-        return float(np.min(self.values(grid_points(self.dim, points_per_axis,
-                                                     self.period))))
 
 
 def grid_points(dim: int, n_per_axis: int, period: float = 1.0) -> np.ndarray:

@@ -12,43 +12,25 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .chains import averaged_hop_rates
-from .eigensolver import (AssembledOperator, EigenCertificate,
-                          assemble_continuous_I, assemble_continuous_II,
-                          assemble_discrete_I, assemble_discrete_II,
-                          principal_eigenpair)
+from .eigensolver import EigenCertificate, cell_operator, principal_eigenpair
 from .fields import grid_points, sampling_resolution
 from .model import ContinuousModel, DiscreteModel, Model
 
 log = logging.getLogger(__name__)
 
 
-def _assemble(model: Model, p: float, regime: str, N: int,
-              gamma: float) -> AssembledOperator:
-    if isinstance(model, ContinuousModel):
-        if regime == "I":
-            return assemble_continuous_I(model, p, N)
-        return assemble_continuous_II(model, p, N)
-    if isinstance(model, DiscreteModel):
-        if regime == "I":
-            return assemble_discrete_I(model, p, gamma=gamma)
-        return assemble_discrete_II(model, p)
-    raise TypeError(f"not a model: {type(model)!r}")
-
-
 def hamiltonian_at(model: Model, p, regime: Optional[str] = None, *,
                    N: int = 128, tol: float = 1e-10, gamma: float = 1.0,
                    max_iter: int = 10 ** 6) -> tuple:
     """H(p) with its eigen certificate.  Deterministic given (model, p, N, tol)."""
-    regime = regime or model.regime
-    op = _assemble(model, p, regime, N, gamma)
-    cert = principal_eigenpair(op, tol=tol, max_iter=max_iter)
+    op = cell_operator(model, regime or model.regime, N=N, gamma=gamma)
+    cert = principal_eigenpair(op.at(p), tol=tol, max_iter=max_iter)
     return cert.eigenvalue, cert
 
 
@@ -95,13 +77,15 @@ class HamiltonianTable:
 
 def sweep(model: Model, p_min: float, p_max: float, count: int,
           regime: Optional[str] = None, *, N: int = 128, tol: float = 1e-10,
-          gamma: float = 1.0, max_iter: int = 10 ** 6, threads: int = 1,
+          gamma: float = 1.0, max_iter: int = 10 ** 6,
           axis: int = 0) -> HamiltonianTable:
     """Tabulate H over a uniform momentum grid; p = 0 is always included.
 
-    Samples are independent; failures are recorded per sample (value NaN)
-    and the table is still returned.  For continuous models with dim > 1 the
-    sweep runs along the momentum line t -> t * e_axis.
+    The cell operator is built once and every sample tilts it.  Failures
+    are recorded per sample (value NaN) and the table is still returned; if
+    the operator cannot be built, every sample records that error.  For
+    continuous models with dim > 1 the sweep runs along the momentum line
+    t -> t * e_axis.
     """
     if count < 3:
         raise ValueError("sweep needs at least 3 samples")
@@ -125,34 +109,22 @@ def sweep(model: Model, p_min: float, p_max: float, count: int,
         vec[axis] = t
         return vec
 
-    def solve(p):
-        return hamiltonian_at(model, momentum_of(float(p)), regime, N=N,
-                              tol=tol, gamma=gamma, max_iter=max_iter)
-
-    results: List = [None] * len(grid)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(solve, p) for p in grid]
-            for k, fut in enumerate(futures):
-                try:
-                    results[k] = fut.result()
-                except Exception as exc:   # recorded per sample
-                    results[k] = exc
-    else:
-        for k, p in enumerate(grid):
-            try:
-                results[k] = solve(p)
-            except Exception as exc:
-                results[k] = exc
-
     values = np.full(len(grid), np.nan)
     certs: List[Optional[EigenCertificate]] = [None] * len(grid)
     failures = {}
-    for k, res in enumerate(results):
-        if isinstance(res, Exception):
-            failures[k] = f"{type(res).__name__}: {res}"
-        else:
-            values[k], certs[k] = res
+    try:
+        op = cell_operator(model, regime, N=N, gamma=gamma)
+    except Exception as exc:   # recorded against every sample
+        failures = dict.fromkeys(range(len(grid)), f"{type(exc).__name__}: {exc}")
+    else:
+        for k, p in enumerate(grid):
+            try:
+                certs[k] = principal_eigenpair(op.at(momentum_of(float(p))),
+                                               tol=tol, max_iter=max_iter)
+            except Exception as exc:   # recorded per sample
+                failures[k] = f"{type(exc).__name__}: {exc}"
+            else:
+                values[k] = certs[k].eigenvalue
     return HamiltonianTable(grid, values, tuple(certs),
                             provenance={"regime": regime, "N": N, "tol": tol,
                                         "gamma": gamma, "axis": axis,
@@ -186,13 +158,10 @@ def velocity_of_model(model: Model, regime: Optional[str] = None, *,
                       gamma: float = 1.0) -> tuple:
     """DH(0) from a dedicated five-point stencil at +-delta, +-2 delta."""
     grid = np.array([-2 * delta, -delta, 0.0, delta, 2 * delta])
-    values = []
-    certs = []
-    for p in grid:
-        v, c = hamiltonian_at(model, float(p), regime, N=N, tol=tol, gamma=gamma)
-        values.append(v)
-        certs.append(c)
-    table = HamiltonianTable(grid, np.array(values), tuple(certs),
+    op = cell_operator(model, regime or model.regime, N=N, gamma=gamma)
+    certs = [principal_eigenpair(op.at(float(p)), tol=tol) for p in grid]
+    values = np.array([c.eigenvalue for c in certs])
+    table = HamiltonianTable(grid, values, tuple(certs),
                              provenance={"regime": regime or model.regime,
                                          "N": N, "tol": tol, "delta": delta})
     return velocity(table)

@@ -123,10 +123,6 @@ class ContinuousModel:
     def period(self) -> float:
         return self.potentials[0].period
 
-    def drift(self, y, i: int) -> np.ndarray:
-        """Spatial drift -grad psi^i(y)."""
-        return -self.potentials[i].gradient(y)
-
 
 @dataclass(frozen=True)
 class DiscreteModel:
@@ -192,6 +188,16 @@ class Violation:
         return f"{self.kind} at {self.location}: {self.detail}"
 
 
+def negative_rates(values) -> np.ndarray:
+    """Mask of sampled rates that are negative beyond round-off.
+
+    A rate field that touches zero evaluates to about -1e-16 there, so the
+    cut is -1e-12 * max(1, max |r|), not 0.
+    """
+    r = np.asarray(values, dtype=float)
+    return r < -1e-12 * max(1.0, float(np.max(np.abs(r))))
+
+
 def _strongly_connected(adj: np.ndarray) -> bool:
     """Strong connectivity of the digraph of positive entries (exact)."""
     n = adj.shape[0]
@@ -234,9 +240,8 @@ def validate(model: Model) -> List[Violation]:
                 if entry is None:
                     continue
                 vals = entry.values(pts)
-                k = int(np.argmin(vals))
-                tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
-                if vals[k] < -tol:
+                if np.any(negative_rates(vals)):
+                    k = int(np.argmin(vals))
                     report.append(Violation(
                         "negative_rate", f"r[{i+1}][{j+1}], y={tuple(pts[k])}",
                         f"sampled value {vals[k]:.3e} < 0"))

@@ -13,7 +13,6 @@ Randomness comes from counter-based Philox streams keyed by
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -336,32 +335,23 @@ class TrajectoryBatch:
                    sd / math.sqrt(len(vels)) if len(vels) > 1 else 0.0)
 
 
-def _run_batch(worker, count: int, threads: int) -> TrajectoryBatch:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trajs = list(pool.map(worker, range(count)))
-    else:
-        trajs = [worker(idx) for idx in range(count)]
-    return TrajectoryBatch.from_trajectories(trajs)
-
-
 def batch_continuous(model: ContinuousModel, eps: float, T: float, paths: int,
                      base_seed: int, dt: Optional[float] = None, *,
-                     gamma: float = 1.0, x0: float = 0.0, i0: int = 0,
-                     threads: int = 1) -> TrajectoryBatch:
-    def worker(idx):
-        return simulate_continuous(model, eps, T, dt, seed=base_seed,
-                                   gamma=gamma, x0=x0, i0=i0, traj_index=idx)
-    return _run_batch(worker, paths, threads)
+                     gamma: float = 1.0, x0: float = 0.0,
+                     i0: int = 0) -> TrajectoryBatch:
+    return TrajectoryBatch.from_trajectories([
+        simulate_continuous(model, eps, T, dt, seed=base_seed, gamma=gamma,
+                            x0=x0, i0=i0, traj_index=idx)
+        for idx in range(paths)])
 
 
 def batch_discrete(model: DiscreteModel, n: int, T: float, paths: int,
                    base_seed: int, *, gamma: float = 1.0, site0: int = 0,
-                   i0: int = 0, threads: int = 1) -> TrajectoryBatch:
-    def worker(idx):
-        return simulate_discrete(model, n, T, seed=base_seed, gamma=gamma,
-                                 site0=site0, i0=i0, traj_index=idx)
-    return _run_batch(worker, paths, threads)
+                   i0: int = 0) -> TrajectoryBatch:
+    return TrajectoryBatch.from_trajectories([
+        simulate_discrete(model, n, T, seed=base_seed, gamma=gamma,
+                          site0=site0, i0=i0, traj_index=idx)
+        for idx in range(paths)])
 
 
 @dataclass(frozen=True)
@@ -397,8 +387,8 @@ def concentration_experiment(model: Model, scales: Sequence[float], T: float,
                              paths: int, base_seed: int,
                              predicted_v: Optional[float] = None, *,
                              dt_factor: float = 20.0, gamma: float = 1.0,
-                             solver_n: int = 128, solver_tol: float = 1e-10,
-                             threads: int = 1) -> ConcentrationReport:
+                             solver_n: int = 128,
+                             solver_tol: float = 1e-10) -> ConcentrationReport:
     """Empirical-velocity concentration against the eigenvalue prediction.
 
     Scales are epsilon values (continuous, decreasing) or lattice refinements n
@@ -420,11 +410,10 @@ def concentration_experiment(model: Model, scales: Sequence[float], T: float,
     for scale in scales:
         if continuous:
             batch = batch_continuous(model, float(scale), T, paths, base_seed,
-                                     dt=float(scale) / dt_factor, gamma=gamma,
-                                     threads=threads)
+                                     dt=float(scale) / dt_factor, gamma=gamma)
         else:
             batch = batch_discrete(model, int(scale), T, paths, base_seed,
-                                   gamma=gamma, threads=threads)
+                                   gamma=gamma)
         verdict = abs(batch.mean - predicted_v) <= 3.0 * batch.se
         rows.append(ScaleResult(float(scale), batch.mean, batch.sd, batch.se,
                                 float(predicted_v), bool(verdict)))

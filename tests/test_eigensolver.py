@@ -160,6 +160,36 @@ def test_peclet_error_names_minimal_n():
     assemble_continuous_I(m, 0.0, info.value.minimal_n)   # feasible at the hint
 
 
+def test_negative_switching_rate_raises(rng):
+    m = random_discrete_model(rng, ell=4, J=2)
+    sw = np.array(m.switching)
+    sw[0, 1, 2] = -0.5
+    bad = DiscreteModel(ell=4, J=2, hop_rates_plus=m.hop_rates_plus,
+                        hop_rates_minus=m.hop_rates_minus, switching=sw)
+    with pytest.raises(ValueError, match=r"negative switching rate .*r\[1\]\[2\]"):
+        assemble_discrete_I(bad, 0.3)
+
+
+def test_nonpositive_hop_rate_raises(rng):
+    m = random_discrete_model(rng, ell=4, J=2)
+    rp = np.array(m.hop_rates_plus)
+    rp[1, 0] = 0.0
+    bad = DiscreteModel(ell=4, J=2, hop_rates_plus=rp,
+                        hop_rates_minus=m.hop_rates_minus, switching=m.switching)
+    with pytest.raises(ValueError, match="hop weights"):
+        assemble_discrete_I(bad, 0.3)
+
+
+def test_one_way_coupling_is_reducible():
+    one = PeriodicScalarField(dim=1, fourier_coeffs=(((0,), 1.0, 0.0),))
+    psi = PeriodicScalarField(dim=1, fourier_coeffs=(((1,), 0.2, 0.0),))
+    m = ContinuousModel(dim=1, J=2, potentials=(psi, psi),
+                        rates=SwitchingRateMatrix(J=2, entries=((None, one),
+                                                                (None, None))))
+    with pytest.raises(ValueError, match="reducible"):
+        assemble_continuous_I(m, 0.5, 16)
+
+
 def test_continuous_II_equals_I_for_J1(rng):
     m = random_continuous_model(rng, J=1)
     for p in (0.0, 0.9):

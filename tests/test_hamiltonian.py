@@ -10,8 +10,11 @@ from effham.hamiltonian import (HamiltonianTable, coercivity_check,
                                 convexity_report, hamiltonian_at, legendre,
                                 path_rate, sweep, symmetry_check, velocity,
                                 velocity_of_model)
+from effham.fields import PeriodicScalarField
+from effham.model import ContinuousModel, SwitchingRateMatrix
 from effham.presets import (constant_drift, detailed_balance_pair,
-                            discrete_asymmetric, discrete_two_state)
+                            discrete_asymmetric, discrete_two_state,
+                            two_state_flashing)
 
 from conftest import random_continuous_model, random_discrete_model
 
@@ -81,11 +84,54 @@ def test_sweep_records_failures_per_sample():
     assert np.allclose(table.values[ok], cosh_form[ok], atol=1e-8)
 
 
-def test_sweep_threads_match_serial():
-    m = discrete_two_state()
-    serial = sweep(m, -1.0, 1.0, 9)
-    parallel = sweep(m, -1.0, 1.0, 9, threads=4)
-    np.testing.assert_array_equal(serial.values, parallel.values)
+def _two_state_2d():
+    psi1 = PeriodicScalarField(dim=2, fourier_coeffs=(((1, 0), 0.3, 0.1),))
+    psi2 = PeriodicScalarField(dim=2, fourier_coeffs=(((0, 1), 0.0, 0.25),),
+                               affine_slope=(0.4, 0.0))
+    rate = PeriodicScalarField(dim=2, fourier_coeffs=(((0, 0), 1.0, 0.0),
+                                                      ((1, 1), 0.3, 0.0)))
+    return ContinuousModel(dim=2, J=2, potentials=(psi1, psi2),
+                           rates=SwitchingRateMatrix(J=2, entries=(
+                               (None, rate), (rate, None))))
+
+
+@pytest.mark.parametrize("kind,regime", [("continuous", "I"),
+                                         ("continuous", "II"),
+                                         ("discrete", "I"), ("discrete", "II"),
+                                         ("dim2", "I")])
+def test_sweep_reuse_equals_fresh_build(kind, regime):
+    """A sweep tilts one operator; every sample must equal a fresh build."""
+    rng = np.random.default_rng(11)
+    if kind == "continuous":
+        model, kw = random_continuous_model(rng, J=3, regime=regime), {"N": 32}
+    elif kind == "discrete":
+        model = random_discrete_model(rng, ell=6, J=2, regime=regime)
+        kw = {"gamma": 2.5}
+    else:
+        model, kw = _two_state_2d(), {"N": 8}
+    axis = 1 if kind == "dim2" else 0
+    table = sweep(model, -1.5, 1.5, 7, axis=axis, **kw)
+    assert not table.failures
+    for k, t in enumerate(table.p_grid):
+        p = float(t)
+        if kind == "dim2":
+            p = np.zeros(2)
+            p[axis] = t
+        value, cert = hamiltonian_at(model, p, **kw)
+        got = table.certificates[k]
+        np.testing.assert_array_equal(
+            [table.values[k], got.cw_lower, got.cw_upper],
+            [value, cert.cw_lower, cert.cw_upper])
+
+
+def test_sweep_records_build_failure_for_every_sample():
+    # regime II needs a stationary measure at every grid point, and the
+    # flashing rates vanish at y = 1/8
+    table = sweep(two_state_flashing(), -1.0, 1.0, 5, regime="II", N=32)
+    assert sorted(table.failures) == list(range(5))
+    assert all(msg.startswith("ReducibleChainError")
+               for msg in table.failures.values())
+    assert np.all(np.isnan(table.values))
 
 
 def test_velocity_constant_drift():

@@ -138,13 +138,6 @@ def test_cosine_potential_velocity_vanishes():
     assert abs(batch.mean) <= 3 * batch.se
 
 
-def test_batch_threads_deterministic():
-    m = constant_drift(1.0)
-    serial = batch_continuous(m, 0.2, 0.5, 16, base_seed=9)
-    threaded = batch_continuous(m, 0.2, 0.5, 16, base_seed=9, threads=4)
-    np.testing.assert_array_equal(serial.velocities, threaded.velocities)
-
-
 def test_concentration_constant_drift_small():
     report = concentration_experiment(constant_drift(1.0), [0.2, 0.1], 1.0,
                                       150, base_seed=23, predicted_v=1.0)
