@@ -191,23 +191,22 @@ def cmd_simulate(cfg: dict, model, outdir: Path,
         raise ConfigError(f'"simulate" block is missing {exc}') from exc
     if not scales or paths < 1 or T <= 0:
         raise ConfigError("simulate block has an empty or invalid range")
+    dt_factor = float(block.get("dt_factor", simulator.DT_FACTOR))
+    gamma = float(block.get("gamma", 1.0))
     report = simulator.concentration_experiment(
         model, scales, T, paths, int(seed),
-        predicted_v=block.get("predicted_v"),
-        dt_factor=float(block.get("dt_factor", 20.0)),
-        gamma=float(block.get("gamma", 1.0)),
+        predicted_v=block.get("predicted_v"), dt_factor=dt_factor, gamma=gamma,
         solver_n=int(block.get("N", 128)))
     report.to_csv(outdir / "summary.csv")
     if block.get("dump_trajectories", False):
         for row in report.rows:
             if isinstance(model, ContinuousModel):
                 tr = simulator.simulate_continuous(
-                    model, row.scale, T, row.scale / float(block.get("dt_factor", 20.0)),
-                    seed=int(seed), gamma=float(block.get("gamma", 1.0)))
+                    model, row.scale, T, row.scale / dt_factor, seed=int(seed),
+                    gamma=gamma)
             else:
                 tr = simulator.simulate_discrete(
-                    model, int(row.scale), T, seed=int(seed),
-                    gamma=float(block.get("gamma", 1.0)))
+                    model, int(row.scale), T, seed=int(seed), gamma=gamma)
             tr.to_csv(outdir / f"trajectory_scale_{row.scale:g}.csv")
     return EXIT_OK
 

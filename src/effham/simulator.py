@@ -6,8 +6,13 @@ jump times are exact in law and carry no O(dt) bias.  Discrete model: exact
 competing-clock simulation on the lifted lattice.  Positions live on the
 universal cover so displacement and empirical velocity are well defined.
 
-Randomness comes from counter-based Philox streams keyed by
-(base seed, trajectory index): batches are reproducible and order-independent.
+All paths of a batch step together as numpy arrays, with drift and rates
+from the `PeriodicScalarField` evaluators; each continuous path keeps its own
+thinning clock.  Each path reads its own Philox streams (one per kind of
+draw, keyed by base seed and trajectory index) in fixed-size blocks, so
+`simulate_*` with `traj_index=k` reproduces path k of a batch (to round-off
+where a field's BLAS-backed Fourier sum rounds differently with the number
+of points).
 """
 
 from __future__ import annotations
@@ -21,6 +26,11 @@ import numpy as np
 from .fields import grid_points, sampling_resolution
 from .model import ContinuousModel, DiscreteModel, Model
 
+DT_FACTOR = 200.0   # default Euler-Maruyama step dt = eps / DT_FACTOR
+_BLOCK = 64         # draws per path and kind read from its stream at once
+_RECORDS = 256      # strided records per continuous path (plus switches)
+_KINDS = ("standard_normal", "standard_exponential", "random")
+
 
 def trajectory_rng(base_seed: int, index: int = 0) -> np.random.Generator:
     """Philox stream for one trajectory, derived from (base seed, index)."""
@@ -28,29 +38,32 @@ def trajectory_rng(base_seed: int, index: int = 0) -> np.random.Generator:
         np.random.Philox(np.random.SeedSequence((int(base_seed), int(index)))))
 
 
-class _DrawBuffer:
-    """Amortized scalar draws from a Generator (keeps per-step cost low;
-    consumption order is fixed, so results stay deterministic)."""
+class _Draws:
+    """One kind of draw (a `Generator` method name in `_KINDS`) for a batch's
+    paths, read in blocks of `_BLOCK` per path.
 
-    def __init__(self, rng: np.random.Generator, kind: str, block: int = 8192):
-        self._rng = rng
-        self._kind = kind
-        self._block = block
-        self._buf = np.empty(0)
-        self._pos = 0
+    Kind j of path k reads its own Philox stream, seeded by child j of the
+    seed sequence of `trajectory_rng(seed, k)`, so a path's draws depend
+    neither on the other paths in the batch nor on the block size.
+    """
 
-    def __call__(self) -> float:
-        if self._pos >= len(self._buf):
-            if self._kind == "normal":
-                self._buf = self._rng.standard_normal(self._block)
-            elif self._kind == "exponential":
-                self._buf = self._rng.standard_exponential(self._block)
-            else:
-                self._buf = self._rng.random(self._block)
-            self._pos = 0
-        val = self._buf[self._pos]
-        self._pos += 1
-        return float(val)
+    def __init__(self, kind: str, seed: int, indices: Sequence[int]):
+        child = (_KINDS.index(kind),)
+        self._draw = [getattr(np.random.Generator(np.random.Philox(
+            np.random.SeedSequence((int(seed), int(k)), spawn_key=child))), kind)
+            for k in indices]
+        self._block = np.empty((len(self._draw), _BLOCK))
+        self._used = np.full(len(self._draw), _BLOCK)
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        """One draw for each path in `rows` (positions in the batch)."""
+        spent = rows[self._used[rows] == _BLOCK]
+        for r in spent:
+            self._block[r] = self._draw[r](_BLOCK)
+        self._used[spent] = 0
+        out = self._block[rows, self._used[rows]]
+        self._used[rows] += 1
+        return out
 
 
 @dataclass(frozen=True)
@@ -90,49 +103,67 @@ class Trajectory:
                 fh.write(f"{t:.17g},{x:.17g},{i}\n")
 
 
+class _Records:
+    """(t, x, i) records of a batch's paths, added in time order.
+
+    Records are kept in the chunks they were added in (states in the
+    narrowest integer type that holds J - 1) and split by path at the end
+    one field at a time, so that at most one field is held twice.
+    """
+
+    def __init__(self, paths: int, J: int):
+        self._rows: list = []
+        self._fields: tuple = ([], [], [])      # t, x, i chunks
+        self._state_type = np.min_scalar_type(J - 1)
+        self._counts = np.zeros(paths, dtype=np.intp)
+        self._last = np.full(paths, -math.inf)
+
+    def add(self, rows: np.ndarray, t, x, i) -> None:
+        if len(rows):
+            self._rows.append(rows)
+            for chunks, value in zip(self._fields, (
+                    t, x, np.asarray(i, dtype=self._state_type))):
+                chunks.append(value)
+            self._counts[rows] += 1
+            self._last[rows] = t
+
+    def end(self, rows: np.ndarray, T: float, x: np.ndarray,
+            i: np.ndarray) -> None:
+        """Close the paths `rows` at T, unless their last record is at T."""
+        new = self._last[rows] != T
+        self.add(rows[new], T, x[new], i[new])
+
+    def trajectories(self, *, seed: int, scale: float,
+                     kind: str) -> List[Trajectory]:
+        ends = np.cumsum(self._counts)
+        per_path = []
+        for chunks, dtype in zip(self._fields, (float, float, int)):
+            column = np.empty(ends[-1], dtype=dtype)
+            fill = ends - self._counts
+            chunks.reverse()
+            for rows in self._rows:
+                column[fill[rows]] = chunks.pop()
+                fill[rows] += 1
+            per_path.append([part.copy() for part in np.split(column, ends[:-1])])
+        return [Trajectory(seed=seed, scale=scale, times=tk, positions=xk,
+                           states=ik, kind=kind)
+                for tk, xk, ik in zip(*per_path)]
+
+
 # ---------------------------------------------------------------------------
 # continuous model: Euler-Maruyama + thinning
 # ---------------------------------------------------------------------------
 
-def _gradient_closure(model: ContinuousModel, i: int):
-    """Fast scalar gradient of psi^i for d = 1 (plain math calls beat numpy
-    dispatch by an order of magnitude in the inner loop)."""
-    psi = model.potentials[i]
-    terms = [(2.0 * math.pi * k[0] / psi.period, a, b)
-             for (k, a, b) in psi.fourier_coeffs]
-    slope = float(psi.slope[0])
-
-    def grad(y: float) -> float:
-        g = slope
-        for w, a, b in terms:
-            wy = w * y
-            g += w * (-a * math.sin(wy) + b * math.cos(wy))
-        return g
-
-    return grad
-
-
-def _rate_closures(model: ContinuousModel):
-    """J x J matrix of scalar rate evaluators (None where there is no channel)."""
-    J = model.J
-
-    def make_entry(i, j):
-        entry = model.rates.entries[i][j]
-        if entry is None or (i == j):
-            return None
-        terms = [(2.0 * math.pi * k[0] / entry.period, a, b)
-                 for (k, a, b) in entry.fourier_coeffs]
-
-        def rate(y: float) -> float:
-            r = 0.0
-            for w, a, b in terms:
-                wy = w * y
-                r += a * math.cos(wy) + b * math.sin(wy)
-            return r
-
-        return rate
-
-    return [[make_entry(i, j) for j in range(J)] for i in range(J)]
+def _switching_rates(model: ContinuousModel, y: np.ndarray,
+                     state: np.ndarray) -> np.ndarray:
+    """(len(y), J) rates r_ij(y) out of each point's state i, clipped at 0."""
+    rates = np.zeros((len(y), model.J))
+    for i, row in enumerate(model.rates.entries):
+        on = state == i
+        for j, entry in enumerate(row):
+            if j != i and entry is not None and on.any():
+                rates[on, j] = entry.values(y[on])
+    return np.maximum(rates, 0.0)
 
 
 def max_total_switching_rate(model: ContinuousModel) -> float:
@@ -140,177 +171,149 @@ def max_total_switching_rate(model: ContinuousModel) -> float:
     fields = model.rates.iter_fields()
     if not fields:
         return 0.0
-    n = sampling_resolution(fields)
-    pts = grid_points(model.dim, n, model.period)
-    worst = 0.0
-    for i in range(model.J):
-        total = np.zeros(len(pts))
-        for j in range(model.J):
-            entry = model.rates.entries[i][j]
-            if i != j and entry is not None:
-                total += entry.values(pts)
-        worst = max(worst, float(np.max(total)))
-    return worst
+    pts = grid_points(model.dim, sampling_resolution(fields), model.period)
+    return max(float(np.max(np.sum(_switching_rates(
+        model, pts, np.full(len(pts), i)), axis=1))) for i in range(model.J))
 
 
-def simulate_continuous(model: ContinuousModel, eps: float, T: float,
-                        dt: Optional[float] = None, seed: int = 0, *,
-                        gamma: float = 1.0, x0: float = 0.0, i0: int = 0,
-                        traj_index: int = 0, record_stride: Optional[int] = None,
-                        freeze_position: bool = False) -> Trajectory:
-    """One lifted path of the diffusion with switching, exact jump times.
-
-    dt defaults to eps/20 and must satisfy dt <= eps/10 so the fast variable
-    x/eps is resolved.  `freeze_position` pins x at x0 (spatial dynamics off)
-    so switching statistics can be tested against the exact rates.
-    """
+def _continuous_paths(model: ContinuousModel, eps: float, T: float,
+                      dt: Optional[float], seed: int, indices: Sequence[int],
+                      *, gamma: float = 1.0, i0: int = 0,
+                      freeze_position: bool = False) -> List[Trajectory]:
+    """The paths `indices` of `seed`, all advanced together."""
     if model.dim != 1:
         raise NotImplementedError("trajectory sampling is implemented for d = 1")
     if eps <= 0:
         raise ValueError("eps must be positive")
     if dt is None:
-        dt = eps / 20.0
+        dt = eps / DT_FACTOR
     if dt > eps / 10.0 or dt <= 0:
         raise ValueError(f"dt = {dt} must lie in (0, eps/10] to resolve the "
                          "fast variable")
     if not 0 <= i0 < model.J:
         raise ValueError(f"initial state {i0} out of range")
-    rng = trajectory_rng(seed, traj_index)
-    normals = _DrawBuffer(rng, "normal")
-    exps = _DrawBuffer(rng, "exponential")
-    uniforms = _DrawBuffer(rng, "uniform")
-
-    grads = [_gradient_closure(model, i) for i in range(model.J)]
-    rates = _rate_closures(model)
+    paths = len(indices)
+    normal, exponential, uniform = (_Draws(kind, seed, indices) for kind in _KINDS)
     rate_scale = gamma / eps
     # 1% headroom: the lattice max can sit slightly below the continuum sup
     lam = 1.01 * rate_scale * max_total_switching_rate(model)
-
-    steps_total = int(math.ceil(T / dt))
-    if record_stride is None:
-        record_stride = max(1, steps_total // 256)
-
-    t, x, i = 0.0, float(x0), int(i0)
-    times = [0.0]
-    positions = [x]
-    states = [i]
+    stride = max(1, math.ceil(T / dt) // _RECORDS)
     sqrt_eps = math.sqrt(eps)
-    next_candidate = (t + exps() / lam) if lam > 0 else math.inf
-    step_count = 0
 
-    def em_step(target: float):
-        nonlocal t, x
-        step = target - t
-        if step <= 0:
-            t = target
-            return
-        drift = -grads[i](x / eps) if not freeze_position else 0.0
-        noise = sqrt_eps * math.sqrt(step) * normals()
+    live = np.arange(paths)     # batch positions of the running paths
+    t, x = np.zeros(paths), np.zeros(paths)
+    state = np.full(paths, i0)
+    steps = np.zeros(paths, dtype=int)
+    records = _Records(paths, model.J)
+    records.add(live, 0.0, 0.0, i0)
+    candidate = exponential(live) / lam if lam > 0 else np.full(paths, math.inf)
+
+    while live.size:
+        target = np.minimum(np.minimum(t + dt, candidate), T)
         if not freeze_position:
-            x = x + drift * step + noise
+            step = target - t
+            grad = np.empty(live.size)
+            for i, psi in enumerate(model.potentials):
+                on = state == i
+                grad[on] = psi.gradients(x[on] / eps)[:, 0]
+            x += sqrt_eps * np.sqrt(step) * normal(live) - grad * step
         t = target
+        steps += 1
+        rec = steps % stride == 0
+        records.add(live[rec], t[rec], x[rec], state[rec])
 
-    while t < T:
-        horizon = min(T, next_candidate)
-        while t < horizon:
-            target = min(horizon, t + dt)
-            em_step(target)
-            step_count += 1
-            if step_count % record_stride == 0:
-                times.append(t)
-                positions.append(x)
-                states.append(i)
-        if next_candidate <= T and t >= next_candidate:
-            y = x / eps
-            row = rates[i]
-            vals = [max(0.0, rate_scale * row[j](y)) if row[j] is not None
-                    else 0.0 for j in range(model.J)]
-            total = sum(vals)
-            if total > lam * (1 + 1e-12):
+        hit = np.flatnonzero(t >= candidate)
+        if hit.size:
+            cum = np.cumsum(rate_scale * _switching_rates(model, x[hit] / eps,
+                                                          state[hit]), axis=1)
+            total = cum[:, -1]
+            if np.any(total > lam * (1 + 1e-12)):
                 raise RuntimeError("thinning bound violated; rate field "
                                    "sampling resolution too low")
-            if lam > 0 and uniforms() < total / lam:
-                u = uniforms() * total
-                acc = 0.0
-                target_state = i
-                for j, vj in enumerate(vals):
-                    acc += vj
-                    if u <= acc:
-                        target_state = j
-                        break
-                i = target_state
-                times.append(t)
-                positions.append(x)
-                states.append(i)
-            next_candidate = t + exps() / lam if lam > 0 else math.inf
+            accept = uniform(live[hit]) < total / lam
+            jump = hit[accept]
+            if jump.size:
+                u = uniform(live[jump]) * total[accept]
+                state[jump] = np.sum(cum[accept] <= u[:, None], axis=1)
+                records.add(live[jump], t[jump], x[jump], state[jump])
+            candidate[hit] = t[hit] + exponential(live[hit]) / lam
+        done = t >= T
+        if done.any():
+            records.end(live[done], T, x[done], state[done])
+            live, t, x, state, steps, candidate = (
+                a[~done] for a in (live, t, x, state, steps, candidate))
 
-    if times[-1] != T:
-        times.append(T)
-        positions.append(x)
-        states.append(i)
-    return Trajectory(seed=seed, scale=eps, times=np.array(times),
-                      positions=np.array(positions), states=np.array(states),
-                      kind="continuous")
+    del normal, exponential, uniform    # free the streams before the split
+    return records.trajectories(seed=seed, scale=eps, kind="continuous")
+
+
+def simulate_continuous(model: ContinuousModel, eps: float, T: float,
+                        dt: Optional[float] = None, seed: int = 0, *,
+                        gamma: float = 1.0, i0: int = 0, traj_index: int = 0,
+                        freeze_position: bool = False) -> Trajectory:
+    """One lifted path of the diffusion with switching, exact jump times.
+
+    dt defaults to eps/DT_FACTOR and must satisfy dt <= eps/10 so the fast
+    variable x/eps is resolved.  `freeze_position` pins x at 0 (spatial
+    dynamics off) so switching statistics can be tested against the exact
+    rates.
+    """
+    return _continuous_paths(model, eps, T, dt, seed, [traj_index], gamma=gamma,
+                             i0=i0, freeze_position=freeze_position)[0]
 
 
 # ---------------------------------------------------------------------------
 # discrete model: exact competing clocks
 # ---------------------------------------------------------------------------
 
-def simulate_discrete(model: DiscreteModel, n: int, T: float, seed: int = 0, *,
-                      gamma: float = 1.0, site0: int = 0, i0: int = 0,
-                      traj_index: int = 0) -> Trajectory:
-    """Exact event-driven path: hop rates n r_+-, switching rates n gamma r_ij."""
+def _discrete_paths(model: DiscreteModel, n: int, T: float, seed: int,
+                    indices: Sequence[int], *, gamma: float = 1.0,
+                    i0: int = 0) -> List[Trajectory]:
+    """The paths `indices` of `seed`, one event per live path per array step."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 <= i0 < model.J:
         raise ValueError(f"initial state {i0} out of range")
-    rng = trajectory_rng(seed, traj_index)
-    exps = _DrawBuffer(rng, "exponential")
-    uniforms = _DrawBuffer(rng, "uniform")
+    paths = len(indices)
+    exponential, uniform = (_Draws(kind, seed, indices) for kind in _KINDS[1:])
+    J = model.J
+    switching = np.where(np.eye(J, dtype=bool)[:, :, None], 0.0, model.switching)
+    # cumulative event rates (J, ell, 2 + J): hop up, hop down, switch to j
+    cum_rates = np.cumsum(np.concatenate(
+        [n * model.hop_rates_plus[..., None], n * model.hop_rates_minus[..., None],
+         n * gamma * np.moveaxis(switching, 1, 2)], axis=2), axis=2)
+    hop = np.r_[1, -1, np.zeros(J, dtype=int)]
 
-    ell, J = model.ell, model.J
-    rp = model.hop_rates_plus
-    rm = model.hop_rates_minus
-    sw = model.switching
+    live = np.arange(paths)     # batch positions of the running paths
+    t = np.zeros(paths)
+    m = np.zeros(paths, dtype=int)      # lifted integer position; x = m / n
+    state = np.full(paths, i0)
+    records = _Records(paths, model.J)
+    records.add(live, 0.0, 0.0, i0)
+    while live.size:
+        cum = cum_rates[state, m % model.ell]
+        t = t + exponential(live) / cum[:, -1]
+        done = t >= T
+        if done.any():
+            records.end(live[done], T, m[done] / n, state[done])
+            live, t, m, state, cum = (
+                a[~done] for a in (live, t, m, state, cum))
+        u = uniform(live) * cum[:, -1]
+        event = np.sum(cum <= u[:, None], axis=1)
+        m = m + hop[event]
+        state = np.where(event >= 2, event - 2, state)
+        records.add(live, t, m / n, state)
 
-    t = 0.0
-    m = int(site0)          # lifted integer position; x = m / n
-    i = int(i0)
-    times = [0.0]
-    positions = [m / n]
-    states = [i]
-    while True:
-        k = m % ell
-        hop_up = n * rp[i, k]
-        hop_dn = n * rm[i, k]
-        switch = [n * gamma * sw[i, j, k] if j != i else 0.0 for j in range(J)]
-        total = hop_up + hop_dn + sum(switch)
-        t_next = t + exps() / total
-        if t_next >= T:
-            break
-        t = t_next
-        u = uniforms() * total
-        if u < hop_up:
-            m += 1
-        elif u < hop_up + hop_dn:
-            m -= 1
-        else:
-            acc = hop_up + hop_dn
-            for j, r in enumerate(switch):
-                acc += r
-                if u < acc:
-                    i = j
-                    break
-        times.append(t)
-        positions.append(m / n)
-        states.append(i)
-    times.append(T)
-    positions.append(m / n)
-    states.append(i)
-    return Trajectory(seed=seed, scale=float(n), times=np.array(times),
-                      positions=np.array(positions), states=np.array(states),
-                      kind="discrete")
+    del exponential, uniform    # free the streams before the split
+    return records.trajectories(seed=seed, scale=float(n), kind="discrete")
+
+
+def simulate_discrete(model: DiscreteModel, n: int, T: float, seed: int = 0, *,
+                      gamma: float = 1.0, i0: int = 0,
+                      traj_index: int = 0) -> Trajectory:
+    """Exact event-driven path: hop rates n r_+-, switching rates n gamma r_ij."""
+    return _discrete_paths(model, n, T, seed, [traj_index], gamma=gamma,
+                           i0=i0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -337,21 +340,16 @@ class TrajectoryBatch:
 
 def batch_continuous(model: ContinuousModel, eps: float, T: float, paths: int,
                      base_seed: int, dt: Optional[float] = None, *,
-                     gamma: float = 1.0, x0: float = 0.0,
-                     i0: int = 0) -> TrajectoryBatch:
-    return TrajectoryBatch.from_trajectories([
-        simulate_continuous(model, eps, T, dt, seed=base_seed, gamma=gamma,
-                            x0=x0, i0=i0, traj_index=idx)
-        for idx in range(paths)])
+                     gamma: float = 1.0, i0: int = 0) -> TrajectoryBatch:
+    return TrajectoryBatch.from_trajectories(_continuous_paths(
+        model, eps, T, dt, base_seed, range(paths), gamma=gamma, i0=i0))
 
 
 def batch_discrete(model: DiscreteModel, n: int, T: float, paths: int,
-                   base_seed: int, *, gamma: float = 1.0, site0: int = 0,
+                   base_seed: int, *, gamma: float = 1.0,
                    i0: int = 0) -> TrajectoryBatch:
-    return TrajectoryBatch.from_trajectories([
-        simulate_discrete(model, n, T, seed=base_seed, gamma=gamma,
-                          site0=site0, i0=i0, traj_index=idx)
-        for idx in range(paths)])
+    return TrajectoryBatch.from_trajectories(_discrete_paths(
+        model, n, T, base_seed, range(paths), gamma=gamma, i0=i0))
 
 
 @dataclass(frozen=True)
@@ -386,7 +384,7 @@ class ConcentrationReport:
 def concentration_experiment(model: Model, scales: Sequence[float], T: float,
                              paths: int, base_seed: int,
                              predicted_v: Optional[float] = None, *,
-                             dt_factor: float = 20.0, gamma: float = 1.0,
+                             dt_factor: float = DT_FACTOR, gamma: float = 1.0,
                              solver_n: int = 128,
                              solver_tol: float = 1e-10) -> ConcentrationReport:
     """Empirical-velocity concentration against the eigenvalue prediction.
@@ -417,6 +415,7 @@ def concentration_experiment(model: Model, scales: Sequence[float], T: float,
         verdict = abs(batch.mean - predicted_v) <= 3.0 * batch.se
         rows.append(ScaleResult(float(scale), batch.mean, batch.sd, batch.se,
                                 float(predicted_v), bool(verdict)))
+        del batch   # free this scale's paths before the next scale runs
     sds = [r.sd for r in rows]
     sd_monotone = all(sds[k + 1] <= sds[k] * (1 + 1e-9)
                       for k in range(len(sds) - 1))

@@ -166,6 +166,26 @@ def test_simulate_continuous_preset(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("preset,scales", [("constant_drift", [0.2, 0.1]),
+                                           ("discrete_asymmetric", [10, 20])])
+def test_simulate_dumps_one_trajectory_per_scale(tmp_path, preset, scales):
+    T = 0.5
+    cfg = write_config(tmp_path, {
+        "simulate": {"scales": scales, "T": T, "paths": 20, "seed": 3,
+                     "predicted_v": 1.0, "dump_trajectories": True}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--preset", preset, "--config", cfg,
+                 "--out", str(out)]) == 0
+    dumps = sorted(out.glob("trajectory_scale_*.csv"))
+    assert [p.name for p in dumps] == sorted(
+        f"trajectory_scale_{s:g}.csv" for s in scales)
+    for path in dumps:
+        lines = path.read_text().splitlines()
+        assert lines[0] == "t,x_lifted,i"
+        assert float(lines[1].split(",")[0]) == 0.0
+        assert float(lines[-1].split(",")[0]) == T
+
+
 def test_check_motor_preset_reports_asymmetry(tmp_path):
     out = tmp_path / "out"
     assert main(["check", "--preset", "two_state_flashing",

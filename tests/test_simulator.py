@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from effham import simulator
 from effham.fields import PeriodicScalarField
+from effham.hamiltonian import velocity_of_model
 from effham.model import ContinuousModel, DiscreteModel, SwitchingRateMatrix
-from effham.presets import constant_drift, discrete_asymmetric, two_state_flashing
+from effham.presets import (constant_drift, discrete_asymmetric,
+                            discrete_two_state, two_state_flashing)
 from effham.simulator import (batch_continuous, batch_discrete,
                               concentration_experiment, simulate_continuous,
                               simulate_discrete)
@@ -34,6 +37,55 @@ def test_reproducibility_bit_exact():
     np.testing.assert_array_equal(a.states, b.states)
     c = simulate_continuous(m, 0.1, 0.5, seed=42, traj_index=4)
     assert not np.array_equal(a.positions, c.positions)
+
+
+def test_batch_membership_does_not_change_a_path():
+    """Path k of a batch equals the same path simulated alone."""
+    paths = 5
+    cont = batch_continuous(two_state_flashing(), 0.1, 0.5, paths, base_seed=42)
+    disc = batch_discrete(discrete_two_state(), 32, 1.0, paths, base_seed=42)
+    for k in (0, paths - 1):
+        alone = (simulate_continuous(two_state_flashing(), 0.1, 0.5, seed=42,
+                                     traj_index=k),
+                 simulate_discrete(discrete_two_state(), 32, 1.0, seed=42,
+                                   traj_index=k))
+        for batch, single in zip((cont, disc), alone):
+            in_batch = batch.trajectories[k]
+            np.testing.assert_array_equal(in_batch.times, single.times)
+            np.testing.assert_array_equal(in_batch.positions, single.positions)
+            np.testing.assert_array_equal(in_batch.states, single.states)
+
+
+def test_block_size_does_not_change_a_path(monkeypatch):
+    """Each kind of draw has its own stream, so the draw block size is a
+    memory setting only."""
+    runs = []
+    for block in (simulator._BLOCK, 5):
+        monkeypatch.setattr(simulator, "_BLOCK", block)
+        runs.append(batch_continuous(two_state_flashing(), 0.1, 0.3, 3,
+                                     base_seed=8).trajectories)
+    for a, b in zip(*runs):
+        np.testing.assert_array_equal(a.times, b.times)
+        np.testing.assert_array_equal(a.positions, b.positions)
+        np.testing.assert_array_equal(a.states, b.states)
+
+
+def test_default_dt_matches_eigen_velocity():
+    """At the default dt the motor's mean velocity is the eigenvalue's DH(0);
+    a coarse step (dt = eps/20) once biased it to about twice that."""
+    model = two_state_flashing()
+    v_eig, _ = velocity_of_model(model, N=128)
+    batch = batch_continuous(model, 0.05, 1.0, 1000, base_seed=61)
+    assert abs(batch.mean - v_eig) <= max(3.0 * batch.se, 0.05)
+
+
+def test_thinning_bound_violation_raises(monkeypatch):
+    model = two_state_flashing()
+    true_sup = simulator.max_total_switching_rate(model)
+    monkeypatch.setattr(simulator, "max_total_switching_rate",
+                        lambda m: 0.5 * true_sup)
+    with pytest.raises(RuntimeError, match="thinning bound"):
+        simulate_continuous(model, 0.1, 1.0, seed=3)
 
 
 def test_drift_only_mean_displacement():

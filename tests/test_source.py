@@ -14,3 +14,17 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the library: {found}"
+
+
+def test_fourier_coeffs_read_only_by_fields_and_codec():
+    """Fourier series are evaluated in `fields.py` only; `model.py` reads the
+    coefficients for the JSON codec."""
+    found = []
+    for path in sorted(Path(effham.__file__).parent.glob("*.py")):
+        if path.name in ("fields.py", "model.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "fourier_coeffs"]
+    assert not found, f"fourier_coeffs read outside fields.py/model.py: {found}"
