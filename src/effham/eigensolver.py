@@ -1,11 +1,15 @@
 """Cell-problem operators as Metzler matrices and their principal eigenpairs.
 
-Every cell operator is one `TiltedGenerator`: per-state hop weights, a
-switching block and the neighbor tables, all free of the momentum.
-`cell_operator` fills it from one of four weight builders (continuous/discrete
-x plain/averaged switching) once per model; `TiltedGenerator.at(p)` tilts the
-hops by e^{+-p_a h} and returns a dense matrix with nonnegative off-diagonal
-entries whose principal eigenvalue is the effective Hamiltonian at momentum p.
+Every cell operator is one `TiltedGenerator`: per-state hop weights and a
+switching block, all free of the momentum.  `cell_operator` fills it from one
+of four weight builders (continuous/discrete x plain/averaged switching) once
+per model; `TiltedGenerator.at(p)` tilts the hops by e^{+-p_a h} and returns
+an `AssembledOperator`, a matrix with nonnegative off-diagonal entries whose
+principal eigenvalue is the effective Hamiltonian at momentum p.  Each grid
+slice along the first axis couples only to its two neighbor slices, so the
+operator is stored as periodic block-tridiagonal blocks: one dense block per
+slice (switching and hops along the other axes) and two diagonal couplings;
+the dense matrix is built only on request.
 The continuous operators are discretized with an exponentially fitted
 (locally tilted generator) scheme:
 
@@ -22,13 +26,17 @@ The continuous operators are discretized with an exponentially fitted
 
 Eigenpairs come with Collatz-Wielandt certificates: for any positive vector w,
 min_i (Mw)_i/w_i and max_i (Mw)_i/w_i sandwich the principal eigenvalue, and
-iteration stops only once that sandwich is tighter than the tolerance.
+iteration stops only once that sandwich is tighter than the tolerance, or
+raises once it stops shrinking.  The solver works on the slice blocks:
+products slice by slice, and inverse steps by block cyclic reduction, which
+costs O(n b^2) for blocks of size b instead of a dense O(n^3) LU.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -39,6 +47,11 @@ from .model import (ContinuousModel, DiscreteModel, Model, _strongly_connected,
                     negative_rates)
 
 _EPS = np.finfo(float).eps
+# blocks up to this size are eliminated elementwise, larger ones by LAPACK
+# (timed on the elimination alone: the crossover lies between b=6 and b=12)
+_ELEMENTWISE_BLOCK = 8
+# iterations without a narrower CW gap before the solver gives up
+_STALL_ITERATIONS = 32
 
 
 class PecletError(ValueError):
@@ -57,26 +70,61 @@ class ConvergenceError(RuntimeError):
         self.certificate = certificate
 
 
+def _slice_layout(values: np.ndarray, m: int) -> np.ndarray:
+    """(J, n) state-major values -> (m, b): m slices along the first grid
+    axis, each ordered by (state, remaining grid coordinates)."""
+    return values.reshape(len(values), m, -1).transpose(1, 0, 2).reshape(m, -1)
+
+
 @dataclass(frozen=True)
 class AssembledOperator:
-    """Dense Metzler matrix for one cell problem, with index bookkeeping."""
+    """Metzler matrix of one cell problem, stored as periodic block-tridiagonal
+    slices along the first grid axis, with index bookkeeping.
 
-    matrix: np.ndarray
+    Slice k holds the unknowns whose first grid coordinate is k, ordered by
+    (state, remaining grid coordinates); `index[k, l]` is the state-major row
+    of its l-th unknown.  Row l of slice k couples to its own slice through
+    `blocks[k]` and to the same unknown of slice k+1 / k-1 (mod m) with weight
+    `up[k, l]` / `down[k, l]`.  `matrix` scatters these entries into the dense
+    state-major matrix, on demand.
+    """
+
+    blocks: np.ndarray   # (m, b, b)
+    up: np.ndarray       # (m, b)
+    down: np.ndarray     # (m, b)
     kind: str            # "discrete_I" | "discrete_II" | "continuous_I" | "continuous_II"
     n_space: int         # grid points (N**d) or torus sites (ell)
     n_states: int        # chemical states carried by the matrix rows (1 if averaged out)
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=float)
-        n = self.n_space * self.n_states
-        if M.shape != (n, n):
-            raise ValueError(f"matrix shape {M.shape} does not match {n} rows")
-        object.__setattr__(self, "matrix", M)
+        m, b, _ = self.blocks.shape
+        if (self.up.shape != (m, b) or self.down.shape != (m, b)
+                or self.blocks.shape != (m, b, b) or self.n_space % m
+                or m * b != self.n_space * self.n_states):
+            raise ValueError(f"{m} slices of {b} unknowns do not match "
+                             f"{self.n_space} x {self.n_states} rows")
 
     @property
     def shape(self):
-        return self.matrix.shape
+        n = self.n_space * self.n_states
+        return (n, n)
+
+    @property
+    def index(self) -> np.ndarray:
+        """(m, b) state-major row of every slice-local unknown."""
+        rows = np.arange(self.n_space * self.n_states)
+        return _slice_layout(rows.reshape(self.n_states, -1), len(self.blocks))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense state-major matrix (built on first use)."""
+        idx = self.index
+        M = np.zeros(self.shape)
+        M[idx, np.roll(idx, -1, axis=0)] += self.up
+        M[idx, np.roll(idx, 1, axis=0)] += self.down
+        M[idx[:, :, None], idx[:, None, :]] += self.blocks
+        return M
 
     def row_state(self, row: int) -> tuple:
         """Map a matrix row to its (space index, chemical state)."""
@@ -152,25 +200,25 @@ class TiltedGenerator:
     Row (i, y) of the operator at momentum p hops to y +- h e_a with weight
     up[i, a, y] e^{+p_a h} / down[i, a, y] e^{-p_a h} and switches to (j, y)
     at rate switching[i, j, y].  Its diagonal is minus the sum of the untilted
-    weights and rates, so rows sum to zero at p = 0.  The structural checks
-    run once, here; `at` only applies the tilt and, when a drift field is
-    given, the Peclet guard.
+    weights and rates, so rows sum to zero at p = 0.  `side` is the number of
+    grid points (or sites) per axis.  The structural checks and the
+    momentum-free part of the slice blocks are done once, here; `at` only
+    applies the tilt and, when a drift field is given, the Peclet guard.
     """
 
     def __init__(self, kind: str, up: np.ndarray, down: np.ndarray,
-                 switching: Optional[np.ndarray], neighbours: tuple, h: float,
+                 switching: Optional[np.ndarray], side: int, h: float,
                  drift: Optional[np.ndarray], metadata: dict):
         self.kind = kind
         self.up = up                  # (J, d, n) weights towards the +1 neighbor
         self.down = down              # (J, d, n) weights towards the -1 neighbor
-        self.ups, self.downs = neighbours
         self.h = h
         self.drift = drift            # (K, n, d) for the Peclet bound, or None
         self.metadata = metadata
         context = f"assemble_{kind}"
         if not (np.all(up > 0) and np.all(down > 0)):
             raise ValueError(f"{context}: hop weights must be positive")
-        J, _, n = up.shape
+        J, dim, n = up.shape
         if switching is not None:
             for i in range(J):
                 for j in range(J):
@@ -185,38 +233,47 @@ class TiltedGenerator:
             if not _strongly_connected(np.max(switching, axis=2)):
                 raise ValueError(f"{context}: switching rates leave the "
                                  "operator reducible")
-        self.switching = switching    # (J, J, n) with zero diagonal, or None
         diagonal = np.zeros((J, n))
-        for a in range(up.shape[1]):
+        for a in range(dim):
             diagonal -= up[:, a] + down[:, a]
         if switching is not None:
             for j in range(J):
                 diagonal -= switching[:, j]
-        self.diagonal = diagonal
+
+        # slice k of the grid holds points k*R .. (k+1)*R - 1; point y of
+        # state i is unknown local[i, y] of slice slice_of[y]
+        R = n // side
+        self._slice_of = np.arange(n) // R
+        self._local = np.arange(J)[:, None] * R + np.arange(n) % R
+        fixed = np.zeros((side, J * R, J * R))
+        if switching is not None:
+            fixed[self._slice_of, self._local[:, None], self._local] = switching
+        fixed[self._slice_of, self._local, self._local] = diagonal
+        self._fixed = fixed
+        ups, downs = _neighbor_tables(side, dim)
+        # hops along axes >= 1 stay inside a slice
+        self._in_slice = [(a, self._local[:, ups[a]], self._local[:, downs[a]])
+                          for a in range(1, dim)]
 
     def at(self, p) -> AssembledOperator:
-        """The dense Metzler matrix at momentum p."""
+        """The Metzler operator at momentum p, as slice blocks."""
         J, dim, n = self.up.shape
         pvec = _as_momentum(p, dim)
         if self.drift is not None:
             _peclet_guard(float(np.max(np.abs(pvec - self.drift))), self.h,
                           self.metadata["period"], self.metadata["N"],
                           f"assemble_{self.kind}")
-        M = np.zeros((J * n, J * n))
-        space = np.arange(n)
-        for i in range(J):
-            rows = i * n + space
-            for a in range(dim):
-                M[rows, i * n + self.ups[a]] += (
-                    self.up[i, a] * math.exp(pvec[a] * self.h))
-                M[rows, i * n + self.downs[a]] += (
-                    self.down[i, a] * math.exp(-pvec[a] * self.h))
-            if self.switching is not None:
-                for j in range(J):
-                    if j != i:
-                        M[rows, j * n + space] += self.switching[i, j]
-        M[np.diag_indices(J * n)] += self.diagonal.ravel()
-        return AssembledOperator(M, self.kind, n, J,
+        grow = [math.exp(pa * self.h) for pa in pvec]
+        shrink = [math.exp(-pa * self.h) for pa in pvec]
+        blocks = self._fixed.copy()
+        for a, up_cols, down_cols in self._in_slice:
+            blocks[self._slice_of, self._local, up_cols] = self.up[:, a] * grow[a]
+            blocks[self._slice_of, self._local, down_cols] = (
+                self.down[:, a] * shrink[a])
+        m = len(blocks)
+        return AssembledOperator(blocks, _slice_layout(self.up[:, 0] * grow[0], m),
+                                 _slice_layout(self.down[:, 0] * shrink[0], m),
+                                 self.kind, n, J,
                                  {**self.metadata, "p": tuple(pvec)})
 
 
@@ -270,7 +327,7 @@ def _discrete_I(model: DiscreteModel, gamma: float) -> TiltedGenerator:
     return TiltedGenerator(
         "discrete_I", model.hop_rates_plus[:, None, :],
         model.hop_rates_minus[:, None, :], gamma * model.switching,
-        _neighbor_tables(model.ell, 1), 1.0, None,
+        model.ell, 1.0, None,
         {"ell": model.ell, "J": model.J, "gamma": gamma, "regime": "I"})
 
 
@@ -278,7 +335,7 @@ def _discrete_II(model: DiscreteModel) -> TiltedGenerator:
     rates = np.array([averaged_hop_rates(model, k) for k in range(model.ell)])
     return TiltedGenerator(
         "discrete_II", rates[None, None, :, 0], rates[None, None, :, 1], None,
-        _neighbor_tables(model.ell, 1), 1.0, None,
+        model.ell, 1.0, None,
         {"ell": model.ell, "J": model.J, "regime": "II"})
 
 
@@ -322,8 +379,8 @@ def _continuous_I(model: ContinuousModel, N: int) -> TiltedGenerator:
             if i != j and entry is not None:
                 switching[i, j] = entry.values(pts)
     drift = np.stack([psi.gradients(pts) for psi in model.potentials])
-    return TiltedGenerator("continuous_I", up, down, switching, (ups, downs),
-                           h, drift, _continuous_metadata(model, N, "I"))
+    return TiltedGenerator("continuous_I", up, down, switching, N, h, drift,
+                           _continuous_metadata(model, N, "I"))
 
 
 def _continuous_II(model: ContinuousModel, N: int) -> TiltedGenerator:
@@ -355,28 +412,106 @@ def _continuous_II(model: ContinuousModel, N: int) -> TiltedGenerator:
         inc_dn_src = np.einsum("gj,jg->g", mu_q3, (mids - vals[:, ups[a]]) - tilt)
         up[0, a] = fac * np.exp(-2.0 * inc_up)
         down[0, a] = fac * np.exp(-2.0 * inc_dn_src[downs[a]])
-    return TiltedGenerator("continuous_II", up, down, None, (ups, downs), h,
-                           bbar[None], _continuous_metadata(model, N, "II"))
+    return TiltedGenerator("continuous_II", up, down, None, N, h, bbar[None],
+                           _continuous_metadata(model, N, "II"))
 
 
 # ---------------------------------------------------------------------------
 # principal eigenpair with Collatz-Wielandt certificate
 # ---------------------------------------------------------------------------
 
+def _slices(M) -> tuple:
+    """(A, B, C, index) of M: diagonal blocks (m, b, b), up and down couplings
+    (m, b) and the state-major row of every unknown.  A raw matrix is one
+    dense block without couplings."""
+    if isinstance(M, AssembledOperator):
+        return M.blocks, M.up, M.down, M.index
+    A = np.asarray(M, dtype=float)
+    zero = np.zeros((1, len(A)))
+    return A[None], zero, zero, np.arange(len(A))[None]
+
+
+def _apply(A, B, C, x: np.ndarray) -> np.ndarray:
+    """z_k = A_k x_k + B_k x_{k+1} + C_k x_{k-1}, slices mod m."""
+    ring = np.concatenate((x[-1:], x, x[:1]))
+    return (A @ x[..., None])[..., 0] + B * ring[2:] + C * ring[:-2]
+
+
+def _block_solve(D: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """X_k = D_k^{-1} R_k for every k.
+
+    Every D_k here is a nonsingular M-matrix, whose pivots stay positive
+    without pivoting, so small blocks are eliminated (Gauss-Jordan) with array
+    operations over k; larger ones go to LAPACK.
+    """
+    b = D.shape[-1]
+    if b > _ELEMENTWISE_BLOCK:
+        return np.linalg.solve(D, R)
+    aug = np.concatenate([D, R], axis=2)
+    for c in range(b):
+        pivot_row = aug[:, c] / aug[:, c, c, None]
+        aug -= aug[:, :, c, None] * pivot_row[:, None]
+        aug[:, c] = pivot_row
+    return aug[:, :, b:]
+
+
+def _cyclic_solve(D, U, L, f: np.ndarray) -> np.ndarray:
+    """Solve D_k x_k + U_k x_{k+1} + L_k x_{k-1} = f_k (k mod m) by block
+    cyclic reduction (Buzbee, Golub & Nielson 1970).
+
+    The odd slices are eliminated and the kept even slices form a periodic
+    block-tridiagonal system of ceil(m/2) slices; when m is odd the last kept
+    slice stays coupled to slice 0 directly.  Schur complements of a
+    nonsingular M-matrix are M-matrices, so no elimination needs pivoting.
+    One slice (a raw matrix, or the last level) is solved by a dense LU, its
+    couplings folded into its block.
+    """
+    m, b = f.shape
+    if m == 1:
+        return np.linalg.solve(D + U + L, f[..., None])[..., 0]
+    # odd slice j' = 2j+1 lies between kept slices j and j+1 (mod the kept
+    # count); with m odd, kept slice 0 has no eliminated slice below it
+    n_odd, lo = m // 2, m % 2
+    # X_j = D_{2j+1}^{-1} [L_{2j+1} | U_{2j+1} | f_{2j+1}]
+    X = _block_solve(D[1::2], np.concatenate(
+        [L[1::2], U[1::2], f[1::2, :, None]], axis=2))
+    Y = U[::2][:n_odd] @ X
+    Z = L[::2][lo:] @ np.concatenate([X[-1:], X])[lo:lo + n_odd]
+    D2, U2, L2, f2 = D[::2].copy(), U[::2].copy(), L[::2].copy(), f[::2].copy()
+    D2[:n_odd] -= Y[..., :b]
+    D2[lo:] -= Z[..., b:2 * b]
+    U2[:n_odd] = -Y[..., b:2 * b]
+    L2[lo:] = -Z[..., :b]
+    f2[:n_odd] -= Y[..., 2 * b]
+    f2[lo:] -= Z[..., 2 * b]
+    kept = _cyclic_solve(D2, U2, L2, f2)
+    x = np.empty_like(f)
+    x[::2] = kept
+    neighbours = np.concatenate([kept, np.concatenate([kept[1:], kept[:1]])],
+                                axis=1)[:n_odd]
+    x[1::2] = X[..., 2 * b] - (X[..., :2 * b] @ neighbours[..., None])[..., 0]
+    return x
+
+
 def collatz_wielandt_bounds(M, g: np.ndarray) -> tuple:
     """(min_i (Mg)_i/g_i, max_i (Mg)_i/g_i); a sandwich for the principal
     eigenvalue of a Metzler irreducible M, valid for any positive g."""
-    M = M.matrix if isinstance(M, AssembledOperator) else np.asarray(M, dtype=float)
+    A, B, C, index = _slices(M)
     g = np.asarray(g, dtype=float)
+    if g.shape != (index.size,):
+        raise ValueError(f"vector of shape {g.shape} does not match "
+                         f"{index.size} rows")
     if np.any(g <= 0):
         raise ValueError("Collatz-Wielandt bounds need a strictly positive vector")
-    ratios = (M @ g) / g
+    x = g[index]
+    ratios = _apply(A, B, C, x) / x
     return float(np.min(ratios)), float(np.max(ratios))
 
 
 def principal_eigenpair(M, tol: float = 1e-10,
                         max_iter: int = 10 ** 6) -> EigenCertificate:
-    """Principal eigenpair of a Metzler irreducible matrix.
+    """Principal eigenpair of a Metzler irreducible matrix (an ndarray or an
+    `AssembledOperator`).
 
     Shifts by alpha = 1 + max |M_ii| so the matrix is nonnegative and primitive,
     then runs power iteration from the all-ones vector.  When the shift makes
@@ -385,56 +520,77 @@ def principal_eigenpair(M, tol: float = 1e-10,
     bound; (sigma I - M) is then a nonsingular M-matrix, so the solve preserves
     positivity and every iterate still carries a valid sandwich.  Terminates
     when the sandwich width is below tol * (1 + |lambda|) (with a floor at the
-    round-off level of the shifted matrix).
+    round-off level of the shifted matrix); raises `ConvergenceError` after
+    `max_iter` iterations, or once the width has not shrunk for
+    `_STALL_ITERATIONS` iterations in a row.
+
+    An operator is iterated on its slice blocks: products and inverse steps
+    (block cyclic reduction) never form the dense matrix.  A raw matrix is a
+    single slice, iterated with a dense product and a dense LU.
     """
-    A = M.matrix if isinstance(M, AssembledOperator) else np.asarray(M, dtype=float)
-    n = A.shape[0]
-    if n == 1:
-        lam = float(A[0, 0])
+    A, B, C, index = _slices(M)
+    m, b = B.shape
+    if m * b == 1:
+        lam = float(A[0, 0, 0] + B[0, 0] + C[0, 0])
         return EigenCertificate(lam, np.ones(1), 0.0, lam, lam, 0)
 
-    alpha = 1.0 + float(np.max(np.abs(np.diag(A))))
-    w = np.ones(n)
+    alpha = 1.0 + float(np.max(np.abs(np.diagonal(A, axis1=1, axis2=2))))
+    U, L = -B[..., None] * np.eye(b), -C[..., None] * np.eye(b)
+    diag = (slice(None), range(b), range(b))
+    w = np.ones((m, b))
     lower, upper = -np.inf, np.inf
+    best_gap, since_best = np.inf, 0
     iters = 0
     power_budget = 40
 
     def bounds_from(vec):
-        z = A @ vec + alpha * vec
+        z = _apply(A, B, C, vec) + alpha * vec
         ratios = z / vec
-        return z, float(np.min(ratios)) - alpha, float(np.max(ratios)) - alpha
+        return z, float(ratios.min()) - alpha, float(ratios.max()) - alpha
 
     def threshold(lo, up):
         lam_est = 0.5 * (lo + up)
         return max(tol * (1.0 + abs(lam_est)), 4.0 * _EPS * (alpha + abs(lam_est)))
 
+    def certificate(lam):
+        g = w / np.max(w)
+        residual = float(np.max(np.abs(_apply(A, B, C, g) - lam * g)))
+        state_major = np.empty(m * b)
+        state_major[index] = g
+        return EigenCertificate(lam, state_major, residual, lower, upper, iters)
+
     while True:
         z, lo, up = bounds_from(w)
         lower, upper = max(lower, lo), min(upper, up)
         iters += 1
-        if upper - lower <= threshold(lower, upper):
+        gap, limit = upper - lower, threshold(lower, upper)
+        if gap <= limit:
             break
+        if gap < best_gap:
+            best_gap, since_best = gap, 0
+        else:
+            since_best += 1
+        if since_best >= _STALL_ITERATIONS:
+            raise ConvergenceError(
+                f"CW gap stalled at {gap:.3e} above threshold {limit:.3e}",
+                certificate(0.5 * (lower + upper)))
         if iters >= max_iter:
-            lam = 0.5 * (lower + upper)
-            g = w / np.max(w)
-            cert = EigenCertificate(lam, g, float(np.max(np.abs(A @ g - lam * g))),
-                                    lower, upper, iters)
             raise ConvergenceError(
                 f"no convergence after {iters} iterations "
-                f"(CW gap {upper - lower:.3e})", cert)
+                f"(CW gap {gap:.3e})", certificate(0.5 * (lower + upper)))
         if iters < power_budget:
             w = z / np.max(z)
             continue
         # inverse-iteration step: sigma strictly above the principal eigenvalue
-        gap = upper - lower
         sigma = upper + max(gap, 16.0 * _EPS * (alpha + abs(upper)))
-        shifted = -A.copy()
-        shifted[np.diag_indices(n)] += sigma
+        shifted = -A
+        shifted[diag] += sigma
         try:
-            x = np.linalg.solve(shifted, w)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                x = _cyclic_solve(shifted, U, L, w)
         except np.linalg.LinAlgError:
             x = None
-        if x is None or np.any(x <= 0):
+        if x is None or not np.all((x > 0) & (x < np.inf)):
             # singular or positivity lost to round-off: relax sigma, take a
             # plain power step to restore a safely positive iterate
             power_budget = iters + 4
@@ -442,7 +598,4 @@ def principal_eigenpair(M, tol: float = 1e-10,
             continue
         w = x / np.max(x)
 
-    lam = 0.5 * (lower + upper)
-    g = w / np.max(w)
-    residual = float(np.max(np.abs(A @ g - lam * g)))
-    return EigenCertificate(lam, g, residual, lower, upper, iters)
+    return certificate(0.5 * (lower + upper))

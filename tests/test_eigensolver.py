@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from effham import eigensolver
 from effham.eigensolver import (ConvergenceError, PecletError,
                                 assemble_continuous_I, assemble_continuous_II,
                                 assemble_discrete_I, assemble_discrete_II,
-                                collatz_wielandt_bounds, principal_eigenpair)
+                                cell_operator, collatz_wielandt_bounds,
+                                principal_eigenpair)
 from effham.fields import PeriodicScalarField
+from effham.hamiltonian import hamiltonian_at
 from effham.model import ContinuousModel, DiscreteModel, SwitchingRateMatrix
-from effham.presets import constant_drift, tilted_cosine
+from effham.presets import constant_drift, detailed_balance_pair, tilted_cosine
 
 from conftest import random_continuous_model, random_discrete_model
 
@@ -396,6 +399,158 @@ def test_convergence_error_carries_certificate(rng):
     assert cert.cw_lower <= dense_principal(M) <= cert.cw_upper
 
 
+def test_stalled_gap_raises_within_200_iterations():
+    """Reducible input: the Perron vector (1, 0, 0) of the top-left block
+    leaves the lower block's ratios at its own eigenvalue -2, so the CW gap
+    can never fall below 1.  The solver must give up, not spin to max_iter."""
+    M = np.array([[-1.0, 2.0, 0.5],
+                  [0.0, -3.0, 1.0],
+                  [0.0, 1.0, -3.0]])
+    with pytest.raises(ConvergenceError, match="CW gap stalled at 1.000e"
+                       r"\+00 above threshold") as info:
+        principal_eigenpair(M)
+    cert = info.value.certificate
+    assert cert.iterations <= 200
+    assert cert.cw_lower <= -1.0 <= cert.cw_upper
+
+
+@pytest.mark.parametrize("p", [-1.0, 1.0, 3.0])
+def test_fine_grid_detailed_balance_ends_in_bounded_time(p):
+    """N = 1024, tol 1e-10: the CW gap's round-off floor sits near the
+    threshold, so the solve either converges or raises the stall error,
+    within 200 iterations either way."""
+    try:
+        _, cert = hamiltonian_at(detailed_balance_pair(), p, N=1024, tol=1e-10)
+    except ConvergenceError as exc:
+        assert "stalled" in str(exc)
+        cert = exc.certificate
+        converged = False
+    else:
+        converged = True
+    assert cert.iterations <= 200
+    assert cert.cw_lower <= cert.eigenvalue <= cert.cw_upper
+    op = cell_operator(detailed_balance_pair(), "I", N=1024).at(p)
+    alpha = 1.0 + np.max(np.abs(np.diagonal(op.blocks, axis1=1, axis2=2)))
+    lam = abs(cert.eigenvalue)
+    limit = max(1e-10 * (1.0 + lam), 4.0 * np.finfo(float).eps * (alpha + lam))
+    assert (cert.cw_gap <= limit) == converged
+    # the same ratios in extended precision bound the eigenvalue too, so the
+    # two brackets must meet
+    ld = np.longdouble
+    x = cert.eigenvector[op.index].astype(ld)
+    z = (np.einsum("kij,kj->ki", op.blocks.astype(ld), x)
+         + op.up.astype(ld) * np.roll(x, -1, axis=0)
+         + op.down.astype(ld) * np.roll(x, 1, axis=0))
+    ratios = z / x
+    assert ratios.min() <= cert.cw_upper and cert.cw_lower <= ratios.max()
+
+
+def _structured_operator(kind, regime, size, gamma, rng):
+    """Operators whose slice count m = size covers 1, 2, 3, 4, odd and
+    powers of two; continuous potentials are gentle enough for N = 3.  No
+    model has one slice (ell >= 2, N >= 3), so that one is built by hand."""
+    if kind == "one_slice":
+        block = rng.uniform(0.2, 2.0, size=(1, 3, 3))
+        block[0, range(3), range(3)] = -4.0
+        return eigensolver.AssembledOperator(
+            block, rng.uniform(0.5, 1.0, size=(1, 3)),
+            rng.uniform(0.5, 1.0, size=(1, 3)), "discrete_I", 1, 3)
+    if kind == "continuous":
+        model = random_continuous_model(rng, J=2, amp=0.05)
+        return cell_operator(model, regime, N=size).at(0.7)
+    if kind == "discrete":
+        model = random_discrete_model(rng, ell=size, J=2)
+        return cell_operator(model, regime, gamma=gamma).at(0.7)
+    psi1 = PeriodicScalarField(dim=2, fourier_coeffs=(((1, 0), 0.3, 0.0),))
+    psi2 = PeriodicScalarField(dim=2, fourier_coeffs=(((0, 1), 0.0, 0.25),))
+    rate = PeriodicScalarField(dim=2, fourier_coeffs=(((0, 0), 1.0, 0.0),
+                                                      ((1, 1), 0.3, 0.1)))
+    model = ContinuousModel(dim=2, J=2, potentials=(psi1, psi2),
+                            rates=SwitchingRateMatrix(J=2, entries=(
+                                (None, rate), (rate, None))))
+    return cell_operator(model, regime, N=size).at([0.4, -0.2])
+
+
+STRUCTURED_CASES = (
+    [("continuous", r, N, 1.0) for r in ("I", "II")
+     for N in (3, 4, 20, 24, 255, 256)]
+    + [("discrete", "I", ell, g) for ell in (2, 3, 6) for g in (1.0, 2.5)]
+    + [("discrete", "II", ell, 1.0) for ell in (2, 3, 6)]
+    + [("dim2", "I", 12, 1.0), ("dim2", "II", 12, 1.0),
+       ("one_slice", None, 1, 1.0)])
+
+
+@pytest.mark.parametrize("kind,regime,size,gamma", STRUCTURED_CASES)
+def test_structured_kernels_match_dense(kind, regime, size, gamma, rng):
+    op = _structured_operator(kind, regime, size, gamma, rng)
+    M = op.matrix
+    m, b = op.up.shape
+    assert m == size and m * b == M.shape[0]
+    A, B, C, index = op.blocks, op.up, op.down, op.index
+
+    # block product against the dense product
+    w = rng.uniform(0.1, 1.0, size=M.shape[0])
+    z = eigensolver._apply(A, B, C, w[index])
+    scale = np.max(np.abs(M) @ np.abs(w))
+    assert np.max(np.abs(z - (M @ w)[index])) <= 1e-14 * scale
+
+    # shifted solve by cyclic reduction: backward error at two distances
+    dense = principal_eigenpair(M)
+    lam = dense.eigenvalue
+    U, L = -B[..., None] * np.eye(b), -C[..., None] * np.eye(b)
+    for dist in (1e-6, 1.0):
+        sigma = lam + dist * (1.0 + abs(lam))
+        shifted = -A
+        shifted[:, range(b), range(b)] += sigma
+        x = eigensolver._cyclic_solve(shifted, U, L, w[index])
+        xs = np.empty_like(w)
+        xs[index] = x
+        T = sigma * np.eye(len(M)) - M
+        residual = np.max(np.abs(T @ xs - w))
+        assert residual <= 1e-12 * np.max(np.sum(np.abs(T), axis=1)) * np.max(np.abs(xs))
+
+    # eigenpairs from blocks and from the dense matrix agree within both brackets
+    blocks = principal_eigenpair(op)
+    assert dense.cw_lower <= blocks.eigenvalue <= dense.cw_upper
+    assert blocks.cw_lower <= dense.eigenvalue <= blocks.cw_upper
+
+
+def _inverse_steps_with_fault(monkeypatch, fault):
+    """Solve a stiff operator while the first inverse step misbehaves."""
+    real = eigensolver._cyclic_solve
+    calls = []
+
+    def faulty(D, U, L, f):
+        calls.append(len(f))
+        if len(calls) == 1:
+            return fault(f)
+        return real(D, U, L, f)
+
+    monkeypatch.setattr(eigensolver, "_cyclic_solve", faulty)
+    op = assemble_continuous_I(tilted_cosine(1.0, 0.4), 1.0, 64)
+    cert = principal_eigenpair(op, tol=1e-10)
+    monkeypatch.undo()
+    assert len(calls) >= 2
+    reference = dense_principal(op.matrix)
+    assert cert.cw_lower <= reference + 1e-12 and reference - 1e-12 <= cert.cw_upper
+    return cert
+
+
+def test_nonpositive_inverse_step_falls_back(monkeypatch):
+    def negative_entry(f):
+        # taken as an iterate, this would be 0/0 everywhere but one entry
+        x = np.zeros_like(f)
+        x[0, 0] = -1.0
+        return x
+    _inverse_steps_with_fault(monkeypatch, negative_entry)
+
+
+def test_singular_inverse_step_falls_back(monkeypatch):
+    def singular(f):
+        raise np.linalg.LinAlgError("Singular matrix")
+    _inverse_steps_with_fault(monkeypatch, singular)
+
+
 def test_cw_bounds_examples():
     M = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert collatz_wielandt_bounds(M, np.array([1.0, 2.0])) == (0.5, 2.0)
@@ -407,6 +562,22 @@ def test_cw_bounds_examples():
     assert collatz_wielandt_bounds(G, np.ones(2)) == (0.0, 0.0)
     with pytest.raises(ValueError):
         collatz_wielandt_bounds(M, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        collatz_wielandt_bounds(M, np.ones(3))
+
+
+def test_raw_matrix_keeps_dense_arithmetic(rng):
+    # a raw matrix is one slice: its product is A @ x and its inverse step a
+    # pivoted dense LU, bit for bit, also for blocks small enough to be
+    # eliminated elementwise inside an operator
+    for n in (3, 8, 40):
+        A = rng.standard_normal((n, n))
+        x = rng.uniform(0.1, 1.0, size=n)
+        B, C, U, L = (np.zeros((1, n)), np.zeros((1, n)),
+                      np.zeros((1, n, n)), np.zeros((1, n, n)))
+        assert np.array_equal(eigensolver._apply(A[None], B, C, x[None])[0], A @ x)
+        assert np.array_equal(eigensolver._cyclic_solve(A[None], U, L, x[None])[0],
+                              np.linalg.solve(A, x))
 
 
 @settings(max_examples=30, deadline=None)

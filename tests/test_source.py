@@ -28,3 +28,21 @@ def test_fourier_coeffs_read_only_by_fields_and_codec():
                   if isinstance(node, ast.Attribute)
                   and node.attr == "fourier_coeffs"]
     assert not found, f"fourier_coeffs read outside fields.py/model.py: {found}"
+
+
+def test_runtime_imports_numpy_only():
+    """numpy is the only runtime dependency: importing scipy alone would
+    cost more than the CLI's whole set-up."""
+    found = []
+    for path in sorted(Path(effham.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert not found, f"scipy imported by the library: {found}"
