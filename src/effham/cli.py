@@ -104,7 +104,8 @@ def _certificates_json(table: ham.HamiltonianTable) -> dict:
             rows.append({"p": float(p), "eigenvalue": cert.eigenvalue,
                          "residual": cert.residual, "cw_lower": cert.cw_lower,
                          "cw_upper": cert.cw_upper,
-                         "iterations": cert.iterations})
+                         "iterations": cert.iterations,
+                         "fallbacks": cert.fallbacks})
     return {"provenance": table.provenance, "samples": rows}
 
 

@@ -153,6 +153,7 @@ class EigenCertificate:
     cw_lower: float
     cw_upper: float
     iterations: int
+    fallbacks: int = 0           # power steps taken after failed inverse steps
 
     @property
     def cw_gap(self) -> float:
@@ -493,36 +494,42 @@ def _cyclic_solve(D, U, L, f: np.ndarray) -> np.ndarray:
     return x
 
 
+def _positive_vector(g, n: int, what: str) -> np.ndarray:
+    g = np.asarray(g, dtype=float)
+    if g.shape != (n,):
+        raise ValueError(f"{what} of shape {g.shape} does not match {n} rows")
+    if not np.all((g > 0) & (g < np.inf)):
+        raise ValueError(f"{what} must be strictly positive and finite")
+    return g
+
+
 def collatz_wielandt_bounds(M, g: np.ndarray) -> tuple:
     """(min_i (Mg)_i/g_i, max_i (Mg)_i/g_i); a sandwich for the principal
     eigenvalue of a Metzler irreducible M, valid for any positive g."""
     A, B, C, index = _slices(M)
-    g = np.asarray(g, dtype=float)
-    if g.shape != (index.size,):
-        raise ValueError(f"vector of shape {g.shape} does not match "
-                         f"{index.size} rows")
-    if np.any(g <= 0):
-        raise ValueError("Collatz-Wielandt bounds need a strictly positive vector")
-    x = g[index]
+    x = _positive_vector(g, index.size, "Collatz-Wielandt vector")[index]
     ratios = _apply(A, B, C, x) / x
     return float(np.min(ratios)), float(np.max(ratios))
 
 
-def principal_eigenpair(M, tol: float = 1e-10,
-                        max_iter: int = 10 ** 6) -> EigenCertificate:
+def principal_eigenpair(M, tol: float = 1e-10, max_iter: int = 10 ** 6,
+                        start: Optional[np.ndarray] = None) -> EigenCertificate:
     """Principal eigenpair of a Metzler irreducible matrix (an ndarray or an
     `AssembledOperator`).
 
-    Shifts by alpha = 1 + max |M_ii| so the matrix is nonnegative and primitive,
-    then runs power iteration from the all-ones vector.  When the shift makes
-    plain power iteration too slow (stiff continuous operators), it switches to
-    inverse iteration with sigma just above the current Collatz-Wielandt upper
-    bound; (sigma I - M) is then a nonsingular M-matrix, so the solve preserves
-    positivity and every iterate still carries a valid sandwich.  Terminates
-    when the sandwich width is below tol * (1 + |lambda|) (with a floor at the
-    round-off level of the shifted matrix); raises `ConvergenceError` after
-    `max_iter` iterations, or once the width has not shrunk for
-    `_STALL_ITERATIONS` iterations in a row.
+    Runs inverse iteration from `start` (a strictly positive state-major
+    vector, e.g. the eigenvector of a nearby operator) or from the all-ones
+    vector, with sigma just above the current Collatz-Wielandt upper bound:
+    (sigma I - M) is then a nonsingular M-matrix, so the solve preserves
+    positivity and every iterate still carries a valid sandwich.  When an
+    inverse step is singular or loses positivity to round-off, the solver
+    takes 4 power steps with the shift alpha = 1 + max |M_ii| (which makes
+    the matrix nonnegative and primitive) and returns to inverse steps; the
+    certificate counts them as `fallbacks`.  Terminates when the sandwich
+    width is below tol * (1 + |lambda|) (with a floor at the round-off level
+    of the shifted matrix); raises `ConvergenceError` after `max_iter`
+    iterations, or once the width has not shrunk for `_STALL_ITERATIONS`
+    iterations in a row.
 
     An operator is iterated on its slice blocks: products and inverse steps
     (block cyclic reduction) never form the dense matrix.  A raw matrix is a
@@ -530,6 +537,8 @@ def principal_eigenpair(M, tol: float = 1e-10,
     """
     A, B, C, index = _slices(M)
     m, b = B.shape
+    if start is not None:
+        start = _positive_vector(start, m * b, "start vector")
     if m * b == 1:
         lam = float(A[0, 0, 0] + B[0, 0] + C[0, 0])
         return EigenCertificate(lam, np.ones(1), 0.0, lam, lam, 0)
@@ -537,11 +546,10 @@ def principal_eigenpair(M, tol: float = 1e-10,
     alpha = 1.0 + float(np.max(np.abs(np.diagonal(A, axis1=1, axis2=2))))
     U, L = -B[..., None] * np.eye(b), -C[..., None] * np.eye(b)
     diag = (slice(None), range(b), range(b))
-    w = np.ones((m, b))
+    w = np.ones((m, b)) if start is None else start[index] / np.max(start)
     lower, upper = -np.inf, np.inf
     best_gap, since_best = np.inf, 0
-    iters = 0
-    power_budget = 40
+    iters = fallbacks = power_until = 0
 
     def bounds_from(vec):
         z = _apply(A, B, C, vec) + alpha * vec
@@ -557,7 +565,8 @@ def principal_eigenpair(M, tol: float = 1e-10,
         residual = float(np.max(np.abs(_apply(A, B, C, g) - lam * g)))
         state_major = np.empty(m * b)
         state_major[index] = g
-        return EigenCertificate(lam, state_major, residual, lower, upper, iters)
+        return EigenCertificate(lam, state_major, residual, lower, upper, iters,
+                                fallbacks)
 
     while True:
         z, lo, up = bounds_from(w)
@@ -578,7 +587,8 @@ def principal_eigenpair(M, tol: float = 1e-10,
             raise ConvergenceError(
                 f"no convergence after {iters} iterations "
                 f"(CW gap {gap:.3e})", certificate(0.5 * (lower + upper)))
-        if iters < power_budget:
+        if iters < power_until:
+            fallbacks += 1
             w = z / np.max(z)
             continue
         # inverse-iteration step: sigma strictly above the principal eigenvalue
@@ -591,9 +601,10 @@ def principal_eigenpair(M, tol: float = 1e-10,
         except np.linalg.LinAlgError:
             x = None
         if x is None or not np.all((x > 0) & (x < np.inf)):
-            # singular or positivity lost to round-off: relax sigma, take a
-            # plain power step to restore a safely positive iterate
-            power_budget = iters + 4
+            # singular or positivity lost to round-off: plain power steps
+            # restore a safely positive iterate
+            power_until = iters + 4
+            fallbacks += 1
             w = z / np.max(z)
             continue
         w = x / np.max(x)

@@ -75,14 +75,29 @@ class HamiltonianTable:
                              f"{cert.residual:.17g},{cert.cw_gap:.17g}\n")
 
 
+def _outward(count: int, origin: int):
+    """(sample, inner neighbour) pairs of a chain that starts at `origin`
+    (neighbour None) and walks outward to both ends of `count` samples."""
+    yield origin, None
+    for k in range(origin + 1, count):
+        yield k, k - 1
+    for k in range(origin - 1, -1, -1):
+        yield k, k + 1
+
+
 def sweep(model: Model, p_min: float, p_max: float, count: int,
           regime: Optional[str] = None, *, N: int = 128, tol: float = 1e-10,
           gamma: float = 1.0, max_iter: int = 10 ** 6,
           axis: int = 0) -> HamiltonianTable:
     """Tabulate H over a uniform momentum grid; p = 0 is always included.
 
-    The cell operator is built once and every sample tilts it.  Failures
-    are recorded per sample (value NaN) and the table is still returned; if
+    The cell operator is built once and every sample tilts it.  The solve
+    at p = 0 starts from the all-ones vector; the others march outward from
+    it, each starting from the eigenvector of its inner neighbour (the tilt
+    moves the eigenvector analytically, so a few inverse steps suffice).  A
+    value therefore equals `hamiltonian_at(p)` within the certificate, not
+    bit for bit.  Failures are recorded per sample (value NaN), and the
+    sample beyond a failure starts cold; the table is still returned.  If
     the operator cannot be built, every sample records that error.  For
     continuous models with dim > 1 the sweep runs along the momentum line
     t -> t * e_axis.
@@ -117,10 +132,13 @@ def sweep(model: Model, p_min: float, p_max: float, count: int,
     except Exception as exc:   # recorded against every sample
         failures = dict.fromkeys(range(len(grid)), f"{type(exc).__name__}: {exc}")
     else:
-        for k, p in enumerate(grid):
+        for k, inner in _outward(len(grid), int(np.flatnonzero(grid == 0.0)[0])):
+            prev = None if inner is None else certs[inner]
             try:
-                certs[k] = principal_eigenpair(op.at(momentum_of(float(p))),
-                                               tol=tol, max_iter=max_iter)
+                certs[k] = principal_eigenpair(
+                    op.at(momentum_of(float(grid[k]))), tol=tol,
+                    max_iter=max_iter,
+                    start=None if prev is None else prev.eigenvector)
             except Exception as exc:   # recorded per sample
                 failures[k] = f"{type(exc).__name__}: {exc}"
             else:
@@ -156,10 +174,16 @@ def velocity(table: HamiltonianTable) -> tuple:
 def velocity_of_model(model: Model, regime: Optional[str] = None, *,
                       delta: float = 1e-3, N: int = 128, tol: float = 1e-10,
                       gamma: float = 1.0) -> tuple:
-    """DH(0) from a dedicated five-point stencil at +-delta, +-2 delta."""
+    """DH(0) from a dedicated five-point stencil at +-delta, +-2 delta,
+    solved as the chain 0 -> +-delta -> +-2 delta: each solve starts from the
+    eigenvector of its inner neighbour, as in `sweep`."""
     grid = np.array([-2 * delta, -delta, 0.0, delta, 2 * delta])
     op = cell_operator(model, regime or model.regime, N=N, gamma=gamma)
-    certs = [principal_eigenpair(op.at(float(p)), tol=tol) for p in grid]
+    certs = [None] * len(grid)
+    for k, inner in _outward(len(grid), 2):
+        certs[k] = principal_eigenpair(
+            op.at(float(grid[k])), tol=tol,
+            start=None if inner is None else certs[inner].eigenvector)
     values = np.array([c.eigenvalue for c in certs])
     table = HamiltonianTable(grid, values, tuple(certs),
                              provenance={"regime": regime or model.regime,

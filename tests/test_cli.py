@@ -28,6 +28,7 @@ def test_sweep_constant_drift_csv(tmp_path):
     assert np.max(np.abs(data["H"] - closed)) <= 1e-3
     certs = json.loads((out / "certificates.json").read_text())
     assert len(certs["samples"]) == 61
+    assert all(row["fallbacks"] == 0 for row in certs["samples"])
 
 
 def test_sweep_rerun_bit_identical(tmp_path):

@@ -533,6 +533,7 @@ def _inverse_steps_with_fault(monkeypatch, fault):
     assert len(calls) >= 2
     reference = dense_principal(op.matrix)
     assert cert.cw_lower <= reference + 1e-12 and reference - 1e-12 <= cert.cw_upper
+    assert cert.fallbacks >= 1
     return cert
 
 
@@ -549,6 +550,28 @@ def test_singular_inverse_step_falls_back(monkeypatch):
     def singular(f):
         raise np.linalg.LinAlgError("Singular matrix")
     _inverse_steps_with_fault(monkeypatch, singular)
+
+
+@pytest.mark.parametrize("bad", ["short", "zero", "negative", "nan", "inf"])
+def test_start_vector_is_validated(bad):
+    op = assemble_discrete_I(random_discrete_model(np.random.default_rng(5)), 0.3)
+    n = op.shape[0]
+    start = np.ones(n - 1) if bad == "short" else np.ones(n)
+    if bad != "short":
+        start[n // 2] = {"zero": 0.0, "negative": -1.0, "nan": np.nan,
+                         "inf": np.inf}[bad]
+    with pytest.raises(ValueError, match="start vector"):
+        principal_eigenpair(op, start=start)
+
+
+@pytest.mark.parametrize("size", [32, 256])
+def test_converged_start_returns_at_once(size):
+    op = assemble_continuous_I(detailed_balance_pair(), 0.7, size)
+    cold = principal_eigenpair(op, tol=1e-9)
+    warm = principal_eigenpair(op, tol=1e-9, start=cold.eigenvector)
+    assert warm.iterations <= 2 < cold.iterations
+    assert warm.fallbacks == cold.fallbacks == 0
+    assert max(warm.cw_lower, cold.cw_lower) <= min(warm.cw_upper, cold.cw_upper)
 
 
 def test_cw_bounds_examples():

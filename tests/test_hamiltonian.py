@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from effham.eigensolver import EigenCertificate
+from effham import hamiltonian
+from effham.eigensolver import (ConvergenceError, EigenCertificate,
+                                cell_operator, principal_eigenpair)
 from effham.hamiltonian import (HamiltonianTable, coercivity_check,
                                 convexity_report, hamiltonian_at, legendre,
                                 path_rate, sweep, symmetry_check, velocity,
                                 velocity_of_model)
 from effham.fields import PeriodicScalarField
 from effham.model import ContinuousModel, SwitchingRateMatrix
-from effham.presets import (constant_drift, detailed_balance_pair,
+from effham.presets import (PRESETS, constant_drift, detailed_balance_pair,
                             discrete_asymmetric, discrete_two_state,
                             two_state_flashing)
 
@@ -95,33 +97,95 @@ def _two_state_2d():
                                (None, rate), (rate, None))))
 
 
-@pytest.mark.parametrize("kind,regime", [("continuous", "I"),
-                                         ("continuous", "II"),
-                                         ("discrete", "I"), ("discrete", "II"),
-                                         ("dim2", "I")])
-def test_sweep_reuse_equals_fresh_build(kind, regime):
-    """A sweep tilts one operator; every sample must equal a fresh build."""
+FAMILIES = [("continuous", "I"), ("continuous", "II"), ("discrete", "I"),
+            ("discrete", "II"), ("dim2", "I")]
+
+
+def _family(kind, regime):
+    """Seeded model of one family, with its grid keywords and sweep axis."""
     rng = np.random.default_rng(11)
     if kind == "continuous":
-        model, kw = random_continuous_model(rng, J=3, regime=regime), {"N": 32}
-    elif kind == "discrete":
-        model = random_discrete_model(rng, ell=6, J=2, regime=regime)
-        kw = {"gamma": 2.5}
-    else:
-        model, kw = _two_state_2d(), {"N": 8}
-    axis = 1 if kind == "dim2" else 0
+        return random_continuous_model(rng, J=3, regime=regime), {"N": 32}, 0
+    if kind == "discrete":
+        return (random_discrete_model(rng, ell=6, J=2, regime=regime),
+                {"gamma": 2.5}, 0)
+    return _two_state_2d(), {"N": 8}, 1
+
+
+def _momentum(model, axis, t):
+    if getattr(model, "dim", 1) == 1:
+        return float(t)
+    p = np.zeros(model.dim)
+    p[axis] = t
+    return p
+
+
+@pytest.mark.parametrize("kind,regime", FAMILIES)
+def test_sweep_reuse_equals_fresh_build(kind, regime):
+    """A sweep tilts one operator and chains warm starts outward from p = 0;
+    every sample must equal the same chain solved on fresh builds."""
+    model, kw, axis = _family(kind, regime)
     table = sweep(model, -1.5, 1.5, 7, axis=axis, **kw)
     assert not table.failures
-    for k, t in enumerate(table.p_grid):
-        p = float(t)
-        if kind == "dim2":
-            p = np.zeros(2)
-            p[axis] = t
-        value, cert = hamiltonian_at(model, p, **kw)
+    grid = table.p_grid
+    origin = int(np.flatnonzero(grid == 0.0)[0])
+    chain = {}
+    for k in ([origin] + list(range(origin + 1, len(grid)))
+              + list(range(origin - 1, -1, -1))):
+        inner = k - 1 if k > origin else k + 1
+        start = None if k == origin else chain[inner].eigenvector
+        op = cell_operator(model, model.regime, **kw)
+        chain[k] = principal_eigenpair(op.at(_momentum(model, axis, grid[k])),
+                                       start=start)
+    for k, cert in chain.items():
         got = table.certificates[k]
         np.testing.assert_array_equal(
             [table.values[k], got.cw_lower, got.cw_upper],
-            [value, cert.cw_lower, cert.cw_upper])
+            [cert.eigenvalue, cert.cw_lower, cert.cw_upper])
+
+
+@pytest.mark.parametrize("case", list(PRESETS) + [f"{kind}-{regime}"
+                                                  for kind, regime in FAMILIES])
+def test_warm_sweep_brackets_overlap_cold_solves(case):
+    """Warm starts change the path to each eigenvalue, not the eigenvalue:
+    every warm sweep bracket meets the bracket of a cold solve."""
+    if case in PRESETS:
+        model, kw, axis = PRESETS[case](), {"N": 64}, 0
+    else:
+        model, kw, axis = _family(*case.split("-"))
+    table = sweep(model, -2.0, 2.0, 9, axis=axis, **kw)
+    assert not table.failures
+    for t, got in zip(table.p_grid, table.certificates):
+        _, cold = hamiltonian_at(model, _momentum(model, axis, t), **kw)
+        assert max(got.cw_lower, cold.cw_lower) <= min(got.cw_upper, cold.cw_upper)
+
+
+def test_failed_sample_restarts_its_outer_neighbour_cold(monkeypatch):
+    real = hamiltonian.principal_eigenpair
+    starts = {}
+
+    def fail_at_half(op, **kw):
+        p = op.metadata["p"][0]
+        starts[p] = kw.get("start")
+        if p == 0.5:
+            raise ConvergenceError("injected", None)
+        return real(op, **kw)
+
+    monkeypatch.setattr(hamiltonian, "principal_eigenpair", fail_at_half)
+    table = sweep(discrete_two_state(), -1.5, 1.5, 7)
+    assert list(table.failures) == [4]
+    assert starts[0.0] is None and starts[1.0] is None
+    assert all(starts[p] is not None for p in (-1.5, -1.0, -0.5, 1.5))
+    assert np.isnan(table.values[4]) and np.all(np.isfinite(np.delete(table.values, 4)))
+
+
+def test_warm_sweep_needs_few_iterations():
+    # stiff N = 256 operators: starting from the neighbour's eigenvector, a
+    # handful of inverse steps reach the tolerance, with no power steps
+    table = sweep(two_state_flashing(), -3.0, 3.0, 61, N=256, tol=1e-9)
+    assert not table.failures
+    assert max(c.iterations for c in table.certificates) <= 12
+    assert all(c.fallbacks == 0 for c in table.certificates)
 
 
 def test_sweep_records_build_failure_for_every_sample():
