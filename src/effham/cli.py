@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import chains, hamiltonian as ham, simulator
-from .model import (ContinuousModel, ModelFormatError, load_model,
+from .model import (REGIMES, ContinuousModel, ModelFormatError, load_model,
                     model_from_dict, validate)
 from .presets import PRESETS, get_preset
 
@@ -36,6 +36,9 @@ _VELOCITY_KEYS = {"delta", "N", "tol", "gamma", "regime"}
 _SIMULATE_KEYS = {"scales", "T", "dt_factor", "paths", "seed", "predicted_v",
                   "N", "gamma", "dump_trajectories"}
 _CHECK_KEYS = {"grid", "p_max", "count", "N", "tol", "gamma", "regime"}
+# the config block whose "regime" overrides the model's, per command
+_REGIME_BLOCKS = {"sweep": "sweep", "legendre": "sweep", "velocity": "velocity",
+                  "check": "check"}
 
 
 class ConfigError(ValueError):
@@ -82,8 +85,19 @@ def resolve_model(cfg: dict, preset: Optional[str]):
                       '"model" / "model_file"')
 
 
-def _require_valid(model) -> None:
-    report = validate(model)
+def _solve_regime(cfg: dict, command: str) -> Optional[str]:
+    """The regime `command` will solve in, when its config block overrides
+    the model's (None otherwise)."""
+    block = cfg.get(_REGIME_BLOCKS.get(command))
+    regime = block.get("regime") if isinstance(block, dict) else None
+    if regime is not None and regime not in REGIMES:
+        raise ConfigError(f'"regime" must be one of {list(REGIMES)}, '
+                          f"got {regime!r}")
+    return regime
+
+
+def _require_valid(model, regime: Optional[str]) -> None:
+    report = validate(model, regime)
     if report:
         lines = "\n".join(f"  - {v}" for v in report)
         raise ConfigError(f"model fails validation:\n{lines}")
@@ -294,7 +308,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         model = resolve_model(cfg, args.preset)
         if args.command != "validate":
-            _require_valid(model)
+            _require_valid(model, _solve_regime(cfg, args.command))
         outdir = Path(args.out or cfg.get("out") or ".")
         outdir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, ModelFormatError) as exc:

@@ -41,10 +41,10 @@ from typing import Optional
 
 import numpy as np
 
-from .chains import averaged_hop_rates, generator_at, stationary_measure
+from .chains import (hop_averages, irreducible, negative_samples,
+                     state_average, switching_measures)
 from .fields import grid_points
-from .model import (ContinuousModel, DiscreteModel, Model, _strongly_connected,
-                    negative_rates)
+from .model import ContinuousModel, DiscreteModel, Model
 
 _EPS = np.finfo(float).eps
 # blocks up to this size are eliminated elementwise, larger ones by LAPACK
@@ -221,17 +221,15 @@ class TiltedGenerator:
             raise ValueError(f"{context}: hop weights must be positive")
         J, dim, n = up.shape
         if switching is not None:
-            for i in range(J):
-                for j in range(J):
-                    if i != j and np.any(negative_rates(switching[i, j])):
-                        raise ValueError(f"{context}: negative switching rate "
-                                         f"sampled in r[{i+1}][{j+1}]")
+            for i, j, _ in negative_samples(np.moveaxis(switching, -1, 0)):
+                raise ValueError(f"{context}: negative switching rate "
+                                 f"sampled in r[{i+1}][{j+1}]")
             # rates touching zero round to -1e-16
             switching = np.clip(switching, 0.0, None)
             switching[range(J), range(J)] = 0.0
             # each layer is a cycle of positive hops, so the operator is
             # irreducible exactly when the switching digraph is
-            if not _strongly_connected(np.max(switching, axis=2)):
+            if not irreducible(np.max(switching, axis=2) > 0):
                 raise ValueError(f"{context}: switching rates leave the "
                                  "operator reducible")
         diagonal = np.zeros((J, n))
@@ -333,9 +331,9 @@ def _discrete_I(model: DiscreteModel, gamma: float) -> TiltedGenerator:
 
 
 def _discrete_II(model: DiscreteModel) -> TiltedGenerator:
-    rates = np.array([averaged_hop_rates(model, k) for k in range(model.ell)])
+    rbar_plus, rbar_minus = hop_averages(model)
     return TiltedGenerator(
-        "discrete_II", rates[None, None, :, 0], rates[None, None, :, 1], None,
+        "discrete_II", rbar_plus[None, None], rbar_minus[None, None], None,
         model.ell, 1.0, None,
         {"ell": model.ell, "J": model.J, "regime": "II"})
 
@@ -373,29 +371,17 @@ def _continuous_I(model: ContinuousModel, N: int) -> TiltedGenerator:
             tilt = float(psi.slope[a]) * 0.5 * h
             up[i, a] = fac * np.exp(-2.0 * ((mids - vals) + tilt))
             down[i, a] = fac * np.exp(-2.0 * ((mids[downs[a]] - vals) - tilt))
-    switching = np.zeros((J, J, N ** dim))
-    for i in range(J):
-        for j in range(J):
-            entry = model.rates.entries[i][j]
-            if i != j and entry is not None:
-                switching[i, j] = entry.values(pts)
+    switching = np.moveaxis(model.rates.values(pts), 0, -1)
     drift = np.stack([psi.gradients(pts) for psi in model.potentials])
     return TiltedGenerator("continuous_I", up, down, switching, N, h, drift,
                            _continuous_metadata(model, N, "I"))
 
 
 def _continuous_II(model: ContinuousModel, N: int) -> TiltedGenerator:
-    dim, J = model.dim, model.J
+    dim, rates = model.dim, model.rates
     h, pts = _continuous_grid(model, N)
-
-    def mu_at(points: np.ndarray) -> np.ndarray:
-        out = np.empty((len(points), J))
-        for r, y in enumerate(points):
-            out[r] = stationary_measure(generator_at(model.rates, y))
-        return out
-
-    grads = np.stack([psi.gradients(pts) for psi in model.potentials])  # (J, ng, d)
-    bbar = np.einsum("gj,jga->ga", mu_at(pts), grads)
+    bbar = state_average(switching_measures(rates, pts),
+                         [psi.gradients(pts) for psi in model.potentials])  # (ng, d)
 
     fac = 1.0 / (2.0 * h * h)
     ups, downs = _neighbor_tables(N, dim)
@@ -406,11 +392,12 @@ def _continuous_II(model: ContinuousModel, N: int) -> TiltedGenerator:
     for a in range(dim):
         mid_pts = _shifted(pts, a, 0.5 * h)
         mids = np.stack([psi.periodic_values(mid_pts) for psi in model.potentials])
-        mu_q1 = mu_at(_shifted(pts, a, 0.25 * h))   # increment y -> y + h/2
-        mu_q3 = mu_at(_shifted(pts, a, 0.75 * h))   # increment y + h/2 -> y + h
+        # laws at the quarter points of the increments y -> y + h/2 -> y + h
+        mu_q1 = switching_measures(rates, _shifted(pts, a, 0.25 * h))
+        mu_q3 = switching_measures(rates, _shifted(pts, a, 0.75 * h))
         tilt = slopes[:, a][:, None] * 0.5 * h                               # (J, 1)
-        inc_up = np.einsum("gj,jg->g", mu_q1, (mids - vals) + tilt)
-        inc_dn_src = np.einsum("gj,jg->g", mu_q3, (mids - vals[:, ups[a]]) - tilt)
+        inc_up = state_average(mu_q1, (mids - vals) + tilt)
+        inc_dn_src = state_average(mu_q3, (mids - vals[:, ups[a]]) - tilt)
         up[0, a] = fac * np.exp(-2.0 * inc_up)
         down[0, a] = fac * np.exp(-2.0 * inc_dn_src[downs[a]])
     return TiltedGenerator("continuous_II", up, down, None, N, h, bbar[None],

@@ -30,11 +30,13 @@ class PeriodicScalarField:
     fourier_coeffs: tuple = ()
     affine_slope: tuple = ()
 
-    # derived arrays, filled in __post_init__
-    _wavevecs: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _cos_amps: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _sin_amps: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    # derived arrays, filled in __post_init__: (d, m, 1) angular wave
+    # numbers 2 pi k / L and (m, 1) amplitudes, mode-major so that every
+    # elementwise operation runs along the points (a field without modes
+    # carries one zero mode)
+    _modes: tuple = field(init=False, repr=False, compare=False, default=None)
     _slope: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _tilted: bool = field(init=False, repr=False, compare=False, default=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -65,12 +67,16 @@ class PeriodicScalarField:
             raise ValueError(
                 f"affine slope {slope} does not match field dimension {self.dim}"
             )
-        for arr in (K, A, B, slope):
+        padded = max(m, 1)
+        modes = (np.zeros((self.dim, padded, 1)), np.zeros((padded, 1)),
+                 np.zeros((padded, 1)))
+        modes[0][:, :m, 0] = (TWO_PI / self.period) * K.T
+        modes[1][:m, 0], modes[2][:m, 0] = A, B
+        for arr in modes + (slope,):
             arr.setflags(write=False)
-        object.__setattr__(self, "_wavevecs", K)
-        object.__setattr__(self, "_cos_amps", A)
-        object.__setattr__(self, "_sin_amps", B)
+        object.__setattr__(self, "_modes", modes)
         object.__setattr__(self, "_slope", slope)
+        object.__setattr__(self, "_tilted", bool(np.any(slope != 0.0)))
         # normalized tuples so equality/hashing work on plain data
         object.__setattr__(
             self,
@@ -91,45 +97,61 @@ class PeriodicScalarField:
         return self.value(y)
 
     def value(self, y) -> float:
-        y = self._check_point(y)
-        phase = TWO_PI * (self._wavevecs @ y) / self.period
-        return float(self._slope @ y + self._cos_amps @ np.cos(phase)
-                     + self._sin_amps @ np.sin(phase))
+        return float(self._values(self._check_point(y)[None])[0])
 
     def gradient(self, y) -> np.ndarray:
-        y = self._check_point(y)
-        phase = TWO_PI * (self._wavevecs @ y) / self.period
-        weights = (-self._cos_amps * np.sin(phase) + self._sin_amps * np.cos(phase))
-        return self._slope + (TWO_PI / self.period) * (weights @ self._wavevecs)
+        return self._gradients(self._check_point(y)[None])[0]
 
     def laplacian(self, y) -> float:
-        y = self._check_point(y)
-        phase = TWO_PI * (self._wavevecs @ y) / self.period
-        k2 = np.sum(self._wavevecs ** 2, axis=1)
-        amp = self._cos_amps * np.cos(phase) + self._sin_amps * np.sin(phase)
-        return float(-((TWO_PI / self.period) ** 2) * (k2 @ amp))
+        omegas, cos_amps, sin_amps = self._modes
+        phase = self._phases(self._check_point(y)[None])
+        amp = cos_amps * np.cos(phase) + sin_amps * np.sin(phase)
+        return float(-np.sum(np.sum(omegas ** 2, axis=0) * amp))
 
     # -- vectorized grid evaluation ---------------------------------------------
+    #
+    # Sums over modes and axes run elementwise in a fixed order, never through
+    # a BLAS product, so a point's result does not depend on how many points
+    # are evaluated with it: `value(y) == values([y])[0]` bit for bit.
 
     def values(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at an (n, d) array of points."""
-        pts = np.asarray(points, dtype=float).reshape(-1, self.dim)
-        phase = TWO_PI * (pts @ self._wavevecs.T) / self.period
-        return pts @ self._slope + np.cos(phase) @ self._cos_amps \
-            + np.sin(phase) @ self._sin_amps
+        return self._values(self._points(points))
 
     def periodic_values(self, points: np.ndarray) -> np.ndarray:
         """Fourier part only (no affine tilt); safe across the torus seam."""
-        pts = np.asarray(points, dtype=float).reshape(-1, self.dim)
-        phase = TWO_PI * (pts @ self._wavevecs.T) / self.period
-        return np.cos(phase) @ self._cos_amps + np.sin(phase) @ self._sin_amps
+        return self._fourier(self._points(points))
 
     def gradients(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the gradient at an (n, d) array of points; returns (n, d)."""
-        pts = np.asarray(points, dtype=float).reshape(-1, self.dim)
-        phase = TWO_PI * (pts @ self._wavevecs.T) / self.period
-        weights = -np.sin(phase) * self._cos_amps + np.cos(phase) * self._sin_amps
-        return self._slope + (TWO_PI / self.period) * (weights @ self._wavevecs)
+        return self._gradients(self._points(points))
+
+    def _points(self, points) -> np.ndarray:
+        return np.asarray(points, dtype=float).reshape(-1, self.dim)
+
+    def _phases(self, pts: np.ndarray) -> np.ndarray:
+        """(m, n) phases 2 pi k.y / L."""
+        omegas = self._modes[0]
+        phase = omegas[0] * pts[:, 0]
+        for a in range(1, self.dim):
+            phase = phase + omegas[a] * pts[:, a]
+        return phase
+
+    def _fourier(self, pts: np.ndarray) -> np.ndarray:
+        _, cos_amps, sin_amps = self._modes
+        phase = self._phases(pts)
+        return _ordered_sum(cos_amps * np.cos(phase) + sin_amps * np.sin(phase))
+
+    def _values(self, pts: np.ndarray) -> np.ndarray:
+        if not self._tilted:
+            return self._fourier(pts)
+        return _ordered_sum(pts.T * self._slope[:, None]) + self._fourier(pts)
+
+    def _gradients(self, pts: np.ndarray) -> np.ndarray:
+        omegas, cos_amps, sin_amps = self._modes
+        phase = self._phases(pts)
+        weights = sin_amps * np.cos(phase) - cos_amps * np.sin(phase)
+        return self._slope + _ordered_sum((omegas * weights).transpose(1, 0, 2)).T
 
     # -- structure queries -------------------------------------------------------
 
@@ -140,12 +162,19 @@ class PeriodicScalarField:
     @property
     def max_band(self) -> int:
         """Largest |k|_inf over the spectrum (0 for a constant field)."""
-        if self._wavevecs.size == 0:
-            return 0
-        return int(np.max(np.abs(self._wavevecs)))
+        return max((max(abs(x) for x in k) for k, _, _ in self.fourier_coeffs),
+                   default=0)
 
     def is_periodic(self) -> bool:
-        return bool(np.all(self._slope == 0.0))
+        return not self._tilted
+
+
+def _ordered_sum(rows: np.ndarray) -> np.ndarray:
+    """rows[0] + rows[1] + ..., added left to right."""
+    total = rows[0]
+    for row in rows[1:]:
+        total = total + row
+    return total
 
 
 def grid_points(dim: int, n_per_axis: int, period: float = 1.0) -> np.ndarray:

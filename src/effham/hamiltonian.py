@@ -17,7 +17,7 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .chains import averaged_hop_rates
+from .chains import hop_averages
 from .eigensolver import EigenCertificate, cell_operator, principal_eigenpair
 from .fields import grid_points, sampling_resolution
 from .model import ContinuousModel, DiscreteModel, Model
@@ -156,19 +156,32 @@ def sweep(model: Model, p_min: float, p_max: float, count: int,
 
 def velocity(table: HamiltonianTable) -> tuple:
     """DH(0) by central differences at the two smallest grid offsets, with one
-    Richardson level.  Returns (velocity, error estimate)."""
+    Richardson level.  Returns (velocity, error estimate).
+
+    The error is |d1 - d2| (the truncation estimate) plus the worst-case
+    spread of the Richardson value when each of the four H values lies
+    anywhere in its Collatz-Wielandt bracket: sum |c_k| (cw_upper - cw_lower)
+    with weights 2/(3 delta) at +-delta and 1/(12 delta) at +-2 delta.  A
+    sample without a certificate counts as exact.
+    """
     p = table.p_grid
     pos = p[p > 0]
     if len(pos) < 2:
         raise ValueError("grid too coarse around 0 for a velocity estimate")
     delta = float(pos.min())
-    for off in (delta, -delta, 2 * delta, -2 * delta):
-        if not np.any(np.isclose(p, off, rtol=0.0, atol=1e-12)):
+    near, far = 2.0 / (3.0 * delta), 1.0 / (12.0 * delta)
+    spread = 0.0
+    for off, weight in ((delta, near), (-delta, near), (2 * delta, far),
+                        (-2 * delta, far)):
+        hits = np.flatnonzero(np.isclose(p, off, rtol=0.0, atol=1e-12))
+        if len(hits) == 0:
             raise ValueError(f"grid is missing the symmetric offset {off}")
+        cert = table.certificates[hits[0]]
+        spread += 0.0 if cert is None else weight * cert.cw_gap
     d1 = (table.value_at(delta) - table.value_at(-delta)) / (2 * delta)
     d2 = (table.value_at(2 * delta) - table.value_at(-2 * delta)) / (4 * delta)
     refined = (4.0 * d1 - d2) / 3.0
-    return refined, abs(d1 - d2)
+    return refined, abs(d1 - d2) + spread
 
 
 def velocity_of_model(model: Model, regime: Optional[str] = None, *,
@@ -344,9 +357,7 @@ def coercivity_check(table: HamiltonianTable, model: Model) -> CoercivityResult:
         bound = 0.25 * p ** 2 - sup_grad2
     elif isinstance(model, DiscreteModel):
         if regime == "II":
-            rates = np.array([averaged_hop_rates(model, k)
-                              for k in range(model.ell)])
-            rp, rm = rates[:, 0], rates[:, 1]
+            rp, rm = hop_averages(model)
         else:
             rp = model.hop_rates_plus.ravel()
             rm = model.hop_rates_minus.ravel()

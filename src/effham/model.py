@@ -16,6 +16,8 @@ from typing import List, Optional, Union
 
 import numpy as np
 
+from .chains import (irreducible, negative_samples, point_label,
+                     stationary_measures)
 from .fields import PeriodicScalarField, grid_points, sampling_resolution
 
 REGIMES = ("I", "II")
@@ -70,19 +72,14 @@ class SwitchingRateMatrix:
                     R[i, j] = self.rate(i, j, y)
         return R
 
-    def sup_matrix(self, points_per_axis: Optional[int] = None) -> np.ndarray:
-        """Entrywise sup over a sampling lattice (used for irreducibility)."""
-        fields = self.iter_fields()
-        if not fields:
-            return np.zeros((self.J, self.J))
-        n = points_per_axis or sampling_resolution(fields)
-        pts = grid_points(fields[0].dim, n, fields[0].period)
-        S = np.zeros((self.J, self.J))
-        for i in range(self.J):
-            for j in range(self.J):
-                if i != j and self.entries[i][j] is not None:
-                    S[i, j] = float(np.max(self.entries[i][j].values(pts)))
-        return S
+    def values(self, points) -> np.ndarray:
+        """(n, J, J) rate matrices at an (n, d) array of points (diagonal zero)."""
+        pts = np.asarray(points, dtype=float)
+        R = np.zeros((len(pts), self.J, self.J))
+        for i, j in np.ndindex(self.J, self.J):
+            if i != j and self.entries[i][j] is not None:
+                R[:, i, j] = self.entries[i][j].values(pts)
+        return R
 
     def iter_fields(self) -> list:
         return [e for i, row in enumerate(self.entries)
@@ -159,12 +156,6 @@ class DiscreteModel:
         object.__setattr__(self, "hop_rates_minus", rm)
         object.__setattr__(self, "switching", sw)
 
-    def switching_at(self, k: int) -> np.ndarray:
-        """J x J switching-rate matrix at site k (diagonal zeroed)."""
-        R = np.array(self.switching[:, :, k])
-        np.fill_diagonal(R, 0.0)
-        return R
-
     def sup_switching(self) -> np.ndarray:
         S = np.max(self.switching, axis=2)
         np.fill_diagonal(S, 0.0)
@@ -188,67 +179,44 @@ class Violation:
         return f"{self.kind} at {self.location}: {self.detail}"
 
 
-def negative_rates(values) -> np.ndarray:
-    """Mask of sampled rates that are negative beyond round-off.
-
-    A rate field that touches zero evaluates to about -1e-16 there, so the
-    cut is -1e-12 * max(1, max |r|), not 0.
-    """
-    r = np.asarray(values, dtype=float)
-    return r < -1e-12 * max(1.0, float(np.max(np.abs(r))))
-
-
-def _strongly_connected(adj: np.ndarray) -> bool:
-    """Strong connectivity of the digraph of positive entries (exact)."""
-    n = adj.shape[0]
-    if n == 1:
-        return True
-
-    def reachable(mat):
-        seen = np.zeros(n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            u = stack.pop()
-            for v in np.nonzero(mat[u] > 0)[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-        return seen.all()
-
-    return reachable(adj) and reachable(adj.T)
+def _reducible_points(R: np.ndarray, labels) -> List[Violation]:
+    """One violation per point whose switching chain has no unique positive
+    stationary law: the points where the regime-II assembly would fail."""
+    _, ok = stationary_measures(R)
+    return [Violation("reducible_switching", labels(k),
+                      "switching chain is reducible here (or its stationary "
+                      "solve fails), so regime II has no averaged coefficients")
+            for k in np.flatnonzero(~ok)]
 
 
-def validate(model: Model) -> List[Violation]:
+def validate(model: Model, regime: Optional[str] = None) -> List[Violation]:
     """Check the structural assumptions the solvers rely on.
 
     Returns a list of violations; an empty list means the model is valid.
     Purely a sampling check for continuous rate fields (fields are
     band-limited, so the lattice from `sampling_resolution` is conclusive
-    in practice).
+    in practice).  When the regime to be solved (`regime`, default the
+    model's own) is II, the switching chain must also be irreducible at
+    every lattice point (every site), since the averaged coefficients need
+    its stationary law there; this is the same kernel the assembly calls.
     """
     report: List[Violation] = []
+    fast = (regime or model.regime) == "II"
     if isinstance(model, ContinuousModel):
         rate_fields = model.rates.iter_fields()
         n = sampling_resolution(list(model.potentials) + rate_fields)
         pts = grid_points(model.dim, n, model.period)
-        for i in range(model.J):
-            for j in range(model.J):
-                if i == j:
-                    continue
-                entry = model.rates.entries[i][j]
-                if entry is None:
-                    continue
-                vals = entry.values(pts)
-                if np.any(negative_rates(vals)):
-                    k = int(np.argmin(vals))
-                    report.append(Violation(
-                        "negative_rate", f"r[{i+1}][{j+1}], y={tuple(pts[k])}",
-                        f"sampled value {vals[k]:.3e} < 0"))
-        if model.J >= 2 and not _strongly_connected(model.rates.sup_matrix()):
+        R = model.rates.values(pts)
+        report += [Violation("negative_rate",
+                             f"r[{i+1}][{j+1}], {point_label(pts[k])}",
+                             f"sampled value {R[k, i, j]:.3e} < 0")
+                   for i, j, k in negative_samples(R)]
+        if model.J >= 2 and not irreducible(np.max(R, axis=0) > 0):
             report.append(Violation(
                 "reducible_coupling", "sup-matrix of switching rates",
                 "positive-entry digraph is not strongly connected"))
+        elif fast:
+            report += _reducible_points(R, lambda k: point_label(pts[k]))
     elif isinstance(model, DiscreteModel):
         for sign, arr in (("+", model.hop_rates_plus), ("-", model.hop_rates_minus)):
             bad = np.argwhere(arr <= 0)
@@ -262,10 +230,13 @@ def validate(model: Model) -> List[Violation]:
                 report.append(Violation(
                     "negative_rate", f"r[{i+1}][{j+1}](k={k})",
                     f"value {model.switching[i, j, k]:.3e} < 0"))
-        if model.J >= 2 and not _strongly_connected(model.sup_switching()):
+        if model.J >= 2 and not irreducible(model.sup_switching() > 0):
             report.append(Violation(
                 "reducible_coupling", "sup-matrix of switching rates",
                 "positive-entry digraph is not strongly connected"))
+        elif fast:
+            report += _reducible_points(np.moveaxis(model.switching, -1, 0),
+                                        lambda k: f"k={k}")
     else:
         raise TypeError(f"not a model: {type(model)!r}")
     return report

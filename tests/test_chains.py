@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from effham.chains import (ReducibleChainError, averaged_drift,
                            averaged_hop_rates, detailed_balance_report,
-                           generator_at, stationary_measure)
+                           generator_at, irreducible, stationary_measure,
+                           stationary_measures)
+from effham.eigensolver import cell_operator
 from effham.fields import PeriodicScalarField
 from effham.model import ContinuousModel, DiscreteModel, SwitchingRateMatrix
 
@@ -186,3 +188,133 @@ def test_averaged_hops_equal_rates(rng):
                           hop_rates_minus=np.full((3, 4), 0.9),
                           switching=m.switching, regime="II")
     assert averaged_hop_rates(equal, 2) == (pytest.approx(1.7), pytest.approx(0.9))
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel
+# ---------------------------------------------------------------------------
+
+def generator_of(R):
+    Q = np.array(R, dtype=float)
+    np.fill_diagonal(Q, 0.0)
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    return Q
+
+
+@pytest.mark.parametrize("J", [1, 2, 3, 5])
+def test_kernel_equals_one_point_bit_for_bit(rng, J):
+    R = rng.uniform(0.05, 3.0, size=(200, J, J))
+    mu, ok = stationary_measures(R)
+    assert mu.shape == (200, J) and ok.all()
+    for k in range(len(R)):
+        np.testing.assert_array_equal(stationary_measure(generator_of(R[k])),
+                                      mu[k])
+    np.testing.assert_allclose(mu.sum(axis=1), 1.0, atol=1e-14)
+
+
+def test_kernel_mask_flags_reducible_points(rng):
+    """Reducible blocks, vanishing rates and one-way couplings are flagged,
+    and the one-point wrapper raises at exactly those points."""
+    R = rng.uniform(0.2, 2.0, size=(9, 3, 3))
+    R[1, :2, 2] = R[1, 2, :2] = 0.0     # {1, 2} and {3} do not talk
+    R[2] = 0.0                          # every rate vanishes
+    R[3, 0, :] = 0.0                    # state 1 is absorbing: one-way in
+    R[4, 1:, 0] = 0.0                   # nothing enters state 1: one-way out
+    R[5, 0, 2] = R[5, 1, 0] = R[5, 2, 1] = 0.0   # one-way cycle 1->2->3->1
+    R[6, 1:, 0] = -1e-17                # round-off below zero counts as zero
+    R[7, 0, 1] = 1e-300                 # tiny but positive: still irreducible
+    expected = np.array([True, False, False, False, False, True, False, True,
+                         True])
+    mu, ok = stationary_measures(R)
+    np.testing.assert_array_equal(ok, expected)
+    for k in range(len(R)):
+        if expected[k]:
+            assert np.all(stationary_measure(generator_of(R[k])) > 0)
+        else:
+            with pytest.raises(ReducibleChainError):
+                stationary_measure(generator_of(R[k]))
+
+
+def test_kernel_survives_a_singular_point(rng):
+    """Extreme rates can make an irreducible chain's solve exactly singular;
+    that point is masked and the others keep their laws."""
+    R = rng.uniform(0.2, 2.0, size=(3, 4, 4))
+    R[1] = [[0.0, 0.0, 5e-324, 1e-300],
+            [0.0, 1.0, 1e300, 1e-300],
+            [5e-324, 1e300, 1e300, 1.0],
+            [1.0, 5e-324, 0.0, 5e-324]]
+    assert irreducible(R[1] * (1 - np.eye(4)) > 0)
+    mu, ok = stationary_measures(R)
+    np.testing.assert_array_equal(ok, [True, False, True])
+    for k in (0, 2):
+        np.testing.assert_array_equal(mu[k], stationary_measures(R[k:k + 1])[0][0])
+
+
+def reachable_all(adj):
+    """Oracle: strong connectivity by graph search from every node."""
+    J = len(adj)
+    for start in range(J):
+        seen, stack = {start}, [start]
+        while stack:
+            u = stack.pop()
+            for v in np.flatnonzero(adj[u]):
+                if v not in seen:
+                    seen.add(int(v))
+                    stack.append(int(v))
+        if len(seen) < J:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("J", [1, 2, 3, 4, 6, 9])
+def test_irreducible_matches_graph_search(rng, J):
+    adj = rng.uniform(size=(300, J, J)) < rng.uniform(0.1, 0.6, size=(300, 1, 1))
+    expected = [reachable_all(a) for a in adj]
+    np.testing.assert_array_equal(irreducible(adj), expected)
+    assert J == 1 or 0 < sum(expected) < len(expected)
+
+
+def count_solves(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(a, b, *args, **kwargs):
+        calls.append(np.shape(a))
+        return solve(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
+def test_regime2_builds_solve_whole_lattices(rng, monkeypatch):
+    """A regime-II build solves each lattice of points in one stacked call:
+    the grid and two quarter-point lattices per axis (continuous), or all
+    sites at once (discrete)."""
+    cont = random_continuous_model(rng, J=3, regime="II")
+    disc = random_discrete_model(rng, ell=256, J=3, regime="II")
+    calls = count_solves(monkeypatch)
+    cell_operator(cont, "II", N=64)
+    assert len(calls) <= 1 + 2 * cont.dim
+    assert all(shape == (64, 3, 3) for shape in calls)
+    del calls[:]
+    cell_operator(disc, "II")
+    assert calls == [(256, 3, 3)]
+
+
+def test_regime2_weights_match_a_per_point_reference(rng):
+    """The batched regime-II weights equal a per-point loop over the SVD
+    null-space oracle to round-off."""
+    disc = random_discrete_model(rng, ell=16, J=3, regime="II")
+    op = cell_operator(disc, "II")
+    for k in range(disc.ell):
+        mu = null_space_measure(generator_of(disc.switching[:, :, k]))
+        assert op.up[0, 0, k] == pytest.approx(mu @ disc.hop_rates_plus[:, k],
+                                               rel=1e-12)
+        assert op.down[0, 0, k] == pytest.approx(
+            mu @ disc.hop_rates_minus[:, k], rel=1e-12)
+    cont = random_continuous_model(rng, J=3, regime="II")
+    op = cell_operator(cont, "II", N=32)
+    for k, y in enumerate(np.arange(32) / 32):
+        mu = null_space_measure(generator_at(cont.rates, [y]))
+        drift = mu @ [psi.gradient([y])[0] for psi in cont.potentials]
+        assert op.drift[0, k, 0] == pytest.approx(drift, rel=1e-12, abs=1e-13)

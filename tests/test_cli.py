@@ -208,3 +208,28 @@ def test_validate_command(tmp_path):
     report = json.loads((out / "validation.json").read_text())
     assert not report["valid"]
     assert report["violations"][0]["kind"] == "nonpositive_hop_rate"
+
+
+def test_regime2_validation_exits_2(tmp_path):
+    """two_state_flashing in regime II is rejected at y = 0.125, where its
+    switching chain is reducible, before any solve (was exit 3)."""
+    model = model_to_dict(get_preset("two_state_flashing"))
+    model["regime"] = "II"
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {
+        "model": model, "sweep": {"p_min": -1.0, "p_max": 1.0, "count": 3}})
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 2
+    report = json.loads((out / "validation.json").read_text())
+    assert [(v["kind"], v["location"]) for v in report["violations"]] == [
+        ("reducible_switching", "y=(0.125)")]
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    # the same preset, solved in regime II by a config override
+    override = write_config(tmp_path, {
+        "sweep": {"p_min": -1.0, "p_max": 1.0, "count": 3, "regime": "II"}},
+        "override.json")
+    assert main(["sweep", "--preset", "two_state_flashing", "--config",
+                 override, "--out", str(out)]) == 2
+    unknown = write_config(tmp_path, {
+        "velocity": {"regime": "III"}}, "unknown.json")
+    assert main(["velocity", "--preset", "constant_drift", "--config",
+                 unknown, "--out", str(out)]) == 2

@@ -122,3 +122,22 @@ def test_field_from_function_reproduces_exponential():
 def test_grid_points_shape():
     assert grid_points(1, 8).shape == (8, 1)
     assert grid_points(2, 4).shape == (16, 2)
+
+
+@pytest.mark.parametrize("modes", [2, 17])
+def test_batch_size_does_not_change_a_point(modes):
+    """Every row of a batch equals its one-point result bit for bit, for any
+    batch size: the mode sums run elementwise in a fixed order."""
+    rng = np.random.default_rng(modes)
+    for dim in (1, 2):
+        coeffs = tuple((tuple(int(k) for k in rng.integers(-5, 6, size=dim)),
+                        *rng.normal(size=2)) for _ in range(modes))
+        f = PeriodicScalarField(dim=dim, fourier_coeffs=coeffs,
+                                affine_slope=tuple(rng.normal(size=dim)))
+        pts = rng.uniform(-1.0, 2.0, size=(4097, dim))
+        one_values = np.array([f.value(y) for y in pts])
+        one_grads = np.array([f.gradient(y) for y in pts])
+        for n in [*range(1, 130), *range(130, 4097, 131), 4096, 4097]:
+            np.testing.assert_array_equal(f.values(pts[:n]), one_values[:n])
+            np.testing.assert_array_equal(f.gradients(pts[:n]), one_grads[:n])
+        np.testing.assert_array_equal(f.values(pts[-5:]), one_values[-5:])

@@ -217,6 +217,20 @@ def test_velocity_detailed_balance_vanishes():
     assert abs(v) <= 1e-6
 
 
+def test_velocity_error_covers_the_certificates():
+    """The error includes the worst-case spread of the Richardson value over
+    the four CW brackets, which the difference |d1 - d2| alone can miss."""
+    model = random_continuous_model(np.random.default_rng(84457904), J=2)
+    delta = 1e-3
+    table = sweep(model, -2 * delta, 2 * delta, 5, N=256, tol=1e-9)
+    gaps = {round(p / delta): c.cw_gap
+            for p, c in zip(table.p_grid, table.certificates)}
+    spread = ((gaps[1] + gaps[-1]) * 2.0 / (3.0 * delta)
+              + (gaps[2] + gaps[-2]) / (12.0 * delta))
+    v, err = velocity(table)
+    assert spread > 0.0 and err >= spread
+
+
 def test_velocity_needs_symmetric_neighbors():
     table = quadratic_table(count=80)   # even count: no sample at exactly 0
     with pytest.raises((ValueError, KeyError)):

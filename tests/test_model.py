@@ -123,3 +123,30 @@ def test_discrete_json_roundtrip(rng):
     clone = model_from_dict(model_to_dict(m))
     np.testing.assert_array_equal(clone.switching, m.switching)
     np.testing.assert_array_equal(clone.hop_rates_plus, m.hop_rates_plus)
+
+
+def test_regime2_validation_locates_reducible_switching():
+    """two_state_flashing's rate r12 = 1.5 (1 + cos 2 pi (y - 0.625))^2
+    vanishes at y = 0.125, so regime II has no stationary law there."""
+    m = get_preset("two_state_flashing")
+    assert validate(m) == []
+    for report in (validate(m, "II"),
+                   validate(ContinuousModel(dim=1, J=2, potentials=m.potentials,
+                                            rates=m.rates, regime="II"))):
+        assert [(v.kind, v.location) for v in report] == [
+            ("reducible_switching", "y=(0.125)")]
+    assert validate(ContinuousModel(dim=1, J=2, potentials=m.potentials,
+                                    rates=m.rates, regime="II"), "I") == []
+
+
+def test_regime2_validation_locates_reducible_sites(rng):
+    m = random_discrete_model(rng, ell=6, J=3, regime="II")
+    sw = np.array(m.switching)
+    sw[:, 2, 4] = 0.0                     # nothing leaves state 3 at site 4
+    bad = DiscreteModel(ell=6, J=3, hop_rates_plus=m.hop_rates_plus,
+                        hop_rates_minus=m.hop_rates_minus, switching=sw,
+                        regime="II")
+    assert validate(m) == []
+    assert [(v.kind, v.location) for v in validate(bad)] == [
+        ("reducible_switching", "k=4")]
+    assert validate(bad, "I") == []

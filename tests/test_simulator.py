@@ -39,17 +39,29 @@ def test_reproducibility_bit_exact():
     assert not np.array_equal(a.positions, c.positions)
 
 
+def six_mode_flashing():
+    """two_state_flashing with 6-mode potentials: field sums over many modes."""
+    base = two_state_flashing()
+    rng = np.random.default_rng(6)
+    pots = tuple(PeriodicScalarField(dim=1, fourier_coeffs=tuple(
+        ((k,), *(rng.uniform(-0.5, 0.5, size=2) / k)) for k in range(1, 7)))
+        for _ in range(2))
+    return ContinuousModel(dim=1, J=2, potentials=pots, rates=base.rates)
+
+
 def test_batch_membership_does_not_change_a_path():
-    """Path k of a batch equals the same path simulated alone."""
+    """Path k of a batch equals the same path simulated alone, also for
+    potentials with many modes."""
     paths = 5
-    cont = batch_continuous(two_state_flashing(), 0.1, 0.5, paths, base_seed=42)
+    conts = [batch_continuous(m(), 0.1, 0.5, paths, base_seed=42)
+             for m in (two_state_flashing, six_mode_flashing)]
     disc = batch_discrete(discrete_two_state(), 32, 1.0, paths, base_seed=42)
     for k in (0, paths - 1):
-        alone = (simulate_continuous(two_state_flashing(), 0.1, 0.5, seed=42,
-                                     traj_index=k),
-                 simulate_discrete(discrete_two_state(), 32, 1.0, seed=42,
-                                   traj_index=k))
-        for batch, single in zip((cont, disc), alone):
+        alone = [simulate_continuous(m(), 0.1, 0.5, seed=42, traj_index=k)
+                 for m in (two_state_flashing, six_mode_flashing)]
+        alone.append(simulate_discrete(discrete_two_state(), 32, 1.0, seed=42,
+                                       traj_index=k))
+        for batch, single in zip(conts + [disc], alone):
             in_batch = batch.trajectories[k]
             np.testing.assert_array_equal(in_batch.times, single.times)
             np.testing.assert_array_equal(in_batch.positions, single.positions)

@@ -46,3 +46,23 @@ def test_runtime_imports_numpy_only():
             found += [f"{path.name}:{node.lineno}" for name in names
                       if name.split(".")[0] == "scipy"]
     assert not found, f"scipy imported by the library: {found}"
+
+
+def test_one_point_chain_helpers_called_only_in_chains():
+    """Stationary laws are computed on whole lattices by
+    `chains.stationary_measures`; the one-point helpers are for users and
+    tests, so a per-point loop over them cannot come back."""
+    one_point = {"stationary_measure", "generator_at"}
+    found = []
+    for path in sorted(Path(effham.__file__).parent.glob("*.py")):
+        if path.name == "chains.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", "")
+            if name in one_point or name.startswith("averaged_"):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, f"one-point chain helpers called outside chains.py: {found}"
