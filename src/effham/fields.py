@@ -37,6 +37,7 @@ class PeriodicScalarField:
     _modes: tuple = field(init=False, repr=False, compare=False, default=None)
     _slope: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _tilted: bool = field(init=False, repr=False, compare=False, default=False)
+    _roundoff: float = field(init=False, repr=False, compare=False, default=0.0)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -77,6 +78,8 @@ class PeriodicScalarField:
         object.__setattr__(self, "_modes", modes)
         object.__setattr__(self, "_slope", slope)
         object.__setattr__(self, "_tilted", bool(np.any(slope != 0.0)))
+        object.__setattr__(self, "_roundoff", 8.0 * np.finfo(float).eps
+                           * float(np.sum(np.abs(A)) + np.sum(np.abs(B))))
         # normalized tuples so equality/hashing work on plain data
         object.__setattr__(
             self,
@@ -158,6 +161,19 @@ class PeriodicScalarField:
     @property
     def slope(self) -> np.ndarray:
         return self._slope
+
+    @property
+    def roundoff(self) -> float:
+        """8 eps sum_k (|a_k| + |b_k|), about the rounding error of an
+        evaluation of the Fourier part: a value within it of zero is zero to
+        working precision."""
+        return self._roundoff
+
+    @property
+    def modes(self) -> tuple:
+        """The (d, m, 1) angular wave numbers and (m, 1) cos/sin amplitudes
+        every evaluation reads (one zero mode for a field without modes)."""
+        return self._modes
 
     @property
     def max_band(self) -> int:

@@ -27,6 +27,12 @@ class ModelFormatError(ValueError):
     """Malformed model description (JSON schema violation, shape mismatch)."""
 
 
+def _snapped(f: PeriodicScalarField, values):
+    """`values` of the rate field f, with those within f's evaluation
+    round-off of zero set to exactly 0."""
+    return np.where(np.abs(values) <= f.roundoff, 0.0, values)
+
+
 @dataclass(frozen=True)
 class SwitchingRateMatrix:
     """J x J array of rate fields r_ij(y); the diagonal is ignored."""
@@ -58,10 +64,9 @@ class SwitchingRateMatrix:
         object.__setattr__(self, "entries", rows)
 
     def rate(self, i: int, j: int, y) -> float:
-        if i == j:
+        if i == j or self.entries[i][j] is None:
             return 0.0
-        entry = self.entries[i][j]
-        return 0.0 if entry is None else entry.value(y)
+        return float(_snapped(self.entries[i][j], self.entries[i][j].value(y)))
 
     def rates_at(self, y) -> np.ndarray:
         """Full J x J rate matrix at a point (diagonal zero)."""
@@ -73,12 +78,17 @@ class SwitchingRateMatrix:
         return R
 
     def values(self, points) -> np.ndarray:
-        """(n, J, J) rate matrices at an (n, d) array of points (diagonal zero)."""
+        """(n, J, J) rate matrices at an (n, d) array of points (diagonal zero).
+
+        A sample within its field's evaluation round-off of zero is exactly
+        0 (as in `rate`), so a rate field that touches zero vanishes there
+        whatever the sign of its round-off."""
         pts = np.asarray(points, dtype=float)
         R = np.zeros((len(pts), self.J, self.J))
         for i, j in np.ndindex(self.J, self.J):
             if i != j and self.entries[i][j] is not None:
-                R[:, i, j] = self.entries[i][j].values(pts)
+                R[:, i, j] = _snapped(self.entries[i][j],
+                                      self.entries[i][j].values(pts))
         return R
 
     def iter_fields(self) -> list:

@@ -10,7 +10,9 @@ from effham.chains import (ReducibleChainError, averaged_drift,
                            stationary_measures)
 from effham.eigensolver import cell_operator
 from effham.fields import PeriodicScalarField
-from effham.model import ContinuousModel, DiscreteModel, SwitchingRateMatrix
+from effham.model import (ContinuousModel, DiscreteModel, SwitchingRateMatrix,
+                          validate)
+from effham.presets import get_preset
 
 from conftest import detailed_balance_model, random_continuous_model, \
     random_discrete_model
@@ -318,3 +320,18 @@ def test_regime2_weights_match_a_per_point_reference(rng):
         mu = null_space_measure(generator_at(cont.rates, [y]))
         drift = mu @ [psi.gradient([y])[0] for psi in cont.potentials]
         assert op.drift[0, k, 0] == pytest.approx(drift, rel=1e-12, abs=1e-13)
+
+
+@pytest.mark.parametrize("N", [60, 96, 100, 128])
+def test_vanishing_rates_are_zero_whatever_their_roundoff(N):
+    """In two_state_flashing, r12(0.125) evaluates to -2.2e-16 and r21(0.5)
+    to +1.1e-16.  Both lie within the fields' evaluation round-off, so both
+    are exactly 0: every grid that holds y = 0.5 has a reducible point, and
+    the regime-II build fails at N = 60 and 100 as at N = 96 and 128."""
+    model = get_preset("two_state_flashing")
+    R = model.rates.values(np.array([[0.125], [0.5]]))
+    assert R[0, 0, 1] == 0.0 and R[1, 1, 0] == 0.0
+    assert model.rates.rate(1, 0, [0.5]) == 0.0
+    with pytest.raises(ReducibleChainError):
+        cell_operator(model, "II", N=N)
+    assert validate(model, "II") != []

@@ -211,8 +211,8 @@ def test_validate_command(tmp_path):
 
 
 def test_regime2_validation_exits_2(tmp_path):
-    """two_state_flashing in regime II is rejected at y = 0.125, where its
-    switching chain is reducible, before any solve (was exit 3)."""
+    """two_state_flashing in regime II is rejected at y = 0.125 and 0.5,
+    where its switching chain is reducible, before any solve (was exit 3)."""
     model = model_to_dict(get_preset("two_state_flashing"))
     model["regime"] = "II"
     out = tmp_path / "out"
@@ -221,7 +221,7 @@ def test_regime2_validation_exits_2(tmp_path):
     assert main(["validate", "--config", cfg, "--out", str(out)]) == 2
     report = json.loads((out / "validation.json").read_text())
     assert [(v["kind"], v["location"]) for v in report["violations"]] == [
-        ("reducible_switching", "y=(0.125)")]
+        ("reducible_switching", "y=(0.125)"), ("reducible_switching", "y=(0.5)")]
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
     # the same preset, solved in regime II by a config override
     override = write_config(tmp_path, {

@@ -126,15 +126,18 @@ def test_discrete_json_roundtrip(rng):
 
 
 def test_regime2_validation_locates_reducible_switching():
-    """two_state_flashing's rate r12 = 1.5 (1 + cos 2 pi (y - 0.625))^2
-    vanishes at y = 0.125, so regime II has no stationary law there."""
+    """two_state_flashing's rates r12 = 1.5 (1 + cos 2 pi (y - 0.625))^2 and
+    r21 = 1.5 (1 + cos 2 pi y)^2 vanish at y = 0.125 and y = 0.5, so regime
+    II has no stationary law at either point (r21(0.5) evaluates to
+    +1.1e-16, which once passed as a positive rate)."""
     m = get_preset("two_state_flashing")
     assert validate(m) == []
     for report in (validate(m, "II"),
                    validate(ContinuousModel(dim=1, J=2, potentials=m.potentials,
                                             rates=m.rates, regime="II"))):
         assert [(v.kind, v.location) for v in report] == [
-            ("reducible_switching", "y=(0.125)")]
+            ("reducible_switching", "y=(0.125)"),
+            ("reducible_switching", "y=(0.5)")]
     assert validate(ContinuousModel(dim=1, J=2, potentials=m.potentials,
                                     rates=m.rates, regime="II"), "I") == []
 

@@ -70,16 +70,110 @@ def test_batch_membership_does_not_change_a_path():
 
 def test_block_size_does_not_change_a_path(monkeypatch):
     """Each kind of draw has its own stream, so the draw block size is a
-    memory setting only."""
+    memory setting only: for the per-path thinning draws, and for the
+    lockstep blocks (the normals of a continuous batch, the clocks and
+    choices of a discrete one) that are refilled and compacted as paths
+    finish at different steps."""
     runs = []
     for block in (simulator._BLOCK, 5):
         monkeypatch.setattr(simulator, "_BLOCK", block)
-        runs.append(batch_continuous(two_state_flashing(), 0.1, 0.3, 3,
+        runs.append(batch_continuous(two_state_flashing(), 0.1, 0.3, 6,
+                                     base_seed=8).trajectories
+                    + batch_discrete(discrete_two_state(), 16, 1.0, 6,
                                      base_seed=8).trajectories)
     for a, b in zip(*runs):
         np.testing.assert_array_equal(a.times, b.times)
         np.testing.assert_array_equal(a.positions, b.positions)
         np.testing.assert_array_equal(a.states, b.states)
+
+
+def test_concentration_rows_equal_independent_batches():
+    """The experiment builds each path's streams once and rewinds them per
+    scale; every row still equals a fresh batch of its scale, bit for bit."""
+    cases = ((two_state_flashing(), [0.1, 0.05], 0.3, 6),
+             (discrete_two_state(), [16, 32, 64], 1.0, 8))
+    for model, scales, T, paths in cases:
+        report = concentration_experiment(model, scales, T, paths, 31,
+                                          predicted_v=0.0, dt_factor=150.0)
+        for row, scale in zip(report.rows, scales):
+            if isinstance(model, ContinuousModel):
+                batch = batch_continuous(model, scale, T, paths, 31,
+                                         dt=scale / 150.0)
+            else:
+                batch = batch_discrete(model, scale, T, paths, 31)
+            assert (row.mean_v, row.sd, row.se) == (batch.mean, batch.sd,
+                                                    batch.se)
+
+
+def test_concentration_golden_pin():
+    """Pins a small seeded experiment of each kind.  The values are those of
+    the stepper before the lockstep rewrite; a change of scheme, streams or
+    draw order must update them on purpose."""
+    cont = concentration_experiment(two_state_flashing(), [0.1], 0.5, 64,
+                                    2024, predicted_v=0.0)
+    disc = concentration_experiment(discrete_two_state(), [16], 1.0, 64,
+                                    2024, predicted_v=0.0)
+    assert [(r.mean_v, r.sd) for r in cont.rows + disc.rows] == [
+        (0.20037517523367207, 0.26745990811124687),
+        (-0.0302734375, 0.5648641003134441)]
+
+
+def three_state_table_model():
+    """J = 3 with 0-, 2- and 6-mode potentials (the first tilted, the last
+    tilted too) and one missing rate."""
+    rng = np.random.default_rng(17)
+
+    def modes(count):
+        return tuple(((k,), *(rng.uniform(-0.5, 0.5, size=2) / k))
+                     for k in range(1, count + 1))
+
+    pots = (PeriodicScalarField(dim=1, affine_slope=(-0.4,)),
+            PeriodicScalarField(dim=1, fourier_coeffs=modes(2)),
+            PeriodicScalarField(dim=1, fourier_coeffs=modes(6),
+                                affine_slope=(0.3,)))
+
+    def rate(count):   # dips below zero somewhere: exercises the clip
+        return PeriodicScalarField(dim=1, fourier_coeffs=(
+            ((0,), 0.4, 0.0),) + modes(count))
+
+    entries = ((None, rate(1), None), (rate(3), None, rate(2)),
+               (rate(2), rate(5), None))
+    return ContinuousModel(dim=1, J=3, potentials=pots,
+                           rates=SwitchingRateMatrix(J=3, entries=entries))
+
+
+def test_fourier_tables_equal_the_fields_bit_for_bit():
+    """The state-indexed tables give each path its own potential's gradient
+    and its own state's rates (clipped at 0), as the fields compute them."""
+    model = three_state_table_model()
+    rng = np.random.default_rng(5)
+    y = rng.uniform(-40.0, 40.0, size=4097)
+    state = rng.integers(0, model.J, size=len(y))
+    potentials = simulator._fourier_table(model.potentials)
+    slopes = np.array([psi.slope[0] for psi in model.potentials])
+    drift = simulator._drift(potentials[:, :, state], slopes[state], y)
+    rates = simulator._switching_rates(simulator._rate_table(model), y, state)
+    clipped = 0
+    for i, psi in enumerate(model.potentials):
+        on = state == i
+        np.testing.assert_array_equal(drift[on], psi.gradients(y[on])[:, 0])
+        for j, entry in enumerate(model.rates.entries[i]):
+            raw = (np.zeros(on.sum()) if entry is None or j == i
+                   else entry.values(y[on]))
+            np.testing.assert_array_equal(rates[on, j], np.maximum(raw, 0.0))
+            clipped += np.sum(raw < 0.0)
+    assert clipped > 0
+
+
+def test_frozen_position_takes_no_normal_draws(monkeypatch):
+    kinds = []
+    draws = simulator._Streams.draws
+    monkeypatch.setattr(simulator._Streams, "draws",
+                        lambda self, kind: kinds.append(kind) or draws(self, kind))
+    tr = simulate_continuous(three_state_table_model(), 0.5, 5.0, seed=5,
+                             freeze_position=True)
+    assert np.all(tr.positions == 0.0) and tr.switch_count > 0
+    assert sorted(kinds) == ["random", "standard_exponential"]
 
 
 def test_default_dt_matches_eigen_velocity():
