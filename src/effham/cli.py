@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -204,9 +205,13 @@ def cmd_simulate(cfg: dict, model, outdir: Path,
         paths = int(block["paths"])
     except KeyError as exc:
         raise ConfigError(f'"simulate" block is missing {exc}') from exc
-    if not scales or paths < 1 or T <= 0:
+    if not scales or paths < 1 or not 0 < T < math.inf:
         raise ConfigError("simulate block has an empty or invalid range")
     dt_factor = float(block.get("dt_factor", simulator.DT_FACTOR))
+    try:
+        simulator.experiment_scales(model, scales, dt_factor)
+    except ValueError as exc:
+        raise ConfigError(f'"simulate" block: {exc}') from exc
     gamma = float(block.get("gamma", 1.0))
     report = simulator.concentration_experiment(
         model, scales, T, paths, int(seed),

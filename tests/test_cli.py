@@ -1,10 +1,12 @@
 """End-to-end CLI: files, exit codes, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from effham import simulator
 from effham.cli import main
 from effham.model import model_to_dict
 from effham.presets import get_preset
@@ -134,6 +136,32 @@ def test_simulate_without_seed_exits_2(tmp_path):
     # --seed supplies the missing seed
     assert main(["simulate", "--preset", "discrete_asymmetric", "--config", cfg,
                  "--out", str(tmp_path / "o"), "--seed", "7"]) == 0
+
+
+@pytest.mark.parametrize("preset,change", [
+    ("discrete_asymmetric", {"scales": [16.5, 32]}),
+    ("discrete_asymmetric", {"scales": [0, 16]}),
+    ("constant_drift", {"scales": [0.1, 0.0]}),
+    ("constant_drift", {"scales": [0.05, 0.1]}),
+    ("discrete_asymmetric", {"scales": [32, 16]}),
+    ("constant_drift", {"dt_factor": 5.0}),
+    ("constant_drift", {"T": math.inf}),
+], ids=["n-not-integer", "n-below-1", "eps-not-positive", "eps-not-refining",
+        "n-not-refining", "dt-above-eps-over-10", "T-not-finite"])
+def test_simulate_bad_block_exits_2_before_any_stream(tmp_path, monkeypatch,
+                                                      preset, change):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stream was built")
+
+    monkeypatch.setattr(simulator, "_Streams", refuse)
+    scales = [0.2, 0.1] if preset == "constant_drift" else [10, 20]
+    cfg = write_config(tmp_path, {"simulate": {
+        "scales": scales, "T": 0.5, "paths": 10, "seed": 1, "predicted_v": 1.0,
+        **change}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--preset", preset, "--config", cfg,
+                 "--out", str(out)]) == 2
+    assert not (out / "summary.csv").exists()
 
 
 def test_check_detailed_balance_preset(tmp_path):

@@ -1,5 +1,6 @@
 """Trajectory sampling: exactness oracles and statistical self-consistency."""
 
+import itertools
 import math
 
 import numpy as np
@@ -87,22 +88,70 @@ def test_block_size_does_not_change_a_path(monkeypatch):
         np.testing.assert_array_equal(a.states, b.states)
 
 
-def test_concentration_rows_equal_independent_batches():
-    """The experiment builds each path's streams once and rewinds them per
-    scale; every row still equals a fresh batch of its scale, bit for bit."""
-    cases = ((two_state_flashing(), [0.1, 0.05], 0.3, 6),
+def test_concentration_rows_equal_independent_batches(monkeypatch):
+    """An experiment runs all of its scales as one array of (scale, path)
+    rows that reads each path's streams once; every row still equals a
+    fresh batch of its scale, bit for bit, also for gamma != 1 and, in the
+    stacked stepper, for i0 = 1.  The scales finish at different steps.
+
+    With one dt_factor every scale takes the same steps in y = x/eps, so the
+    rows of a path read their thinning draws in step; the stepper is also
+    run with a dt_factor per scale, so that live rows of a path lag each
+    other in its draw logs.  With a block of 5 the logs refill, trim and
+    grow, and the lockstep blocks are compacted within a block."""
+    gamma, seed = 1.7, 31
+    cases = ((two_state_flashing(), [0.1, 0.07, 0.05], 0.3, 6),
              (discrete_two_state(), [16, 32, 64], 1.0, 8))
-    for model, scales, T, paths in cases:
-        report = concentration_experiment(model, scales, T, paths, 31,
-                                          predicted_v=0.0, dt_factor=150.0)
-        for row, scale in zip(report.rows, scales):
-            if isinstance(model, ContinuousModel):
-                batch = batch_continuous(model, scale, T, paths, 31,
-                                         dt=scale / 150.0)
-            else:
-                batch = batch_discrete(model, scale, T, paths, 31)
+    for block, (model, scales, T, paths) in itertools.product(
+            (simulator._BLOCK, 5), cases):
+        monkeypatch.setattr(simulator, "_BLOCK", block)
+        report = concentration_experiment(model, scales, T, paths, seed,
+                                          predicted_v=0.0, dt_factor=150.0,
+                                          gamma=gamma)
+        streams = simulator._Streams(seed, range(paths))
+        if isinstance(model, ContinuousModel):
+            steps = [(s, s / f) for s, f in zip(scales, (150.0, 110.0, 190.0))]
+            ends = simulator._continuous_paths(model, steps, T, streams,
+                                               gamma=gamma, i0=1)
+            batches = [batch_continuous(model, s, T, paths, seed,
+                                        dt=s / 150.0, gamma=gamma)
+                       for s in scales]
+            alone = [batch_continuous(model, s, T, paths, seed, dt=dt,
+                                      gamma=gamma, i0=1) for s, dt in steps]
+        else:
+            ends = simulator._discrete_paths(model, scales, T, streams,
+                                             gamma=gamma, i0=1)
+            batches, alone = ([batch_discrete(model, s, T, paths, seed,
+                                              gamma=gamma, i0=i0)
+                               for s in scales] for i0 in (0, 1))
+        for row, batch, from_one, x in zip(report.rows, batches, alone, ends):
             assert (row.mean_v, row.sd, row.se) == (batch.mean, batch.sd,
                                                     batch.se)
+            assert list(x) == [tr.positions[-1]
+                               for tr in from_one.trajectories]
+
+
+def test_concentration_builds_no_paths_and_reads_each_stream_once(monkeypatch):
+    """The experiment keeps end positions only: it builds no `Trajectory`
+    and no `_Records`, and it builds each path's stream of each kind of draw
+    once, whatever the number of scales."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the experiment built a per-path object")
+
+    monkeypatch.setattr(simulator, "Trajectory", refuse)
+    monkeypatch.setattr(simulator, "_Records", refuse)
+    built = []
+    philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda seq: built.append(
+        (seq.spawn_key, seq.entropy)) or philox(seq))
+    paths = 7
+    cases = ((two_state_flashing(), [0.2, 0.1, 0.05], 0.2, (0, 1, 2)),
+             (discrete_two_state(), [8, 16, 32], 0.5, (1, 2)))
+    for model, scales, T, kinds in cases:
+        built.clear()
+        concentration_experiment(model, scales, T, paths, 5, predicted_v=0.0)
+        assert sorted(built) == sorted(((kind,), (5, k)) for kind in kinds
+                                       for k in range(paths))
 
 
 def test_concentration_golden_pin():

@@ -66,3 +66,21 @@ def test_one_point_chain_helpers_called_only_in_chains():
             if name in one_point or name.startswith("averaged_"):
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, f"one-point chain helpers called outside chains.py: {found}"
+
+
+def test_simulator_builds_trajectories_only_from_records():
+    """A run keeps end positions only; `Trajectory` objects are built at one
+    call site, in `_Records`, so an endpoint-only path cannot quietly grow a
+    per-path object again."""
+    path = Path(effham.__file__).parent / "simulator.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+    def calls(root):
+        return [node.lineno for node in ast.walk(root)
+                if isinstance(node, ast.Call) and "Trajectory" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None))]
+
+    records = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "_Records")
+    assert len(calls(tree)) == 1 and calls(records) == calls(tree), calls(tree)
