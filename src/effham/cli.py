@@ -52,6 +52,18 @@ def _check_keys(block: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
 
 
+def _integer(block: dict, key: str, where: str, default=None) -> int:
+    """block[key] (or `default` when absent) as an int; a bool, a string or
+    a number with a fractional part is rejected, not truncated."""
+    value = block.get(key, default)
+    if value is None:
+        raise ConfigError(f'{where} is missing "{key}"')
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not float(value).is_integer():
+        raise ConfigError(f'{where}: "{key}" must be an integer, got {value!r}')
+    return int(value)
+
+
 def load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
@@ -114,27 +126,27 @@ def _certificates_json(table: ham.HamiltonianTable) -> dict:
     for k, p in enumerate(table.p_grid):
         cert = table.certificates[k]
         if cert is None:
-            rows.append({"p": float(p), "failed": table.failures.get(k, "unknown")})
+            row = {"p": float(p), "failed": table.failures.get(k, "unknown")}
         else:
-            rows.append({"p": float(p), "eigenvalue": cert.eigenvalue,
-                         "residual": cert.residual, "cw_lower": cert.cw_lower,
-                         "cw_upper": cert.cw_upper,
-                         "iterations": cert.iterations,
-                         "fallbacks": cert.fallbacks})
+            row = {"p": float(p), "eigenvalue": cert.eigenvalue,
+                   "residual": cert.residual, "cw_lower": cert.cw_lower,
+                   "cw_upper": cert.cw_upper, "iterations": cert.iterations,
+                   "fallbacks": cert.fallbacks}
+        rows.append({**row, "start": table.starts[k]})
     return {"provenance": table.provenance, "samples": rows}
 
 
 def _run_sweep(model, block: dict) -> ham.HamiltonianTable:
-    _check_keys(block, _SWEEP_KEYS, '"sweep" block')
+    where = '"sweep" block'
+    _check_keys(block, _SWEEP_KEYS, where)
     try:
         p_min = float(block["p_min"])
         p_max = float(block["p_max"])
-        count = int(block["count"])
     except KeyError as exc:
         raise ConfigError(f'"sweep" block is missing {exc}') from exc
-    return ham.sweep(model, p_min, p_max, count,
+    return ham.sweep(model, p_min, p_max, _integer(block, "count", where),
                      regime=block.get("regime"),
-                     N=int(block.get("N", 128)),
+                     N=_integer(block, "N", where, 128),
                      tol=float(block.get("tol", 1e-10)),
                      gamma=float(block.get("gamma", 1.0)))
 
@@ -155,15 +167,14 @@ def cmd_sweep(cfg: dict, model, outdir: Path) -> int:
 def cmd_velocity(cfg: dict, model, outdir: Path) -> int:
     block = cfg.get("velocity", {})
     _check_keys(block, _VELOCITY_KEYS, '"velocity" block')
+    N = _integer(block, "N", '"velocity" block', 128)
     v, err = ham.velocity_of_model(model, regime=block.get("regime"),
                                    delta=float(block.get("delta", 1e-3)),
-                                   N=int(block.get("N", 128)),
-                                   tol=float(block.get("tol", 1e-10)),
+                                   N=N, tol=float(block.get("tol", 1e-10)),
                                    gamma=float(block.get("gamma", 1.0)))
     _write_json(outdir / "velocity.json",
                 {"velocity": v, "error_estimate": err,
-                 "delta": float(block.get("delta", 1e-3)),
-                 "N": int(block.get("N", 128))})
+                 "delta": float(block.get("delta", 1e-3)), "N": N})
     return EXIT_OK
 
 
@@ -175,7 +186,7 @@ def cmd_legendre(cfg: dict, model, outdir: Path) -> int:
     _check_keys(block, _LEGENDRE_KEYS, '"legendre" block')
     try:
         v_grid = np.linspace(float(block["v_min"]), float(block["v_max"]),
-                             int(block["count"]))
+                             _integer(block, "count", '"legendre" block'))
     except KeyError as exc:
         raise ConfigError(f'"legendre" block is missing {exc}') from exc
     if len(v_grid) == 0:
@@ -195,16 +206,19 @@ def cmd_simulate(cfg: dict, model, outdir: Path,
     block = cfg.get("simulate")
     if block is None:
         raise ConfigError('simulate command needs a "simulate" config block')
-    _check_keys(block, _SIMULATE_KEYS, '"simulate" block')
-    seed = seed_override if seed_override is not None else block.get("seed")
-    if seed is None:
+    where = '"simulate" block'
+    _check_keys(block, _SIMULATE_KEYS, where)
+    if seed_override is None and block.get("seed") is None:
         raise ConfigError("stochastic command needs a seed (config or --seed)")
+    seed = (seed_override if seed_override is not None
+            else _integer(block, "seed", where))
     try:
         scales = [float(s) for s in block["scales"]]
         T = float(block["T"])
-        paths = int(block["paths"])
     except KeyError as exc:
         raise ConfigError(f'"simulate" block is missing {exc}') from exc
+    paths = _integer(block, "paths", where)
+    solver_n = _integer(block, "N", where, 128)
     if not scales or paths < 1 or not 0 < T < math.inf:
         raise ConfigError("simulate block has an empty or invalid range")
     dt_factor = float(block.get("dt_factor", simulator.DT_FACTOR))
@@ -214,32 +228,33 @@ def cmd_simulate(cfg: dict, model, outdir: Path,
         raise ConfigError(f'"simulate" block: {exc}') from exc
     gamma = float(block.get("gamma", 1.0))
     report = simulator.concentration_experiment(
-        model, scales, T, paths, int(seed),
+        model, scales, T, paths, seed,
         predicted_v=block.get("predicted_v"), dt_factor=dt_factor, gamma=gamma,
-        solver_n=int(block.get("N", 128)))
+        solver_n=solver_n)
     report.to_csv(outdir / "summary.csv")
     if block.get("dump_trajectories", False):
         for row in report.rows:
             if isinstance(model, ContinuousModel):
                 tr = simulator.simulate_continuous(
-                    model, row.scale, T, row.scale / dt_factor, seed=int(seed),
+                    model, row.scale, T, row.scale / dt_factor, seed=seed,
                     gamma=gamma)
             else:
                 tr = simulator.simulate_discrete(
-                    model, int(row.scale), T, seed=int(seed), gamma=gamma)
+                    model, int(row.scale), T, seed=seed, gamma=gamma)
             tr.to_csv(outdir / f"trajectory_scale_{row.scale:g}.csv")
     return EXIT_OK
 
 
 def cmd_check(cfg: dict, model, outdir: Path) -> int:
     block = cfg.get("check", {})
-    _check_keys(block, _CHECK_KEYS, '"check" block')
-    N = int(block.get("N", 128))
+    where = '"check" block'
+    _check_keys(block, _CHECK_KEYS, where)
+    N = _integer(block, "N", where, 128)
     tol = float(block.get("tol", 1e-10))
     gamma = float(block.get("gamma", 1.0))
     p_max = float(block.get("p_max", 2.0))
-    count = int(block.get("count", 21))
-    grid = int(block.get("grid", 256))
+    count = _integer(block, "count", where, 21)
+    grid = _integer(block, "grid", where, 256)
     regime = block.get("regime")
 
     table = ham.sweep(model, -p_max, p_max, count, regime=regime, N=N, tol=tol,

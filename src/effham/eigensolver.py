@@ -443,33 +443,47 @@ def _block_solve(D: np.ndarray, R: np.ndarray) -> np.ndarray:
     return aug[:, :, b:]
 
 
+def _dense(C: np.ndarray) -> np.ndarray:
+    """Coupling blocks (m, b, b); diagonal couplings (m, b) are expanded."""
+    return C if C.ndim == 3 else C[..., None] * np.eye(C.shape[-1])
+
+
+def _coupled(C: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """C_k X_k for coupling blocks (m, b, b) or diagonal couplings (m, b),
+    the latter as row scalings (the same products: the dropped terms are
+    exact zeros)."""
+    return C[..., None] * X if C.ndim == 2 else C @ X
+
+
 def _cyclic_solve(D, U, L, f: np.ndarray) -> np.ndarray:
     """Solve D_k x_k + U_k x_{k+1} + L_k x_{k-1} = f_k (k mod m) by block
     cyclic reduction (Buzbee, Golub & Nielson 1970).
 
-    The odd slices are eliminated and the kept even slices form a periodic
-    block-tridiagonal system of ceil(m/2) slices; when m is odd the last kept
-    slice stays coupled to slice 0 directly.  Schur complements of a
-    nonsingular M-matrix are M-matrices, so no elimination needs pivoting.
-    One slice (a raw matrix, or the last level) is solved by a dense LU, its
-    couplings folded into its block.
+    The couplings U, L are blocks (m, b, b) or, as at the first level of an
+    operator, diagonals (m, b).  The odd slices are eliminated and the kept
+    even slices form a periodic block-tridiagonal system of ceil(m/2)
+    slices, whose couplings are dense; when m is odd the last kept slice
+    stays coupled to slice 0 directly.  Schur complements of a nonsingular
+    M-matrix are M-matrices, so no elimination needs pivoting.  One slice (a
+    raw matrix, or the last level) is solved by a dense LU, its couplings
+    folded into its block.
     """
     m, b = f.shape
     if m == 1:
-        return np.linalg.solve(D + U + L, f[..., None])[..., 0]
+        return np.linalg.solve(D + _dense(U) + _dense(L), f[..., None])[..., 0]
     # odd slice j' = 2j+1 lies between kept slices j and j+1 (mod the kept
     # count); with m odd, kept slice 0 has no eliminated slice below it
     n_odd, lo = m // 2, m % 2
     # X_j = D_{2j+1}^{-1} [L_{2j+1} | U_{2j+1} | f_{2j+1}]
     X = _block_solve(D[1::2], np.concatenate(
-        [L[1::2], U[1::2], f[1::2, :, None]], axis=2))
-    Y = U[::2][:n_odd] @ X
-    Z = L[::2][lo:] @ np.concatenate([X[-1:], X])[lo:lo + n_odd]
-    D2, U2, L2, f2 = D[::2].copy(), U[::2].copy(), L[::2].copy(), f[::2].copy()
+        [_dense(L[1::2]), _dense(U[1::2]), f[1::2, :, None]], axis=2))
+    Y = _coupled(U[::2][:n_odd], X)
+    Z = _coupled(L[::2][lo:], np.concatenate([X[-1:], X])[lo:lo + n_odd])
+    D2, f2 = D[::2].copy(), f[::2].copy()
     D2[:n_odd] -= Y[..., :b]
     D2[lo:] -= Z[..., b:2 * b]
-    U2[:n_odd] = -Y[..., b:2 * b]
-    L2[lo:] = -Z[..., :b]
+    U2 = np.concatenate([-Y[..., b:2 * b], _dense(U[::2][n_odd:])])
+    L2 = np.concatenate([_dense(L[:lo]), -Z[..., :b]])
     f2[:n_odd] -= Y[..., 2 * b]
     f2[lo:] -= Z[..., 2 * b]
     kept = _cyclic_solve(D2, U2, L2, f2)
@@ -531,7 +545,7 @@ def principal_eigenpair(M, tol: float = 1e-10, max_iter: int = 10 ** 6,
         return EigenCertificate(lam, np.ones(1), 0.0, lam, lam, 0)
 
     alpha = 1.0 + float(np.max(np.abs(np.diagonal(A, axis1=1, axis2=2))))
-    U, L = -B[..., None] * np.eye(b), -C[..., None] * np.eye(b)
+    U, L = -B, -C
     diag = (slice(None), range(b), range(b))
     w = np.ones((m, b)) if start is None else start[index] / np.max(start)
     lower, upper = -np.inf, np.inf

@@ -18,11 +18,15 @@ from typing import List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .chains import hop_averages
-from .eigensolver import EigenCertificate, cell_operator, principal_eigenpair
+from .eigensolver import (EigenCertificate, cell_operator,
+                          collatz_wielandt_bounds, principal_eigenpair)
 from .fields import grid_points, sampling_resolution
 from .model import ContinuousModel, DiscreteModel, Model
 
 log = logging.getLogger(__name__)
+
+# certified samples of a chain that an extrapolated start is built from
+_EXTRAPOLATION_SAMPLES = 5
 
 
 def hamiltonian_at(model: Model, p, regime: Optional[str] = None, *,
@@ -43,6 +47,7 @@ class HamiltonianTable:
     certificates: tuple           # EigenCertificate or None per sample
     provenance: dict = field(default_factory=dict)
     failures: dict = field(default_factory=dict)   # sample index -> message
+    starts: tuple = ()            # start label per sample (see `_solve_outward`)
 
     def __post_init__(self):
         p = np.asarray(self.p_grid, dtype=float)
@@ -85,6 +90,79 @@ def _outward(count: int, origin: int):
         yield k, k + 1
 
 
+def _extrapolate(momenta: Sequence[float], logs: Sequence[np.ndarray],
+                 p: float) -> np.ndarray:
+    """exp of the Lagrange polynomial through the points (momenta[j], logs[j])
+    evaluated at p, with max component 1.  The weights come from the actual
+    momenta, so the nodes need not be evenly spaced."""
+    weights = [math.prod((p - other) / (node - other)
+                         for i, other in enumerate(momenta) if i != j)
+               for j, node in enumerate(momenta)]
+    log_g = np.tensordot(weights, logs, axes=1)
+    return np.exp(log_g - np.max(log_g))
+
+
+def _cw_gap(op, g: np.ndarray) -> float:
+    lower, upper = collatz_wielandt_bounds(op, g)
+    return upper - lower
+
+
+def _solve_outward(at, momenta: np.ndarray, origin: int, *, tol: float,
+                   max_iter: int = 10 ** 6) -> tuple:
+    """Solve `principal_eigenpair(at(momenta[k]))` for every k, outward from
+    `origin` to both ends.  Returns (certificates, start labels, failures):
+    a failed sample has certificate None and its exception in `failures`.
+
+    The sample at the origin starts cold (from the all-ones vector).  Every
+    other sample extends a chain: its certified samples from the inner
+    neighbour back towards the origin, up to `_EXTRAPOLATION_SAMPLES` of
+    them, stopping at a failed sample and at the origin.  An empty chain
+    starts cold; a chain of one sample starts from its eigenvector (the
+    "neighbour" start).  A longer chain also offers the extrapolated start:
+    the Lagrange polynomial in p through the chain's log-eigenvectors,
+    evaluated at the new momentum.  The principal eigenvector is analytic in
+    p, so this start is close; but the polynomial can overshoot on a rough
+    operator, so the solve starts from whichever of the two has the tighter
+    Collatz-Wielandt bracket on the new operator, the neighbour on a tie.
+    Any positive start gives a valid bracket, so the choice moves the
+    iteration count only.  Labels: "cold", "neighbour" or "extrapolated:<k>"
+    with k the number of samples used; a sample whose operator could not be
+    built keeps "cold".
+    """
+    count = len(momenta)
+    certs: List[Optional[EigenCertificate]] = [None] * count
+    logs: List[Optional[np.ndarray]] = [None] * count
+    starts = ["cold"] * count
+    failures = {}
+    for k, inner in _outward(count, origin):
+        chain = []
+        if inner is not None:
+            step = inner - k
+            j = inner
+            while (len(chain) < _EXTRAPOLATION_SAMPLES
+                   and (j - origin) * step <= 0 and certs[j] is not None):
+                chain.append(j)
+                j += step
+        try:
+            op = at(float(momenta[k]))
+            start = None
+            if chain:
+                start, starts[k] = certs[inner].eigenvector, "neighbour"
+            if len(chain) > 1:
+                guess = _extrapolate([momenta[j] for j in chain],
+                                     [logs[j] for j in chain], momenta[k])
+                if (np.all(guess > 0)
+                        and _cw_gap(op, guess) < _cw_gap(op, start)):
+                    start, starts[k] = guess, f"extrapolated:{len(chain)}"
+            certs[k] = principal_eigenpair(op, tol=tol, max_iter=max_iter,
+                                           start=start)
+        except Exception as exc:   # recorded per sample
+            failures[k] = exc
+        else:
+            logs[k] = np.log(certs[k].eigenvector)
+    return certs, starts, failures
+
+
 def sweep(model: Model, p_min: float, p_max: float, count: int,
           regime: Optional[str] = None, *, N: int = 128, tol: float = 1e-10,
           gamma: float = 1.0, max_iter: int = 10 ** 6,
@@ -93,14 +171,17 @@ def sweep(model: Model, p_min: float, p_max: float, count: int,
 
     The cell operator is built once and every sample tilts it.  The solve
     at p = 0 starts from the all-ones vector; the others march outward from
-    it, each starting from the eigenvector of its inner neighbour (the tilt
-    moves the eigenvector analytically, so a few inverse steps suffice).  A
-    value therefore equals `hamiltonian_at(p)` within the certificate, not
-    bit for bit.  Failures are recorded per sample (value NaN), and the
-    sample beyond a failure starts cold; the table is still returned.  If
-    the operator cannot be built, every sample records that error.  For
-    continuous models with dim > 1 the sweep runs along the momentum line
-    t -> t * e_axis.
+    it (`_solve_outward`), each starting from the eigenvector of its inner
+    neighbour or from the log-polynomial extrapolation through the last
+    eigenvectors of its chain, whichever has the tighter Collatz-Wielandt
+    bracket (the tilt moves the eigenvector analytically, so one or two
+    inverse steps usually suffice).  `starts` records which start each
+    sample took.  A value therefore equals `hamiltonian_at(p)` within the
+    certificate, not bit for bit.  Failures are recorded per sample (value
+    NaN), and the sample beyond a failure starts cold; the table is still
+    returned.  If the operator cannot be built, every sample records that
+    error.  For continuous models with dim > 1 the sweep runs along the
+    momentum line t -> t * e_axis.
     """
     if count < 3:
         raise ValueError("sweep needs at least 3 samples")
@@ -124,30 +205,23 @@ def sweep(model: Model, p_min: float, p_max: float, count: int,
         vec[axis] = t
         return vec
 
-    values = np.full(len(grid), np.nan)
-    certs: List[Optional[EigenCertificate]] = [None] * len(grid)
-    failures = {}
     try:
         op = cell_operator(model, regime, N=N, gamma=gamma)
     except Exception as exc:   # recorded against every sample
+        certs, starts = [None] * len(grid), ["cold"] * len(grid)
         failures = dict.fromkeys(range(len(grid)), f"{type(exc).__name__}: {exc}")
     else:
-        for k, inner in _outward(len(grid), int(np.flatnonzero(grid == 0.0)[0])):
-            prev = None if inner is None else certs[inner]
-            try:
-                certs[k] = principal_eigenpair(
-                    op.at(momentum_of(float(grid[k]))), tol=tol,
-                    max_iter=max_iter,
-                    start=None if prev is None else prev.eigenvector)
-            except Exception as exc:   # recorded per sample
-                failures[k] = f"{type(exc).__name__}: {exc}"
-            else:
-                values[k] = certs[k].eigenvalue
+        certs, starts, errors = _solve_outward(
+            lambda t: op.at(momentum_of(t)), grid,
+            int(np.flatnonzero(grid == 0.0)[0]), tol=tol, max_iter=max_iter)
+        failures = {k: f"{type(exc).__name__}: {exc}"
+                    for k, exc in errors.items()}
+    values = np.array([np.nan if c is None else c.eigenvalue for c in certs])
     return HamiltonianTable(grid, values, tuple(certs),
                             provenance={"regime": regime, "N": N, "tol": tol,
                                         "gamma": gamma, "axis": axis,
                                         "kind": type(model).__name__},
-                            failures=failures)
+                            failures=failures, starts=tuple(starts))
 
 
 # ---------------------------------------------------------------------------
@@ -160,24 +234,26 @@ def velocity(table: HamiltonianTable) -> tuple:
 
     The error is |d1 - d2| (the truncation estimate) plus the worst-case
     spread of the Richardson value when each of the four H values lies
-    anywhere in its Collatz-Wielandt bracket: sum |c_k| (cw_upper - cw_lower)
-    with weights 2/(3 delta) at +-delta and 1/(12 delta) at +-2 delta.  A
-    sample without a certificate counts as exact.
+    anywhere in its Collatz-Wielandt bracket:
+    (gap(delta) + gap(-delta)) 2/(3 delta) + (gap(2 delta) + gap(-2 delta))
+    /(12 delta), with gap = cw_upper - cw_lower.  A sample without a
+    certificate counts as exact.
     """
     p = table.p_grid
     pos = p[p > 0]
     if len(pos) < 2:
         raise ValueError("grid too coarse around 0 for a velocity estimate")
     delta = float(pos.min())
-    near, far = 2.0 / (3.0 * delta), 1.0 / (12.0 * delta)
-    spread = 0.0
-    for off, weight in ((delta, near), (-delta, near), (2 * delta, far),
-                        (-2 * delta, far)):
-        hits = np.flatnonzero(np.isclose(p, off, rtol=0.0, atol=1e-12))
+    gaps = {}
+    for step in (1, -1, 2, -2):
+        hits = np.flatnonzero(np.isclose(p, step * delta, rtol=0.0, atol=1e-12))
         if len(hits) == 0:
-            raise ValueError(f"grid is missing the symmetric offset {off}")
+            raise ValueError(f"grid is missing the symmetric offset {step * delta}")
         cert = table.certificates[hits[0]]
-        spread += 0.0 if cert is None else weight * cert.cw_gap
+        gaps[step] = 0.0 if cert is None else cert.cw_gap
+    # in this grouping, err >= spread holds exactly in floating point
+    spread = ((gaps[1] + gaps[-1]) * 2.0 / (3.0 * delta)
+              + (gaps[2] + gaps[-2]) / (12.0 * delta))
     d1 = (table.value_at(delta) - table.value_at(-delta)) / (2 * delta)
     d2 = (table.value_at(2 * delta) - table.value_at(-2 * delta)) / (4 * delta)
     refined = (4.0 * d1 - d2) / 3.0
@@ -188,19 +264,21 @@ def velocity_of_model(model: Model, regime: Optional[str] = None, *,
                       delta: float = 1e-3, N: int = 128, tol: float = 1e-10,
                       gamma: float = 1.0) -> tuple:
     """DH(0) from a dedicated five-point stencil at +-delta, +-2 delta,
-    solved as the chain 0 -> +-delta -> +-2 delta: each solve starts from the
-    eigenvector of its inner neighbour, as in `sweep`."""
+    solved as the chains 0 -> +-delta -> +-2 delta of `_solve_outward`: the
+    +-delta samples start from the p = 0 eigenvector, the +-2 delta samples
+    from the better of their neighbour's eigenvector and the linear
+    log-extrapolation through both inner samples.  Raises the first failed
+    sample's error."""
     grid = np.array([-2 * delta, -delta, 0.0, delta, 2 * delta])
     op = cell_operator(model, regime or model.regime, N=N, gamma=gamma)
-    certs = [None] * len(grid)
-    for k, inner in _outward(len(grid), 2):
-        certs[k] = principal_eigenpair(
-            op.at(float(grid[k])), tol=tol,
-            start=None if inner is None else certs[inner].eigenvector)
+    certs, starts, failures = _solve_outward(op.at, grid, 2, tol=tol)
+    if failures:
+        raise next(iter(failures.values()))
     values = np.array([c.eigenvalue for c in certs])
     table = HamiltonianTable(grid, values, tuple(certs),
                              provenance={"regime": regime or model.regime,
-                                         "N": N, "tol": tol, "delta": delta})
+                                         "N": N, "tol": tol, "delta": delta},
+                             starts=tuple(starts))
     return velocity(table)
 
 

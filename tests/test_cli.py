@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from effham import simulator
+from effham import cli, simulator
 from effham.cli import main
 from effham.model import model_to_dict
 from effham.presets import get_preset
@@ -44,6 +44,19 @@ def test_sweep_rerun_bit_identical(tmp_path):
         (out2 / "hamiltonian.csv").read_bytes()
     assert (out1 / "certificates.json").read_bytes() == \
         (out2 / "certificates.json").read_bytes()
+
+
+def test_certificates_record_each_start(tmp_path):
+    cfg = write_config(tmp_path, {
+        "sweep": {"p_min": -2.0, "p_max": 2.0, "count": 9}})
+    out = tmp_path / "out"
+    assert main(["sweep", "--preset", "discrete_two_state", "--config", cfg,
+                 "--out", str(out)]) == 0
+    rows = json.loads((out / "certificates.json").read_text())["samples"]
+    starts = [row["start"] for row in rows]
+    assert starts[3:6] == ["neighbour", "cold", "neighbour"]
+    assert starts[:3] == ["extrapolated:4", "extrapolated:3", "extrapolated:2"]
+    assert starts[6:] == ["extrapolated:2", "extrapolated:3", "extrapolated:4"]
 
 
 def test_sweep_grid_missing_zero_is_augmented(tmp_path, caplog):
@@ -162,6 +175,35 @@ def test_simulate_bad_block_exits_2_before_any_stream(tmp_path, monkeypatch,
     assert main(["simulate", "--preset", preset, "--config", cfg,
                  "--out", str(out)]) == 2
     assert not (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("sweep", "count", 5.5), ("sweep", "N", True),
+    ("legendre", "count", 20.5), ("velocity", "N", 64.5),
+    ("check", "count", 21.5), ("check", "N", "128"), ("check", "grid", 64.5),
+    ("simulate", "seed", 1.5), ("simulate", "paths", 10.7),
+    ("simulate", "paths", True), ("simulate", "N", 64.5),
+])
+def test_non_integer_config_value_exits_2(tmp_path, caplog, monkeypatch,
+                                          command, key, value):
+    """Integer keys are not truncated: a fractional number, a bool or a
+    string is rejected with exit 2, naming its block and key, before any
+    solve or stream."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(simulator, "_Streams", refuse)
+    monkeypatch.setattr(cli.ham, "sweep", refuse)
+    monkeypatch.setattr(cli.ham, "velocity_of_model", refuse)
+    blocks = {"sweep": {"p_min": -1.0, "p_max": 1.0, "count": 5},
+              "legendre": {"v_min": -1.0, "v_max": 1.0, "count": 5},
+              "simulate": {"scales": [10, 20], "T": 0.5, "paths": 10, "seed": 1}}
+    blocks[command] = {**blocks.get(command, {}), key: value}
+    out = tmp_path / "out"
+    assert main([command, "--preset", "discrete_asymmetric", "--config",
+                 write_config(tmp_path, blocks), "--out", str(out)]) == 2
+    assert f'"{command}" block: "{key}" must be an integer' in caplog.text
+    assert not any(out.iterdir())
 
 
 def test_check_detailed_balance_preset(tmp_path):

@@ -480,6 +480,33 @@ STRUCTURED_CASES = (
        ("one_slice", None, 1, 1.0)])
 
 
+def _dense_coupling_cyclic_solve(D, U, L, f):
+    """`_cyclic_solve` as it was when every level multiplied its couplings
+    as dense b x b blocks; the reference for the row-scaled first level."""
+    m, b = f.shape
+    if m == 1:
+        return np.linalg.solve(D + U + L, f[..., None])[..., 0]
+    n_odd, lo = m // 2, m % 2
+    X = eigensolver._block_solve(D[1::2], np.concatenate(
+        [L[1::2], U[1::2], f[1::2, :, None]], axis=2))
+    Y = U[::2][:n_odd] @ X
+    Z = L[::2][lo:] @ np.concatenate([X[-1:], X])[lo:lo + n_odd]
+    D2, U2, L2, f2 = D[::2].copy(), U[::2].copy(), L[::2].copy(), f[::2].copy()
+    D2[:n_odd] -= Y[..., :b]
+    D2[lo:] -= Z[..., b:2 * b]
+    U2[:n_odd] = -Y[..., b:2 * b]
+    L2[lo:] = -Z[..., :b]
+    f2[:n_odd] -= Y[..., 2 * b]
+    f2[lo:] -= Z[..., 2 * b]
+    kept = _dense_coupling_cyclic_solve(D2, U2, L2, f2)
+    x = np.empty_like(f)
+    x[::2] = kept
+    neighbours = np.concatenate([kept, np.concatenate([kept[1:], kept[:1]])],
+                                axis=1)[:n_odd]
+    x[1::2] = X[..., 2 * b] - (X[..., :2 * b] @ neighbours[..., None])[..., 0]
+    return x
+
+
 @pytest.mark.parametrize("kind,regime,size,gamma", STRUCTURED_CASES)
 def test_structured_kernels_match_dense(kind, regime, size, gamma, rng):
     op = _structured_operator(kind, regime, size, gamma, rng)
@@ -502,7 +529,11 @@ def test_structured_kernels_match_dense(kind, regime, size, gamma, rng):
         sigma = lam + dist * (1.0 + abs(lam))
         shifted = -A
         shifted[:, range(b), range(b)] += sigma
-        x = eigensolver._cyclic_solve(shifted, U, L, w[index])
+        # the solver passes the first level's couplings as diagonals; the
+        # row scalings must give bit for bit the dense-block products
+        x = eigensolver._cyclic_solve(shifted, -B, -C, w[index])
+        np.testing.assert_array_equal(
+            x, _dense_coupling_cyclic_solve(shifted, U, L, w[index]))
         xs = np.empty_like(w)
         xs[index] = x
         T = sigma * np.eye(len(M)) - M

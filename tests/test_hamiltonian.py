@@ -7,7 +7,8 @@ import pytest
 
 from effham import hamiltonian
 from effham.eigensolver import (ConvergenceError, EigenCertificate,
-                                cell_operator, principal_eigenpair)
+                                cell_operator, collatz_wielandt_bounds,
+                                principal_eigenpair)
 from effham.hamiltonian import (HamiltonianTable, coercivity_check,
                                 convexity_report, hamiltonian_at, legendre,
                                 path_rate, sweep, symmetry_check, velocity,
@@ -123,21 +124,18 @@ def _momentum(model, axis, t):
 @pytest.mark.parametrize("kind,regime", FAMILIES)
 def test_sweep_reuse_equals_fresh_build(kind, regime):
     """A sweep tilts one operator and chains warm starts outward from p = 0;
-    every sample must equal the same chain solved on fresh builds."""
+    every sample must equal the same chain, with the same start rule,
+    solved on fresh builds."""
     model, kw, axis = _family(kind, regime)
     table = sweep(model, -1.5, 1.5, 7, axis=axis, **kw)
     assert not table.failures
     grid = table.p_grid
     origin = int(np.flatnonzero(grid == 0.0)[0])
-    chain = {}
-    for k in ([origin] + list(range(origin + 1, len(grid)))
-              + list(range(origin - 1, -1, -1))):
-        inner = k - 1 if k > origin else k + 1
-        start = None if k == origin else chain[inner].eigenvector
-        op = cell_operator(model, model.regime, **kw)
-        chain[k] = principal_eigenpair(op.at(_momentum(model, axis, grid[k])),
-                                       start=start)
-    for k, cert in chain.items():
+    certs, starts, failures = hamiltonian._solve_outward(
+        lambda t: cell_operator(model, model.regime, **kw).at(
+            _momentum(model, axis, t)), grid, origin, tol=1e-10)
+    assert not failures and tuple(starts) == table.starts
+    for k, cert in enumerate(certs):
         got = table.certificates[k]
         np.testing.assert_array_equal(
             [table.values[k], got.cw_lower, got.cw_upper],
@@ -186,6 +184,71 @@ def test_warm_sweep_needs_few_iterations():
     assert not table.failures
     assert max(c.iterations for c in table.certificates) <= 12
     assert all(c.fallbacks == 0 for c in table.certificates)
+
+
+def test_extrapolated_sweep_needs_fewer_iterations():
+    # starting from the log-polynomial through the chain's last eigenvectors
+    # halves the inverse steps of neighbour starts (4.7 per sample)
+    table = sweep(two_state_flashing(), -3.0, 3.0, 61, N=256, tol=1e-9)
+    assert not table.failures
+    assert np.mean([c.iterations for c in table.certificates]) <= 3.0
+    assert all(c.fallbacks == 0 for c in table.certificates)
+    assert sum(s.startswith("extrapolated:") for s in table.starts) > 40
+
+
+def test_extrapolation_is_exact_for_log_polynomials():
+    """Vectors exp(a + b p + c p^2) are reproduced from three or more samples
+    at the actual momenta of a non-uniform grid with 0 inserted."""
+    rng = np.random.default_rng(5)
+    a, b, c = rng.normal(size=(3, 40))
+
+    def normalised(p):
+        g = np.exp(a + b * p + c * p ** 2)
+        return g / np.max(g)
+
+    grid = np.sort(np.append(np.linspace(-1.1, 1.3, 7), 0.0))
+    origin = int(np.flatnonzero(grid == 0.0)[0])
+    for k in (origin + 3, origin + 4, 0):
+        # the chain from the inner neighbour back to the origin
+        chain = grid[origin:k][::-1] if k > origin else grid[k + 1:origin + 1]
+        nodes = chain[:hamiltonian._EXTRAPOLATION_SAMPLES]
+        assert len(nodes) >= 3
+        got = hamiltonian._extrapolate(
+            list(nodes), [np.log(normalised(p)) for p in nodes], grid[k])
+        np.testing.assert_allclose(got, normalised(grid[k]), rtol=1e-11)
+
+
+@pytest.mark.parametrize("case", list(PRESETS) + [f"{kind}-{regime}"
+                                                  for kind, regime in FAMILIES])
+def test_chosen_start_is_no_wider_than_the_neighbour(monkeypatch, case):
+    """Every sample starts from a vector whose CW bracket on its own operator
+    is at most as wide as that of the inner neighbour's eigenvector."""
+    if case in PRESETS:
+        model, kw, axis = PRESETS[case](), {"N": 64}, 0
+    else:
+        model, kw, axis = _family(*case.split("-"))
+    real = hamiltonian.principal_eigenpair
+    solves = []
+
+    def record(op, **kwargs):
+        solves.append((op, kwargs["start"]))
+        return real(op, **kwargs)
+
+    monkeypatch.setattr(hamiltonian, "principal_eigenpair", record)
+    table = sweep(model, -2.0, 2.0, 9, axis=axis, **kw)
+    assert not table.failures
+    origin = int(np.flatnonzero(table.p_grid == 0.0)[0])
+    order = [origin] + list(range(origin + 1, 9)) + list(range(origin - 1, -1, -1))
+    for k, (op, start) in zip(order, solves):
+        if k == origin:
+            assert start is None and table.starts[k] == "cold"
+            continue
+        inner = k - 1 if k > origin else k + 1
+        neighbour = table.certificates[inner].eigenvector
+        (lo, up), (nb_lo, nb_up) = (collatz_wielandt_bounds(op, g)
+                                    for g in (start, neighbour))
+        assert up - lo <= nb_up - nb_lo
+        assert (table.starts[k] == "neighbour") == (start is neighbour)
 
 
 def test_sweep_records_build_failure_for_every_sample():

@@ -84,3 +84,20 @@ def test_simulator_builds_trajectories_only_from_records():
     records = next(node for node in tree.body
                    if isinstance(node, ast.ClassDef) and node.name == "_Records")
     assert len(calls(tree)) == 1 and calls(records) == calls(tree), calls(tree)
+
+
+def test_warm_starts_come_from_one_helper():
+    """Every warm-started solve goes through `hamiltonian._solve_outward`,
+    so the start rule (neighbour or extrapolated, CW-guarded) has one home."""
+    found = []
+    for path in sorted(Path(effham.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        # innermost enclosing function of every node (walk is breadth-first)
+        owner = {id(node): func.name for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+        found += [f"{path.name}:{owner.get(id(node))}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and "principal_eigenpair" in (getattr(node.func, "id", None),
+                                                getattr(node.func, "attr", None))
+                  and any(kw.arg == "start" for kw in node.keywords)]
+    assert found == ["hamiltonian.py:_solve_outward"], found
