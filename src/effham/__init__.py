@@ -9,8 +9,8 @@ direct Monte Carlo simulation of the process.
 
 from .fields import PeriodicScalarField, field_from_function
 from .model import (ContinuousModel, DiscreteModel, SwitchingRateMatrix,
-                    Violation, dump_model, load_model, model_from_dict,
-                    model_to_dict, validate)
+                    Violation, load_model, model_from_dict, model_to_dict,
+                    validate)
 from .chains import (ReducibleChainError, averaged_drift, averaged_hop_rates,
                      detailed_balance_report, generator_at, stationary_measure)
 from .eigensolver import (AssembledOperator, ConvergenceError, EigenCertificate,
@@ -24,7 +24,7 @@ from .hamiltonian import (HamiltonianTable, LagrangianTable, convexity_report,
 from .simulator import (ConcentrationReport, Trajectory, TrajectoryBatch,
                         batch_continuous, batch_discrete,
                         concentration_experiment, simulate_continuous,
-                        simulate_discrete, trajectory_rng)
+                        simulate_discrete)
 from .presets import PRESETS, get_preset
 
 __version__ = "0.1.0"

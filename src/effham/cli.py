@@ -64,6 +64,29 @@ def _integer(block: dict, key: str, where: str, default=None) -> int:
     return int(value)
 
 
+def _real(block: dict, key: str, where: str, default=None, *,
+          positive: bool = False) -> float:
+    """block[key] (or `default` when absent) as a finite float, and > 0 when
+    `positive`; a bool or a string is rejected."""
+    value = block.get(key, default)
+    if value is None:
+        raise ConfigError(f'{where} is missing "{key}"')
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value) or (positive and value <= 0):
+        kind = "a positive finite" if positive else "a finite"
+        raise ConfigError(f'{where}: "{key}" must be {kind} number, '
+                          f"got {value!r}")
+    return float(value)
+
+
+def _sample_count(block: dict, where: str, default=None) -> int:
+    """The "count" of a momentum sweep: an integer, at least 3."""
+    count = _integer(block, "count", where, default)
+    if count < 3:
+        raise ConfigError(f'{where}: "count" must be at least 3, got {count}')
+    return count
+
+
 def load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
@@ -139,16 +162,14 @@ def _certificates_json(table: ham.HamiltonianTable) -> dict:
 def _run_sweep(model, block: dict) -> ham.HamiltonianTable:
     where = '"sweep" block'
     _check_keys(block, _SWEEP_KEYS, where)
-    try:
-        p_min = float(block["p_min"])
-        p_max = float(block["p_max"])
-    except KeyError as exc:
-        raise ConfigError(f'"sweep" block is missing {exc}') from exc
-    return ham.sweep(model, p_min, p_max, _integer(block, "count", where),
+    p_min, p_max = _real(block, "p_min", where), _real(block, "p_max", where)
+    if not p_max > p_min:
+        raise ConfigError(f'{where}: "p_max" must be greater than "p_min"')
+    return ham.sweep(model, p_min, p_max, _sample_count(block, where),
                      regime=block.get("regime"),
                      N=_integer(block, "N", where, 128),
-                     tol=float(block.get("tol", 1e-10)),
-                     gamma=float(block.get("gamma", 1.0)))
+                     tol=_real(block, "tol", where, 1e-10, positive=True),
+                     gamma=_real(block, "gamma", where, 1.0, positive=True))
 
 
 def cmd_sweep(cfg: dict, model, outdir: Path) -> int:
@@ -166,15 +187,16 @@ def cmd_sweep(cfg: dict, model, outdir: Path) -> int:
 
 def cmd_velocity(cfg: dict, model, outdir: Path) -> int:
     block = cfg.get("velocity", {})
-    _check_keys(block, _VELOCITY_KEYS, '"velocity" block')
-    N = _integer(block, "N", '"velocity" block', 128)
-    v, err = ham.velocity_of_model(model, regime=block.get("regime"),
-                                   delta=float(block.get("delta", 1e-3)),
-                                   N=N, tol=float(block.get("tol", 1e-10)),
-                                   gamma=float(block.get("gamma", 1.0)))
+    where = '"velocity" block'
+    _check_keys(block, _VELOCITY_KEYS, where)
+    N = _integer(block, "N", where, 128)
+    delta = _real(block, "delta", where, 1e-3, positive=True)
+    v, err = ham.velocity_of_model(
+        model, regime=block.get("regime"), delta=delta, N=N,
+        tol=_real(block, "tol", where, 1e-10, positive=True),
+        gamma=_real(block, "gamma", where, 1.0, positive=True))
     _write_json(outdir / "velocity.json",
-                {"velocity": v, "error_estimate": err,
-                 "delta": float(block.get("delta", 1e-3)), "N": N})
+                {"velocity": v, "error_estimate": err, "delta": delta, "N": N})
     return EXIT_OK
 
 
@@ -183,14 +205,13 @@ def cmd_legendre(cfg: dict, model, outdir: Path) -> int:
     block = cfg.get("legendre")
     if sweep_block is None or block is None:
         raise ConfigError('legendre command needs "sweep" and "legendre" blocks')
-    _check_keys(block, _LEGENDRE_KEYS, '"legendre" block')
-    try:
-        v_grid = np.linspace(float(block["v_min"]), float(block["v_max"]),
-                             _integer(block, "count", '"legendre" block'))
-    except KeyError as exc:
-        raise ConfigError(f'"legendre" block is missing {exc}') from exc
-    if len(v_grid) == 0:
+    where = '"legendre" block'
+    _check_keys(block, _LEGENDRE_KEYS, where)
+    v_min, v_max = _real(block, "v_min", where), _real(block, "v_max", where)
+    count = _integer(block, "count", where)
+    if count < 1:
         raise ConfigError("empty velocity grid")
+    v_grid = np.linspace(v_min, v_max, count)
     table = _run_sweep(model, sweep_block)
     table.to_csv(outdir / "hamiltonian.csv")
     if table.failures:
@@ -212,25 +233,26 @@ def cmd_simulate(cfg: dict, model, outdir: Path,
         raise ConfigError("stochastic command needs a seed (config or --seed)")
     seed = (seed_override if seed_override is not None
             else _integer(block, "seed", where))
-    try:
-        scales = [float(s) for s in block["scales"]]
-        T = float(block["T"])
-    except KeyError as exc:
-        raise ConfigError(f'"simulate" block is missing {exc}') from exc
+    if "scales" not in block:
+        raise ConfigError(f'{where} is missing "scales"')
+    scales = [float(s) for s in block["scales"]]
+    T = _real(block, "T", where, positive=True)
     paths = _integer(block, "paths", where)
     solver_n = _integer(block, "N", where, 128)
-    if not scales or paths < 1 or not 0 < T < math.inf:
+    if not scales or paths < 1:
         raise ConfigError("simulate block has an empty or invalid range")
-    dt_factor = float(block.get("dt_factor", simulator.DT_FACTOR))
+    dt_factor = _real(block, "dt_factor", where, simulator.DT_FACTOR,
+                      positive=True)
     try:
         simulator.experiment_scales(model, scales, dt_factor)
     except ValueError as exc:
         raise ConfigError(f'"simulate" block: {exc}') from exc
-    gamma = float(block.get("gamma", 1.0))
+    gamma = _real(block, "gamma", where, 1.0, positive=True)
+    predicted_v = (None if block.get("predicted_v") is None
+                   else _real(block, "predicted_v", where))
     report = simulator.concentration_experiment(
-        model, scales, T, paths, seed,
-        predicted_v=block.get("predicted_v"), dt_factor=dt_factor, gamma=gamma,
-        solver_n=solver_n)
+        model, scales, T, paths, seed, predicted_v=predicted_v,
+        dt_factor=dt_factor, gamma=gamma, solver_n=solver_n)
     report.to_csv(outdir / "summary.csv")
     if block.get("dump_trajectories", False):
         for row in report.rows:
@@ -250,10 +272,10 @@ def cmd_check(cfg: dict, model, outdir: Path) -> int:
     where = '"check" block'
     _check_keys(block, _CHECK_KEYS, where)
     N = _integer(block, "N", where, 128)
-    tol = float(block.get("tol", 1e-10))
-    gamma = float(block.get("gamma", 1.0))
-    p_max = float(block.get("p_max", 2.0))
-    count = _integer(block, "count", where, 21)
+    tol = _real(block, "tol", where, 1e-10, positive=True)
+    gamma = _real(block, "gamma", where, 1.0, positive=True)
+    p_max = _real(block, "p_max", where, 2.0, positive=True)
+    count = _sample_count(block, where, 21)
     grid = _integer(block, "grid", where, 256)
     regime = block.get("regime")
 

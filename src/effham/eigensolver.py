@@ -126,22 +126,6 @@ class AssembledOperator:
         M[idx[:, :, None], idx[:, None, :]] += self.blocks
         return M
 
-    def row_state(self, row: int) -> tuple:
-        """Map a matrix row to its (space index, chemical state)."""
-        return row % self.n_space, row // self.n_space
-
-    def row_index(self, space: int, state: int = 0) -> int:
-        return state * self.n_space + space
-
-    def dump(self, path) -> None:
-        """Coordinate-triplet text dump (row, col, value) of nonzero entries."""
-        M = self.matrix
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# row col value\n")
-            rows, cols = np.nonzero(M)
-            for r, c in zip(rows, cols):
-                fh.write(f"{r} {c} {M[r, c]:.17g}\n")
-
 
 @dataclass(frozen=True)
 class EigenCertificate:
@@ -278,10 +262,16 @@ class TiltedGenerator:
 
 def cell_operator(model: Model, regime: str, *, N: int = 128,
                   gamma: float = 1.0) -> TiltedGenerator:
-    """The momentum-free cell operator of `model` in `regime` ("I" or "II")."""
+    """The momentum-free cell operator of `model` in `regime` ("I" or "II").
+
+    `gamma` scales the switching rates of regime I; gamma -> infinity is the
+    fast-switching regime II, which has no switching block to scale.
+    """
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma = {gamma} must be positive and finite")
     if isinstance(model, ContinuousModel):
         if regime == "I":
-            return _continuous_I(model, N)
+            return _continuous_I(model, N, gamma)
         return _continuous_II(model, N)
     if isinstance(model, DiscreteModel):
         if regime == "I":
@@ -355,7 +345,8 @@ def _continuous_metadata(model: ContinuousModel, N: int, regime: str) -> dict:
             "regime": regime}
 
 
-def _continuous_I(model: ContinuousModel, N: int) -> TiltedGenerator:
+def _continuous_I(model: ContinuousModel, N: int,
+                  gamma: float) -> TiltedGenerator:
     dim, J = model.dim, model.J
     h, pts = _continuous_grid(model, N)
     fac = 1.0 / (2.0 * h * h)
@@ -371,10 +362,11 @@ def _continuous_I(model: ContinuousModel, N: int) -> TiltedGenerator:
             tilt = float(psi.slope[a]) * 0.5 * h
             up[i, a] = fac * np.exp(-2.0 * ((mids - vals) + tilt))
             down[i, a] = fac * np.exp(-2.0 * ((mids[downs[a]] - vals) - tilt))
-    switching = np.moveaxis(model.rates.values(pts), 0, -1)
+    switching = gamma * np.moveaxis(model.rates.values(pts), 0, -1)
     drift = np.stack([psi.gradients(pts) for psi in model.potentials])
     return TiltedGenerator("continuous_I", up, down, switching, N, h, drift,
-                           _continuous_metadata(model, N, "I"))
+                           {**_continuous_metadata(model, N, "I"),
+                            "gamma": gamma})
 
 
 def _continuous_II(model: ContinuousModel, N: int) -> TiltedGenerator:

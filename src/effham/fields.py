@@ -4,11 +4,11 @@ A field evaluates as
 
     f(y) = slope . y + sum_k [ a_k cos(2 pi k.y / L) + b_k sin(2 pi k.y / L) ]
 
-with integer wave vectors k and period L per axis.  Gradients and Laplacians
-are analytic derivatives of the series, so derivative evaluations carry no
-discretization error.  The affine part is stored separately: it represents a
-constant external force and is well defined on the torus through its local
-increments even though it is not periodic itself.
+with integer wave vectors k and period L per axis.  Gradients are analytic
+derivatives of the series, so they carry no discretization error.  The affine
+part is stored separately: it represents a constant external force and is
+well defined on the torus through its local increments even though it is not
+periodic itself.
 """
 
 from __future__ import annotations
@@ -96,20 +96,11 @@ class PeriodicScalarField:
             raise ValueError(f"point of dim {y.shape} passed to field of dim {self.dim}")
         return y
 
-    def __call__(self, y) -> float:
-        return self.value(y)
-
     def value(self, y) -> float:
         return float(self._values(self._check_point(y)[None])[0])
 
     def gradient(self, y) -> np.ndarray:
         return self._gradients(self._check_point(y)[None])[0]
-
-    def laplacian(self, y) -> float:
-        omegas, cos_amps, sin_amps = self._modes
-        phase = self._phases(self._check_point(y)[None])
-        amp = cos_amps * np.cos(phase) + sin_amps * np.sin(phase)
-        return float(-np.sum(np.sum(omegas ** 2, axis=0) * amp))
 
     # -- vectorized grid evaluation ---------------------------------------------
     #
@@ -202,11 +193,11 @@ def grid_points(dim: int, n_per_axis: int, period: float = 1.0) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def sampling_resolution(fields: Iterable[PeriodicScalarField],
-                        minimum: int = 64, factor: int = 4) -> int:
-    """Sampling density that resolves every field: `factor` points per highest mode."""
+def sampling_resolution(fields: Iterable[PeriodicScalarField]) -> int:
+    """Sampling density that resolves every field: 4 points per highest
+    mode, and at least 64."""
     band = max((f.max_band for f in fields), default=0)
-    return max(minimum, factor * (band + 1))
+    return max(64, 4 * (band + 1))
 
 
 def field_from_function(fn, period: float = 1.0, samples: int = 512,

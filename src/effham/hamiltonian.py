@@ -30,11 +30,11 @@ _EXTRAPOLATION_SAMPLES = 5
 
 
 def hamiltonian_at(model: Model, p, regime: Optional[str] = None, *,
-                   N: int = 128, tol: float = 1e-10, gamma: float = 1.0,
-                   max_iter: int = 10 ** 6) -> tuple:
+                   N: int = 128, tol: float = 1e-10,
+                   gamma: float = 1.0) -> tuple:
     """H(p) with its eigen certificate.  Deterministic given (model, p, N, tol)."""
     op = cell_operator(model, regime or model.regime, N=N, gamma=gamma)
-    cert = principal_eigenpair(op.at(p), tol=tol, max_iter=max_iter)
+    cert = principal_eigenpair(op.at(p), tol=tol)
     return cert.eigenvalue, cert
 
 
@@ -107,8 +107,8 @@ def _cw_gap(op, g: np.ndarray) -> float:
     return upper - lower
 
 
-def _solve_outward(at, momenta: np.ndarray, origin: int, *, tol: float,
-                   max_iter: int = 10 ** 6) -> tuple:
+def _solve_outward(at, momenta: np.ndarray, origin: int, *,
+                   tol: float) -> tuple:
     """Solve `principal_eigenpair(at(momenta[k]))` for every k, outward from
     `origin` to both ends.  Returns (certificates, start labels, failures):
     a failed sample has certificate None and its exception in `failures`.
@@ -154,8 +154,7 @@ def _solve_outward(at, momenta: np.ndarray, origin: int, *, tol: float,
                 if (np.all(guess > 0)
                         and _cw_gap(op, guess) < _cw_gap(op, start)):
                     start, starts[k] = guess, f"extrapolated:{len(chain)}"
-            certs[k] = principal_eigenpair(op, tol=tol, max_iter=max_iter,
-                                           start=start)
+            certs[k] = principal_eigenpair(op, tol=tol, start=start)
         except Exception as exc:   # recorded per sample
             failures[k] = exc
         else:
@@ -165,8 +164,7 @@ def _solve_outward(at, momenta: np.ndarray, origin: int, *, tol: float,
 
 def sweep(model: Model, p_min: float, p_max: float, count: int,
           regime: Optional[str] = None, *, N: int = 128, tol: float = 1e-10,
-          gamma: float = 1.0, max_iter: int = 10 ** 6,
-          axis: int = 0) -> HamiltonianTable:
+          gamma: float = 1.0, axis: int = 0) -> HamiltonianTable:
     """Tabulate H over a uniform momentum grid; p = 0 is always included.
 
     The cell operator is built once and every sample tilts it.  The solve
@@ -213,7 +211,7 @@ def sweep(model: Model, p_min: float, p_max: float, count: int,
     else:
         certs, starts, errors = _solve_outward(
             lambda t: op.at(momentum_of(t)), grid,
-            int(np.flatnonzero(grid == 0.0)[0]), tol=tol, max_iter=max_iter)
+            int(np.flatnonzero(grid == 0.0)[0]), tol=tol)
         failures = {k: f"{type(exc).__name__}: {exc}"
                     for k, exc in errors.items()}
     values = np.array([np.nan if c is None else c.eigenvalue for c in certs])

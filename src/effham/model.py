@@ -64,25 +64,23 @@ class SwitchingRateMatrix:
         object.__setattr__(self, "entries", rows)
 
     def rate(self, i: int, j: int, y) -> float:
-        if i == j or self.entries[i][j] is None:
-            return 0.0
-        return float(_snapped(self.entries[i][j], self.entries[i][j].value(y)))
+        return float(self.rates_at(y)[i, j])
 
     def rates_at(self, y) -> np.ndarray:
-        """Full J x J rate matrix at a point (diagonal zero)."""
-        R = np.zeros((self.J, self.J))
-        for i in range(self.J):
-            for j in range(self.J):
-                if i != j:
-                    R[i, j] = self.rate(i, j, y)
-        return R
+        """Full J x J rate matrix at a point (diagonal zero): one row of
+        `values`."""
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        if any(y.shape != (f.dim,) for f in self.iter_fields()):
+            raise ValueError(f"point of dim {y.shape} does not match the "
+                             "rate fields")
+        return self.values(y[None])[0]
 
     def values(self, points) -> np.ndarray:
         """(n, J, J) rate matrices at an (n, d) array of points (diagonal zero).
 
         A sample within its field's evaluation round-off of zero is exactly
-        0 (as in `rate`), so a rate field that touches zero vanishes there
-        whatever the sign of its round-off."""
+        0, so a rate field that touches zero vanishes there whatever the
+        sign of its round-off."""
         pts = np.asarray(points, dtype=float)
         R = np.zeros((len(pts), self.J, self.J))
         for i, j in np.ndindex(self.J, self.J):
@@ -366,9 +364,3 @@ def load_model(path) -> Model:
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"invalid JSON in {path}: {exc}") from exc
     return model_from_dict(obj)
-
-
-def dump_model(model: Model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -51,21 +51,15 @@ _RECORDS = 256      # strided records per continuous path (plus switches)
 _KINDS = ("standard_normal", "standard_exponential", "random")
 
 
-def trajectory_rng(base_seed: int, index: int = 0) -> np.random.Generator:
-    """Philox stream for one trajectory, derived from (base seed, index)."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence((int(base_seed), int(index)))))
-
-
 class _Streams:
     """The Philox streams of a run's paths, one per kind of draw (a
     `Generator` method name in `_KINDS`).
 
-    Kind j of path k reads its own stream, seeded by child j of the seed
-    sequence of `trajectory_rng(seed, k)`, so a path's draws depend neither
-    on the other paths in the run nor on the block size.  A stepper builds
-    each kind's streams once (about 40 us a stream) and reads each of them
-    once, whatever the number of scales it runs.
+    Kind j of path k reads its own stream, seeded by child j of
+    `SeedSequence((seed, k))`, so a path's draws depend neither on the other
+    paths in the run nor on the block size.  A stepper builds each kind's
+    streams once (about 40 us a stream) and reads each of them once,
+    whatever the number of scales it runs.
     """
 
     def __init__(self, seed: int, indices: Sequence[int]):
@@ -200,36 +194,20 @@ class Trajectory:
 
 
 class _Records:
-    """(t, x, i) records of a batch's paths, added in time order.
-
-    Records are kept in the chunks they were added in (states copied into
-    the narrowest integer type that holds J - 1; times and positions as
-    given, so callers must not change those arrays in place afterwards) and
-    split by path at the end one field at a time, so that at most one field
-    is held twice.  With `n`, positions are added as int32 sites m of the
-    1/n lattice and become m / n at the split.
+    """(t, x, i) records of a run's paths, logged in time order as chunks
+    (rows, t, x, i) and split by path at the end.  With `n`, positions are
+    lattice sites m of the 1/n lattice and become m / n at the split.
     """
 
-    def __init__(self, paths: int, J: int, n: Optional[int] = None):
-        self._rows: list = []
-        self._fields: tuple = ([], [], [])      # t, x, i chunks
-        # per field: the type it is gathered in, and its per-path array
-        self._columns = (
-            (float, lambda part: part.astype(float)),
-            (float, lambda part: part.astype(float)) if n is None
-            else (np.int32, lambda part: part / n),
-            (np.min_scalar_type(J - 1), lambda part: part.astype(int)))
-        self._counts = np.zeros(paths, dtype=np.intp)
+    def __init__(self, paths: int, n: Optional[int] = None):
+        self._log: list = []
+        self._n = n
         self._last = np.full(paths, -math.inf)
 
     def add(self, rows: np.ndarray, t, x, i) -> None:
-        if len(rows):
-            self._rows.append(rows)
-            for chunks, value in zip(self._fields, (
-                    t, x, np.array(i, dtype=self._columns[2][0]))):
-                chunks.append(value)
-            self._counts[rows] += 1
-            self._last[rows] = t
+        # `i` is copied: the continuous stepper changes its states in place
+        self._log.append(np.broadcast_arrays(rows, t, x, np.array(i)))
+        self._last[rows] = t
 
     def end(self, rows: np.ndarray, T: float, x: np.ndarray,
             i: np.ndarray) -> None:
@@ -239,20 +217,15 @@ class _Records:
 
     def trajectories(self, *, seed: int, scale: float,
                      kind: str) -> List[Trajectory]:
-        ends = np.cumsum(self._counts)
-        per_path = []
-        for chunks, (kept, path_array) in zip(self._fields, self._columns):
-            column = np.empty(ends[-1], dtype=kept)
-            fill = ends - self._counts
-            chunks.reverse()
-            for rows in self._rows:
-                column[fill[rows]] = chunks.pop()
-                fill[rows] += 1
-            per_path.append([path_array(column[a:b])
-                             for a, b in zip(ends - self._counts, ends)])
+        rows, t, x, i = (np.concatenate(chunks) for chunks in zip(*self._log))
+        order = np.argsort(rows, kind="stable")
+        cuts = np.cumsum(np.bincount(rows, minlength=len(self._last)))[:-1]
+        t, x, i = (np.split(column[order], cuts) for column in (t, x, i))
+        if self._n is not None:
+            x = [xk / self._n for xk in x]
         return [Trajectory(seed=seed, scale=scale, times=tk, positions=xk,
                            states=ik, kind=kind)
-                for tk, xk, ik in zip(*per_path)]
+                for tk, xk, ik in zip(t, x, i)]
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +309,11 @@ def _lattice_scale(n) -> int:
     return int(n)
 
 
-def _check_run(model: Model, T: float, i0: int) -> None:
+def _check_run(model: Model, T: float, gamma: float, i0: int) -> None:
     if not 0 < T < math.inf:
         raise ValueError(f"T = {T} must be positive and finite")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma = {gamma} must be positive and finite")
     if not 0 <= i0 < model.J:
         raise ValueError(f"initial state {i0} out of range")
 
@@ -357,7 +332,7 @@ def _continuous_paths(model: ContinuousModel,
     """
     if model.dim != 1:
         raise NotImplementedError("trajectory sampling is implemented for d = 1")
-    _check_run(model, T, i0)
+    _check_run(model, T, gamma, i0)
     paths = len(streams.indices)
     normal = None if freeze_position else _Lockstep(
         streams.draws(_KINDS[0]), len(scales))
@@ -436,7 +411,7 @@ def _continuous_trajectories(model: ContinuousModel, eps: float, T: float,
                              dt: Optional[float], streams: _Streams,
                              **options) -> List[Trajectory]:
     """The paths of `streams` at one scale, with their records."""
-    records = _Records(len(streams.indices), model.J)
+    records = _Records(len(streams.indices))
     _continuous_paths(model, [_continuous_scale(eps, dt)], T, streams,
                       records=records, **options)
     return records.trajectories(seed=streams.seed, scale=eps, kind="continuous")
@@ -472,7 +447,7 @@ def _discrete_paths(model: DiscreteModel, ns: Sequence[int], T: float,
     `records`, for a run of one n, collects every row's (t, site, i)
     records, row k being path k.
     """
-    _check_run(model, T, i0)
+    _check_run(model, T, gamma, i0)
     paths = len(streams.indices)
     exponential, uniform = (_Lockstep(streams.draws(kind), len(ns))
                             for kind in _KINDS[1:])
@@ -518,7 +493,7 @@ def _discrete_trajectories(model: DiscreteModel, n: int, T: float,
                            streams: _Streams, **options) -> List[Trajectory]:
     """The paths of `streams` at one lattice refinement, with their records."""
     n = _lattice_scale(n)
-    records = _Records(len(streams.indices), model.J, n)
+    records = _Records(len(streams.indices), n)
     _discrete_paths(model, [n], T, streams, records=records, **options)
     return records.trajectories(seed=streams.seed, scale=float(n),
                                 kind="discrete")
@@ -630,8 +605,7 @@ def concentration_experiment(model: Model, scales: Sequence[float], T: float,
                              paths: int, base_seed: int,
                              predicted_v: Optional[float] = None, *,
                              dt_factor: float = DT_FACTOR, gamma: float = 1.0,
-                             solver_n: int = 128,
-                             solver_tol: float = 1e-10) -> ConcentrationReport:
+                             solver_n: int = 128) -> ConcentrationReport:
     """Empirical-velocity concentration against the eigenvalue prediction.
 
     Scales are epsilon values (continuous, decreasing) or lattice refinements n
@@ -645,8 +619,7 @@ def concentration_experiment(model: Model, scales: Sequence[float], T: float,
     runs = experiment_scales(model, scales, dt_factor)
     if predicted_v is None:
         from .hamiltonian import velocity_of_model
-        predicted_v, _ = velocity_of_model(model, N=solver_n, tol=solver_tol,
-                                           gamma=gamma)
+        predicted_v, _ = velocity_of_model(model, N=solver_n, gamma=gamma)
     stepper = (_continuous_paths if isinstance(model, ContinuousModel)
                else _discrete_paths)
     ends = stepper(model, runs, T, _Streams(base_seed, range(paths)),

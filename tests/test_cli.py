@@ -206,6 +206,48 @@ def test_non_integer_config_value_exits_2(tmp_path, caplog, monkeypatch,
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command,key,value,rule", [
+    ("sweep", "p_min", math.nan, "a finite number"),
+    ("sweep", "p_max", "1.0", "a finite number"),
+    ("sweep", "p_max", -2.0, 'greater than "p_min"'),
+    ("sweep", "count", 2, "at least 3"),
+    ("sweep", "tol", math.nan, "a positive finite number"),
+    ("sweep", "gamma", -1.0, "a positive finite number"),
+    ("sweep", "gamma", True, "a positive finite number"),
+    ("legendre", "v_max", math.inf, "a finite number"),
+    ("velocity", "delta", -0.001, "a positive finite number"),
+    ("velocity", "tol", 0.0, "a positive finite number"),
+    ("check", "p_max", -1.0, "a positive finite number"),
+    ("check", "count", 2, "at least 3"),
+    ("check", "gamma", "2", "a positive finite number"),
+    ("simulate", "gamma", -1.0, "a positive finite number"),
+    ("simulate", "T", -0.5, "a positive finite number"),
+    ("simulate", "dt_factor", math.nan, "a positive finite number"),
+    ("simulate", "predicted_v", math.inf, "a finite number"),
+])
+def test_bad_real_config_value_exits_2(tmp_path, caplog, monkeypatch,
+                                       command, key, value, rule):
+    """Real-valued keys are checked like the integer ones: a value that is
+    not finite (or not positive, where the key needs it), a bool or a
+    string, too few sweep samples and an empty momentum range exit 2,
+    naming the block and key, before any solve or stream."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(simulator, "_Streams", refuse)
+    monkeypatch.setattr(cli.ham, "sweep", refuse)
+    monkeypatch.setattr(cli.ham, "velocity_of_model", refuse)
+    blocks = {"sweep": {"p_min": -1.0, "p_max": 1.0, "count": 5},
+              "legendre": {"v_min": -1.0, "v_max": 1.0, "count": 5},
+              "simulate": {"scales": [10, 20], "T": 0.5, "paths": 10, "seed": 1}}
+    blocks[command] = {**blocks.get(command, {}), key: value}
+    out = tmp_path / "out"
+    assert main([command, "--preset", "discrete_asymmetric", "--config",
+                 write_config(tmp_path, blocks), "--out", str(out)]) == 2
+    assert f'"{command}" block: "{key}" must be {rule}' in caplog.text
+    assert not any(out.iterdir())
+
+
 def test_check_detailed_balance_preset(tmp_path):
     out = tmp_path / "out"
     assert main(["check", "--preset", "detailed_balance_pair",

@@ -155,6 +155,14 @@ def test_assembled_operators_are_metzler(rng):
         assert np.min(off) >= 0.0
 
 
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+def test_bad_gamma_raises(gamma, rng):
+    for model in (random_continuous_model(rng), random_discrete_model(rng)):
+        for regime in ("I", "II"):
+            with pytest.raises(ValueError, match="gamma"):
+                cell_operator(model, regime, N=16, gamma=gamma)
+
+
 def test_peclet_error_names_minimal_n():
     m = constant_drift(40.0)
     with pytest.raises(PecletError) as info:
@@ -644,23 +652,3 @@ def test_cw_sandwich_property(seed):
     lo, up = collatz_wielandt_bounds(M, g)
     assert lo <= lam + 1e-10
     assert up >= lam - 1e-10
-
-
-def test_operator_dump(tmp_path, rng):
-    m = random_discrete_model(rng, ell=3, J=2)
-    op = assemble_discrete_I(m, 0.5)
-    path = tmp_path / "op.txt"
-    op.dump(path)
-    rebuilt = np.zeros(op.shape)
-    for line in path.read_text().splitlines()[1:]:
-        r, c, v = line.split()
-        rebuilt[int(r), int(c)] = float(v)
-    np.testing.assert_allclose(rebuilt, op.matrix, rtol=1e-15)
-
-
-def test_row_state_roundtrip(rng):
-    m = random_discrete_model(rng, ell=4, J=3)
-    op = assemble_discrete_I(m, 0.2)
-    for row in range(op.shape[0]):
-        space, state = op.row_state(row)
-        assert op.row_index(space, state) == row

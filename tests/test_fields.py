@@ -21,16 +21,6 @@ def fd_gradient(field, y, h):
     return out
 
 
-def fd_laplacian(field, y, h):
-    y = np.asarray(y, dtype=float)
-    total = 0.0
-    for a in range(field.dim):
-        e = np.zeros(field.dim)
-        e[a] = h
-        total += (field.value(y + e) - 2 * field.value(y) + field.value(y - e)) / h**2
-    return total
-
-
 def test_zero_field():
     f = PeriodicScalarField(dim=1)
     assert f.value([0.37]) == 0.0
@@ -73,12 +63,11 @@ def test_second_order_fd_ratio():
     assert 50 < ratio < 200
 
 
-def test_dim2_gradient_and_laplacian():
+def test_dim2_gradient():
     f = PeriodicScalarField(dim=2, fourier_coeffs=(((1, 0), 0.5, 0.0),
                                                    ((1, 2), 0.2, -0.3)))
     y = [0.21, 0.64]
     np.testing.assert_allclose(f.gradient(y), fd_gradient(f, y, 1e-5), atol=1e-8)
-    assert f.laplacian(y) == pytest.approx(fd_laplacian(f, y, 1e-4), abs=1e-5)
 
 
 def test_dimension_mismatch_raises():

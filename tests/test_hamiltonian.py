@@ -448,3 +448,16 @@ def test_lagrangian_csv_format(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "v,L,pstar,boundary_flag"
     assert lines[1].endswith(",0")
+
+
+def test_continuous_time_scale_separation():
+    """Criterion 5 for a continuous model: gamma scales the regime-I
+    switching rates, so H_gamma approaches the regime-II Hamiltonian as
+    gamma grows."""
+    model = random_continuous_model(np.random.default_rng(3), J=2)
+    for p in (-1.0, 0.5, 1.0):
+        hbar, _ = hamiltonian_at(model, p, "II", N=128)
+        diffs = [abs(hamiltonian_at(model, p, "I", N=128, gamma=g)[0] - hbar)
+                 for g in (10.0, 100.0, 1000.0)]
+        assert diffs[0] > diffs[1] > diffs[2], (p, diffs)
+        assert diffs[2] <= 2e-3, (p, diffs)

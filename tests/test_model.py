@@ -61,6 +61,21 @@ def test_one_way_coupling_is_reducible():
     assert any(v.kind == "reducible_coupling" for v in validate(m))
 
 
+def test_rates_at_equals_each_field_and_checks_the_point(rng):
+    """`rates_at` is one row of `values`: bit for bit each rate field's own
+    `value`, zero on the diagonal; a point of the wrong dimension raises
+    instead of being reshaped."""
+    model = random_continuous_model(rng, J=3)
+    for y in rng.uniform(-2.0, 2.0, size=5):
+        R = model.rates.rates_at([y])
+        for i, j in np.ndindex(3, 3):
+            entry = model.rates.entries[i][j]
+            assert R[i, j] == (0.0 if i == j else entry.value([y]))
+            assert model.rates.rate(i, j, [y]) == R[i, j]
+    with pytest.raises(ValueError, match="dim"):
+        model.rates.rates_at([0.1, 0.2])
+
+
 def test_constructor_shape_errors():
     with pytest.raises(ValueError):
         DiscreteModel(ell=1, J=1, hop_rates_plus=np.ones((1, 1)),

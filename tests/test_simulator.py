@@ -1,5 +1,6 @@
 """Trajectory sampling: exactness oracles and statistical self-consistency."""
 
+import hashlib
 import itertools
 import math
 
@@ -165,6 +166,35 @@ def test_concentration_golden_pin():
     assert [(r.mean_v, r.sd) for r in cont.rows + disc.rows] == [
         (0.20037517523367207, 0.26745990811124687),
         (-0.0302734375, 0.5648641003134441)]
+
+
+def _records_digest(trajectories):
+    """sha256 over each path's times, positions and states, dtype included."""
+    digest = hashlib.sha256()
+    for tr in trajectories:
+        for column in (tr.times, tr.positions, tr.states):
+            digest.update(column.dtype.str.encode())
+            digest.update(column.tobytes())
+    return digest.hexdigest()
+
+
+def test_trajectory_records_golden_pin():
+    """Pins the records of a continuous path with switches, a frozen-position
+    path and a discrete batch, as computed before the record log was
+    rewritten; a change of stepper, streams or record rule must update them
+    on purpose."""
+    switching = simulate_continuous(two_state_flashing(), 0.1, 1.0, seed=5,
+                                    traj_index=2)
+    frozen = simulate_continuous(two_state_flashing(), 0.1, 2.0, seed=3,
+                                 freeze_position=True)
+    disc = batch_discrete(discrete_two_state(), 32, 1.0, 8,
+                          base_seed=9).trajectories
+    assert switching.switch_count > 0 and frozen.switch_count > 0
+    assert [_records_digest([switching]), _records_digest([frozen]),
+            _records_digest(disc)] == [
+        "0781cd635fd7e1739b2e22a14d8eee488197f756fdfa074c649fec71033f8bf5",
+        "ef9d1cf955ef1077a6c4cfcf0a029ef0bbe2f36606e73497f05b99b4a71d89e4",
+        "ed4826e92fabbd8dea2ffac7adb6a7b38c392a298de16c574aae826c9d3b56fb"]
 
 
 def three_state_table_model():
@@ -362,6 +392,17 @@ def test_concentration_discrete_uses_increasing_n():
     with pytest.raises(ValueError, match="monotonically"):
         concentration_experiment(discrete_asymmetric(), [50, 25], 1.0, 10,
                                  base_seed=1, predicted_v=1.0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+def test_bad_gamma_raises(gamma):
+    """A gamma <= 0 would leave the thinning clock unset (no switching at
+    all); every run rejects it, also with the prediction given."""
+    with pytest.raises(ValueError, match="gamma"):
+        concentration_experiment(two_state_flashing(), [0.1], 0.5, 4, 1,
+                                 predicted_v=0.0, gamma=gamma)
+    with pytest.raises(ValueError, match="gamma"):
+        batch_discrete(discrete_two_state(), 16, 0.5, 4, 1, gamma=gamma)
 
 
 def test_trajectory_csv(tmp_path):

@@ -1,9 +1,12 @@
 """Source-level rules for the library package."""
 
 import ast
+import time
 from pathlib import Path
 
 import effham
+from effham import hamiltonian
+from effham.presets import constant_drift
 
 
 def test_no_assert_statements():
@@ -101,3 +104,20 @@ def test_warm_starts_come_from_one_helper():
                                                 getattr(node.func, "attr", None))
                   and any(kw.arg == "start" for kw in node.keywords)]
     assert found == ["hamiltonian.py:_solve_outward"], found
+
+
+def test_benchmark_tracer_binds_the_library(monkeypatch):
+    """The benchmark's tracer wraps library functions and methods by name,
+    so deleting a name it binds fails here, not only in a traced run."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "bench"))
+    import tracing
+
+    tracer = tracing.Tracer(time.perf_counter)
+    tracer.install()
+    try:
+        hamiltonian.sweep(constant_drift(), -1.0, 1.0, 3, N=32)
+    finally:
+        tracer.uninstall()
+    assert any(span[0] == "eigensolver.principal_eigenpair"
+               for span in tracer.spans)
