@@ -52,15 +52,24 @@ def _check_keys(block: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
 
 
-def _integer(block: dict, key: str, where: str, default=None) -> int:
-    """block[key] (or `default` when absent) as an int; a bool, a string or
-    a number with a fractional part is rejected, not truncated."""
+def _number(value) -> bool:
+    """True for an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(block: dict, key: str, where: str, default=None, *,
+             at_least: int) -> int:
+    """block[key] (or `default` when absent) as an int of at least
+    `at_least`; a bool, a string or a number with a fractional part is
+    rejected, not truncated."""
     value = block.get(key, default)
     if value is None:
         raise ConfigError(f'{where} is missing "{key}"')
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not float(value).is_integer():
+    if not _number(value) or not float(value).is_integer():
         raise ConfigError(f'{where}: "{key}" must be an integer, got {value!r}')
+    if value < at_least:
+        raise ConfigError(f'{where}: "{key}" must be at least {at_least}, '
+                          f"got {value!r}")
     return int(value)
 
 
@@ -71,20 +80,12 @@ def _real(block: dict, key: str, where: str, default=None, *,
     value = block.get(key, default)
     if value is None:
         raise ConfigError(f'{where} is missing "{key}"')
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value) or (positive and value <= 0):
+    if not _number(value) or not math.isfinite(value) \
+            or (positive and value <= 0):
         kind = "a positive finite" if positive else "a finite"
         raise ConfigError(f'{where}: "{key}" must be {kind} number, '
                           f"got {value!r}")
     return float(value)
-
-
-def _sample_count(block: dict, where: str, default=None) -> int:
-    """The "count" of a momentum sweep: an integer, at least 3."""
-    count = _integer(block, "count", where, default)
-    if count < 3:
-        raise ConfigError(f'{where}: "count" must be at least 3, got {count}')
-    return count
 
 
 def load_config(path: Optional[str]) -> dict:
@@ -165,9 +166,10 @@ def _run_sweep(model, block: dict) -> ham.HamiltonianTable:
     p_min, p_max = _real(block, "p_min", where), _real(block, "p_max", where)
     if not p_max > p_min:
         raise ConfigError(f'{where}: "p_max" must be greater than "p_min"')
-    return ham.sweep(model, p_min, p_max, _sample_count(block, where),
+    return ham.sweep(model, p_min, p_max,
+                     _integer(block, "count", where, at_least=3),
                      regime=block.get("regime"),
-                     N=_integer(block, "N", where, 128),
+                     N=_integer(block, "N", where, 128, at_least=3),
                      tol=_real(block, "tol", where, 1e-10, positive=True),
                      gamma=_real(block, "gamma", where, 1.0, positive=True))
 
@@ -189,7 +191,7 @@ def cmd_velocity(cfg: dict, model, outdir: Path) -> int:
     block = cfg.get("velocity", {})
     where = '"velocity" block'
     _check_keys(block, _VELOCITY_KEYS, where)
-    N = _integer(block, "N", where, 128)
+    N = _integer(block, "N", where, 128, at_least=3)
     delta = _real(block, "delta", where, 1e-3, positive=True)
     v, err = ham.velocity_of_model(
         model, regime=block.get("regime"), delta=delta, N=N,
@@ -208,10 +210,8 @@ def cmd_legendre(cfg: dict, model, outdir: Path) -> int:
     where = '"legendre" block'
     _check_keys(block, _LEGENDRE_KEYS, where)
     v_min, v_max = _real(block, "v_min", where), _real(block, "v_max", where)
-    count = _integer(block, "count", where)
-    if count < 1:
-        raise ConfigError("empty velocity grid")
-    v_grid = np.linspace(v_min, v_max, count)
+    v_grid = np.linspace(v_min, v_max,
+                         _integer(block, "count", where, at_least=1))
     table = _run_sweep(model, sweep_block)
     table.to_csv(outdir / "hamiltonian.csv")
     if table.failures:
@@ -231,16 +231,17 @@ def cmd_simulate(cfg: dict, model, outdir: Path,
     _check_keys(block, _SIMULATE_KEYS, where)
     if seed_override is None and block.get("seed") is None:
         raise ConfigError("stochastic command needs a seed (config or --seed)")
-    seed = (seed_override if seed_override is not None
-            else _integer(block, "seed", where))
-    if "scales" not in block:
-        raise ConfigError(f'{where} is missing "scales"')
-    scales = [float(s) for s in block["scales"]]
+    seed = (_integer({"seed": seed_override}, "seed", "--seed", at_least=0)
+            if seed_override is not None
+            else _integer(block, "seed", where, at_least=0))
+    scales = block.get("scales")
+    if not (isinstance(scales, list) and scales and all(
+            _number(s) and math.isfinite(s) for s in scales)):
+        raise ConfigError(f'{where}: "scales" must be a non-empty array of '
+                          f"finite numbers, got {scales!r}")
     T = _real(block, "T", where, positive=True)
-    paths = _integer(block, "paths", where)
-    solver_n = _integer(block, "N", where, 128)
-    if not scales or paths < 1:
-        raise ConfigError("simulate block has an empty or invalid range")
+    paths = _integer(block, "paths", where, at_least=1)
+    solver_n = _integer(block, "N", where, 128, at_least=3)
     dt_factor = _real(block, "dt_factor", where, simulator.DT_FACTOR,
                       positive=True)
     try:
@@ -271,12 +272,12 @@ def cmd_check(cfg: dict, model, outdir: Path) -> int:
     block = cfg.get("check", {})
     where = '"check" block'
     _check_keys(block, _CHECK_KEYS, where)
-    N = _integer(block, "N", where, 128)
+    N = _integer(block, "N", where, 128, at_least=3)
     tol = _real(block, "tol", where, 1e-10, positive=True)
     gamma = _real(block, "gamma", where, 1.0, positive=True)
     p_max = _real(block, "p_max", where, 2.0, positive=True)
-    count = _sample_count(block, where, 21)
-    grid = _integer(block, "grid", where, 256)
+    count = _integer(block, "count", where, 21, at_least=3)
+    grid = _integer(block, "grid", where, 256, at_least=1)
     regime = block.get("regime")
 
     table = ham.sweep(model, -p_max, p_max, count, regime=regime, N=N, tol=tol,

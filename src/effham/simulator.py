@@ -6,32 +6,34 @@ jump times are exact in law and carry no O(dt) bias.  Discrete model: exact
 competing-clock simulation on the lifted lattice.  Positions live on the
 universal cover so displacement and empirical velocity are well defined.
 
-A run steps its rows together as numpy arrays, in lockstep.  A row is one
-(scale, path) pair: a concentration experiment runs all of its scales in one
-run, a batch or a single path runs one scale.  A scale's constants (eps,
-dt, sqrt(eps), the switching scale and the thinning bound; the discrete
-event rates) are per-row arrays built by the same scalar expressions as a
-run of that scale alone, so every row's floats are those of its own batch,
-bit for bit.  Every live row has taken the same number of array steps.  So
-the record stride is one scalar test, and a draw that every live row takes
-at every step (the Euler-Maruyama normal; the discrete model's exponential
-and uniform) is one column of a per-kind block of `_BLOCK` draws per path,
-which all rows of the path read; the block is refilled every `_BLOCK` steps
-and compacted when all rows of a path have finished.  Each continuous row
-keeps its own thinning clock, and its clock, accept and choice draws come
-from a per-path log of the path's stream, read with a cursor per row, since
-only the rows with a candidate in the step take them.  Drift and switching
+Paths are stepped in scale-free fast variables.  A continuous path at scale
+eps is X_t = eps Y_{t/eps}, where dY = -psi_i'(Y) ds + dW_s switches at
+gamma r_ij(Y): a stepper runs y = x/eps in the fast time s = t/eps with one
+fast step ds = dt/eps (1/dt_factor in an experiment, 1/DT_FACTOR by
+default), drift psi_i'(y) and the thinning bound 1.01 gamma max_i sum_j r_ij.
+A discrete path at refinement n is the n = 1 walk on sites m, read at
+x = m/n, t = s/n.  So a scale is a horizon of the fast process: T/eps or
+n T.  A stepper takes the increasing horizons of its run and steps one row
+per path until its last horizon; when a row's step passes an earlier
+horizon, the row writes its end there with a partial step from the step's
+start and the step's own normal, which is the last step a run to that
+horizon alone would take.  A concentration experiment thus costs the work
+of its finest scale, and its scales are horizons of one sample of paths,
+not independent samples.
+
+The rows of a run are numpy arrays stepped together, one array step per
+row at a time; rows drop out when they pass their last horizon.  Each path
+reads its own Philox streams (one per kind of draw, keyed by base seed and
+trajectory index), each once, in blocks of `_BLOCK` with a cursor per path.
+So `simulate_*` with `traj_index=k` reproduces path k of a batch bit for
+bit, whatever the batch and the block size, and each row of a concentration
+experiment equals the `batch_*` run of its scale whenever the batch's fast
+step dt/eps equals the experiment's in floating point.  Drift and switching
 rates come from state-indexed Fourier tables, padded with zero modes so that
 each row runs the same elementwise sums as its `PeriodicScalarField`; a
-row's drift columns change only when it jumps.
-
-Each path reads its own Philox streams (one per kind of draw, keyed by base
-seed and trajectory index) once per run, in blocks of `_BLOCK`, whatever the
-number of scales.  So `simulate_*` with `traj_index=k` reproduces path k of a
-batch bit for bit, whatever the batch and the block size, and each row of a
-concentration experiment equals the `batch_*` run of its scale.  A run
-returns each row's end position; (t, x, i) records and `Trajectory` objects
-are built only for `simulate_*` and `batch_*`.
+row's drift columns change only when it jumps.  (t, x, i) records and
+`Trajectory` objects are built only for `simulate_*` and `batch_*`, and
+close at exactly T; an experiment keeps each path's end at each horizon.
 """
 
 from __future__ import annotations
@@ -75,85 +77,24 @@ class _Streams:
 
 
 class _Draws:
-    """One kind of draw for any subset of a run's rows, each row reading its
-    path's stream at its own pace (row s * paths + k reads path k).
+    """One kind of draw for a run's paths, each path reading its stream at
+    its own pace: a (paths, `_BLOCK`) block with one cursor per path, whose
+    row p is refilled from path p's stream when p has read it all."""
 
-    A path's draws are logged in blocks of `_BLOCK`, drawn when one of its
-    rows reaches the end of the log, and every row keeps a cursor into its
-    path's log: rows of different scales read the same draws, and each
-    stream is read once.  A refill first drops the draws that every row of
-    the path has read, so a run of one scale keeps one block per path.
-    """
-
-    def __init__(self, draws: list, scales: int):
+    def __init__(self, draws: list):
         self._draw = draws
-        self._path = np.tile(np.arange(len(draws)), scales)   # path of each row
-        self._size = _BLOCK
-        self._log = np.empty((len(draws), self._size))
-        self._base = np.zeros(len(draws), dtype=np.intp)    # draw in column 0
-        self._filled = np.zeros(len(draws), dtype=np.intp)  # draws taken
-        self._cursor = np.zeros(len(self._path), dtype=np.intp)
+        self._block = np.empty((len(draws), _BLOCK))
+        self._next = np.full(len(draws), _BLOCK)    # next unread column
 
-    def __call__(self, rows: np.ndarray) -> np.ndarray:
-        """One draw for each row in `rows` (distinct row numbers)."""
-        path, cursor = self._path[rows], self._cursor[rows]
-        spent = (cursor == self._filled[path]).nonzero()[0]
-        for p, end in zip(path[spent].tolist(), cursor[spent].tolist()):
-            if self._filled[p] == end:      # no other row of p refilled it
-                self._refill(p)
-        self._cursor[rows] = cursor + 1
-        return self._log[path, cursor - self._base[path]]
-
-    def _refill(self, p: int) -> None:
-        read = int(self._cursor[p::len(self._draw)].min())  # by every row of p
-        kept = self._filled[p] - read
-        start = read - self._base[p]
-        self._log[p, :kept] = self._log[p, start:start + kept]
-        self._base[p] = read
-        if kept + self._size > self._log.shape[1]:
-            log = np.empty((len(self._draw), 2 * self._log.shape[1]))
-            log[:, :self._log.shape[1]] = self._log
-            self._log = log
-        self._draw[p](out=self._log[p, kept:kept + self._size])
-        self._filled[p] += self._size
-
-
-class _Lockstep:
-    """One kind of draw for every live row at once, valid while each live
-    row takes one draw per call: then every row has used the same number of
-    its path's draws, and a call returns one row of a (_BLOCK, live paths)
-    block, refilled every `_BLOCK` calls, read at each row's path column
-    (row s * paths + k reads path k)."""
-
-    def __init__(self, draws: list, scales: int):
-        self._draw = draws
-        self._paths = np.arange(len(draws))   # stream position of each column
-        self._column = np.tile(self._paths, scales)   # column of each live row
-        self._size = _BLOCK
-        self._block = None
-        self._next = self._size
-
-    def __call__(self) -> np.ndarray:
-        if self._next == self._size:
-            block = np.empty((len(self._paths), self._size))
-            for out, p in zip(block, self._paths):
-                self._draw[p](out=out)
-            self._block = block.T.copy()    # each call's row contiguous
-            self._next = 0
-        self._next += 1
-        return self._block[self._next - 1, self._column]
-
-    def keep(self, mask: np.ndarray) -> None:
-        """Drop the rows where `mask` is False (they have finished), and the
-        column of every path that has no row left."""
-        self._column = self._column[mask]
-        alive = np.zeros(len(self._paths), dtype=bool)
-        alive[self._column] = True
-        if not alive.all():
-            self._paths = self._paths[alive]
-            if self._next < self._size:
-                self._block = self._block[:, alive]
-            self._column = (np.cumsum(alive) - 1)[self._column]
+    def __call__(self, paths: np.ndarray) -> np.ndarray:
+        """One draw for each path in `paths` (distinct path numbers)."""
+        spent = paths[self._next[paths] == self._block.shape[1]]
+        for p in spent.tolist():
+            self._draw[p](out=self._block[p])
+        self._next[spent] = 0
+        column = self._next[paths]
+        self._next[paths] = column + 1
+        return self._block[paths, column]
 
 
 @dataclass(frozen=True)
@@ -194,35 +135,35 @@ class Trajectory:
 
 
 class _Records:
-    """(t, x, i) records of a run's paths, logged in time order as chunks
-    (rows, t, x, i) and split by path at the end.  With `n`, positions are
-    lattice sites m of the 1/n lattice and become m / n at the split.
-    """
+    """(t, x, i) records of a run's paths at one scale.  The stepper logs
+    them in its fast variables (s, y, i), in time order, as chunks
+    (paths, s, y, i); the split by path maps s and y to t and x with `slow`
+    and closes every path at exactly T."""
 
-    def __init__(self, paths: int, n: Optional[int] = None):
+    def __init__(self, paths: int, T: float, slow):
         self._log: list = []
-        self._n = n
+        self._T, self._slow = T, slow
         self._last = np.full(paths, -math.inf)
 
-    def add(self, rows: np.ndarray, t, x, i) -> None:
+    def add(self, paths: np.ndarray, s, y, i) -> None:
         # `i` is copied: the continuous stepper changes its states in place
-        self._log.append(np.broadcast_arrays(rows, t, x, np.array(i)))
-        self._last[rows] = t
+        self._log.append(np.broadcast_arrays(paths, s, y, np.array(i)))
+        self._last[paths] = s
 
-    def end(self, rows: np.ndarray, T: float, x: np.ndarray,
+    def end(self, paths: np.ndarray, horizon: float, y: np.ndarray,
             i: np.ndarray) -> None:
-        """Close the paths `rows` at T, unless their last record is at T."""
-        new = self._last[rows] != T
-        self.add(rows[new], T, x[new], i[new])
+        """Close `paths` at `horizon`, unless their last record is there."""
+        new = self._last[paths] != horizon
+        self.add(paths[new], horizon, y[new], i[new])
 
     def trajectories(self, *, seed: int, scale: float,
                      kind: str) -> List[Trajectory]:
-        rows, t, x, i = (np.concatenate(chunks) for chunks in zip(*self._log))
-        order = np.argsort(rows, kind="stable")
-        cuts = np.cumsum(np.bincount(rows, minlength=len(self._last)))[:-1]
-        t, x, i = (np.split(column[order], cuts) for column in (t, x, i))
-        if self._n is not None:
-            x = [xk / self._n for xk in x]
+        paths, s, y, i = (np.concatenate(chunks) for chunks in zip(*self._log))
+        order = np.argsort(paths, kind="stable")
+        cuts = np.cumsum(np.bincount(paths, minlength=len(self._last)))
+        t, x = self._slow(s[order]), self._slow(y[order])
+        t[cuts - 1] = self._T       # each path's last record is its close
+        t, x, i = (np.split(column, cuts[:-1]) for column in (t, x, i[order]))
         return [Trajectory(seed=seed, scale=scale, times=tk, positions=xk,
                            states=ik, kind=kind)
                 for tk, xk, ik in zip(t, x, i)]
@@ -288,18 +229,18 @@ def max_total_switching_rate(model: ContinuousModel) -> float:
         table, y, np.full(len(y), i)), axis=1))) for i in range(model.J))
 
 
-def _continuous_scale(eps: float,
-                      dt: Optional[float]) -> Tuple[float, float]:
-    """(eps, dt) of a continuous run: dt defaults to eps/DT_FACTOR and must
-    satisfy dt <= eps/10 so the fast variable x/eps is resolved."""
+def _fast_step(eps: float, dt: Optional[float]) -> float:
+    """The fast step ds = dt/eps of a continuous run at scale eps.  dt
+    defaults to eps/DT_FACTOR (ds = 1/DT_FACTOR) and must satisfy
+    dt <= eps/10 so the fast variable x/eps is resolved."""
     if not 0 < eps < math.inf:
         raise ValueError(f"eps = {eps} must be positive and finite")
     if dt is None:
-        dt = eps / DT_FACTOR
+        return 1.0 / DT_FACTOR
     if not 0 < dt <= eps / 10.0:
         raise ValueError(f"dt = {dt} must lie in (0, eps/10] to resolve the "
                          "fast variable")
-    return eps, dt
+    return dt / eps
 
 
 def _lattice_scale(n) -> int:
@@ -309,111 +250,116 @@ def _lattice_scale(n) -> int:
     return int(n)
 
 
-def _check_run(model: Model, T: float, gamma: float, i0: int) -> None:
-    if not 0 < T < math.inf:
-        raise ValueError(f"T = {T} must be positive and finite")
+def _check_run(model: Model, horizons: Sequence[float], gamma: float,
+               i0: int) -> np.ndarray:
+    """`horizons` as an array, after checking the run's arguments."""
+    horizons = np.asarray(horizons, dtype=float)
+    if not (horizons.size and 0 < horizons[0] and horizons[-1] < math.inf
+            and np.all(np.diff(horizons) > 0)):
+        raise ValueError(f"horizons {horizons.tolist()} (T/eps or n T) must "
+                         "be positive, finite and increasing")
     if not 0 < gamma < math.inf:
         raise ValueError(f"gamma = {gamma} must be positive and finite")
     if not 0 <= i0 < model.J:
         raise ValueError(f"initial state {i0} out of range")
+    return horizons
 
 
-def _continuous_paths(model: ContinuousModel,
-                      scales: Sequence[Tuple[float, float]], T: float,
-                      streams: _Streams, *, gamma: float = 1.0, i0: int = 0,
-                      freeze_position: bool = False,
+def _continuous_paths(model: ContinuousModel, horizons: Sequence[float],
+                      ds: float, streams: _Streams, *, gamma: float = 1.0,
+                      i0: int = 0, freeze_position: bool = False,
                       records: Optional[_Records] = None) -> np.ndarray:
-    """End positions (len(scales), paths) of the paths of `streams` at each
-    (eps, dt) of `scales`, as `_continuous_scale` returns them, advanced
-    together as (scale, path) rows.
-
-    `records`, for a run of one scale, collects every row's (t, x, i)
-    records, row k being path k.
-    """
+    """Fast positions y = x/eps (len(horizons), paths) of the paths of
+    `streams` at each fast horizon T/eps of `horizons` (increasing), each
+    path stepped once in fast steps ds = dt/eps; a step that passes a
+    horizon short of the last writes the end there by a partial step.
+    `records` collects every path's (s, y, i) records."""
     if model.dim != 1:
         raise NotImplementedError("trajectory sampling is implemented for d = 1")
-    _check_run(model, T, gamma, i0)
+    horizons = _check_run(model, horizons, gamma, i0)
+    last, ahead = horizons[-1], np.append(horizons, math.inf)
     paths = len(streams.indices)
-    normal = None if freeze_position else _Lockstep(
-        streams.draws(_KINDS[0]), len(scales))
-    exponential, uniform = (_Draws(streams.draws(kind), len(scales))
-                            for kind in _KINDS[1:])
-    # per row, the scalars of a run of its scale alone; the thinning bound
-    # has 1% headroom: the lattice max can sit slightly below the continuum sup
-    max_rate = max_total_switching_rate(model)
-    eps, dt, sqrt_eps, rate_scale, lam = (
-        np.repeat(column, paths) for column in zip(*(
-            (e, d, math.sqrt(e), gamma / e, 1.01 * (gamma / e) * max_rate)
-            for e, d in scales)))
+    normal = None if freeze_position else _Draws(streams.draws(_KINDS[0]))
+    exponential, uniform = (_Draws(streams.draws(kind)) for kind in _KINDS[1:])
+    # the thinning bound has 1% headroom: the lattice max can sit slightly
+    # below the continuum sup
+    lam = 1.01 * gamma * max_total_switching_rate(model)
     rates = _rate_table(model)
     potentials = _fourier_table(model.potentials)
     slopes = np.array([psi.slope[0] for psi in model.potentials])
 
-    live = np.arange(len(scales) * paths)   # row numbers of the running rows
-    t, x, ends = np.zeros(len(live)), np.zeros(len(live)), np.empty(len(live))
-    state = np.full(len(live), i0)
+    live = np.arange(paths)     # path numbers of the running rows
+    s, y = np.zeros(paths), np.zeros(paths)
+    due = np.zeros(paths, dtype=np.intp)    # index of each row's next horizon
+    ends = np.empty((len(horizons), paths))
+    state = np.full(paths, i0)
     columns, slope = potentials[:, :, state], slopes[state]
     if records is not None:
-        stride = max(1, math.ceil(T / scales[0][1]) // _RECORDS)
+        stride = max(1, math.ceil(last / ds) // _RECORDS)
         records.add(live, 0.0, 0.0, i0)
-    candidate = np.full(len(live), math.inf)
-    clocked = (lam > 0).nonzero()[0]
-    candidate[clocked] = exponential(clocked) / lam[clocked]
+    candidate = (exponential(live) / lam if lam > 0
+                 else np.full(paths, math.inf))
 
-    steps = 0                   # array steps taken, the same for every live row
+    steps = 0                   # array steps taken, the same for every row
     while live.size:
-        target = np.minimum(np.minimum(t + dt, candidate), T)
-        if normal is not None:
-            step = target - t
-            x = x + (sqrt_eps * np.sqrt(step) * normal()
-                     - _drift(columns, slope, x / eps) * step)
-        t = target
+        target = np.minimum(np.minimum(s + ds, candidate), last)
+        if normal is None:
+            z = drift = np.zeros(len(live))
+        else:
+            z, drift = normal(live), _drift(columns, slope, y)
+        passed = (ahead[due] <= target).nonzero()[0]
+        while passed.size:      # ends at the horizons this step reaches
+            h = due[passed]
+            step = horizons[h] - s[passed]
+            ends[h, live[passed]] = y[passed] + (np.sqrt(step) * z[passed]
+                                                 - drift[passed] * step)
+            due[passed] += 1
+            passed = passed[ahead[due[passed]] <= target[passed]]
+        step = target - s
+        y = y + (np.sqrt(step) * z - drift * step)
+        s = target
         steps += 1
         if records is not None and steps % stride == 0:
-            records.add(live, t, x, state)
+            records.add(live, s, y, state)
 
-        hit = (t >= candidate).nonzero()[0]
+        hit = (s >= candidate).nonzero()[0]
         if hit.size:
-            cum = (rate_scale[hit, None] * _switching_rates(
-                rates, x[hit] / eps[hit], state[hit])).cumsum(axis=1)
-            total, bound = cum[:, -1], lam[hit]
-            if (total > bound * (1 + 1e-12)).any():
+            cum = (gamma * _switching_rates(rates, y[hit],
+                                            state[hit])).cumsum(axis=1)
+            total = cum[:, -1]
+            if (total > lam * (1 + 1e-12)).any():
                 raise RuntimeError("thinning bound violated; rate field "
                                    "sampling resolution too low")
-            accept = uniform(live[hit]) < total / bound
+            accept = uniform(live[hit]) < total / lam
             jump = hit[accept]
             if jump.size:
                 u = uniform(live[jump]) * total[accept]
                 new = (cum[accept] <= u[:, None]).sum(axis=1)
                 state[jump] = new
                 if records is not None:
-                    records.add(live[jump], t[jump], x[jump], new)
+                    records.add(live[jump], s[jump], y[jump], new)
                 columns[:, :, jump] = potentials[:, :, new]
                 slope[jump] = slopes[new]
-            candidate[hit] = t[hit] + exponential(live[hit]) / bound
-        done = t >= T
-        if done.any():
-            ends[live[done]] = x[done]
+            candidate[hit] = s[hit] + exponential(live[hit]) / lam
+        running = due < len(horizons)
+        if not running.all():
             if records is not None:
-                records.end(live[done], T, x[done], state[done])
-            keep = ~done
-            live, t, x, state, candidate, slope, eps, dt, sqrt_eps, \
-                rate_scale, lam = (a[keep] for a in (
-                    live, t, x, state, candidate, slope, eps, dt, sqrt_eps,
-                    rate_scale, lam))
-            columns = columns[:, :, keep]
-            if normal is not None:
-                normal.keep(keep)
-    return ends.reshape(len(scales), paths)
+                records.end(live[~running], last, y[~running],
+                            state[~running])
+            live, s, y, due, state, candidate, slope = (a[running] for a in (
+                live, s, y, due, state, candidate, slope))
+            columns = columns[:, :, running]
+    return ends
 
 
 def _continuous_trajectories(model: ContinuousModel, eps: float, T: float,
                              dt: Optional[float], streams: _Streams,
                              **options) -> List[Trajectory]:
     """The paths of `streams` at one scale, with their records."""
-    records = _Records(len(streams.indices))
-    _continuous_paths(model, [_continuous_scale(eps, dt)], T, streams,
-                      records=records, **options)
+    ds = _fast_step(eps, dt)
+    records = _Records(len(streams.indices), T, lambda a: eps * a)
+    _continuous_paths(model, [T / eps], ds, streams, records=records,
+                      **options)
     return records.trajectories(seed=streams.seed, scale=eps, kind="continuous")
 
 
@@ -437,64 +383,63 @@ def simulate_continuous(model: ContinuousModel, eps: float, T: float,
 # discrete model: exact competing clocks
 # ---------------------------------------------------------------------------
 
-def _discrete_paths(model: DiscreteModel, ns: Sequence[int], T: float,
+def _discrete_paths(model: DiscreteModel, horizons: Sequence[float],
                     streams: _Streams, *, gamma: float = 1.0, i0: int = 0,
                     records: Optional[_Records] = None) -> np.ndarray:
-    """End positions (len(ns), paths) of the paths of `streams` at each
-    lattice refinement of `ns` (positive integers), advanced together as
-    (n, path) rows, one event per live row per array step.
-
-    `records`, for a run of one n, collects every row's (t, site, i)
-    records, row k being path k.
-    """
-    _check_run(model, T, gamma, i0)
+    """Sites m (len(horizons), paths) of the paths of `streams` at each
+    fast horizon n T of `horizons` (increasing), each path run once in the
+    fast time s = n t at the event rates of n = 1, one event per row per
+    array step.  `records` collects every path's (s, m, i) records."""
+    horizons = _check_run(model, horizons, gamma, i0)
+    ahead = np.append(horizons, math.inf)
     paths = len(streams.indices)
-    exponential, uniform = (_Lockstep(streams.draws(kind), len(ns))
-                            for kind in _KINDS[1:])
+    exponential, uniform = (_Draws(streams.draws(kind)) for kind in _KINDS[1:])
     J = model.J
     switching = np.where(np.eye(J, dtype=bool)[:, :, None], 0.0, model.switching)
-    # per n, cumulative event rates (J, ell, 2 + J): hop up, hop down, switch to j
-    cum_rates = np.stack([np.cumsum(np.concatenate(
-        [n * model.hop_rates_plus[..., None], n * model.hop_rates_minus[..., None],
-         n * gamma * np.moveaxis(switching, 1, 2)], axis=2), axis=2) for n in ns])
+    # cumulative event rates (J, ell, 2 + J): hop up, hop down, switch to j
+    cum_rates = np.cumsum(np.concatenate(
+        [model.hop_rates_plus[..., None], model.hop_rates_minus[..., None],
+         gamma * np.moveaxis(switching, 1, 2)], axis=2), axis=2)
     hop = np.r_[1, -1, np.zeros(J, dtype=int)].astype(np.int32)
 
-    live = np.arange(len(ns) * paths)   # row numbers of the running rows
-    scale = np.repeat(np.arange(len(ns)), paths)
-    t = np.zeros(len(live))
-    m = np.zeros(len(live), dtype=np.int32)     # lifted integer position; x = m / n
-    ends = np.empty(len(live), dtype=np.int32)  # end site of each row
-    state = np.full(len(live), i0)
+    live = np.arange(paths)     # path numbers of the running rows
+    s = np.zeros(paths)
+    m = np.zeros(paths, dtype=np.int32)     # lifted integer position
+    due = np.zeros(paths, dtype=np.intp)    # index of each row's next horizon
+    ends = np.empty((len(horizons), paths), dtype=np.int32)
+    state = np.full(paths, i0)
     if records is not None:
         records.add(live, 0.0, 0.0, i0)
     while live.size:
-        cum = cum_rates[scale, state, m % model.ell]
-        t = t + exponential() / cum[:, -1]
-        done = t >= T
-        if done.any():
-            ends[live[done]] = m[done]
+        cum = cum_rates[state, m % model.ell]
+        s = s + exponential(live) / cum[:, -1]
+        passed = (ahead[due] <= s).nonzero()[0]
+        while passed.size:      # sites at the horizons this clock passes
+            ends[due[passed], live[passed]] = m[passed]
+            due[passed] += 1
+            passed = passed[ahead[due[passed]] <= s[passed]]
+        running = due < len(horizons)
+        if not running.all():
             if records is not None:
-                records.end(live[done], T, m[done], state[done])
-            keep = ~done
-            live, scale, t, m, state, cum = (
-                a[keep] for a in (live, scale, t, m, state, cum))
-            exponential.keep(keep)
-            uniform.keep(keep)
-        u = uniform() * cum[:, -1]
+                records.end(live[~running], horizons[-1], m[~running],
+                            state[~running])
+            live, s, m, due, state, cum = (a[running] for a in (
+                live, s, m, due, state, cum))
+        u = uniform(live) * cum[:, -1]
         event = (cum <= u[:, None]).sum(axis=1)
         m = m + hop[event]
         state = np.where(event >= 2, event - 2, state)
         if records is not None:
-            records.add(live, t, m, state)
-    return ends.reshape(len(ns), paths) / np.array(ns)[:, None]
+            records.add(live, s, m, state)
+    return ends
 
 
 def _discrete_trajectories(model: DiscreteModel, n: int, T: float,
                            streams: _Streams, **options) -> List[Trajectory]:
     """The paths of `streams` at one lattice refinement, with their records."""
     n = _lattice_scale(n)
-    records = _Records(len(streams.indices), n)
-    _discrete_paths(model, [n], T, streams, records=records, **options)
+    records = _Records(len(streams.indices), T, lambda a: a / n)
+    _discrete_paths(model, [n * T], streams, records=records, **options)
     return records.trajectories(seed=streams.seed, scale=float(n),
                                 kind="discrete")
 
@@ -580,25 +525,27 @@ class ConcentrationReport:
 
 def experiment_scales(model: Model, scales: Sequence[float],
                       dt_factor: float = DT_FACTOR) -> list:
-    """The runs of a concentration experiment: (eps, eps/dt_factor) per
-    scale of a continuous model, the lattice refinement n per scale of a
-    discrete one.
+    """The scales of a concentration experiment, checked: each eps of a
+    continuous model as a float, each lattice refinement n of a discrete
+    one as an int.
 
     Raises ValueError unless there is a scale, every eps is positive and
-    finite with a step that resolves the fast variable, every n is a
-    positive integer, and the scales refine monotonically (eps decreasing,
-    n increasing).
+    finite with a step eps/dt_factor that resolves the fast variable, every
+    n is a positive integer, and the scales refine monotonically (eps
+    decreasing, n increasing).
     """
     scales = list(scales)
     if len(scales) == 0:
         raise ValueError("need at least one scale")
     continuous = isinstance(model, ContinuousModel)
-    runs = ([_continuous_scale(float(s), float(s) / dt_factor) for s in scales]
-            if continuous else [_lattice_scale(s) for s in scales])
+    if continuous:
+        for eps in scales:
+            _fast_step(float(eps), float(eps) / dt_factor)
     refining = np.diff(scales) < 0 if continuous else np.diff(scales) > 0
     if len(scales) > 1 and not np.all(refining):
         raise ValueError("scales must refine monotonically")
-    return runs
+    return ([float(eps) for eps in scales] if continuous
+            else [_lattice_scale(n) for n in scales])
 
 
 def concentration_experiment(model: Model, scales: Sequence[float], T: float,
@@ -611,22 +558,28 @@ def concentration_experiment(model: Model, scales: Sequence[float], T: float,
     Scales are epsilon values (continuous, decreasing) or lattice refinements n
     (discrete, increasing), checked by `experiment_scales`.  Per scale the
     verdict is |mean - DH(0)| <= 3 SE; across scales the sample SD must
-    shrink as the limit is approached.  All scales run as one array of
-    (scale, path) rows that reads each (seed, k) stream once, and keeps only
-    end positions; each row equals the `batch_*` run of its scale.
+    shrink as the limit is approached.  Every scale reads the same paths:
+    each path runs once in the fast variables, in steps ds = 1/dt_factor,
+    and scale eps (or n) is its end at the horizon T/eps (or n T).  So the
+    scales are horizons of one sample of paths, not independent samples,
+    and each row equals the `batch_*` run of its scale (for a continuous
+    one, whose dt/eps is 1/dt_factor in floating point).
     """
-    scales = list(scales)
-    runs = experiment_scales(model, scales, dt_factor)
+    scales = experiment_scales(model, scales, dt_factor)
     if predicted_v is None:
         from .hamiltonian import velocity_of_model
         predicted_v, _ = velocity_of_model(model, N=solver_n, gamma=gamma)
-    stepper = (_continuous_paths if isinstance(model, ContinuousModel)
-               else _discrete_paths)
-    ends = stepper(model, runs, T, _Streams(base_seed, range(paths)),
-                   gamma=gamma)
+    streams = _Streams(base_seed, range(paths))
+    column = np.array(scales)[:, None]
+    if isinstance(model, ContinuousModel):
+        x = column * _continuous_paths(model, [T / eps for eps in scales],
+                                       1.0 / dt_factor, streams, gamma=gamma)
+    else:
+        x = _discrete_paths(model, [n * T for n in scales], streams,
+                            gamma=gamma) / column
     rows: List[ScaleResult] = []
-    for scale, x in zip(scales, ends):
-        mean, sd, se = _velocity_summary(x / T)
+    for scale, xs in zip(scales, x):
+        mean, sd, se = _velocity_summary(xs / T)
         verdict = abs(mean - predicted_v) <= 3.0 * se
         rows.append(ScaleResult(float(scale), mean, sd, se,
                                 float(predicted_v), bool(verdict)))

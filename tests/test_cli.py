@@ -146,7 +146,10 @@ def test_simulate_without_seed_exits_2(tmp_path):
         "simulate": {"scales": [20], "T": 0.5, "paths": 10}})
     assert main(["simulate", "--preset", "discrete_asymmetric", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == 2
-    # --seed supplies the missing seed
+    # --seed supplies the missing seed, if it is not negative
+    assert main(["simulate", "--preset", "discrete_asymmetric", "--config", cfg,
+                 "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+    assert not (tmp_path / "o" / "summary.csv").exists()
     assert main(["simulate", "--preset", "discrete_asymmetric", "--config", cfg,
                  "--out", str(tmp_path / "o"), "--seed", "7"]) == 0
 
@@ -224,13 +227,25 @@ def test_non_integer_config_value_exits_2(tmp_path, caplog, monkeypatch,
     ("simulate", "T", -0.5, "a positive finite number"),
     ("simulate", "dt_factor", math.nan, "a positive finite number"),
     ("simulate", "predicted_v", math.inf, "a finite number"),
+    ("sweep", "N", 2, "at least 3"),
+    ("velocity", "N", 2, "at least 3"),
+    ("check", "N", 2, "at least 3"),
+    ("check", "grid", -5, "at least 1"),
+    ("simulate", "N", 2, "at least 3"),
+    ("simulate", "seed", -1, "at least 0"),
+    ("simulate", "scales", ["a"], "a non-empty array of finite numbers"),
+    ("simulate", "scales", 0.1, "a non-empty array of finite numbers"),
+    ("simulate", "scales", [True], "a non-empty array of finite numbers"),
+    ("simulate", "scales", [], "a non-empty array of finite numbers"),
 ])
 def test_bad_real_config_value_exits_2(tmp_path, caplog, monkeypatch,
                                        command, key, value, rule):
     """Real-valued keys are checked like the integer ones: a value that is
     not finite (or not positive, where the key needs it), a bool or a
-    string, too few sweep samples and an empty momentum range exit 2,
-    naming the block and key, before any solve or stream."""
+    string, too few sweep samples, an empty momentum range, an integer out
+    of its range (N < 3, grid < 1, seed < 0) and scales that are not a
+    non-empty array of finite numbers exit 2, naming the block and key,
+    before any solve or stream."""
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 

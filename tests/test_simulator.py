@@ -71,11 +71,10 @@ def test_batch_membership_does_not_change_a_path():
 
 
 def test_block_size_does_not_change_a_path(monkeypatch):
-    """Each kind of draw has its own stream, so the draw block size is a
-    memory setting only: for the per-path thinning draws, and for the
-    lockstep blocks (the normals of a continuous batch, the clocks and
-    choices of a discrete one) that are refilled and compacted as paths
-    finish at different steps."""
+    """Each kind of draw has its own stream, read by its path alone, so the
+    draw block size is a memory setting only, for every kind of draw: the
+    normals and thinning draws of a continuous batch, the clocks and choices
+    of a discrete one, refilled as the paths read them at their own pace."""
     runs = []
     for block in (simulator._BLOCK, 5):
         monkeypatch.setattr(simulator, "_BLOCK", block)
@@ -90,38 +89,36 @@ def test_block_size_does_not_change_a_path(monkeypatch):
 
 
 def test_concentration_rows_equal_independent_batches(monkeypatch):
-    """An experiment runs all of its scales as one array of (scale, path)
-    rows that reads each path's streams once; every row still equals a
-    fresh batch of its scale, bit for bit, also for gamma != 1 and, in the
-    stacked stepper, for i0 = 1.  The scales finish at different steps.
-
-    With one dt_factor every scale takes the same steps in y = x/eps, so the
-    rows of a path read their thinning draws in step; the stepper is also
-    run with a dt_factor per scale, so that live rows of a path lag each
-    other in its draw logs.  With a block of 5 the logs refill, trim and
-    grow, and the lockstep blocks are compacted within a block."""
-    gamma, seed = 1.7, 31
+    """An experiment runs each path once in the fast variables and reads
+    every scale at its horizon; every row still equals a fresh batch of its
+    scale, bit for bit, also for gamma != 1 and, calling the stepper with
+    one fast step ds, for i0 = 1.  The scales end at different steps, and
+    the paths read their draws at different paces; with a block of 5 the
+    draw blocks refill many times within a run."""
+    gamma, seed, dt_factor = 1.7, 31, 150.0
     cases = ((two_state_flashing(), [0.1, 0.07, 0.05], 0.3, 6),
              (discrete_two_state(), [16, 32, 64], 1.0, 8))
+    # a batch steps ds = dt/eps, the experiment 1/dt_factor: equal here
+    assert all((s / dt_factor) / s == 1.0 / dt_factor for s in cases[0][1])
     for block, (model, scales, T, paths) in itertools.product(
             (simulator._BLOCK, 5), cases):
         monkeypatch.setattr(simulator, "_BLOCK", block)
         report = concentration_experiment(model, scales, T, paths, seed,
-                                          predicted_v=0.0, dt_factor=150.0,
+                                          predicted_v=0.0, dt_factor=dt_factor,
                                           gamma=gamma)
         streams = simulator._Streams(seed, range(paths))
         if isinstance(model, ContinuousModel):
-            steps = [(s, s / f) for s, f in zip(scales, (150.0, 110.0, 190.0))]
-            ends = simulator._continuous_paths(model, steps, T, streams,
-                                               gamma=gamma, i0=1)
-            batches = [batch_continuous(model, s, T, paths, seed,
-                                        dt=s / 150.0, gamma=gamma)
-                       for s in scales]
-            alone = [batch_continuous(model, s, T, paths, seed, dt=dt,
-                                      gamma=gamma, i0=1) for s, dt in steps]
+            ends = simulator._continuous_paths(
+                model, [T / s for s in scales], 1.0 / dt_factor, streams,
+                gamma=gamma, i0=1) * np.array(scales)[:, None]
+            batches, alone = ([batch_continuous(model, s, T, paths, seed,
+                                                dt=s / dt_factor, gamma=gamma,
+                                                i0=i0) for s in scales]
+                              for i0 in (0, 1))
         else:
-            ends = simulator._discrete_paths(model, scales, T, streams,
-                                             gamma=gamma, i0=1)
+            ends = simulator._discrete_paths(
+                model, [n * T for n in scales], streams, gamma=gamma,
+                i0=1) / np.array(scales)[:, None]
             batches, alone = ([batch_discrete(model, s, T, paths, seed,
                                               gamma=gamma, i0=i0)
                                for s in scales] for i0 in (0, 1))
@@ -130,6 +127,23 @@ def test_concentration_rows_equal_independent_batches(monkeypatch):
                                                     batch.se)
             assert list(x) == [tr.positions[-1]
                                for tr in from_one.trajectories]
+
+
+def test_experiment_does_only_its_finest_scales_work(monkeypatch):
+    """Every scale reads the same paths at its own horizon, so an experiment
+    evaluates the drift at as many rows as a batch of its finest scale
+    alone: the coarser scales cost no steps of their own."""
+    rows = []
+    drift = simulator._drift
+    monkeypatch.setattr(simulator, "_drift", lambda columns, slope, y: (
+        rows.append(len(y)) or drift(columns, slope, y)))
+    model, T, paths, seed = two_state_flashing(), 0.3, 6, 4
+    concentration_experiment(model, [0.1, 0.05], T, paths, seed,
+                             predicted_v=0.0)
+    experiment = sum(rows)
+    rows.clear()
+    batch_continuous(model, 0.05, T, paths, seed)
+    assert experiment == sum(rows) > 0
 
 
 def test_concentration_builds_no_paths_and_reads_each_stream_once(monkeypatch):
@@ -156,16 +170,28 @@ def test_concentration_builds_no_paths_and_reads_each_stream_once(monkeypatch):
 
 
 def test_concentration_golden_pin():
-    """Pins a small seeded experiment of each kind.  The values are those of
-    the stepper before the lockstep rewrite; a change of scheme, streams or
-    draw order must update them on purpose."""
+    """Pins small seeded experiments of each kind, with several scales and
+    gamma != 1 for the discrete model.  The discrete values are those of the
+    stepper before the lockstep rewrite, and of the per-scale rows before
+    the fast-variable stepper; the continuous one moved at rounding level
+    (from 0.20037517523367207, 0.26745990811124687) when the stepper moved
+    to the fast variables.  A change of scheme, streams or draw order must
+    update them on purpose."""
     cont = concentration_experiment(two_state_flashing(), [0.1], 0.5, 64,
                                     2024, predicted_v=0.0)
-    disc = concentration_experiment(discrete_two_state(), [16], 1.0, 64,
-                                    2024, predicted_v=0.0)
-    assert [(r.mean_v, r.sd) for r in cont.rows + disc.rows] == [
-        (0.20037517523367207, 0.26745990811124687),
-        (-0.0302734375, 0.5648641003134441)]
+    disc = [concentration_experiment(discrete_two_state(), scales, 1.0, 64,
+                                     2024, predicted_v=0.0, gamma=gamma)
+            for scales, gamma in (([16], 1.0), ([16, 32, 64], 1.3),
+                                  ([10, 20], 1.3))]
+    assert [(r.mean_v, r.sd) for report in [cont] + disc
+            for r in report.rows] == [
+        (0.2003751752336676, 0.26745990811124454),
+        (-0.0302734375, 0.5648641003134441),
+        (-0.021484375, 0.5524587391671372),
+        (-0.12451171875, 0.38706181171829623),
+        (-0.146484375, 0.2575812906244588),
+        (-0.021875000000000012, 0.6343272276562245),
+        (-0.06796875, 0.4979614942960824)]
 
 
 def _records_digest(trajectories):
@@ -180,9 +206,11 @@ def _records_digest(trajectories):
 
 def test_trajectory_records_golden_pin():
     """Pins the records of a continuous path with switches, a frozen-position
-    path and a discrete batch, as computed before the record log was
-    rewritten; a change of stepper, streams or record rule must update them
-    on purpose."""
+    path and a discrete batch.  The discrete digest is that of the stepper
+    before the record log was rewritten; the continuous ones were re-pinned
+    when the stepper moved to the fast variables (same record counts and
+    states; times moved by at most 2.3e-14, positions by 4.7e-13).  A change
+    of stepper, streams or record rule must update them on purpose."""
     switching = simulate_continuous(two_state_flashing(), 0.1, 1.0, seed=5,
                                     traj_index=2)
     frozen = simulate_continuous(two_state_flashing(), 0.1, 2.0, seed=3,
@@ -192,8 +220,8 @@ def test_trajectory_records_golden_pin():
     assert switching.switch_count > 0 and frozen.switch_count > 0
     assert [_records_digest([switching]), _records_digest([frozen]),
             _records_digest(disc)] == [
-        "0781cd635fd7e1739b2e22a14d8eee488197f756fdfa074c649fec71033f8bf5",
-        "ef9d1cf955ef1077a6c4cfcf0a029ef0bbe2f36606e73497f05b99b4a71d89e4",
+        "c331e85e2416815fca5d8eb72cd0b9c59d72522ec49397fa7dc357879fc1c3f4",
+        "10be17bfcd625738deaaebe5998700787b05a76cc8101ed32c93672adf6304a4",
         "ed4826e92fabbd8dea2ffac7adb6a7b38c392a298de16c574aae826c9d3b56fb"]
 
 

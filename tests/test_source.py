@@ -5,8 +5,9 @@ import time
 from pathlib import Path
 
 import effham
-from effham import hamiltonian
-from effham.presets import constant_drift
+from effham import hamiltonian, simulator
+from effham.presets import (constant_drift, discrete_two_state,
+                            two_state_flashing)
 
 
 def test_no_assert_statements():
@@ -108,7 +109,9 @@ def test_warm_starts_come_from_one_helper():
 
 def test_benchmark_tracer_binds_the_library(monkeypatch):
     """The benchmark's tracer wraps library functions and methods by name,
-    so deleting a name it binds fails here, not only in a traced run."""
+    and binds the simulators' arguments by name (`eps`, `T`, `dt`), so
+    deleting or renaming what it binds fails here, not only in a traced run.
+    The step count is not checked: the tracer's default `dt` is its own."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
                                     / "bench"))
     import tracing
@@ -117,7 +120,13 @@ def test_benchmark_tracer_binds_the_library(monkeypatch):
     tracer.install()
     try:
         hamiltonian.sweep(constant_drift(), -1.0, 1.0, 3, N=32)
+        simulator.simulate_continuous(two_state_flashing(), 0.1, 0.2, seed=1)
+        simulator.simulate_discrete(discrete_two_state(), 16, 0.5, seed=1)
     finally:
         tracer.uninstall()
     assert any(span[0] == "eigensolver.principal_eigenpair"
                for span in tracer.spans)
+    info = {span[0]: span[4] for span in tracer.spans
+            if span[0].startswith("simulator.")}
+    assert set(info["simulator.simulate_continuous"]) == {"steps", "switches"}
+    assert set(info["simulator.simulate_discrete"]) == {"events"}
