@@ -33,7 +33,7 @@ _TOP_KEYS = {"model", "model_file", "preset", "out", "sweep", "legendre",
              "velocity", "simulate", "check"}
 _SWEEP_KEYS = {"p_min", "p_max", "count", "N", "tol", "gamma", "regime"}
 _LEGENDRE_KEYS = {"v_min", "v_max", "count"}
-_VELOCITY_KEYS = {"delta", "N", "tol", "gamma", "regime"}
+_VELOCITY_KEYS = {"N", "tol", "gamma", "regime"}
 _SIMULATE_KEYS = {"scales", "T", "dt_factor", "paths", "seed", "predicted_v",
                   "N", "gamma", "dump_trajectories"}
 _CHECK_KEYS = {"grid", "p_max", "count", "N", "tol", "gamma", "regime"}
@@ -46,7 +46,9 @@ class ConfigError(ValueError):
     pass
 
 
-def _check_keys(block: dict, allowed: set, where: str) -> None:
+def _check_keys(block, allowed: set, where: str) -> None:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(block) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
@@ -98,8 +100,6 @@ def load_config(path: Optional[str]) -> dict:
         cfg = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
     _check_keys(cfg, _TOP_KEYS, "config")
     return cfg
 
@@ -192,13 +192,14 @@ def cmd_velocity(cfg: dict, model, outdir: Path) -> int:
     where = '"velocity" block'
     _check_keys(block, _VELOCITY_KEYS, where)
     N = _integer(block, "N", where, 128, at_least=3)
-    delta = _real(block, "delta", where, 1e-3, positive=True)
     v, err = ham.velocity_of_model(
-        model, regime=block.get("regime"), delta=delta, N=N,
+        model, regime=block.get("regime"), N=N,
         tol=_real(block, "tol", where, 1e-10, positive=True),
         gamma=_real(block, "gamma", where, 1.0, positive=True))
+    # floats for a 1-D model, lists for d > 1
     _write_json(outdir / "velocity.json",
-                {"velocity": v, "error_estimate": err, "delta": delta, "N": N})
+                {"velocity": np.asarray(v).tolist(),
+                 "error_estimate": np.asarray(err).tolist(), "N": N})
     return EXIT_OK
 
 

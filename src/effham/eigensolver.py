@@ -9,7 +9,9 @@ principal eigenvalue is the effective Hamiltonian at momentum p.  Each grid
 slice along the first axis couples only to its two neighbor slices, so the
 operator is stored as periodic block-tridiagonal blocks: one dense block per
 slice (switching and hops along the other axes) and two diagonal couplings;
-the dense matrix is built only on request.
+the dense matrix is built only on request.  `AssembledOperator.T` is the
+transpose in the same layout; at p = 0 its principal eigenvector is the
+stationary law of the cell process.
 The continuous operators are discretized with an exponentially fitted
 (locally tilted generator) scheme:
 
@@ -125,6 +127,17 @@ class AssembledOperator:
         M[idx, np.roll(idx, 1, axis=0)] += self.down
         M[idx[:, :, None], idx[:, None, :]] += self.blocks
         return M
+
+    @property
+    def T(self) -> "AssembledOperator":
+        """The transpose in the same slice layout: blocks transposed per
+        slice, and slice k's coupling to k+1 (k-1) is slice k+1's coupling
+        down (slice k-1's coupling up)."""
+        # contiguous blocks keep the stacked products on BLAS
+        blocks = np.ascontiguousarray(self.blocks.transpose(0, 2, 1))
+        return AssembledOperator(blocks, np.roll(self.down, -1, axis=0),
+                                 np.roll(self.up, 1, axis=0), self.kind,
+                                 self.n_space, self.n_states, self.metadata)
 
 
 @dataclass(frozen=True)
@@ -487,6 +500,16 @@ def _cyclic_solve(D, U, L, f: np.ndarray) -> np.ndarray:
     return x
 
 
+def _shifted_solve(A, B, C, sigma: float, f: np.ndarray) -> np.ndarray:
+    """Solve (sigma I - M) x = f for M in slices (A, B, C), f and x in slice
+    layout.  With sigma above the principal eigenvalue of M, sigma I - M is
+    a nonsingular M-matrix, as `_cyclic_solve` needs."""
+    shifted = -A
+    b = A.shape[-1]
+    shifted[:, range(b), range(b)] += sigma
+    return _cyclic_solve(shifted, -B, -C, f)
+
+
 def _positive_vector(g, n: int, what: str) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.shape != (n,):
@@ -537,8 +560,6 @@ def principal_eigenpair(M, tol: float = 1e-10, max_iter: int = 10 ** 6,
         return EigenCertificate(lam, np.ones(1), 0.0, lam, lam, 0)
 
     alpha = 1.0 + float(np.max(np.abs(np.diagonal(A, axis1=1, axis2=2))))
-    U, L = -B, -C
-    diag = (slice(None), range(b), range(b))
     w = np.ones((m, b)) if start is None else start[index] / np.max(start)
     lower, upper = -np.inf, np.inf
     best_gap, since_best = np.inf, 0
@@ -586,11 +607,9 @@ def principal_eigenpair(M, tol: float = 1e-10, max_iter: int = 10 ** 6,
             continue
         # inverse-iteration step: sigma strictly above the principal eigenvalue
         sigma = upper + max(gap, 16.0 * _EPS * (alpha + abs(upper)))
-        shifted = -A
-        shifted[diag] += sigma
         try:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                x = _cyclic_solve(shifted, U, L, w)
+                x = _shifted_solve(A, B, C, sigma, w)
         except np.linalg.LinAlgError:
             x = None
         if x is None or not np.all((x > 0) & (x < np.inf)):

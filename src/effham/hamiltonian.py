@@ -1,10 +1,12 @@
 """Effective-Hamiltonian tables, transport quantities and structural diagnostics.
 
 The Hamiltonian H(p) is the principal eigenvalue of the cell operator at
-momentum p.  From a sampled table this module derives the macroscopic velocity
-DH(0), the Lagrangian L(v) = sup_p [p v - H(p)] (Legendre-Fenchel transform on
-the grid with parabolic refinement), action integrals of piecewise-linear
-paths, and the checks that every valid model must pass: H(0) = 0, midpoint
+momentum p.  The macroscopic velocity DH(0) comes from one left eigenvector
+at p = 0 (`velocity_of_model`, any dimension), or by central differences
+from a sampled table (`velocity`).  From a table this module also derives
+the Lagrangian L(v) = sup_p [p v - H(p)] (Legendre-Fenchel transform on the
+grid with parabolic refinement), action integrals of piecewise-linear paths,
+and the checks that every valid model must pass: H(0) = 0, midpoint
 convexity, symmetry under detailed balance, and the coercivity lower bounds.
 """
 
@@ -18,7 +20,7 @@ from typing import List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .chains import hop_averages
-from .eigensolver import (EigenCertificate, cell_operator,
+from .eigensolver import (EigenCertificate, _shifted_solve, cell_operator,
                           collatz_wielandt_bounds, principal_eigenpair)
 from .fields import grid_points, sampling_resolution
 from .model import ContinuousModel, DiscreteModel, Model
@@ -259,25 +261,38 @@ def velocity(table: HamiltonianTable) -> tuple:
 
 
 def velocity_of_model(model: Model, regime: Optional[str] = None, *,
-                      delta: float = 1e-3, N: int = 128, tol: float = 1e-10,
+                      N: int = 128, tol: float = 1e-10,
                       gamma: float = 1.0) -> tuple:
-    """DH(0) from a dedicated five-point stencil at +-delta, +-2 delta,
-    solved as the chains 0 -> +-delta -> +-2 delta of `_solve_outward`: the
-    +-delta samples start from the p = 0 eigenvector, the +-2 delta samples
-    from the better of their neighbour's eigenvector and the linear
-    log-extrapolation through both inner samples.  Raises the first failed
-    sample's error."""
-    grid = np.array([-2 * delta, -delta, 0.0, delta, 2 * delta])
-    op = cell_operator(model, regime or model.regime, N=N, gamma=gamma)
-    certs, starts, failures = _solve_outward(op.at, grid, 2, tol=tol)
-    if failures:
-        raise next(iter(failures.values()))
-    values = np.array([c.eigenvalue for c in certs])
-    table = HamiltonianTable(grid, values, tuple(certs),
-                             provenance={"regime": regime or model.regime,
-                                         "N": N, "tol": tol, "delta": delta},
-                             starts=tuple(starts))
-    return velocity(table)
+    """DH(0) from one left eigenvector, with an error estimate.
+
+    Only the hop tilts depend on p, so M_a'(0) 1 = f_a = h (up_a - down_a),
+    and first-order perturbation gives DH(0)_a = u f_a / sum u for the
+    stationary law u of M(0), one solve of M(0)^T.  With kappa the larger
+    end of u's Collatz-Wielandt bracket (the exact eigenvalue is 0) and chi
+    the corrector of M chi = f_a - v_a, the error is at most
+    kappa (max chi - min chi) / 2, plus 2n ulps of u |f_a| / sum u for the
+    rounding of the two n-term sums.  Returns (v, err): floats for a
+    1-D model, (d,) arrays for d > 1.  A failed solve raises.
+    """
+    gen = cell_operator(model, regime or model.regime, N=N, gamma=gamma)
+    dim = gen.up.shape[1]
+    op = gen.at(np.zeros(dim))
+    cert = principal_eigenpair(op.T, tol=tol)
+    u = cert.eigenvector
+    f = gen.h * np.moveaxis(gen.up - gen.down, 1, 0).reshape(dim, -1)
+    v = f @ u / u.sum()
+    # (sigma I - M(0)) chi = f_a - v_a has the corrector's spread, up to
+    # O(sigma), for any sigma just above the eigenvalue
+    sigma = cert.cw_upper + max(cert.cw_gap, 1e-14)
+    spread = np.array([np.ptp(_shifted_solve(op.blocks, op.up, op.down, sigma,
+                                             (fa - va)[op.index]))
+                       for fa, va in zip(f, v)])
+    kappa = max(abs(cert.cw_lower), abs(cert.cw_upper))
+    ulp = np.finfo(float).eps
+    err = kappa * spread / 2 + 2 * len(u) * ulp * (np.abs(f) @ u) / u.sum()
+    if dim == 1:
+        return float(v[0]), float(err[0])
+    return v, err
 
 
 # ---------------------------------------------------------------------------

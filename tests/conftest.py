@@ -91,6 +91,22 @@ def balance_violating_model(rng):
                            regime="I")
 
 
+def two_dim_model():
+    """d = 2, J = 2, regime I: tilted potentials and unequal rates, so it
+    transports along both axes."""
+    psi1 = PeriodicScalarField(dim=2, fourier_coeffs=(((1, 0), 0.3, 0.0),),
+                               affine_slope=(-0.5, 0.2))
+    psi2 = PeriodicScalarField(dim=2, fourier_coeffs=(((0, 1), 0.0, 0.25),
+                                                      ((1, 1), 0.1, 0.2)))
+    r12 = PeriodicScalarField(dim=2, fourier_coeffs=(((0, 0), 1.0, 0.0),
+                                                     ((1, 1), 0.3, 0.1)))
+    r21 = PeriodicScalarField(dim=2, fourier_coeffs=(((0, 0), 1.5, 0.0),
+                                                     ((1, 0), 0.3, 0.4)))
+    return ContinuousModel(dim=2, J=2, potentials=(psi1, psi2),
+                           rates=SwitchingRateMatrix(J=2, entries=(
+                               (None, r12), (r21, None))))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -11,6 +11,8 @@ from effham.cli import main
 from effham.model import model_to_dict
 from effham.presets import get_preset
 
+from conftest import two_dim_model
+
 
 def write_config(tmp_path, obj, name="cfg.json"):
     path = tmp_path / name
@@ -218,7 +220,7 @@ def test_non_integer_config_value_exits_2(tmp_path, caplog, monkeypatch,
     ("sweep", "gamma", -1.0, "a positive finite number"),
     ("sweep", "gamma", True, "a positive finite number"),
     ("legendre", "v_max", math.inf, "a finite number"),
-    ("velocity", "delta", -0.001, "a positive finite number"),
+    ("velocity", "gamma", -1.0, "a positive finite number"),
     ("velocity", "tol", 0.0, "a positive finite number"),
     ("check", "p_max", -1.0, "a positive finite number"),
     ("check", "count", 2, "at least 3"),
@@ -261,6 +263,49 @@ def test_bad_real_config_value_exits_2(tmp_path, caplog, monkeypatch,
                  write_config(tmp_path, blocks), "--out", str(out)]) == 2
     assert f'"{command}" block: "{key}" must be {rule}' in caplog.text
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command,block,value,message", [
+    ("velocity", "velocity", 5, '"velocity" block must be a JSON object'),
+    ("check", "check", None, '"check" block must be a JSON object'),
+    ("legendre", "legendre", 3, '"legendre" block must be a JSON object'),
+    ("sweep", "sweep", [1], '"sweep" block must be a JSON object'),
+    ("simulate", "simulate", "x", '"simulate" block must be a JSON object'),
+    ("velocity", "velocity", {"delta": 1e-3},
+     """unknown keys ['delta'] in "velocity" block"""),
+], ids=["velocity-number", "check-null", "legendre-number", "sweep-list",
+        "simulate-string", "velocity-delta"])
+def test_bad_config_block_exits_2(tmp_path, caplog, monkeypatch, command,
+                                  block, value, message):
+    """A command block that is not a JSON object, or that holds a key the
+    command does not read (the velocity has no step "delta"), exits 2
+    before any solve or stream."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(simulator, "_Streams", refuse)
+    monkeypatch.setattr(cli.ham, "sweep", refuse)
+    monkeypatch.setattr(cli.ham, "velocity_of_model", refuse)
+    blocks = {"sweep": {"p_min": -1.0, "p_max": 1.0, "count": 5},
+              block: value}
+    out = tmp_path / "out"
+    assert main([command, "--preset", "discrete_asymmetric", "--config",
+                 write_config(tmp_path, blocks), "--out", str(out)]) == 2
+    assert message in caplog.text
+    assert not any(out.iterdir())
+
+
+def test_velocity_command_in_two_dimensions(tmp_path):
+    """d = 2: velocity.json holds 2-lists, one component per axis."""
+    cfg = write_config(tmp_path, {"model": model_to_dict(two_dim_model()),
+                                  "velocity": {"N": 16}})
+    out = tmp_path / "out"
+    assert main(["velocity", "--config", cfg, "--out", str(out)]) == 0
+    obj = json.loads((out / "velocity.json").read_text())
+    assert set(obj) == {"velocity", "error_estimate", "N"}
+    assert len(obj["velocity"]) == len(obj["error_estimate"]) == 2
+    assert all(abs(v) > 0.1 for v in obj["velocity"])
+    assert all(0.0 <= err <= 1e-10 for err in obj["error_estimate"])
 
 
 def test_check_detailed_balance_preset(tmp_path):

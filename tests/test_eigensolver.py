@@ -17,7 +17,8 @@ from effham.hamiltonian import hamiltonian_at
 from effham.model import ContinuousModel, DiscreteModel, SwitchingRateMatrix
 from effham.presets import constant_drift, detailed_balance_pair, tilted_cosine
 
-from conftest import random_continuous_model, random_discrete_model
+from conftest import (random_continuous_model, random_discrete_model,
+                      two_dim_model)
 
 
 def dense_principal(M):
@@ -274,6 +275,24 @@ def test_dim2_two_states_with_switching():
     assert np.min(off) >= 0.0
     cert0 = principal_eigenpair(assemble_continuous_I(m, np.zeros(2), 12))
     assert abs(cert0.eigenvalue) <= 1e-9
+
+
+@pytest.mark.parametrize("kind,regime,size", [
+    ("continuous", "I", 7), ("continuous", "I", 8), ("continuous", "II", 7),
+    ("continuous", "II", 8), ("discrete", "I", 2), ("discrete", "I", 5),
+    ("discrete", "II", 2), ("discrete", "II", 5), ("dim2", "I", 6)])
+def test_transpose_keeps_the_slice_layout(kind, regime, size, rng):
+    """`op.T` is the transpose exactly, also where up and down couple to the
+    same slice (two slices) and where hops stay inside a slice (d = 2)."""
+    if kind == "dim2":
+        op = cell_operator(two_dim_model(), regime, N=size).at([0.4, -0.3])
+    elif kind == "continuous":
+        op = cell_operator(random_continuous_model(rng, J=2), regime,
+                           N=size).at(0.7)
+    else:
+        op = cell_operator(random_discrete_model(rng, ell=size, J=2),
+                           regime).at(0.7)
+    assert np.array_equal(op.T.matrix, op.matrix.T)
 
 
 def test_grid_convergence_order_on_smooth_preset():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from effham import hamiltonian
+from effham import chains, hamiltonian
 from effham.eigensolver import (ConvergenceError, EigenCertificate,
                                 cell_operator, collatz_wielandt_bounds,
                                 principal_eigenpair)
@@ -19,7 +19,9 @@ from effham.presets import (PRESETS, constant_drift, detailed_balance_pair,
                             discrete_asymmetric, discrete_two_state,
                             two_state_flashing)
 
-from conftest import random_continuous_model, random_discrete_model
+from conftest import (balance_violating_model, detailed_balance_model,
+                      random_continuous_model, random_discrete_model,
+                      two_dim_model)
 
 
 def quadratic_table(p_min=-4.0, p_max=4.0, count=81, curvature=0.5):
@@ -275,9 +277,58 @@ def test_velocity_discrete_closed_form():
     assert v == pytest.approx(1.0, abs=1e-8)
 
 
+def _oracle_models():
+    models = [pytest.param(make(), id=name)
+              for name, make in sorted(PRESETS.items())]
+    for J in (2, 3):
+        models.append(pytest.param(random_continuous_model(
+            np.random.default_rng(100 + J), J=J), id=f"continuous-J{J}"))
+        for ell in (2, 5):
+            for regime in ("I", "II"):
+                models.append(pytest.param(random_discrete_model(
+                    np.random.default_rng(200 + 10 * J + ell), ell=ell, J=J,
+                    regime=regime), id=f"discrete-J{J}-ell{ell}-{regime}"))
+    return models
+
+
+@pytest.mark.parametrize("model", _oracle_models())
+def test_velocity_matches_dense_stationary_oracle(model):
+    """DH(0) is the stationary law of M(0), from a dense solve, dotted with
+    M'(0) 1 = h (up - down); ell = 2 couples up and down to the same slice."""
+    v, err = velocity_of_model(model, tol=1e-10)
+    gen = cell_operator(model, model.regime)
+    mu, ok = chains.stationary_measures(gen.at(0.0).matrix[None])
+    assert ok[0]
+    reference = float(mu[0] @ (gen.h * (gen.up - gen.down)[:, 0].ravel()))
+    assert abs(v - reference) <= err <= 1e-10
+
+
 def test_velocity_detailed_balance_vanishes():
-    v, err = velocity_of_model(detailed_balance_pair(), N=96)
-    assert abs(v) <= 1e-6
+    """No transport without broken detailed balance, at round-off level."""
+    for model in (detailed_balance_pair(),
+                  detailed_balance_model(np.random.default_rng(31), J=2),
+                  detailed_balance_model(np.random.default_rng(32), J=3)):
+        v, err = velocity_of_model(model, N=96)
+        assert abs(v) <= 1e-12
+
+
+def test_velocity_broken_balance_transports():
+    v, err = velocity_of_model(
+        balance_violating_model(np.random.default_rng(33)))
+    assert abs(v) > 0.1
+
+
+def test_velocity_in_two_dimensions_matches_axis_sweeps():
+    """One left solve gives DH(0) along every axis; each component agrees
+    with the stencil of a sweep along that axis, within its error."""
+    model, N, delta = two_dim_model(), 16, 1e-3
+    v, err = velocity_of_model(model, N=N)
+    assert v.shape == err.shape == (2,)
+    assert np.all(err <= 1e-10)
+    for a in range(2):
+        v_axis, err_axis = velocity(
+            sweep(model, -2 * delta, 2 * delta, 5, N=N, axis=a))
+        assert abs(v[a] - v_axis) <= err_axis
 
 
 def test_velocity_error_covers_the_certificates():

@@ -107,6 +107,23 @@ def test_warm_starts_come_from_one_helper():
     assert found == ["hamiltonian.py:_solve_outward"], found
 
 
+def test_cyclic_reduction_runs_through_one_shifted_solve():
+    """Every shifted solve (the solver's inverse steps, the velocity's
+    corrector) goes through `eigensolver._shifted_solve`, so the shift and
+    the cyclic reduction are written once."""
+    found = []
+    for path in sorted(Path(effham.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = {id(node): func.name for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+        found += [f"{path.name}:{owner.get(id(node))}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and "_cyclic_solve" in (getattr(node.func, "id", None),
+                                          getattr(node.func, "attr", None))]
+    assert sorted(found) == ["eigensolver.py:_cyclic_solve",
+                             "eigensolver.py:_shifted_solve"], found
+
+
 def test_benchmark_tracer_binds_the_library(monkeypatch):
     """The benchmark's tracer wraps library functions and methods by name,
     and binds the simulators' arguments by name (`eps`, `T`, `dt`), so
@@ -122,10 +139,17 @@ def test_benchmark_tracer_binds_the_library(monkeypatch):
         hamiltonian.sweep(constant_drift(), -1.0, 1.0, 3, N=32)
         simulator.simulate_continuous(two_state_flashing(), 0.1, 0.2, seed=1)
         simulator.simulate_discrete(discrete_two_state(), 16, 0.5, seed=1)
+        hamiltonian.velocity_of_model(two_state_flashing(), N=32)
     finally:
         tracer.uninstall()
     assert any(span[0] == "eigensolver.principal_eigenpair"
                for span in tracer.spans)
+    # the velocity is one left eigensolve, not a finite-difference stencil
+    velocity = next(k for k, span in enumerate(tracer.spans)
+                    if span[0] == "hamiltonian.velocity_of_model")
+    assert sum(span[3] == velocity
+               and span[0] == "eigensolver.principal_eigenpair"
+               for span in tracer.spans) == 1
     info = {span[0]: span[4] for span in tracer.spans
             if span[0].startswith("simulator.")}
     assert set(info["simulator.simulate_continuous"]) == {"steps", "switches"}
