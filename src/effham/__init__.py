@@ -20,7 +20,7 @@ from .eigensolver import (AssembledOperator, ConvergenceError, EigenCertificate,
                           principal_eigenpair)
 from .hamiltonian import (HamiltonianTable, LagrangianTable, convexity_report,
                           coercivity_check, hamiltonian_at, legendre, path_rate,
-                          sweep, symmetry_check, velocity, velocity_of_model)
+                          sweep, symmetry_check, velocity_of_model)
 from .simulator import (ConcentrationReport, Trajectory, TrajectoryBatch,
                         batch_continuous, batch_discrete,
                         concentration_experiment, simulate_continuous,

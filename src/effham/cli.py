@@ -100,12 +100,22 @@ def load_config(path: Optional[str]) -> dict:
         cfg = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     _check_keys(cfg, _TOP_KEYS, "config")
     return cfg
 
 
+def _text(cfg: dict, key: str) -> Optional[str]:
+    """cfg[key] as a string, or None when it is absent or null."""
+    value = cfg.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f'config: "{key}" must be a string, got {value!r}')
+    return value
+
+
 def resolve_model(cfg: dict, preset: Optional[str]):
-    name = preset or cfg.get("preset")
+    name = preset or _text(cfg, "preset")
     if name is not None:
         try:
             return get_preset(name)
@@ -113,8 +123,9 @@ def resolve_model(cfg: dict, preset: Optional[str]):
             raise ConfigError(str(exc)) from exc
     if "model" in cfg:
         return model_from_dict(cfg["model"])
-    if "model_file" in cfg:
-        path = Path(cfg["model_file"])
+    model_file = _text(cfg, "model_file")
+    if model_file is not None:
+        path = Path(model_file)
         if not path.exists():
             raise ConfigError(f"model file {path} does not exist")
         return load_model(path)
@@ -353,7 +364,7 @@ def main(argv=None) -> int:
         model = resolve_model(cfg, args.preset)
         if args.command != "validate":
             _require_valid(model, _solve_regime(cfg, args.command))
-        outdir = Path(args.out or cfg.get("out") or ".")
+        outdir = Path(args.out or _text(cfg, "out") or ".")
         outdir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, ModelFormatError) as exc:
         log.error("%s", exc)

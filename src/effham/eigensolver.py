@@ -9,7 +9,7 @@ principal eigenvalue is the effective Hamiltonian at momentum p.  Each grid
 slice along the first axis couples only to its two neighbor slices, so the
 operator is stored as periodic block-tridiagonal blocks: one dense block per
 slice (switching and hops along the other axes) and two diagonal couplings;
-the dense matrix is built only on request.  `AssembledOperator.T` is the
+no library path forms the dense matrix.  `AssembledOperator.T` is the
 transpose in the same layout; at p = 0 its principal eigenvector is the
 stationary law of the cell process.
 The continuous operators are discretized with an exponentially fitted
@@ -37,8 +37,7 @@ costs O(n b^2) for blocks of size b instead of a dense O(n^3) LU.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -87,17 +86,14 @@ class AssembledOperator:
     (state, remaining grid coordinates); `index[k, l]` is the state-major row
     of its l-th unknown.  Row l of slice k couples to its own slice through
     `blocks[k]` and to the same unknown of slice k+1 / k-1 (mod m) with weight
-    `up[k, l]` / `down[k, l]`.  `matrix` scatters these entries into the dense
-    state-major matrix, on demand.
+    `up[k, l]` / `down[k, l]`.
     """
 
     blocks: np.ndarray   # (m, b, b)
     up: np.ndarray       # (m, b)
     down: np.ndarray     # (m, b)
-    kind: str            # "discrete_I" | "discrete_II" | "continuous_I" | "continuous_II"
     n_space: int         # grid points (N**d) or torus sites (ell)
     n_states: int        # chemical states carried by the matrix rows (1 if averaged out)
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         m, b, _ = self.blocks.shape
@@ -118,16 +114,6 @@ class AssembledOperator:
         rows = np.arange(self.n_space * self.n_states)
         return _slice_layout(rows.reshape(self.n_states, -1), len(self.blocks))
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The dense state-major matrix (built on first use)."""
-        idx = self.index
-        M = np.zeros(self.shape)
-        M[idx, np.roll(idx, -1, axis=0)] += self.up
-        M[idx, np.roll(idx, 1, axis=0)] += self.down
-        M[idx[:, :, None], idx[:, None, :]] += self.blocks
-        return M
-
     @property
     def T(self) -> "AssembledOperator":
         """The transpose in the same slice layout: blocks transposed per
@@ -136,8 +122,8 @@ class AssembledOperator:
         # contiguous blocks keep the stacked products on BLAS
         blocks = np.ascontiguousarray(self.blocks.transpose(0, 2, 1))
         return AssembledOperator(blocks, np.roll(self.down, -1, axis=0),
-                                 np.roll(self.up, 1, axis=0), self.kind,
-                                 self.n_space, self.n_states, self.metadata)
+                                 np.roll(self.up, 1, axis=0), self.n_space,
+                                 self.n_states)
 
 
 @dataclass(frozen=True)
@@ -199,20 +185,20 @@ class TiltedGenerator:
     up[i, a, y] e^{+p_a h} / down[i, a, y] e^{-p_a h} and switches to (j, y)
     at rate switching[i, j, y].  Its diagonal is minus the sum of the untilted
     weights and rates, so rows sum to zero at p = 0.  `side` is the number of
-    grid points (or sites) per axis.  The structural checks and the
+    grid points (or sites) per axis and `period` the cell length along each
+    axis, so the grid step is h = period / side.  The structural checks and the
     momentum-free part of the slice blocks are done once, here; `at` only
     applies the tilt and, when a drift field is given, the Peclet guard.
     """
 
     def __init__(self, kind: str, up: np.ndarray, down: np.ndarray,
-                 switching: Optional[np.ndarray], side: int, h: float,
-                 drift: Optional[np.ndarray], metadata: dict):
+                 switching: Optional[np.ndarray], side: int, period: float,
+                 drift: Optional[np.ndarray]):
         self.kind = kind
         self.up = up                  # (J, d, n) weights towards the +1 neighbor
         self.down = down              # (J, d, n) weights towards the -1 neighbor
-        self.h = h
+        self.side, self.period, self.h = side, period, period / side
         self.drift = drift            # (K, n, d) for the Peclet bound, or None
-        self.metadata = metadata
         context = f"assemble_{kind}"
         if not (np.all(up > 0) and np.all(down > 0)):
             raise ValueError(f"{context}: hop weights must be positive")
@@ -257,8 +243,7 @@ class TiltedGenerator:
         pvec = _as_momentum(p, dim)
         if self.drift is not None:
             _peclet_guard(float(np.max(np.abs(pvec - self.drift))), self.h,
-                          self.metadata["period"], self.metadata["N"],
-                          f"assemble_{self.kind}")
+                          self.period, self.side, f"assemble_{self.kind}")
         grow = [math.exp(pa * self.h) for pa in pvec]
         shrink = [math.exp(-pa * self.h) for pa in pvec]
         blocks = self._fixed.copy()
@@ -269,8 +254,7 @@ class TiltedGenerator:
         m = len(blocks)
         return AssembledOperator(blocks, _slice_layout(self.up[:, 0] * grow[0], m),
                                  _slice_layout(self.down[:, 0] * shrink[0], m),
-                                 self.kind, n, J,
-                                 {**self.metadata, "p": tuple(pvec)})
+                                 n, J)
 
 
 def cell_operator(model: Model, regime: str, *, N: int = 128,
@@ -329,16 +313,14 @@ def _discrete_I(model: DiscreteModel, gamma: float) -> TiltedGenerator:
     return TiltedGenerator(
         "discrete_I", model.hop_rates_plus[:, None, :],
         model.hop_rates_minus[:, None, :], gamma * model.switching,
-        model.ell, 1.0, None,
-        {"ell": model.ell, "J": model.J, "gamma": gamma, "regime": "I"})
+        model.ell, model.ell, None)
 
 
 def _discrete_II(model: DiscreteModel) -> TiltedGenerator:
     rbar_plus, rbar_minus = hop_averages(model)
     return TiltedGenerator(
         "discrete_II", rbar_plus[None, None], rbar_minus[None, None], None,
-        model.ell, 1.0, None,
-        {"ell": model.ell, "J": model.J, "regime": "II"})
+        model.ell, model.ell, None)
 
 
 def _continuous_grid(model: ContinuousModel, N: int):
@@ -351,11 +333,6 @@ def _shifted(pts: np.ndarray, axis: int, offset: float) -> np.ndarray:
     out = pts.copy()
     out[:, axis] += offset
     return out
-
-
-def _continuous_metadata(model: ContinuousModel, N: int, regime: str) -> dict:
-    return {"N": N, "dim": model.dim, "J": model.J, "period": model.period,
-            "regime": regime}
 
 
 def _continuous_I(model: ContinuousModel, N: int,
@@ -377,9 +354,8 @@ def _continuous_I(model: ContinuousModel, N: int,
             down[i, a] = fac * np.exp(-2.0 * ((mids[downs[a]] - vals) - tilt))
     switching = gamma * np.moveaxis(model.rates.values(pts), 0, -1)
     drift = np.stack([psi.gradients(pts) for psi in model.potentials])
-    return TiltedGenerator("continuous_I", up, down, switching, N, h, drift,
-                           {**_continuous_metadata(model, N, "I"),
-                            "gamma": gamma})
+    return TiltedGenerator("continuous_I", up, down, switching, N,
+                           model.period, drift)
 
 
 def _continuous_II(model: ContinuousModel, N: int) -> TiltedGenerator:
@@ -405,8 +381,8 @@ def _continuous_II(model: ContinuousModel, N: int) -> TiltedGenerator:
         inc_dn_src = state_average(mu_q3, (mids - vals[:, ups[a]]) - tilt)
         up[0, a] = fac * np.exp(-2.0 * inc_up)
         down[0, a] = fac * np.exp(-2.0 * inc_dn_src[downs[a]])
-    return TiltedGenerator("continuous_II", up, down, None, N, h, bbar[None],
-                           _continuous_metadata(model, N, "II"))
+    return TiltedGenerator("continuous_II", up, down, None, N, model.period,
+                           bbar[None])
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,12 @@
 
 The Hamiltonian H(p) is the principal eigenvalue of the cell operator at
 momentum p.  The macroscopic velocity DH(0) comes from one left eigenvector
-at p = 0 (`velocity_of_model`, any dimension), or by central differences
-from a sampled table (`velocity`).  From a table this module also derives
-the Lagrangian L(v) = sup_p [p v - H(p)] (Legendre-Fenchel transform on the
-grid with parabolic refinement), action integrals of piecewise-linear paths,
-and the checks that every valid model must pass: H(0) = 0, midpoint
-convexity, symmetry under detailed balance, and the coercivity lower bounds.
+at p = 0 (`velocity_of_model`, any dimension).  From a sampled table this
+module derives the Lagrangian L(v) = sup_p [p v - H(p)] (Legendre-Fenchel
+transform on the grid with parabolic refinement), action integrals of
+piecewise-linear paths, and the checks that every valid model must pass:
+H(0) = 0, midpoint convexity, symmetry under detailed balance, and the
+coercivity lower bounds.
 """
 
 from __future__ import annotations
@@ -227,38 +227,6 @@ def sweep(model: Model, p_min: float, p_max: float, count: int,
 # ---------------------------------------------------------------------------
 # velocity
 # ---------------------------------------------------------------------------
-
-def velocity(table: HamiltonianTable) -> tuple:
-    """DH(0) by central differences at the two smallest grid offsets, with one
-    Richardson level.  Returns (velocity, error estimate).
-
-    The error is |d1 - d2| (the truncation estimate) plus the worst-case
-    spread of the Richardson value when each of the four H values lies
-    anywhere in its Collatz-Wielandt bracket:
-    (gap(delta) + gap(-delta)) 2/(3 delta) + (gap(2 delta) + gap(-2 delta))
-    /(12 delta), with gap = cw_upper - cw_lower.  A sample without a
-    certificate counts as exact.
-    """
-    p = table.p_grid
-    pos = p[p > 0]
-    if len(pos) < 2:
-        raise ValueError("grid too coarse around 0 for a velocity estimate")
-    delta = float(pos.min())
-    gaps = {}
-    for step in (1, -1, 2, -2):
-        hits = np.flatnonzero(np.isclose(p, step * delta, rtol=0.0, atol=1e-12))
-        if len(hits) == 0:
-            raise ValueError(f"grid is missing the symmetric offset {step * delta}")
-        cert = table.certificates[hits[0]]
-        gaps[step] = 0.0 if cert is None else cert.cw_gap
-    # in this grouping, err >= spread holds exactly in floating point
-    spread = ((gaps[1] + gaps[-1]) * 2.0 / (3.0 * delta)
-              + (gaps[2] + gaps[-2]) / (12.0 * delta))
-    d1 = (table.value_at(delta) - table.value_at(-delta)) / (2 * delta)
-    d2 = (table.value_at(2 * delta) - table.value_at(-2 * delta)) / (4 * delta)
-    refined = (4.0 * d1 - d2) / 3.0
-    return refined, abs(d1 - d2) + spread
-
 
 def velocity_of_model(model: Model, regime: Optional[str] = None, *,
                       N: int = 128, tol: float = 1e-10,

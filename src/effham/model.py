@@ -358,9 +358,11 @@ def model_to_dict(model: Model) -> dict:
 
 
 def load_model(path) -> Model:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"invalid JSON in {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(f"invalid JSON in {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
     return model_from_dict(obj)

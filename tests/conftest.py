@@ -107,6 +107,18 @@ def two_dim_model():
                                (None, r12), (r21, None))))
 
 
+def dense_matrix(op):
+    """The dense state-major matrix of an `AssembledOperator`, scattered
+    from its slice blocks: the oracle the structured kernels are tested
+    against."""
+    idx = op.index
+    M = np.zeros(op.shape)
+    M[idx, np.roll(idx, -1, axis=0)] += op.up
+    M[idx, np.roll(idx, 1, axis=0)] += op.down
+    M[idx[:, :, None], idx[:, None, :]] += op.blocks
+    return M
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

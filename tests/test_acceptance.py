@@ -51,7 +51,7 @@ def test_criterion_1_constant_drift_regression(ctx):
     h_err = float(np.max(np.abs(table.values - closed)))
     assert h_err <= 1e-3
 
-    v, v_est = eh.velocity(table)
+    v, v_est = eh.velocity_of_model(model, N=256, tol=1e-10)
     assert abs(v - 1.0) <= 1e-4
 
     v_grid = np.linspace(0.0, 2.0, 81)           # |v - 1| <= 1

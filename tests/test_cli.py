@@ -295,6 +295,41 @@ def test_bad_config_block_exits_2(tmp_path, caplog, monkeypatch, command,
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("case,message", [
+    pytest.param(case, message, id=case) for case, message in [
+        ("model_file-number", 'config: "model_file" must be a string'),
+        ("preset-list", 'config: "preset" must be a string'),
+        ("out-number", 'config: "out" must be a string'),
+        ("model_file-directory", "cannot read model file"),
+        ("model_file-not-utf8", "cannot read model file"),
+        ("config-directory", "cannot read config file"),
+        ("config-not-utf8", "cannot read config file")]])
+def test_bad_top_level_input_exits_2(tmp_path, caplog, monkeypatch, case,
+                                     message):
+    """A top-level path or name that is not a string, and a config or model
+    file that cannot be read as UTF-8 text, exit 2 before any solve."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli.ham, "velocity_of_model", refuse)
+    monkeypatch.chdir(tmp_path)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"preset": "constant_drift", "note": "\xe9"}')
+    configs = {"model_file-number": {"model_file": 5},
+               "preset-list": {"preset": ["x"]},
+               "out-number": {"preset": "constant_drift", "out": 5},
+               "model_file-directory": {"model_file": str(folder)},
+               "model_file-not-utf8": {"model_file": str(latin1)}}
+    config = (write_config(tmp_path, configs[case]) if case in configs
+              else str(folder if case == "config-directory" else latin1))
+    assert main(["velocity", "--config", config]) == 2
+    assert message in caplog.text
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        ["folder", "latin1.json"] + (["cfg.json"] if case in configs else []))
+
+
 def test_velocity_command_in_two_dimensions(tmp_path):
     """d = 2: velocity.json holds 2-lists, one component per axis."""
     cfg = write_config(tmp_path, {"model": model_to_dict(two_dim_model()),

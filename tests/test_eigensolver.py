@@ -17,8 +17,8 @@ from effham.hamiltonian import hamiltonian_at
 from effham.model import ContinuousModel, DiscreteModel, SwitchingRateMatrix
 from effham.presets import constant_drift, detailed_balance_pair, tilted_cosine
 
-from conftest import (random_continuous_model, random_discrete_model,
-                      two_dim_model)
+from conftest import (dense_matrix, random_continuous_model,
+                      random_discrete_model, two_dim_model)
 
 
 def dense_principal(M):
@@ -36,7 +36,7 @@ def test_discrete_I_ell2_hand_assembly():
                       hop_rates_minus=np.ones((1, 2)),
                       switching=np.zeros((1, 1, 2)))
     for p in (0.0, 0.8, -1.3):
-        M = assemble_discrete_I(m, p).matrix
+        M = dense_matrix(assemble_discrete_I(m, p))
         c = math.exp(p) + math.exp(-p)
         np.testing.assert_allclose(M, [[-2.0, c], [c, -2.0]], atol=1e-15)
 
@@ -70,7 +70,7 @@ def naive_discrete_action(model, p, gamma=1.0):
 def test_discrete_I_matches_naive_action(rng):
     m = random_discrete_model(rng, ell=3, J=2)
     for p, gamma in ((0.0, 1.0), (0.9, 1.0), (-0.4, 7.5)):
-        M = assemble_discrete_I(m, p, gamma=gamma).matrix
+        M = dense_matrix(assemble_discrete_I(m, p, gamma=gamma))
         np.testing.assert_allclose(M, naive_discrete_action(m, p, gamma),
                                    atol=1e-13)
 
@@ -79,15 +79,16 @@ def test_discrete_row_sums_vanish_at_p0(rng):
     for _ in range(5):
         m = random_discrete_model(rng, ell=int(rng.integers(2, 7)),
                                   J=int(rng.integers(1, 4)))
-        M = assemble_discrete_I(m, 0.0).matrix
+        M = dense_matrix(assemble_discrete_I(m, 0.0))
         assert np.max(np.abs(M @ np.ones(M.shape[0]))) <= 1e-12
 
 
 def test_discrete_II_equals_I_for_J1(rng):
     m = random_discrete_model(rng, ell=4, J=1)
     for p in (0.0, 1.1):
-        np.testing.assert_allclose(assemble_discrete_II(m, p).matrix,
-                                   assemble_discrete_I(m, p).matrix, atol=1e-14)
+        np.testing.assert_allclose(dense_matrix(assemble_discrete_II(m, p)),
+                                   dense_matrix(assemble_discrete_I(m, p)),
+                                   atol=1e-14)
 
 
 def test_discrete_II_constant_rates_closed_form(rng):
@@ -143,7 +144,7 @@ def test_constant_drift_closed_form():
 
 def test_continuous_row_sums_vanish_at_p0(rng):
     m = random_continuous_model(rng, J=2)
-    M = assemble_continuous_I(m, 0.0, 32).matrix
+    M = dense_matrix(assemble_continuous_I(m, 0.0, 32))
     scale = 1.0 + np.max(np.abs(np.diag(M)))
     assert np.max(np.abs(M @ np.ones(M.shape[0]))) <= 1e-12 * scale
 
@@ -151,7 +152,7 @@ def test_continuous_row_sums_vanish_at_p0(rng):
 def test_assembled_operators_are_metzler(rng):
     m = random_continuous_model(rng, J=2)
     for p in (-2.0, 0.0, 2.0):
-        M = assemble_continuous_I(m, p, 24).matrix
+        M = dense_matrix(assemble_continuous_I(m, p, 24))
         off = M - np.diag(np.diag(M))
         assert np.min(off) >= 0.0
 
@@ -205,8 +206,8 @@ def test_one_way_coupling_is_reducible():
 def test_continuous_II_equals_I_for_J1(rng):
     m = random_continuous_model(rng, J=1)
     for p in (0.0, 0.9):
-        np.testing.assert_allclose(assemble_continuous_II(m, p, 20).matrix,
-                                   assemble_continuous_I(m, p, 20).matrix,
+        np.testing.assert_allclose(dense_matrix(assemble_continuous_II(m, p, 20)),
+                                   dense_matrix(assemble_continuous_I(m, p, 20)),
                                    atol=1e-13)
 
 
@@ -217,8 +218,8 @@ def test_continuous_II_equal_potentials_reduces(rng):
                         regime="II")
     single = ContinuousModel(dim=1, J=1, potentials=(psi,),
                              rates=SwitchingRateMatrix(J=1, entries=((None,),)))
-    np.testing.assert_allclose(assemble_continuous_II(m, 0.8, 24).matrix,
-                               assemble_continuous_I(single, 0.8, 24).matrix,
+    np.testing.assert_allclose(dense_matrix(assemble_continuous_II(m, 0.8, 24)),
+                               dense_matrix(assemble_continuous_I(single, 0.8, 24)),
                                atol=1e-13)
 
 
@@ -271,7 +272,8 @@ def test_dim2_two_states_with_switching():
                                                                 (one, None))))
     op = assemble_continuous_I(m, np.array([0.4, -0.2]), 12)
     assert op.shape == (288, 288)
-    off = op.matrix - np.diag(np.diag(op.matrix))
+    M = dense_matrix(op)
+    off = M - np.diag(np.diag(M))
     assert np.min(off) >= 0.0
     cert0 = principal_eigenpair(assemble_continuous_I(m, np.zeros(2), 12))
     assert abs(cert0.eigenvalue) <= 1e-9
@@ -292,7 +294,7 @@ def test_transpose_keeps_the_slice_layout(kind, regime, size, rng):
     else:
         op = cell_operator(random_discrete_model(rng, ell=size, J=2),
                            regime).at(0.7)
-    assert np.array_equal(op.T.matrix, op.matrix.T)
+    assert np.array_equal(dense_matrix(op.T), dense_matrix(op).T)
 
 
 def test_grid_convergence_order_on_smooth_preset():
@@ -481,7 +483,7 @@ def _structured_operator(kind, regime, size, gamma, rng):
         block[0, range(3), range(3)] = -4.0
         return eigensolver.AssembledOperator(
             block, rng.uniform(0.5, 1.0, size=(1, 3)),
-            rng.uniform(0.5, 1.0, size=(1, 3)), "discrete_I", 1, 3)
+            rng.uniform(0.5, 1.0, size=(1, 3)), 1, 3)
     if kind == "continuous":
         model = random_continuous_model(rng, J=2, amp=0.05)
         return cell_operator(model, regime, N=size).at(0.7)
@@ -537,7 +539,7 @@ def _dense_coupling_cyclic_solve(D, U, L, f):
 @pytest.mark.parametrize("kind,regime,size,gamma", STRUCTURED_CASES)
 def test_structured_kernels_match_dense(kind, regime, size, gamma, rng):
     op = _structured_operator(kind, regime, size, gamma, rng)
-    M = op.matrix
+    M = dense_matrix(op)
     m, b = op.up.shape
     assert m == size and m * b == M.shape[0]
     A, B, C, index = op.blocks, op.up, op.down, op.index
@@ -589,7 +591,7 @@ def _inverse_steps_with_fault(monkeypatch, fault):
     cert = principal_eigenpair(op, tol=1e-10)
     monkeypatch.undo()
     assert len(calls) >= 2
-    reference = dense_principal(op.matrix)
+    reference = dense_principal(dense_matrix(op))
     assert cert.cw_lower <= reference + 1e-12 and reference - 1e-12 <= cert.cw_upper
     assert cert.fallbacks >= 1
     return cert

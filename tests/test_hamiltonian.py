@@ -7,11 +7,11 @@ import pytest
 
 from effham import chains, hamiltonian
 from effham.eigensolver import (ConvergenceError, EigenCertificate,
-                                cell_operator, collatz_wielandt_bounds,
-                                principal_eigenpair)
+                                TiltedGenerator, cell_operator,
+                                collatz_wielandt_bounds, principal_eigenpair)
 from effham.hamiltonian import (HamiltonianTable, coercivity_check,
                                 convexity_report, hamiltonian_at, legendre,
-                                path_rate, sweep, symmetry_check, velocity,
+                                path_rate, sweep, symmetry_check,
                                 velocity_of_model)
 from effham.fields import PeriodicScalarField
 from effham.model import ContinuousModel, SwitchingRateMatrix
@@ -19,9 +19,9 @@ from effham.presets import (PRESETS, constant_drift, detailed_balance_pair,
                             discrete_asymmetric, discrete_two_state,
                             two_state_flashing)
 
-from conftest import (balance_violating_model, detailed_balance_model,
-                      random_continuous_model, random_discrete_model,
-                      two_dim_model)
+from conftest import (balance_violating_model, dense_matrix,
+                      detailed_balance_model, random_continuous_model,
+                      random_discrete_model, two_dim_model)
 
 
 def quadratic_table(p_min=-4.0, p_max=4.0, count=81, curvature=0.5):
@@ -161,16 +161,22 @@ def test_warm_sweep_brackets_overlap_cold_solves(case):
 
 
 def test_failed_sample_restarts_its_outer_neighbour_cold(monkeypatch):
-    real = hamiltonian.principal_eigenpair
-    starts = {}
+    real_at, real = TiltedGenerator.at, hamiltonian.principal_eigenpair
+    momentum, starts = {}, {}
+
+    def at(gen, p):
+        op = real_at(gen, p)
+        momentum[id(op)] = p
+        return op
 
     def fail_at_half(op, **kw):
-        p = op.metadata["p"][0]
+        p = momentum[id(op)]
         starts[p] = kw.get("start")
         if p == 0.5:
             raise ConvergenceError("injected", None)
         return real(op, **kw)
 
+    monkeypatch.setattr(TiltedGenerator, "at", at)
     monkeypatch.setattr(hamiltonian, "principal_eigenpair", fail_at_half)
     table = sweep(discrete_two_state(), -1.5, 1.5, 7)
     assert list(table.failures) == [4]
@@ -264,11 +270,8 @@ def test_sweep_records_build_failure_for_every_sample():
 
 
 def test_velocity_constant_drift():
-    table = sweep(constant_drift(1.0), -3.0, 3.0, 61, N=256)
-    v, err = velocity(table)
+    v, err = velocity_of_model(constant_drift(1.0), N=256)
     assert v == pytest.approx(1.0, abs=1e-4)
-    v5, err5 = velocity_of_model(constant_drift(1.0), N=256)
-    assert v5 == pytest.approx(1.0, abs=1e-4)
 
 
 def test_velocity_discrete_closed_form():
@@ -278,29 +281,35 @@ def test_velocity_discrete_closed_form():
 
 
 def _oracle_models():
-    models = [pytest.param(make(), id=name)
+    models = [pytest.param(make(), 128, id=name)
               for name, make in sorted(PRESETS.items())]
     for J in (2, 3):
         models.append(pytest.param(random_continuous_model(
-            np.random.default_rng(100 + J), J=J), id=f"continuous-J{J}"))
+            np.random.default_rng(100 + J), J=J), 128, id=f"continuous-J{J}"))
         for ell in (2, 5):
             for regime in ("I", "II"):
                 models.append(pytest.param(random_discrete_model(
                     np.random.default_rng(200 + 10 * J + ell), ell=ell, J=J,
-                    regime=regime), id=f"discrete-J{J}-ell{ell}-{regime}"))
+                    regime=regime), 128, id=f"discrete-J{J}-ell{ell}-{regime}"))
+    models.append(pytest.param(two_dim_model(), 16, id="continuous-d2"))
     return models
 
 
-@pytest.mark.parametrize("model", _oracle_models())
-def test_velocity_matches_dense_stationary_oracle(model):
+@pytest.mark.parametrize("model,N", _oracle_models())
+def test_velocity_matches_dense_stationary_oracle(model, N):
     """DH(0) is the stationary law of M(0), from a dense solve, dotted with
-    M'(0) 1 = h (up - down); ell = 2 couples up and down to the same slice."""
-    v, err = velocity_of_model(model, tol=1e-10)
-    gen = cell_operator(model, model.regime)
-    mu, ok = chains.stationary_measures(gen.at(0.0).matrix[None])
+    M_a'(0) 1 = h (up_a - down_a) along every axis a; ell = 2 couples up and
+    down to the same slice."""
+    v, err = velocity_of_model(model, N=N, tol=1e-10)
+    gen = cell_operator(model, model.regime, N=N)
+    dim = gen.up.shape[1]
+    assert np.shape(v) == np.shape(err) == ((dim,) if dim > 1 else ())
+    M = dense_matrix(gen.at(np.zeros(dim)))
+    mu, ok = chains.stationary_measures(M[None])
     assert ok[0]
-    reference = float(mu[0] @ (gen.h * (gen.up - gen.down)[:, 0].ravel()))
-    assert abs(v - reference) <= err <= 1e-10
+    for a, (va, ea) in enumerate(zip(np.atleast_1d(v), np.atleast_1d(err))):
+        reference = float(mu[0] @ (gen.h * (gen.up - gen.down)[:, a].ravel()))
+        assert abs(va - reference) <= ea <= 1e-10
 
 
 def test_velocity_detailed_balance_vanishes():
@@ -316,39 +325,6 @@ def test_velocity_broken_balance_transports():
     v, err = velocity_of_model(
         balance_violating_model(np.random.default_rng(33)))
     assert abs(v) > 0.1
-
-
-def test_velocity_in_two_dimensions_matches_axis_sweeps():
-    """One left solve gives DH(0) along every axis; each component agrees
-    with the stencil of a sweep along that axis, within its error."""
-    model, N, delta = two_dim_model(), 16, 1e-3
-    v, err = velocity_of_model(model, N=N)
-    assert v.shape == err.shape == (2,)
-    assert np.all(err <= 1e-10)
-    for a in range(2):
-        v_axis, err_axis = velocity(
-            sweep(model, -2 * delta, 2 * delta, 5, N=N, axis=a))
-        assert abs(v[a] - v_axis) <= err_axis
-
-
-def test_velocity_error_covers_the_certificates():
-    """The error includes the worst-case spread of the Richardson value over
-    the four CW brackets, which the difference |d1 - d2| alone can miss."""
-    model = random_continuous_model(np.random.default_rng(84457904), J=2)
-    delta = 1e-3
-    table = sweep(model, -2 * delta, 2 * delta, 5, N=256, tol=1e-9)
-    gaps = {round(p / delta): c.cw_gap
-            for p, c in zip(table.p_grid, table.certificates)}
-    spread = ((gaps[1] + gaps[-1]) * 2.0 / (3.0 * delta)
-              + (gaps[2] + gaps[-2]) / (12.0 * delta))
-    v, err = velocity(table)
-    assert spread > 0.0 and err >= spread
-
-
-def test_velocity_needs_symmetric_neighbors():
-    table = quadratic_table(count=80)   # even count: no sample at exactly 0
-    with pytest.raises((ValueError, KeyError)):
-        velocity(table)
 
 
 def test_legendre_self_dual_quadratic():

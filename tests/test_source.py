@@ -5,7 +5,7 @@ import time
 from pathlib import Path
 
 import effham
-from effham import hamiltonian, simulator
+from effham import eigensolver, hamiltonian, simulator
 from effham.presets import (constant_drift, discrete_two_state,
                             two_state_flashing)
 
@@ -150,6 +150,14 @@ def test_benchmark_tracer_binds_the_library(monkeypatch):
     assert sum(span[3] == velocity
                and span[0] == "eigensolver.principal_eigenpair"
                for span in tracer.spans) == 1
+    # every solve is sized from the operator's shape, with no dense matrix:
+    # the sweep's operators have 32 rows (J = 1), the velocity's 64 (J = 2)
+    assert not hasattr(eigensolver.AssembledOperator, "matrix")
+    sweep = next(k for k, span in enumerate(tracer.spans)
+                 if span[0] == "hamiltonian.sweep")
+    sizes = {(span[3], span[4]["n"]) for span in tracer.spans
+             if span[0] == "eigensolver.principal_eigenpair"}
+    assert sizes == {(sweep, 32), (velocity, 64)}
     info = {span[0]: span[4] for span in tracer.spans
             if span[0].startswith("simulator.")}
     assert set(info["simulator.simulate_continuous"]) == {"steps", "switches"}
