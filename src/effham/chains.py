@@ -203,16 +203,13 @@ def detailed_balance_report(model: ContinuousModel,
         list(model.potentials) + model.rates.iter_fields()))
     pts = grid_points(model.dim, n, model.period)
     weights = [np.exp(-2.0 * psi.values(pts)) for psi in model.potentials]
+    R = model.rates.values(pts)
     worst = 0.0
     scale = 0.0
     for i in range(model.J):
         for j in range(i + 1, model.J):
-            fij = model.rates.entries[i][j]
-            fji = model.rates.entries[j][i]
-            rij = fij.values(pts) if fij is not None else np.zeros(len(pts))
-            rji = fji.values(pts) if fji is not None else np.zeros(len(pts))
-            lhs = rij * weights[i]
-            rhs = rji * weights[j]
+            lhs = R[:, i, j] * weights[i]
+            rhs = R[:, j, i] * weights[j]
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
             scale = max(scale, float(np.max(np.abs(lhs))),
                         float(np.max(np.abs(rhs))))

@@ -263,11 +263,15 @@ def cmd_simulate(cfg: dict, model, outdir: Path,
     gamma = _real(block, "gamma", where, 1.0, positive=True)
     predicted_v = (None if block.get("predicted_v") is None
                    else _real(block, "predicted_v", where))
+    dump = block.get("dump_trajectories", False)
+    if not isinstance(dump, bool):
+        raise ConfigError(f'{where}: "dump_trajectories" must be true or '
+                          f"false, got {dump!r}")
     report = simulator.concentration_experiment(
         model, scales, T, paths, seed, predicted_v=predicted_v,
         dt_factor=dt_factor, gamma=gamma, solver_n=solver_n)
     report.to_csv(outdir / "summary.csv")
-    if block.get("dump_trajectories", False):
+    if dump:
         for row in report.rows:
             if isinstance(model, ContinuousModel):
                 tr = simulator.simulate_continuous(

@@ -13,8 +13,9 @@ periodic itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,11 +31,9 @@ class PeriodicScalarField:
     fourier_coeffs: tuple = ()
     affine_slope: tuple = ()
 
-    # derived arrays, filled in __post_init__: (d, m, 1) angular wave
-    # numbers 2 pi k / L and (m, 1) amplitudes, mode-major so that every
-    # elementwise operation runs along the points (a field without modes
-    # carries one zero mode)
-    _modes: tuple = field(init=False, repr=False, compare=False, default=None)
+    # derived, filled in __post_init__: the field as the one column of
+    # `stack_modes`, which every evaluation reads
+    _modes: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _slope: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _tilted: bool = field(init=False, repr=False, compare=False, default=False)
     _roundoff: float = field(init=False, repr=False, compare=False, default=0.0)
@@ -42,25 +41,19 @@ class PeriodicScalarField:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"field dimension must be >= 1, got {self.dim}")
-        if not self.period > 0:
-            raise ValueError(f"field period must be positive, got {self.period}")
-        coeffs = list(self.fourier_coeffs)
-        m = len(coeffs)
-        K = np.zeros((m, self.dim), dtype=float)
-        A = np.zeros(m)
-        B = np.zeros(m)
-        for row, entry in enumerate(coeffs):
-            k, a, b = entry
+        if not 0 < self.period < math.inf:
+            raise ValueError(f"field period must be positive and finite, "
+                             f"got {self.period}")
+        coeffs = []
+        for k, a, b in self.fourier_coeffs:
             k = np.atleast_1d(np.asarray(k, dtype=float))
             if k.shape != (self.dim,):
                 raise ValueError(
                     f"wave vector {k} does not match field dimension {self.dim}"
                 )
-            if not np.all(k == np.round(k)):
+            if not np.all(np.isfinite(k) & (k == np.round(k))):
                 raise ValueError(f"wave vectors must be integer, got {k}")
-            K[row] = k
-            A[row] = float(a)
-            B[row] = float(b)
+            coeffs.append((tuple(int(x) for x in k), float(a), float(b)))
         slope = np.zeros(self.dim) if len(self.affine_slope) == 0 else np.asarray(
             self.affine_slope, dtype=float
         )
@@ -68,25 +61,19 @@ class PeriodicScalarField:
             raise ValueError(
                 f"affine slope {slope} does not match field dimension {self.dim}"
             )
-        padded = max(m, 1)
-        modes = (np.zeros((self.dim, padded, 1)), np.zeros((padded, 1)),
-                 np.zeros((padded, 1)))
-        modes[0][:, :m, 0] = (TWO_PI / self.period) * K.T
-        modes[1][:m, 0], modes[2][:m, 0] = A, B
-        for arr in modes + (slope,):
+        # normalized tuples so equality/hashing work on plain data
+        object.__setattr__(self, "fourier_coeffs", tuple(coeffs))
+        object.__setattr__(self, "affine_slope", tuple(slope))
+        modes = stack_modes([self])
+        if not (np.all(np.isfinite(modes[-2:])) and np.all(np.isfinite(slope))):
+            raise ValueError("Fourier amplitudes and affine slope must be finite")
+        for arr in (modes, slope):
             arr.setflags(write=False)
         object.__setattr__(self, "_modes", modes)
         object.__setattr__(self, "_slope", slope)
         object.__setattr__(self, "_tilted", bool(np.any(slope != 0.0)))
-        object.__setattr__(self, "_roundoff", 8.0 * np.finfo(float).eps
-                           * float(np.sum(np.abs(A)) + np.sum(np.abs(B))))
-        # normalized tuples so equality/hashing work on plain data
-        object.__setattr__(
-            self,
-            "fourier_coeffs",
-            tuple((tuple(int(x) for x in K[r]), A[r], B[r]) for r in range(m)),
-        )
-        object.__setattr__(self, "affine_slope", tuple(slope))
+        object.__setattr__(self, "_roundoff", 8.0 * np.finfo(float).eps * float(
+            np.sum(np.abs(modes[-2])) + np.sum(np.abs(modes[-1]))))
 
     # -- evaluation ------------------------------------------------------------
 
@@ -103,10 +90,6 @@ class PeriodicScalarField:
         return self._gradients(self._check_point(y)[None])[0]
 
     # -- vectorized grid evaluation ---------------------------------------------
-    #
-    # Sums over modes and axes run elementwise in a fixed order, never through
-    # a BLAS product, so a point's result does not depend on how many points
-    # are evaluated with it: `value(y) == values([y])[0]` bit for bit.
 
     def values(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at an (n, d) array of points."""
@@ -123,18 +106,8 @@ class PeriodicScalarField:
     def _points(self, points) -> np.ndarray:
         return np.asarray(points, dtype=float).reshape(-1, self.dim)
 
-    def _phases(self, pts: np.ndarray) -> np.ndarray:
-        """(m, n) phases 2 pi k.y / L."""
-        omegas = self._modes[0]
-        phase = omegas[0] * pts[:, 0]
-        for a in range(1, self.dim):
-            phase = phase + omegas[a] * pts[:, a]
-        return phase
-
     def _fourier(self, pts: np.ndarray) -> np.ndarray:
-        _, cos_amps, sin_amps = self._modes
-        phase = self._phases(pts)
-        return _ordered_sum(cos_amps * np.cos(phase) + sin_amps * np.sin(phase))
+        return fourier_values(self._modes, pts.T)
 
     def _values(self, pts: np.ndarray) -> np.ndarray:
         if not self._tilted:
@@ -142,10 +115,7 @@ class PeriodicScalarField:
         return _ordered_sum(pts.T * self._slope[:, None]) + self._fourier(pts)
 
     def _gradients(self, pts: np.ndarray) -> np.ndarray:
-        omegas, cos_amps, sin_amps = self._modes
-        phase = self._phases(pts)
-        weights = sin_amps * np.cos(phase) - cos_amps * np.sin(phase)
-        return self._slope + _ordered_sum((omegas * weights).transpose(1, 0, 2)).T
+        return self._slope + fourier_gradients(self._modes, pts.T).T
 
     # -- structure queries -------------------------------------------------------
 
@@ -161,12 +131,6 @@ class PeriodicScalarField:
         return self._roundoff
 
     @property
-    def modes(self) -> tuple:
-        """The (d, m, 1) angular wave numbers and (m, 1) cos/sin amplitudes
-        every evaluation reads (one zero mode for a field without modes)."""
-        return self._modes
-
-    @property
     def max_band(self) -> int:
         """Largest |k|_inf over the spectrum (0 for a constant field)."""
         return max((max(abs(x) for x in k) for k, _, _ in self.fourier_coeffs),
@@ -176,12 +140,59 @@ class PeriodicScalarField:
         return not self._tilted
 
 
+# -- the Fourier evaluator -----------------------------------------------------
+#
+# Sums over modes and axes run elementwise in a fixed order, never through a
+# BLAS product, so a point's result depends neither on how many points nor on
+# which other columns of a stack are evaluated with it.
+
+def stack_modes(fields: Sequence) -> np.ndarray:
+    """(d + 2, m, k) modes of k fields of one dimension d (None: the zero
+    field): rows :d hold the angular wave numbers 2 pi k / L, rows d and
+    d + 1 the cos and sin amplitudes, each field padded with zero modes to
+    the longest spectrum (one zero mode when no field has modes).  A zero
+    mode adds 0.0 to a sum."""
+    present = [f for f in fields if f is not None]
+    dim = present[0].dim if present else 1
+    m = max([len(f.fourier_coeffs) for f in present] + [1])
+    modes = np.zeros((dim + 2, m, len(fields)))
+    for col, f in enumerate(fields):
+        for row, (k, a, b) in enumerate(() if f is None else f.fourier_coeffs):
+            modes[:dim, row, col] = (TWO_PI / f.period) * np.asarray(k, dtype=float)
+            modes[dim:, row, col] = a, b
+    return modes
+
+
 def _ordered_sum(rows: np.ndarray) -> np.ndarray:
     """rows[0] + rows[1] + ..., added left to right."""
     total = rows[0]
     for row in rows[1:]:
         total = total + row
     return total
+
+
+def _phases(omegas: np.ndarray, y) -> np.ndarray:
+    """omega . y per mode: omegas (d, m, ...) against coordinates y (d, ...)."""
+    phase = omegas[0] * y[0]
+    for a in range(1, len(omegas)):
+        phase = phase + omegas[a] * y[a]
+    return phase
+
+
+def fourier_values(modes: np.ndarray, y) -> np.ndarray:
+    """sum_m a_m cos(omega_m . y) + b_m sin(omega_m . y) of stacked `modes`
+    (d + 2, m, ...), whose trailing axes broadcast against the trailing axes
+    of the coordinates y (d, ...)."""
+    phase = _phases(modes[:-2], y)
+    return _ordered_sum(modes[-2] * np.cos(phase) + modes[-1] * np.sin(phase))
+
+
+def fourier_gradients(modes: np.ndarray, y) -> np.ndarray:
+    """(d, ...) gradient of the sums of `fourier_values`."""
+    omegas = modes[:-2]
+    phase = _phases(omegas, y)
+    weights = modes[-1] * np.cos(phase) - modes[-2] * np.sin(phase)
+    return _ordered_sum((omegas * weights).swapaxes(0, 1))
 
 
 def grid_points(dim: int, n_per_axis: int, period: float = 1.0) -> np.ndarray:

@@ -11,14 +11,15 @@ than raising.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
 import numpy as np
 
 from .chains import (irreducible, negative_samples, point_label,
                      stationary_measures)
-from .fields import PeriodicScalarField, grid_points, sampling_resolution
+from .fields import (PeriodicScalarField, fourier_values, grid_points,
+                     sampling_resolution, stack_modes)
 
 REGIMES = ("I", "II")
 
@@ -27,10 +28,10 @@ class ModelFormatError(ValueError):
     """Malformed model description (JSON schema violation, shape mismatch)."""
 
 
-def _snapped(f: PeriodicScalarField, values):
-    """`values` of the rate field f, with those within f's evaluation
-    round-off of zero set to exactly 0."""
-    return np.where(np.abs(values) <= f.roundoff, 0.0, values)
+def _snapped(values, roundoff):
+    """Rate samples `values`, with those within their field's evaluation
+    round-off (broadcast against them) of zero set to exactly 0."""
+    return np.where(np.abs(values) <= roundoff, 0.0, values)
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,11 @@ class SwitchingRateMatrix:
 
     J: int
     entries: tuple  # J x J of PeriodicScalarField or None on the diagonal
+
+    # derived, filled in __post_init__: the (d + 2, m, J, J) `stack_modes`
+    # of the entries (zero fields on the diagonal and for None) and each
+    # entry's round-off (J, J)
+    _stack: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.J < 1:
@@ -62,6 +68,13 @@ class SwitchingRateMatrix:
         if len(dims) > 1 or len(periods) > 1:
             raise ValueError("all rate fields must share dim and period")
         object.__setattr__(self, "entries", rows)
+        fields = [None if i == j else e for i, row in enumerate(rows)
+                  for j, e in enumerate(row)]
+        modes = stack_modes(fields)
+        object.__setattr__(self, "_stack", (
+            modes.reshape(modes.shape[:2] + (self.J, self.J)), np.reshape(
+                [0.0 if f is None else f.roundoff for f in fields],
+                (self.J, self.J))))
 
     def rate(self, i: int, j: int, y) -> float:
         return float(self.rates_at(y)[i, j])
@@ -81,13 +94,16 @@ class SwitchingRateMatrix:
         A sample within its field's evaluation round-off of zero is exactly
         0, so a rate field that touches zero vanishes there whatever the
         sign of its round-off."""
-        pts = np.asarray(points, dtype=float)
-        R = np.zeros((len(pts), self.J, self.J))
-        for i, j in np.ndindex(self.J, self.J):
-            if i != j and self.entries[i][j] is not None:
-                R[:, i, j] = _snapped(self.entries[i][j],
-                                      self.entries[i][j].values(pts))
-        return R
+        return self.rates_out_of(np.arange(self.J)[None],
+                                 np.asarray(points, dtype=float).T[:, :, None])
+
+    def rates_out_of(self, states, y) -> np.ndarray:
+        """(..., J) rates r_ij out of states i at coordinates y (d, ...), the
+        states broadcasting against y's trailing axes: (n, J) out of the own
+        states of n points y (d, n).  Evaluated and snapped as `values`."""
+        modes, roundoff = self._stack
+        return _snapped(fourier_values(modes[:, :, states], y[..., None]),
+                        roundoff[states])
 
     def iter_fields(self) -> list:
         return [e for i, row in enumerate(self.entries)
@@ -288,6 +304,16 @@ def _field_to_json(f: Optional[PeriodicScalarField]):
     }
 
 
+def _integer(obj: dict, key: str) -> int:
+    """obj[key] as an int; a bool, a string or a number with a fractional
+    part is rejected, not truncated."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not float(value).is_integer():
+        raise ModelFormatError(f'"{key}" must be an integer, got {value!r}')
+    return int(value)
+
+
 def model_from_dict(obj: dict) -> Model:
     if not isinstance(obj, dict):
         raise ModelFormatError("model description must be a JSON object")
@@ -297,8 +323,7 @@ def model_from_dict(obj: dict) -> Model:
         if unknown:
             raise ModelFormatError(f"unknown model keys {sorted(unknown)}")
         try:
-            dim = int(obj["dim"])
-            J = int(obj["J"])
+            dim, J = _integer(obj, "dim"), _integer(obj, "J")
             regime = str(obj["regime"])
             period = float(obj.get("period", 1.0))
             pots = tuple(_field_from_json(p, dim, period) for p in obj["potentials"])
@@ -308,21 +333,19 @@ def model_from_dict(obj: dict) -> Model:
                       else _field_from_json(raw[i][j], dim, period)
                       for j in range(J))
                 for i in range(J))
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ModelFormatError(f"malformed continuous model: {exc}") from exc
-        try:
             return ContinuousModel(dim=dim, J=J, potentials=pots,
                                    rates=SwitchingRateMatrix(J=J, entries=entries),
                                    regime=regime)
-        except ValueError as exc:
-            raise ModelFormatError(str(exc)) from exc
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ModelFormatError(f"malformed continuous model: {exc}") from exc
     if kind == "discrete":
         unknown = set(obj) - _DISC_KEYS
         if unknown:
             raise ModelFormatError(f"unknown model keys {sorted(unknown)}")
         try:
             return DiscreteModel(
-                ell=int(obj["ell"]), J=int(obj["J"]), regime=str(obj["regime"]),
+                ell=_integer(obj, "ell"), J=_integer(obj, "J"),
+                regime=str(obj["regime"]),
                 hop_rates_plus=np.asarray(obj["hop_rates_plus"], dtype=float),
                 hop_rates_minus=np.asarray(obj["hop_rates_minus"], dtype=float),
                 switching=np.asarray(obj["switching"], dtype=float))

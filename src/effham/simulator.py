@@ -28,12 +28,14 @@ trajectory index), each once, in blocks of `_BLOCK` with a cursor per path.
 So `simulate_*` with `traj_index=k` reproduces path k of a batch bit for
 bit, whatever the batch and the block size, and each row of a concentration
 experiment equals the `batch_*` run of its scale whenever the batch's fast
-step dt/eps equals the experiment's in floating point.  Drift and switching
-rates come from state-indexed Fourier tables, padded with zero modes so that
-each row runs the same elementwise sums as its `PeriodicScalarField`; a
-row's drift columns change only when it jumps.  (t, x, i) records and
-`Trajectory` objects are built only for `simulate_*` and `batch_*`, and
-close at exactly T; an experiment keeps each path's end at each horizon.
+step dt/eps equals the experiment's in floating point.  Each row's drift
+is `fields.fourier_gradients` of its state's column of the potentials'
+`stack_modes`, gathered again only when the row jumps, and its switching
+rates are `SwitchingRateMatrix.rates_out_of` its state, clipped at 0: the
+sums and the round-off rule of the fields and of `values`.  (t, x, i)
+records and `Trajectory` objects are built only for `simulate_*` and
+`batch_*`, and close at exactly T; an experiment keeps each path's end at
+each horizon.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fields import _ordered_sum, grid_points, sampling_resolution
+from .fields import (fourier_gradients, grid_points, sampling_resolution,
+                     stack_modes)
 from .model import ContinuousModel, DiscreteModel, Model
 
 DT_FACTOR = 200.0   # default Euler-Maruyama step dt = eps / DT_FACTOR
@@ -173,60 +176,15 @@ class _Records:
 # continuous model: Euler-Maruyama + thinning
 # ---------------------------------------------------------------------------
 
-def _fourier_table(fields: Sequence) -> np.ndarray:
-    """(3, m, len(fields)) angular wave numbers and cos and sin amplitudes of
-    1-d fields (None: no field), each padded with zero modes to the longest.
-
-    A zero mode adds 0.0 to a point's sum, so a column evaluates in the
-    operations of its field's own sums, bit for bit."""
-    if any(f is not None and f.dim != 1 for f in fields):
-        raise NotImplementedError("trajectory sampling is implemented for d = 1")
-    m = max((len(f.modes[1]) for f in fields if f is not None), default=1)
-    table = np.zeros((3, m, len(fields)))
-    for col, f in enumerate(fields):
-        if f is not None:
-            omegas, cos_amps, sin_amps = f.modes
-            table[:, :len(cos_amps), col] = (omegas[0, :, 0], cos_amps[:, 0],
-                                             sin_amps[:, 0])
-    return table
-
-
-def _rate_table(model: ContinuousModel) -> np.ndarray:
-    """(3, m, J, J) table of the rate fields r_ij (zero on the diagonal)."""
-    J, entries = model.J, model.rates.entries
-    table = _fourier_table([entries[i][j] if i != j else None
-                            for i in range(J) for j in range(J)])
-    return table.reshape(3, -1, J, J)
-
-
-def _switching_rates(table: np.ndarray, y: np.ndarray,
-                     state: np.ndarray) -> np.ndarray:
-    """(len(y), J) rates r_ij(y) out of each point's state i, clipped at 0,
-    from the (3, m, J, J) rate table."""
-    omegas, cos_amps, sin_amps = table[:, :, state]
-    phase = omegas * y[:, None]
-    return np.maximum(_ordered_sum(cos_amps * np.cos(phase)
-                                   + sin_amps * np.sin(phase)), 0.0)
-
-
-def _drift(columns: np.ndarray, slope: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """grad psi(y) per path from its (3, m, paths) potential table columns
-    and slopes: the sums of `PeriodicScalarField.gradients`."""
-    omegas, cos_amps, sin_amps = columns
-    phase = omegas * y
-    return slope + _ordered_sum(omegas * (sin_amps * np.cos(phase)
-                                          - cos_amps * np.sin(phase)))
-
-
 def max_total_switching_rate(model: ContinuousModel) -> float:
-    """sup over (y, i) of sum_j r_ij(y), from a resolving sample lattice."""
+    """sup over (y, i) of sum_j r_ij(y), rates clipped at 0 as the stepper
+    clips them, from a resolving sample lattice."""
     fields = model.rates.iter_fields()
     if not fields:
         return 0.0
-    table = _rate_table(model)
-    y = grid_points(model.dim, sampling_resolution(fields), model.period)[:, 0]
-    return max(float(np.max(np.sum(_switching_rates(
-        table, y, np.full(len(y), i)), axis=1))) for i in range(model.J))
+    pts = grid_points(model.dim, sampling_resolution(fields), model.period)
+    return float(np.max(np.sum(np.maximum(model.rates.values(pts), 0.0),
+                               axis=2)))
 
 
 def _fast_step(eps: float, dt: Optional[float]) -> float:
@@ -267,7 +225,7 @@ def _check_run(model: Model, horizons: Sequence[float], gamma: float,
 
 def _continuous_paths(model: ContinuousModel, horizons: Sequence[float],
                       ds: float, streams: _Streams, *, gamma: float = 1.0,
-                      i0: int = 0, freeze_position: bool = False,
+                      i0: int = 0,
                       records: Optional[_Records] = None) -> np.ndarray:
     """Fast positions y = x/eps (len(horizons), paths) of the paths of
     `streams` at each fast horizon T/eps of `horizons` (increasing), each
@@ -279,13 +237,12 @@ def _continuous_paths(model: ContinuousModel, horizons: Sequence[float],
     horizons = _check_run(model, horizons, gamma, i0)
     last, ahead = horizons[-1], np.append(horizons, math.inf)
     paths = len(streams.indices)
-    normal = None if freeze_position else _Draws(streams.draws(_KINDS[0]))
-    exponential, uniform = (_Draws(streams.draws(kind)) for kind in _KINDS[1:])
+    normal, exponential, uniform = (_Draws(streams.draws(kind))
+                                    for kind in _KINDS)
     # the thinning bound has 1% headroom: the lattice max can sit slightly
     # below the continuum sup
     lam = 1.01 * gamma * max_total_switching_rate(model)
-    rates = _rate_table(model)
-    potentials = _fourier_table(model.potentials)
+    potentials = stack_modes(model.potentials)
     slopes = np.array([psi.slope[0] for psi in model.potentials])
 
     live = np.arange(paths)     # path numbers of the running rows
@@ -293,7 +250,7 @@ def _continuous_paths(model: ContinuousModel, horizons: Sequence[float],
     due = np.zeros(paths, dtype=np.intp)    # index of each row's next horizon
     ends = np.empty((len(horizons), paths))
     state = np.full(paths, i0)
-    columns, slope = potentials[:, :, state], slopes[state]
+    columns, slope = potentials[..., state], slopes[state]
     if records is not None:
         stride = max(1, math.ceil(last / ds) // _RECORDS)
         records.add(live, 0.0, 0.0, i0)
@@ -303,10 +260,8 @@ def _continuous_paths(model: ContinuousModel, horizons: Sequence[float],
     steps = 0                   # array steps taken, the same for every row
     while live.size:
         target = np.minimum(np.minimum(s + ds, candidate), last)
-        if normal is None:
-            z = drift = np.zeros(len(live))
-        else:
-            z, drift = normal(live), _drift(columns, slope, y)
+        z = normal(live)
+        drift = slope + fourier_gradients(columns, y[None])[0]
         passed = (ahead[due] <= target).nonzero()[0]
         while passed.size:      # ends at the horizons this step reaches
             h = due[passed]
@@ -324,8 +279,8 @@ def _continuous_paths(model: ContinuousModel, horizons: Sequence[float],
 
         hit = (s >= candidate).nonzero()[0]
         if hit.size:
-            cum = (gamma * _switching_rates(rates, y[hit],
-                                            state[hit])).cumsum(axis=1)
+            cum = (gamma * np.maximum(model.rates.rates_out_of(
+                state[hit], y[None, hit]), 0.0)).cumsum(axis=1)
             total = cum[:, -1]
             if (total > lam * (1 + 1e-12)).any():
                 raise RuntimeError("thinning bound violated; rate field "
@@ -338,7 +293,7 @@ def _continuous_paths(model: ContinuousModel, horizons: Sequence[float],
                 state[jump] = new
                 if records is not None:
                     records.add(live[jump], s[jump], y[jump], new)
-                columns[:, :, jump] = potentials[:, :, new]
+                columns[..., jump] = potentials[..., new]
                 slope[jump] = slopes[new]
             candidate[hit] = s[hit] + exponential(live[hit]) / lam
         running = due < len(horizons)
@@ -348,7 +303,7 @@ def _continuous_paths(model: ContinuousModel, horizons: Sequence[float],
                             state[~running])
             live, s, y, due, state, candidate, slope = (a[running] for a in (
                 live, s, y, due, state, candidate, slope))
-            columns = columns[:, :, running]
+            columns = columns[..., running]
     return ends
 
 
@@ -365,18 +320,16 @@ def _continuous_trajectories(model: ContinuousModel, eps: float, T: float,
 
 def simulate_continuous(model: ContinuousModel, eps: float, T: float,
                         dt: Optional[float] = None, seed: int = 0, *,
-                        gamma: float = 1.0, i0: int = 0, traj_index: int = 0,
-                        freeze_position: bool = False) -> Trajectory:
+                        gamma: float = 1.0, i0: int = 0,
+                        traj_index: int = 0) -> Trajectory:
     """One lifted path of the diffusion with switching, exact jump times.
 
     dt defaults to eps/DT_FACTOR and must satisfy dt <= eps/10 so the fast
-    variable x/eps is resolved.  `freeze_position` pins x at 0 (spatial
-    dynamics off) so switching statistics can be tested against the exact
-    rates.
+    variable x/eps is resolved.
     """
     return _continuous_trajectories(
-        model, eps, T, dt, _Streams(seed, [traj_index]), gamma=gamma, i0=i0,
-        freeze_position=freeze_position)[0]
+        model, eps, T, dt, _Streams(seed, [traj_index]), gamma=gamma,
+        i0=i0)[0]
 
 
 # ---------------------------------------------------------------------------

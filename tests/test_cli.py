@@ -239,6 +239,7 @@ def test_non_integer_config_value_exits_2(tmp_path, caplog, monkeypatch,
     ("simulate", "scales", 0.1, "a non-empty array of finite numbers"),
     ("simulate", "scales", [True], "a non-empty array of finite numbers"),
     ("simulate", "scales", [], "a non-empty array of finite numbers"),
+    ("simulate", "dump_trajectories", "no", "true or false"),
 ])
 def test_bad_real_config_value_exits_2(tmp_path, caplog, monkeypatch,
                                        command, key, value, rule):
@@ -246,8 +247,9 @@ def test_bad_real_config_value_exits_2(tmp_path, caplog, monkeypatch,
     not finite (or not positive, where the key needs it), a bool or a
     string, too few sweep samples, an empty momentum range, an integer out
     of its range (N < 3, grid < 1, seed < 0) and scales that are not a
-    non-empty array of finite numbers exit 2, naming the block and key,
-    before any solve or stream."""
+    non-empty array of finite numbers, and a "dump_trajectories" that is
+    not a JSON bool exit 2, naming the block and key, before any solve or
+    stream."""
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
@@ -328,6 +330,57 @@ def test_bad_top_level_input_exits_2(tmp_path, caplog, monkeypatch, case,
     assert message in caplog.text
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
         ["folder", "latin1.json"] + (["cfg.json"] if case in configs else []))
+
+
+def malformed_model(case: str) -> dict:
+    """A model description that names one defect `case`."""
+    model = model_to_dict(get_preset("two_state_flashing"))
+    mode = model["potentials"][0]["coeffs"][0]     # [k, a, b]
+    if case == "ell-fraction":
+        return {**model_to_dict(get_preset("discrete_two_state")), "ell": 6.5}
+    if case == "dim-zero":
+        return {"kind": "continuous", "dim": 0, "J": 1, "regime": "I",
+                "potentials": [{"coeffs": [], "slope": []}], "rates": [[None]]}
+    if case == "period-negative":
+        model["period"] = -1
+    elif case == "wave-number-fraction":
+        mode[0] = 0.5
+    elif case == "amplitude-string":
+        mode[1] = "a"
+    elif case == "amplitude-nan":
+        mode[1] = math.nan
+    elif case == "slope-1e400":
+        model["potentials"][0]["slope"] = ["1e400"]   # a number in the file
+    return model
+
+
+@pytest.mark.parametrize("case,message", [
+    pytest.param(case, message, id=case) for case, message in [
+        ("ell-fraction", '"ell" must be an integer, got 6.5'),
+        ("dim-zero", "field dimension must be >= 1, got 0"),
+        ("period-negative", "field period must be positive and finite"),
+        ("wave-number-fraction", "wave vectors must be integer"),
+        ("amplitude-string", "could not convert string to float"),
+        ("amplitude-nan", "Fourier amplitudes and affine slope must be finite"),
+        ("slope-1e400", "Fourier amplitudes and affine slope must be finite")]])
+def test_malformed_model_exits_2(tmp_path, caplog, monkeypatch, case,
+                                 message):
+    """A model that cannot be built exits 2 before any solve: a count with a
+    fractional part is not truncated, and a field with a bad period,
+    dimension, wave number or amplitude, or a non-finite amplitude or slope,
+    is a malformed model, not a traceback (exit 1) or a numerical failure
+    (exit 3)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli.ham, "velocity_of_model", refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": malformed_model(case)}).replace(
+        '"1e400"', "1e400"))
+    out = tmp_path / "out"
+    assert main(["velocity", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in caplog.text
+    assert not out.exists()
 
 
 def test_velocity_command_in_two_dimensions(tmp_path):

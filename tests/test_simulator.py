@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from effham import simulator
-from effham.fields import PeriodicScalarField
+from effham.fields import PeriodicScalarField, fourier_gradients, stack_modes
 from effham.hamiltonian import velocity_of_model
 from effham.model import ContinuousModel, DiscreteModel, SwitchingRateMatrix
 from effham.presets import (constant_drift, discrete_asymmetric,
@@ -134,9 +134,9 @@ def test_experiment_does_only_its_finest_scales_work(monkeypatch):
     evaluates the drift at as many rows as a batch of its finest scale
     alone: the coarser scales cost no steps of their own."""
     rows = []
-    drift = simulator._drift
-    monkeypatch.setattr(simulator, "_drift", lambda columns, slope, y: (
-        rows.append(len(y)) or drift(columns, slope, y)))
+    gradients = simulator.fourier_gradients
+    monkeypatch.setattr(simulator, "fourier_gradients", lambda modes, y: (
+        rows.append(y.shape[-1]) or gradients(modes, y)))
     model, T, paths, seed = two_state_flashing(), 0.3, 6, 4
     concentration_experiment(model, [0.1, 0.05], T, paths, seed,
                              predicted_v=0.0)
@@ -205,23 +205,19 @@ def _records_digest(trajectories):
 
 
 def test_trajectory_records_golden_pin():
-    """Pins the records of a continuous path with switches, a frozen-position
-    path and a discrete batch.  The discrete digest is that of the stepper
-    before the record log was rewritten; the continuous ones were re-pinned
-    when the stepper moved to the fast variables (same record counts and
-    states; times moved by at most 2.3e-14, positions by 4.7e-13).  A change
-    of stepper, streams or record rule must update them on purpose."""
+    """Pins the records of a continuous path with switches and a discrete
+    batch.  The discrete digest is that of the stepper before the record log
+    was rewritten; the continuous one was re-pinned when the stepper moved
+    to the fast variables (same record counts and states; times moved by at
+    most 2.3e-14, positions by 4.7e-13).  A change of stepper, streams or
+    record rule must update them on purpose."""
     switching = simulate_continuous(two_state_flashing(), 0.1, 1.0, seed=5,
                                     traj_index=2)
-    frozen = simulate_continuous(two_state_flashing(), 0.1, 2.0, seed=3,
-                                 freeze_position=True)
     disc = batch_discrete(discrete_two_state(), 32, 1.0, 8,
                           base_seed=9).trajectories
-    assert switching.switch_count > 0 and frozen.switch_count > 0
-    assert [_records_digest([switching]), _records_digest([frozen]),
-            _records_digest(disc)] == [
+    assert switching.switch_count > 0
+    assert [_records_digest([switching]), _records_digest(disc)] == [
         "c331e85e2416815fca5d8eb72cd0b9c59d72522ec49397fa7dc357879fc1c3f4",
-        "10be17bfcd625738deaaebe5998700787b05a76cc8101ed32c93672adf6304a4",
         "ed4826e92fabbd8dea2ffac7adb6a7b38c392a298de16c574aae826c9d3b56fb"]
 
 
@@ -250,37 +246,33 @@ def three_state_table_model():
 
 
 def test_fourier_tables_equal_the_fields_bit_for_bit():
-    """The state-indexed tables give each path its own potential's gradient
-    and its own state's rates (clipped at 0), as the fields compute them."""
+    """The stepper's calls give each path its own potential's gradient, from
+    its state's column of the stacked potentials, and its own state's rates
+    (clipped at 0), as the fields and `values` compute them."""
     model = three_state_table_model()
     rng = np.random.default_rng(5)
     y = rng.uniform(-40.0, 40.0, size=4097)
     state = rng.integers(0, model.J, size=len(y))
-    potentials = simulator._fourier_table(model.potentials)
+    potentials = stack_modes(model.potentials)
     slopes = np.array([psi.slope[0] for psi in model.potentials])
-    drift = simulator._drift(potentials[:, :, state], slopes[state], y)
-    rates = simulator._switching_rates(simulator._rate_table(model), y, state)
+    drift = slopes[state] + fourier_gradients(potentials[..., state],
+                                              y[None])[0]
+    rates = np.maximum(model.rates.rates_out_of(state, y[None]), 0.0)
     clipped = 0
     for i, psi in enumerate(model.potentials):
         on = state == i
         np.testing.assert_array_equal(drift[on], psi.gradients(y[on])[:, 0])
+        np.testing.assert_array_equal(
+            rates[on], np.maximum(model.rates.values(y[on, None])[:, i], 0.0))
         for j, entry in enumerate(model.rates.entries[i]):
-            raw = (np.zeros(on.sum()) if entry is None or j == i
-                   else entry.values(y[on]))
-            np.testing.assert_array_equal(rates[on, j], np.maximum(raw, 0.0))
+            if entry is None or j == i:
+                np.testing.assert_array_equal(rates[on, j], 0.0)
+                continue
+            raw = entry.values(y[on])
+            snapped = np.where(np.abs(raw) <= entry.roundoff, 0.0, raw)
+            np.testing.assert_array_equal(rates[on, j], np.maximum(snapped, 0.0))
             clipped += np.sum(raw < 0.0)
     assert clipped > 0
-
-
-def test_frozen_position_takes_no_normal_draws(monkeypatch):
-    kinds = []
-    draws = simulator._Streams.draws
-    monkeypatch.setattr(simulator._Streams, "draws",
-                        lambda self, kind: kinds.append(kind) or draws(self, kind))
-    tr = simulate_continuous(three_state_table_model(), 0.5, 5.0, seed=5,
-                             freeze_position=True)
-    assert np.all(tr.positions == 0.0) and tr.switch_count > 0
-    assert sorted(kinds) == ["random", "standard_exponential"]
 
 
 def test_default_dt_matches_eigen_velocity():
@@ -322,14 +314,13 @@ def test_dt_must_resolve_fast_variable():
         simulate_continuous(constant_drift(1.0), 0.1, 1.0, dt=0.02, seed=0)
 
 
-def test_thinning_rates_at_frozen_position():
-    """Pin x: switching becomes a two-state Markov chain whose empirical exit
-    rates must match (gamma/eps) r_ij."""
+def test_thinning_rates_of_constant_rate_model():
+    """Rates that do not depend on x make the switching a two-state Markov
+    chain whose empirical exit rates must match (gamma/eps) r_ij."""
     eps = 0.5
     c12, c21 = 1.0, 2.0
     m = two_state_constant_rates(c12, c21)
-    tr = simulate_continuous(m, eps, 60.0, seed=5, freeze_position=True)
-    assert np.all(tr.positions == tr.positions[0])
+    tr = simulate_continuous(m, eps, 60.0, seed=5)
     t_in = {0: 0.0, 1: 0.0}
     exits = {0: 0, 1: 0}
     for k in range(len(tr.times) - 1):
@@ -346,8 +337,7 @@ def test_thinning_rates_scale_with_gamma():
     """Fast-switching factor gamma multiplies the exit rates."""
     eps, gamma = 0.5, 8.0
     m = two_state_constant_rates(1.0, 2.0)
-    tr = simulate_continuous(m, eps, 30.0, seed=6, gamma=gamma,
-                             freeze_position=True)
+    tr = simulate_continuous(m, eps, 30.0, seed=6, gamma=gamma)
     t_in = 0.0
     exits = 0
     for k in range(len(tr.times) - 1):
