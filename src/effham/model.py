@@ -287,8 +287,11 @@ def _field_from_json(obj, dim: int, period: float) -> PeriodicScalarField:
         if len(entry) != dim + 2:
             raise ModelFormatError(
                 f"coeff entry {entry} must have {dim} wave numbers plus (a, b)")
-        modes.append((tuple(entry[:dim]), float(entry[dim]), float(entry[dim + 1])))
-    slope = tuple(float(s) for s in obj.get("slope", []))
+        for k in entry[:dim]:
+            _number(k, "wave number")
+        modes.append((tuple(entry[:dim]), _number(entry[dim], "amplitude"),
+                      _number(entry[dim + 1], "amplitude")))
+    slope = tuple(_number(s, "slope") for s in obj.get("slope", []))
     if slope and len(slope) != dim:
         raise ModelFormatError(f"slope {slope} must have length {dim}")
     return PeriodicScalarField(dim=dim, period=period, fourier_coeffs=tuple(modes),
@@ -302,6 +305,24 @@ def _field_to_json(f: Optional[PeriodicScalarField]):
         "coeffs": [list(k) + [a, b] for (k, a, b) in f.fourier_coeffs],
         "slope": list(f.affine_slope),
     }
+
+
+def _number(value, what: str) -> float:
+    """A JSON number as a float; a bool, a string or null is rejected, not
+    converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelFormatError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, what: str) -> np.ndarray:
+    """Nested lists of JSON numbers as a float array; each entry is checked
+    by `_number` unless all are Python ints and floats."""
+    items = np.asarray(value, dtype=object)
+    if set(map(type, items.flat)) - {int, float}:
+        for item in items.flat:
+            _number(item, what)
+    return np.asarray(value, dtype=float)
 
 
 def _integer(obj: dict, key: str) -> int:
@@ -325,7 +346,7 @@ def model_from_dict(obj: dict) -> Model:
         try:
             dim, J = _integer(obj, "dim"), _integer(obj, "J")
             regime = str(obj["regime"])
-            period = float(obj.get("period", 1.0))
+            period = _number(obj.get("period", 1.0), '"period"')
             pots = tuple(_field_from_json(p, dim, period) for p in obj["potentials"])
             raw = obj["rates"]
             entries = tuple(
@@ -346,9 +367,8 @@ def model_from_dict(obj: dict) -> Model:
             return DiscreteModel(
                 ell=_integer(obj, "ell"), J=_integer(obj, "J"),
                 regime=str(obj["regime"]),
-                hop_rates_plus=np.asarray(obj["hop_rates_plus"], dtype=float),
-                hop_rates_minus=np.asarray(obj["hop_rates_minus"], dtype=float),
-                switching=np.asarray(obj["switching"], dtype=float))
+                **{key: _numbers(obj[key], f'"{key}"') for key in (
+                    "hop_rates_plus", "hop_rates_minus", "switching")})
         except (KeyError, ValueError, TypeError) as exc:
             raise ModelFormatError(f"malformed discrete model: {exc}") from exc
     raise ModelFormatError(f'model "kind" must be "continuous" or "discrete", '

@@ -22,9 +22,13 @@ of its finest scale, and its scales are horizons of one sample of paths,
 not independent samples.
 
 The rows of a run are numpy arrays stepped together, one array step per
-row at a time; rows drop out when they pass their last horizon.  Each path
-reads its own Philox streams (one per kind of draw, keyed by base seed and
-trajectory index), each once, in blocks of `_BLOCK` with a cursor per path.
+row at a time; rows drop out when they pass their last horizon, and a step
+tests horizons and drop-outs only when some row reaches a horizon.  Each
+path reads its own Philox streams (one per kind of draw, keyed as the
+children of `SeedSequence((seed, k))` are, in one vectorised pass over the
+run's paths), each once, in blocks of `_BLOCK`.  A kind that every running
+row reads once per array step (the normals, and both discrete kinds) keeps
+one cursor for all rows; the thinning draws keep one per path.
 So `simulate_*` with `traj_index=k` reproduces path k of a batch bit for
 bit, whatever the batch and the block size, and each row of a concentration
 experiment equals the `batch_*` run of its scale whenever the batch's fast
@@ -40,6 +44,7 @@ each horizon.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -56,27 +61,126 @@ _RECORDS = 256      # strided records per continuous path (plus switches)
 _KINDS = ("standard_normal", "standard_exponential", "random")
 
 
+# numpy's `SeedSequence` (numpy/random/bit_generator.pyx, after O'Neill's
+# seed_seq_fe): a pool of 4 uint32 words, hashed and mixed with these
+# constants
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(n: int) -> list:
+    """The uint32 words of an integer n >= 0, least significant first, as
+    `SeedSequence` reads an integer of its entropy ([0] for 0)."""
+    if n < 0:
+        raise ValueError(f"expected non-negative integer, got {n}")
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def _hashmix(const: int, mult: int):
+    """numpy's `hashmix` with its running hash constant, from `const`: each
+    call hashes an array of uint32 words and moves the constant on."""
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return value ^ value >> np.uint32(16)
+
+
+def _philox_keys(entropy: np.ndarray) -> np.ndarray:
+    """The Philox keys (n, 2) uint64 of `SeedSequence`s whose assembled
+    entropy words are the rows of `entropy` (n, L) uint32, L >= 4: numpy's
+    mixing of the pool, then `generate_state(2, np.uint64)`, on all rows in
+    one pass of array operations."""
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, entropy.shape[1]):
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(entropy[:, src]))
+    state = _hashmix(_INIT_B, _MULT_B)
+    words = np.stack([state(word) for word in pool], axis=1)
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _keyed_seed() -> type:
+    """The class of a Philox seed that carries its key: an `ISeedSequence`
+    (imported here, so that `numpy.random` loads on first use only) with the
+    `entropy` and `spawn_key` of the `SeedSequence` it stands for."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeyedSeed(ISeedSequence):
+        # each Philox keeps its seed for the run: no per-object dict
+        __slots__ = ("entropy", "spawn_key", "_key")
+
+        def __init__(self, entropy: tuple, spawn_key: tuple,
+                     key: np.ndarray):
+            self.entropy, self.spawn_key, self._key = entropy, spawn_key, key
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            # `Philox` asks for its key as generate_state(2, np.uint64)
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a keyed seed gives a Philox key only")
+            return self._key.copy()
+
+    return KeyedSeed
+
+
 class _Streams:
     """The Philox streams of a run's paths, one per kind of draw (a
     `Generator` method name in `_KINDS`).
 
-    Kind j of path k reads its own stream, seeded by child j of
+    Kind j of path k reads its own stream, keyed as by child j of
     `SeedSequence((seed, k))`, so a path's draws depend neither on the other
-    paths in the run nor on the block size.  A stepper builds each kind's
-    streams once (about 40 us a stream) and reads each of them once,
-    whatever the number of scales it runs.
+    paths in the run nor on the block size.  The keys of a kind's streams
+    come from one vectorised pass of numpy's seed mixing over all paths
+    (`_philox_keys`), and each `Philox` takes its key from a `_keyed_seed`
+    (about 10 us a stream, with its `Generator`).  A stepper builds each
+    kind's streams once and reads each of them once, whatever the number of
+    scales it runs.
     """
 
     def __init__(self, seed: int, indices: Sequence[int]):
         self.seed = int(seed)
         self.indices = [int(k) for k in indices]
+        # the run entropy (seed, k) of a SeedSequence with a spawn key is
+        # padded with zero words to the pool size; runs of one length are
+        # keyed together
+        head, runs = _words(self.seed), {}
+        for p, k in enumerate(self.indices):
+            run = head + _words(k)
+            runs.setdefault(max(len(run), _POOL), {})[p] = (
+                run + [0] * (_POOL - len(run)))
+        self._runs = [(list(group), np.array(list(group.values()),
+                                             dtype=np.uint32))
+                      for group in runs.values()]
 
     def draws(self, kind: str) -> list:
         """Per path, the bound `Generator` method that draws `kind`."""
         child = (_KINDS.index(kind),)
+        keys = np.empty((len(self.indices), 2), dtype=np.uint64)
+        for paths, runs in self._runs:
+            spawn = np.full((len(paths), 1), child[0], dtype=np.uint32)
+            keys[paths] = _philox_keys(np.hstack([runs, spawn]))
+        seed = _keyed_seed()
         return [getattr(np.random.Generator(np.random.Philox(
-            np.random.SeedSequence((self.seed, k), spawn_key=child))), kind)
-            for k in self.indices]
+            seed((self.seed, k), child, key))), kind)
+            for k, key in zip(self.indices, keys)]
 
 
 class _Draws:
@@ -89,15 +193,38 @@ class _Draws:
         self._block = np.empty((len(draws), _BLOCK))
         self._next = np.full(len(draws), _BLOCK)    # next unread column
 
+    def _refill(self, paths: np.ndarray) -> None:
+        for p in paths.tolist():
+            self._draw[p](out=self._block[p])
+
     def __call__(self, paths: np.ndarray) -> np.ndarray:
         """One draw for each path in `paths` (distinct path numbers)."""
-        spent = paths[self._next[paths] == self._block.shape[1]]
-        for p in spent.tolist():
-            self._draw[p](out=self._block[p])
-        self._next[spent] = 0
         column = self._next[paths]
+        spent = column == self._block.shape[1]
+        if np.count_nonzero(spent):
+            self._refill(paths[spent])
+            column[spent] = 0
         self._next[paths] = column + 1
         return self._block[paths, column]
+
+
+class _StepDraws(_Draws):
+    """A kind of draw that each running path reads once per array step, so
+    that one cursor serves every path."""
+
+    def __init__(self, draws: list):
+        super().__init__(draws)
+        self._next = _BLOCK
+
+    def __call__(self, paths: np.ndarray) -> np.ndarray:
+        """One draw for each path in `paths`, the running paths in order."""
+        if self._next == self._block.shape[1]:
+            self._refill(paths)
+            self._next = 0
+        self._next += 1
+        if len(paths) == len(self._draw):   # every path: a column view
+            return self._block[:, self._next - 1]
+        return self._block[paths, self._next - 1]
 
 
 @dataclass(frozen=True)
@@ -237,8 +364,8 @@ def _continuous_paths(model: ContinuousModel, horizons: Sequence[float],
     horizons = _check_run(model, horizons, gamma, i0)
     last, ahead = horizons[-1], np.append(horizons, math.inf)
     paths = len(streams.indices)
-    normal, exponential, uniform = (_Draws(streams.draws(kind))
-                                    for kind in _KINDS)
+    normal = _StepDraws(streams.draws(_KINDS[0]))
+    exponential, uniform = (_Draws(streams.draws(kind)) for kind in _KINDS[1:])
     # the thinning bound has 1% headroom: the lattice max can sit slightly
     # below the continuum sup
     lam = 1.01 * gamma * max_total_switching_rate(model)
@@ -248,6 +375,7 @@ def _continuous_paths(model: ContinuousModel, horizons: Sequence[float],
     live = np.arange(paths)     # path numbers of the running rows
     s, y = np.zeros(paths), np.zeros(paths)
     due = np.zeros(paths, dtype=np.intp)    # index of each row's next horizon
+    first = horizons[0]         # the earliest horizon a running row is due at
     ends = np.empty((len(horizons), paths))
     state = np.full(paths, i0)
     columns, slope = potentials[..., state], slopes[state]
@@ -259,17 +387,22 @@ def _continuous_paths(model: ContinuousModel, horizons: Sequence[float],
 
     steps = 0                   # array steps taken, the same for every row
     while live.size:
-        target = np.minimum(np.minimum(s + ds, candidate), last)
+        target = np.minimum(s + ds, candidate)
         z = normal(live)
         drift = slope + fourier_gradients(columns, y[None])[0]
-        passed = (ahead[due] <= target).nonzero()[0]
-        while passed.size:      # ends at the horizons this step reaches
-            h = due[passed]
-            step = horizons[h] - s[passed]
-            ends[h, live[passed]] = y[passed] + (np.sqrt(step) * z[passed]
-                                                 - drift[passed] * step)
-            due[passed] += 1
-            passed = passed[ahead[due[passed]] <= target[passed]]
+        # a row passes a horizon, stops at the last one and drops out only
+        # on a step whose targets reach the earliest horizon still due
+        reached = target.max() >= first
+        if reached:
+            target = np.minimum(target, last)
+            passed = (ahead[due] <= target).nonzero()[0]
+            while passed.size:  # ends at the horizons this step reaches
+                h = due[passed]
+                step = horizons[h] - s[passed]
+                ends[h, live[passed]] = y[passed] + (
+                    np.sqrt(step) * z[passed] - drift[passed] * step)
+                due[passed] += 1
+                passed = passed[ahead[due[passed]] <= target[passed]]
         step = target - s
         y = y + (np.sqrt(step) * z - drift * step)
         s = target
@@ -279,31 +412,36 @@ def _continuous_paths(model: ContinuousModel, horizons: Sequence[float],
 
         hit = (s >= candidate).nonzero()[0]
         if hit.size:
+            rows = live[hit]
             cum = (gamma * np.maximum(model.rates.rates_out_of(
-                state[hit], y[None, hit]), 0.0)).cumsum(axis=1)
+                state[hit], y[hit][None]), 0.0)).cumsum(axis=1)
             total = cum[:, -1]
-            if (total > lam * (1 + 1e-12)).any():
+            if total.max() > lam * (1 + 1e-12):
                 raise RuntimeError("thinning bound violated; rate field "
                                    "sampling resolution too low")
-            accept = uniform(live[hit]) < total / lam
+            accept = uniform(rows) < total / lam
             jump = hit[accept]
             if jump.size:
-                u = uniform(live[jump]) * total[accept]
+                u = uniform(rows[accept]) * total[accept]
                 new = (cum[accept] <= u[:, None]).sum(axis=1)
                 state[jump] = new
                 if records is not None:
-                    records.add(live[jump], s[jump], y[jump], new)
+                    records.add(rows[accept], s[jump], y[jump], new)
                 columns[..., jump] = potentials[..., new]
                 slope[jump] = slopes[new]
-            candidate[hit] = s[hit] + exponential(live[hit]) / lam
-        running = due < len(horizons)
-        if not running.all():
-            if records is not None:
-                records.end(live[~running], last, y[~running],
-                            state[~running])
-            live, s, y, due, state, candidate, slope = (a[running] for a in (
-                live, s, y, due, state, candidate, slope))
-            columns = columns[..., running]
+            candidate[hit] = s[hit] + exponential(rows) / lam
+        if reached:
+            running = due < len(horizons)
+            if not running.all():
+                if records is not None:
+                    records.end(live[~running], last, y[~running],
+                                state[~running])
+                live, s, y, due, state, candidate, slope = (
+                    a[running] for a in (live, s, y, due, state, candidate,
+                                         slope))
+                columns = columns[..., running]
+            if live.size:
+                first = ahead[due].min()
     return ends
 
 
@@ -346,7 +484,8 @@ def _discrete_paths(model: DiscreteModel, horizons: Sequence[float],
     horizons = _check_run(model, horizons, gamma, i0)
     ahead = np.append(horizons, math.inf)
     paths = len(streams.indices)
-    exponential, uniform = (_Draws(streams.draws(kind)) for kind in _KINDS[1:])
+    exponential, uniform = (_StepDraws(streams.draws(kind))
+                            for kind in _KINDS[1:])
     J = model.J
     switching = np.where(np.eye(J, dtype=bool)[:, :, None], 0.0, model.switching)
     # cumulative event rates (J, ell, 2 + J): hop up, hop down, switch to j
@@ -359,6 +498,7 @@ def _discrete_paths(model: DiscreteModel, horizons: Sequence[float],
     s = np.zeros(paths)
     m = np.zeros(paths, dtype=np.int32)     # lifted integer position
     due = np.zeros(paths, dtype=np.intp)    # index of each row's next horizon
+    first = horizons[0]         # the earliest horizon a running row is due at
     ends = np.empty((len(horizons), paths), dtype=np.int32)
     state = np.full(paths, i0)
     if records is not None:
@@ -366,18 +506,21 @@ def _discrete_paths(model: DiscreteModel, horizons: Sequence[float],
     while live.size:
         cum = cum_rates[state, m % model.ell]
         s = s + exponential(live) / cum[:, -1]
-        passed = (ahead[due] <= s).nonzero()[0]
-        while passed.size:      # sites at the horizons this clock passes
-            ends[due[passed], live[passed]] = m[passed]
-            due[passed] += 1
-            passed = passed[ahead[due[passed]] <= s[passed]]
-        running = due < len(horizons)
-        if not running.all():
-            if records is not None:
-                records.end(live[~running], horizons[-1], m[~running],
-                            state[~running])
-            live, s, m, due, state, cum = (a[running] for a in (
-                live, s, m, due, state, cum))
+        if s.max() >= first:    # some clock passes a horizon
+            passed = (ahead[due] <= s).nonzero()[0]
+            while passed.size:  # sites at the horizons this clock passes
+                ends[due[passed], live[passed]] = m[passed]
+                due[passed] += 1
+                passed = passed[ahead[due[passed]] <= s[passed]]
+            running = due < len(horizons)
+            if not running.all():
+                if records is not None:
+                    records.end(live[~running], horizons[-1], m[~running],
+                                state[~running])
+                live, s, m, due, state, cum = (a[running] for a in (
+                    live, s, m, due, state, cum))
+            if live.size:
+                first = ahead[due].min()
         u = uniform(live) * cum[:, -1]
         event = (cum <= u[:, None]).sum(axis=1)
         m = m + hop[event]

@@ -338,19 +338,33 @@ def malformed_model(case: str) -> dict:
     mode = model["potentials"][0]["coeffs"][0]     # [k, a, b]
     if case == "ell-fraction":
         return {**model_to_dict(get_preset("discrete_two_state")), "ell": 6.5}
+    if case == "hop-rate-bool":
+        discrete = model_to_dict(get_preset("discrete_two_state"))
+        discrete["hop_rates_plus"][0][1] = True
+        return discrete
     if case == "dim-zero":
         return {"kind": "continuous", "dim": 0, "J": 1, "regime": "I",
                 "potentials": [{"coeffs": [], "slope": []}], "rates": [[None]]}
     if case == "period-negative":
         model["period"] = -1
+    elif case == "period-bool":
+        model["period"] = True
+    elif case == "period-string":
+        model["period"] = "2"
     elif case == "wave-number-fraction":
         mode[0] = 0.5
+    elif case == "wave-number-bool":
+        mode[0] = True
     elif case == "amplitude-string":
         mode[1] = "a"
+    elif case == "amplitude-numeric-string":
+        mode[1] = "0.5"
     elif case == "amplitude-nan":
         mode[1] = math.nan
     elif case == "slope-1e400":
         model["potentials"][0]["slope"] = ["1e400"]   # a number in the file
+    elif case == "slope-bool":
+        model["potentials"][0]["slope"] = [True]
     return model
 
 
@@ -360,16 +374,22 @@ def malformed_model(case: str) -> dict:
         ("dim-zero", "field dimension must be >= 1, got 0"),
         ("period-negative", "field period must be positive and finite"),
         ("wave-number-fraction", "wave vectors must be integer"),
-        ("amplitude-string", "could not convert string to float"),
+        ("wave-number-bool", "wave number must be a number, got True"),
+        ("period-bool", '"period" must be a number, got True'),
+        ("period-string", """"period" must be a number, got '2'"""),
+        ("amplitude-string", "amplitude must be a number, got 'a'"),
+        ("amplitude-numeric-string", "amplitude must be a number, got '0.5'"),
+        ("slope-bool", "slope must be a number, got True"),
+        ("hop-rate-bool", '"hop_rates_plus" must be a number, got True'),
         ("amplitude-nan", "Fourier amplitudes and affine slope must be finite"),
         ("slope-1e400", "Fourier amplitudes and affine slope must be finite")]])
 def test_malformed_model_exits_2(tmp_path, caplog, monkeypatch, case,
                                  message):
     """A model that cannot be built exits 2 before any solve: a count with a
-    fractional part is not truncated, and a field with a bad period,
-    dimension, wave number or amplitude, or a non-finite amplitude or slope,
-    is a malformed model, not a traceback (exit 1) or a numerical failure
-    (exit 3)."""
+    fractional part is not truncated, a number given as a bool or a string
+    is not converted, and a field with a bad period, dimension, wave number
+    or amplitude, or a non-finite amplitude or slope, is a malformed model,
+    not a traceback (exit 1) or a numerical failure (exit 3)."""
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 

@@ -169,6 +169,55 @@ def test_concentration_builds_no_paths_and_reads_each_stream_once(monkeypatch):
                                        for k in range(paths))
 
 
+def refuse_seed_sequence(*args, **kwargs):
+    raise AssertionError("a SeedSequence was built")
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**100])
+def test_streams_draw_as_seed_sequence_children(monkeypatch, seed):
+    """Kind j of path k draws, block for block, what a `Generator` on
+    `Philox(SeedSequence((seed, k), spawn_key=(j,)))` draws, for seeds and
+    indices of one to four uint32 words (the entropy rows of a run then have
+    several lengths); no `SeedSequence` is built on the way."""
+    indices = [0, 999, 2**32 - 1, 2**32, 2**40 + 5]
+    blocks = 3
+    expected = [[getattr(np.random.Generator(np.random.Philox(
+        np.random.SeedSequence((seed, k), spawn_key=(j,)))), kind)(
+            size=blocks * simulator._BLOCK) for k in indices]
+        for j, kind in enumerate(simulator._KINDS)]
+    monkeypatch.setattr(np.random, "SeedSequence", refuse_seed_sequence)
+    streams = simulator._Streams(seed, indices)
+    for kind, reference in zip(simulator._KINDS, expected):
+        drawn = np.empty((len(indices), blocks, simulator._BLOCK))
+        for draw, path in zip(streams.draws(kind), drawn):
+            for block in path:
+                draw(out=block)
+        np.testing.assert_array_equal(
+            drawn.reshape(len(indices), -1), reference)
+
+
+@pytest.mark.parametrize("seed,index", [(-1, 0), (0, -1), (-2**32, 0),
+                                        (0, -2**32 + 5)])
+def test_negative_seed_or_index_raises(seed, index):
+    """As with `SeedSequence`, a negative seed or trajectory index is an
+    error, not a value wrapped into uint32 words."""
+    with pytest.raises(ValueError, match="non-negative"):
+        simulator._Streams(seed, [index]).draws("random")
+    with pytest.raises(ValueError, match="non-negative"):
+        simulate_discrete(discrete_two_state(), 4, 0.5, seed=seed,
+                          traj_index=index)
+
+
+def test_batches_build_no_seed_sequence(monkeypatch):
+    """A batch keys its streams in one pass: it builds no `SeedSequence`,
+    per path or otherwise."""
+    monkeypatch.setattr(np.random, "SeedSequence", refuse_seed_sequence)
+    batch_continuous(two_state_flashing(), 0.1, 0.2, 4, base_seed=3)
+    batch_discrete(discrete_two_state(), 8, 0.5, 4, base_seed=3)
+    concentration_experiment(discrete_two_state(), [8, 16], 0.5, 4, 3,
+                             predicted_v=0.0)
+
+
 def test_concentration_golden_pin():
     """Pins small seeded experiments of each kind, with several scales and
     gamma != 1 for the discrete model.  The discrete values are those of the

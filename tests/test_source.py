@@ -1,6 +1,9 @@
 """Source-level rules for the library package."""
 
 import ast
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -61,6 +64,21 @@ def test_runtime_imports_numpy_only():
             found += [f"{path.name}:{node.lineno}" for name in names
                       if name.split(".")[0] == "scipy"]
     assert not found, f"scipy imported by the library: {found}"
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    """`import effham.cli` does not load `numpy.random` (about 7 ms and a
+    few MB of set-up): the simulator imports what it needs of it on first
+    use.  Run in a fresh interpreter, since the tests load it."""
+    src = str(Path(effham.__file__).resolve().parents[1])
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")]
+                                    if p])
+    code = ("import sys, effham.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": path},
+                            check=True, timeout=60)
+    assert result.stdout.strip() == "[]", result.stdout
 
 
 def test_one_point_chain_helpers_called_only_in_chains():
