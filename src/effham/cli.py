@@ -60,17 +60,20 @@ def _number(value) -> bool:
 
 
 def _integer(block: dict, key: str, where: str, default=None, *,
-             at_least: int) -> int:
-    """block[key] (or `default` when absent) as an int of at least
-    `at_least`; a bool, a string or a number with a fractional part is
+             at_least: int, at_most: Optional[int] = None) -> int:
+    """block[key] (or `default` when absent) as an int in [at_least,
+    at_most]; a bool, a string or a number with a fractional part is
     rejected, not truncated."""
     value = block.get(key, default)
     if value is None:
         raise ConfigError(f'{where} is missing "{key}"')
-    if not _number(value) or not float(value).is_integer():
+    if not _number(value) or value % 1:     # NaN % 1 and inf % 1 are NaN
         raise ConfigError(f'{where}: "{key}" must be an integer, got {value!r}')
     if value < at_least:
         raise ConfigError(f'{where}: "{key}" must be at least {at_least}, '
+                          f"got {value!r}")
+    if at_most is not None and value > at_most:
+        raise ConfigError(f'{where}: "{key}" must be at most {at_most}, '
                           f"got {value!r}")
     return int(value)
 
@@ -243,9 +246,10 @@ def cmd_simulate(cfg: dict, model, outdir: Path,
     _check_keys(block, _SIMULATE_KEYS, where)
     if seed_override is None and block.get("seed") is None:
         raise ConfigError("stochastic command needs a seed (config or --seed)")
-    seed = (_integer({"seed": seed_override}, "seed", "--seed", at_least=0)
-            if seed_override is not None
-            else _integer(block, "seed", where, at_least=0))
+    # the seed is the first word of every path's Philox key
+    source, name = ((block, where) if seed_override is None
+                    else ({"seed": seed_override}, "--seed"))
+    seed = _integer(source, "seed", name, at_least=0, at_most=2**64 - 1)
     scales = block.get("scales")
     if not (isinstance(scales, list) and scales and all(
             _number(s) and math.isfinite(s) for s in scales)):

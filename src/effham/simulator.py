@@ -24,16 +24,18 @@ not independent samples.
 The rows of a run are numpy arrays stepped together, one array step per
 row at a time; rows drop out when they pass their last horizon, and a step
 tests horizons and drop-outs only when some row reaches a horizon.  Each
-path reads its own Philox streams (one per kind of draw, keyed as the
-children of `SeedSequence((seed, k))` are, in one vectorised pass over the
-run's paths), each once, in blocks of `_BLOCK`.  A kind that every running
-row reads once per array step (the normals, and both discrete kinds) keeps
-one cursor for all rows; the thinning draws keep one per path.
-So `simulate_*` with `traj_index=k` reproduces path k of a batch bit for
-bit, whatever the batch and the block size, and each row of a concentration
-experiment equals the `batch_*` run of its scale whenever the batch's fast
-step dt/eps equals the experiment's in floating point.  Each row's drift
-is `fields.fourier_gradients` of its state's column of the potentials'
+path reads its own Philox streams, keyed by (seed, k) for seed and k in
+[0, 2**64), one per kind of draw (normals, uniforms) with the kind in the
+counter, each once, in blocks of `_BLOCK`; an exponential is -log1p(-u) of
+the path's next uniform u.  A kind that every running row reads as often
+per array step (the normals; the discrete clock and choice) keeps one
+cursor for all rows; the thinning draws keep one per path.  So every draw
+is a function of (seed, path, kind, index): `simulate_*` with
+`traj_index=k` reproduces path k of a batch bit for bit, whatever the batch
+and the block size, and each row of a concentration experiment equals the
+`batch_*` run of its scale whenever the batch's fast step dt/eps equals the
+experiment's in floating point.  Each row's drift is
+`fields.fourier_gradients` of its state's column of the potentials'
 `stack_modes`, gathered again only when the row jumps, and its switching
 rates are `SwitchingRateMatrix.rates_out_of` its state, clipped at 0: the
 sums and the round-off rule of the fields and of `values`.  (t, x, i)
@@ -44,8 +46,8 @@ each horizon.
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -58,140 +60,48 @@ from .model import ContinuousModel, DiscreteModel, Model
 DT_FACTOR = 200.0   # default Euler-Maruyama step dt = eps / DT_FACTOR
 _BLOCK = 64         # draws per path and kind read from its stream at once
 _RECORDS = 256      # strided records per continuous path (plus switches)
-_KINDS = ("standard_normal", "standard_exponential", "random")
+_KINDS = ("standard_normal", "random")   # kind j of draw: Generator methods
 
 
-# numpy's `SeedSequence` (numpy/random/bit_generator.pyx, after O'Neill's
-# seed_seq_fe): a pool of 4 uint32 words, hashed and mixed with these
-# constants
-_POOL = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _words(n: int) -> list:
-    """The uint32 words of an integer n >= 0, least significant first, as
-    `SeedSequence` reads an integer of its entropy ([0] for 0)."""
-    if n < 0:
-        raise ValueError(f"expected non-negative integer, got {n}")
-    words = [n & 0xFFFFFFFF]
-    while n := n >> 32:
-        words.append(n & 0xFFFFFFFF)
-    return words
-
-
-def _hashmix(const: int, mult: int):
-    """numpy's `hashmix` with its running hash constant, from `const`: each
-    call hashes an array of uint32 words and moves the constant on."""
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & 0xFFFFFFFF
-        value = value * np.uint32(const)
-        return value ^ value >> np.uint32(16)
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-    return value ^ value >> np.uint32(16)
-
-
-def _philox_keys(entropy: np.ndarray) -> np.ndarray:
-    """The Philox keys (n, 2) uint64 of `SeedSequence`s whose assembled
-    entropy words are the rows of `entropy` (n, L) uint32, L >= 4: numpy's
-    mixing of the pool, then `generate_state(2, np.uint64)`, on all rows in
-    one pass of array operations."""
-    hashmix = _hashmix(_INIT_A, _MULT_A)
-    pool = [hashmix(entropy[:, i]) for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL, entropy.shape[1]):
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], hashmix(entropy[:, src]))
-    state = _hashmix(_INIT_B, _MULT_B)
-    words = np.stack([state(word) for word in pool], axis=1)
-    return words.astype("<u4").view("<u8").astype(np.uint64)
-
-
-@functools.cache
-def _keyed_seed() -> type:
-    """The class of a Philox seed that carries its key: an `ISeedSequence`
-    (imported here, so that `numpy.random` loads on first use only) with the
-    `entropy` and `spawn_key` of the `SeedSequence` it stands for."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class KeyedSeed(ISeedSequence):
-        # each Philox keeps its seed for the run: no per-object dict
-        __slots__ = ("entropy", "spawn_key", "_key")
-
-        def __init__(self, entropy: tuple, spawn_key: tuple,
-                     key: np.ndarray):
-            self.entropy, self.spawn_key, self._key = entropy, spawn_key, key
-
-        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-            # `Philox` asks for its key as generate_state(2, np.uint64)
-            if n_words != 2 or np.dtype(dtype) != np.uint64:
-                raise ValueError("a keyed seed gives a Philox key only")
-            return self._key.copy()
-
-    return KeyedSeed
+def _stream(seed: int, k: int, kind: str):
+    """The bound `Generator` method that draws `kind` (j in `_KINDS`) for
+    path k: Philox keyed by (seed, k), its counter from (0, 0, 0, j).
+    Distinct keys give independent streams (Salmon et al., SC 2011).  The
+    words go in as uint64 arrays: numpy reads a list that holds a word
+    >= 2**63 through float64."""
+    return getattr(np.random.Generator(np.random.Philox(
+        key=np.array([seed, k], dtype=np.uint64),
+        counter=np.array([0, 0, 0, _KINDS.index(kind)], dtype=np.uint64))),
+        kind)
 
 
 class _Streams:
-    """The Philox streams of a run's paths, one per kind of draw (a
-    `Generator` method name in `_KINDS`).
-
-    Kind j of path k reads its own stream, keyed as by child j of
-    `SeedSequence((seed, k))`, so a path's draws depend neither on the other
-    paths in the run nor on the block size.  The keys of a kind's streams
-    come from one vectorised pass of numpy's seed mixing over all paths
-    (`_philox_keys`), and each `Philox` takes its key from a `_keyed_seed`
-    (about 10 us a stream, with its `Generator`).  A stepper builds each
-    kind's streams once and reads each of them once, whatever the number of
-    scales it runs.
-    """
+    """The seed and path indices of a run, Philox key words: integers in
+    [0, 2**64), never a float truncated (`TypeError`) or a value wrapped
+    (`ValueError`).  Each kind of draw of each path reads its own
+    `_stream`, so a path's draws depend neither on the other paths in the
+    run nor on the block size."""
 
     def __init__(self, seed: int, indices: Sequence[int]):
-        self.seed = int(seed)
-        self.indices = [int(k) for k in indices]
-        # the run entropy (seed, k) of a SeedSequence with a spawn key is
-        # padded with zero words to the pool size; runs of one length are
-        # keyed together
-        head, runs = _words(self.seed), {}
-        for p, k in enumerate(self.indices):
-            run = head + _words(k)
-            runs.setdefault(max(len(run), _POOL), {})[p] = (
-                run + [0] * (_POOL - len(run)))
-        self._runs = [(list(group), np.array(list(group.values()),
-                                             dtype=np.uint32))
-                      for group in runs.values()]
-
-    def draws(self, kind: str) -> list:
-        """Per path, the bound `Generator` method that draws `kind`."""
-        child = (_KINDS.index(kind),)
-        keys = np.empty((len(self.indices), 2), dtype=np.uint64)
-        for paths, runs in self._runs:
-            spawn = np.full((len(paths), 1), child[0], dtype=np.uint32)
-            keys[paths] = _philox_keys(np.hstack([runs, spawn]))
-        seed = _keyed_seed()
-        return [getattr(np.random.Generator(np.random.Philox(
-            seed((self.seed, k), child, key))), kind)
-            for k, key in zip(self.indices, keys)]
+        self.seed, *self.indices = words = [operator.index(word)
+                                            for word in (seed, *indices)]
+        bad = [word for word in words if not 0 <= word < 2**64]
+        if bad:
+            raise ValueError("a seed or trajectory index must be a "
+                             f"non-negative integer below 2**64, got {bad[0]}")
 
 
 class _Draws:
     """One kind of draw for a run's paths, each path reading its stream at
     its own pace: a (paths, `_BLOCK`) block with one cursor per path, whose
-    row p is refilled from path p's stream when p has read it all."""
+    row p is refilled from path p's stream when p has read it all.  A
+    stepper builds each kind's streams once and reads each of them once,
+    whatever the number of scales it runs."""
 
-    def __init__(self, draws: list):
-        self._draw = draws
-        self._block = np.empty((len(draws), _BLOCK))
-        self._next = np.full(len(draws), _BLOCK)    # next unread column
+    def __init__(self, streams: _Streams, kind: str):
+        self._draw = [_stream(streams.seed, k, kind) for k in streams.indices]
+        self._block = np.empty((len(self._draw), _BLOCK))
+        self._next = np.full(len(self._draw), _BLOCK)   # next unread column
 
     def _refill(self, paths: np.ndarray) -> None:
         for p in paths.tolist():
@@ -207,13 +117,18 @@ class _Draws:
         self._next[paths] = column + 1
         return self._block[paths, column]
 
+    def exponential(self, paths: np.ndarray) -> np.ndarray:
+        """-log1p(-u) of each path's next uniform u: standard exponentials."""
+        return -np.log1p(-self(paths))
+
 
 class _StepDraws(_Draws):
-    """A kind of draw that each running path reads once per array step, so
-    that one cursor serves every path."""
+    """A kind of draw that every running path reads as often per array step
+    (the normals once, the discrete uniforms twice), so that one cursor
+    serves every path."""
 
-    def __init__(self, draws: list):
-        super().__init__(draws)
+    def __init__(self, streams: _Streams, kind: str):
+        super().__init__(streams, kind)
         self._next = _BLOCK
 
     def __call__(self, paths: np.ndarray) -> np.ndarray:
@@ -364,8 +279,8 @@ def _continuous_paths(model: ContinuousModel, horizons: Sequence[float],
     horizons = _check_run(model, horizons, gamma, i0)
     last, ahead = horizons[-1], np.append(horizons, math.inf)
     paths = len(streams.indices)
-    normal = _StepDraws(streams.draws(_KINDS[0]))
-    exponential, uniform = (_Draws(streams.draws(kind)) for kind in _KINDS[1:])
+    normal = _StepDraws(streams, "standard_normal")
+    uniform = _Draws(streams, "random")     # thinning: one cursor per path
     # the thinning bound has 1% headroom: the lattice max can sit slightly
     # below the continuum sup
     lam = 1.01 * gamma * max_total_switching_rate(model)
@@ -382,7 +297,7 @@ def _continuous_paths(model: ContinuousModel, horizons: Sequence[float],
     if records is not None:
         stride = max(1, math.ceil(last / ds) // _RECORDS)
         records.add(live, 0.0, 0.0, i0)
-    candidate = (exponential(live) / lam if lam > 0
+    candidate = (uniform.exponential(live) / lam if lam > 0
                  else np.full(paths, math.inf))
 
     steps = 0                   # array steps taken, the same for every row
@@ -429,7 +344,7 @@ def _continuous_paths(model: ContinuousModel, horizons: Sequence[float],
                     records.add(rows[accept], s[jump], y[jump], new)
                 columns[..., jump] = potentials[..., new]
                 slope[jump] = slopes[new]
-            candidate[hit] = s[hit] + exponential(rows) / lam
+            candidate[hit] = s[hit] + uniform.exponential(rows) / lam
         if reached:
             running = due < len(horizons)
             if not running.all():
@@ -484,8 +399,8 @@ def _discrete_paths(model: DiscreteModel, horizons: Sequence[float],
     horizons = _check_run(model, horizons, gamma, i0)
     ahead = np.append(horizons, math.inf)
     paths = len(streams.indices)
-    exponential, uniform = (_StepDraws(streams.draws(kind))
-                            for kind in _KINDS[1:])
+    # each running row reads its clock, then its event choice
+    uniform = _StepDraws(streams, "random")
     J = model.J
     switching = np.where(np.eye(J, dtype=bool)[:, :, None], 0.0, model.switching)
     # cumulative event rates (J, ell, 2 + J): hop up, hop down, switch to j
@@ -505,7 +420,7 @@ def _discrete_paths(model: DiscreteModel, horizons: Sequence[float],
         records.add(live, 0.0, 0.0, i0)
     while live.size:
         cum = cum_rates[state, m % model.ell]
-        s = s + exponential(live) / cum[:, -1]
+        s = s + uniform.exponential(live) / cum[:, -1]
         if s.max() >= first:    # some clock passes a horizon
             passed = (ahead[due] <= s).nonzero()[0]
             while passed.size:  # sites at the horizons this clock passes
@@ -662,10 +577,10 @@ def concentration_experiment(model: Model, scales: Sequence[float], T: float,
     one, whose dt/eps is 1/dt_factor in floating point).
     """
     scales = experiment_scales(model, scales, dt_factor)
+    streams = _Streams(base_seed, range(paths))
     if predicted_v is None:
         from .hamiltonian import velocity_of_model
         predicted_v, _ = velocity_of_model(model, N=solver_n, gamma=gamma)
-    streams = _Streams(base_seed, range(paths))
     column = np.array(scales)[:, None]
     if isinstance(model, ContinuousModel):
         x = column * _continuous_paths(model, [T / eps for eps in scales],

@@ -143,14 +143,16 @@ def test_simulate_command(tmp_path):
     assert all(line.endswith("pass") for line in lines[1:])
 
 
-def test_simulate_without_seed_exits_2(tmp_path):
+def test_simulate_without_seed_exits_2(tmp_path, caplog):
     cfg = write_config(tmp_path, {
         "simulate": {"scales": [20], "T": 0.5, "paths": 10}})
     assert main(["simulate", "--preset", "discrete_asymmetric", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == 2
-    # --seed supplies the missing seed, if it is not negative
-    assert main(["simulate", "--preset", "discrete_asymmetric", "--config", cfg,
-                 "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+    # --seed supplies the missing seed, if it lies in [0, 2**64)
+    for seed in ("-1", str(2**64)):
+        assert main(["simulate", "--preset", "discrete_asymmetric", "--config",
+                     cfg, "--out", str(tmp_path / "o"), "--seed", seed]) == 2
+    assert '--seed: "seed" must be at most 18446744073709551615' in caplog.text
     assert not (tmp_path / "o" / "summary.csv").exists()
     assert main(["simulate", "--preset", "discrete_asymmetric", "--config", cfg,
                  "--out", str(tmp_path / "o"), "--seed", "7"]) == 0
@@ -171,7 +173,7 @@ def test_simulate_bad_block_exits_2_before_any_stream(tmp_path, monkeypatch,
     def refuse(*args, **kwargs):
         raise AssertionError("a stream was built")
 
-    monkeypatch.setattr(simulator, "_Streams", refuse)
+    monkeypatch.setattr(simulator, "_stream", refuse)
     scales = [0.2, 0.1] if preset == "constant_drift" else [10, 20]
     cfg = write_config(tmp_path, {"simulate": {
         "scales": scales, "T": 0.5, "paths": 10, "seed": 1, "predicted_v": 1.0,
@@ -197,7 +199,7 @@ def test_non_integer_config_value_exits_2(tmp_path, caplog, monkeypatch,
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(simulator, "_Streams", refuse)
+    monkeypatch.setattr(simulator, "_stream", refuse)
     monkeypatch.setattr(cli.ham, "sweep", refuse)
     monkeypatch.setattr(cli.ham, "velocity_of_model", refuse)
     blocks = {"sweep": {"p_min": -1.0, "p_max": 1.0, "count": 5},
@@ -240,20 +242,25 @@ def test_non_integer_config_value_exits_2(tmp_path, caplog, monkeypatch,
     ("simulate", "scales", [True], "a non-empty array of finite numbers"),
     ("simulate", "scales", [], "a non-empty array of finite numbers"),
     ("simulate", "dump_trajectories", "no", "true or false"),
+    ("simulate", "seed", 2**64, "at most 18446744073709551615"),
+    ("simulate", "seed", 2.0**64, "at most 18446744073709551615"),
+    pytest.param("simulate", "seed", 10**400, "at most 18446744073709551615",
+                 id="simulate-seed-10**400-at most 18446744073709551615"),
 ])
 def test_bad_real_config_value_exits_2(tmp_path, caplog, monkeypatch,
                                        command, key, value, rule):
     """Real-valued keys are checked like the integer ones: a value that is
     not finite (or not positive, where the key needs it), a bool or a
     string, too few sweep samples, an empty momentum range, an integer out
-    of its range (N < 3, grid < 1, seed < 0) and scales that are not a
+    of its range (N < 3, grid < 1, a seed outside [0, 2**64), which would
+    not fit a Philox key word) and scales that are not a
     non-empty array of finite numbers, and a "dump_trajectories" that is
     not a JSON bool exit 2, naming the block and key, before any solve or
     stream."""
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(simulator, "_Streams", refuse)
+    monkeypatch.setattr(simulator, "_stream", refuse)
     monkeypatch.setattr(cli.ham, "sweep", refuse)
     monkeypatch.setattr(cli.ham, "velocity_of_model", refuse)
     blocks = {"sweep": {"p_min": -1.0, "p_max": 1.0, "count": 5},
@@ -285,7 +292,7 @@ def test_bad_config_block_exits_2(tmp_path, caplog, monkeypatch, command,
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(simulator, "_Streams", refuse)
+    monkeypatch.setattr(simulator, "_stream", refuse)
     monkeypatch.setattr(cli.ham, "sweep", refuse)
     monkeypatch.setattr(cli.ham, "velocity_of_model", refuse)
     blocks = {"sweep": {"p_min": -1.0, "p_max": 1.0, "count": 5},

@@ -148,8 +148,9 @@ def test_experiment_does_only_its_finest_scales_work(monkeypatch):
 
 def test_concentration_builds_no_paths_and_reads_each_stream_once(monkeypatch):
     """The experiment keeps end positions only: it builds no `Trajectory`
-    and no `_Records`, and it builds each path's stream of each kind of draw
-    once, whatever the number of scales."""
+    and no `_Records`, and it builds one Philox per path and kind of draw it
+    uses (normals and uniforms for a continuous model, uniforms alone for a
+    discrete one), whatever the number of scales."""
     def refuse(*args, **kwargs):
         raise AssertionError("the experiment built a per-path object")
 
@@ -157,75 +158,90 @@ def test_concentration_builds_no_paths_and_reads_each_stream_once(monkeypatch):
     monkeypatch.setattr(simulator, "_Records", refuse)
     built = []
     philox = np.random.Philox
-    monkeypatch.setattr(np.random, "Philox", lambda seq: built.append(
-        (seq.spawn_key, seq.entropy)) or philox(seq))
+
+    def counted(*, key, counter):
+        built.append((int(counter[3]), tuple(int(w) for w in key)))
+        return philox(key=key, counter=counter)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
     paths = 7
-    cases = ((two_state_flashing(), [0.2, 0.1, 0.05], 0.2, (0, 1, 2)),
-             (discrete_two_state(), [8, 16, 32], 0.5, (1, 2)))
+    cases = ((two_state_flashing(), [0.2, 0.1, 0.05], 0.2, (0, 1)),
+             (discrete_two_state(), [8, 16, 32], 0.5, (1,)))
     for model, scales, T, kinds in cases:
         built.clear()
         concentration_experiment(model, scales, T, paths, 5, predicted_v=0.0)
-        assert sorted(built) == sorted(((kind,), (5, k)) for kind in kinds
+        assert sorted(built) == sorted((kind, (5, k)) for kind in kinds
                                        for k in range(paths))
 
 
-def refuse_seed_sequence(*args, **kwargs):
-    raise AssertionError("a SeedSequence was built")
-
-
-@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**100])
-def test_streams_draw_as_seed_sequence_children(monkeypatch, seed):
-    """Kind j of path k draws, block for block, what a `Generator` on
-    `Philox(SeedSequence((seed, k), spawn_key=(j,)))` draws, for seeds and
-    indices of one to four uint32 words (the entropy rows of a run then have
-    several lengths); no `SeedSequence` is built on the way."""
-    indices = [0, 999, 2**32 - 1, 2**32, 2**40 + 5]
-    blocks = 3
-    expected = [[getattr(np.random.Generator(np.random.Philox(
-        np.random.SeedSequence((seed, k), spawn_key=(j,)))), kind)(
-            size=blocks * simulator._BLOCK) for k in indices]
-        for j, kind in enumerate(simulator._KINDS)]
-    monkeypatch.setattr(np.random, "SeedSequence", refuse_seed_sequence)
+@pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1])
+def test_streams_are_keyed_by_seed_path_and_kind(seed):
+    """Kind j of path k reads, as a stepper's `_Draws` serves it, block for
+    block what a `Generator` on `Philox(key=(seed, k), counter=(0, 0, 0,
+    j))` draws, for seeds and indices up to the top of the uint64 range;
+    different paths and kinds draw differently.  (The reference passes its
+    words as uint64 arrays: numpy reads a list that holds a word >= 2**63
+    through float64.)"""
+    indices = [0, 999, 2**32, 2**40 + 5]
+    paths, blocks = np.arange(len(indices)), 3
     streams = simulator._Streams(seed, indices)
-    for kind, reference in zip(simulator._KINDS, expected):
-        drawn = np.empty((len(indices), blocks, simulator._BLOCK))
-        for draw, path in zip(streams.draws(kind), drawn):
-            for block in path:
-                draw(out=block)
-        np.testing.assert_array_equal(
-            drawn.reshape(len(indices), -1), reference)
+    firsts = set()
+    for j, kind in enumerate(simulator._KINDS):
+        draws = simulator._Draws(streams, kind)
+        drawn = np.array([draws(paths)
+                          for _ in range(blocks * simulator._BLOCK)]).T
+        for k, row in zip(indices, drawn):
+            reference = getattr(np.random.Generator(np.random.Philox(
+                key=np.array([seed, k], dtype=np.uint64),
+                counter=np.array([0, 0, 0, j], dtype=np.uint64))), kind)
+            expected = np.empty((blocks, simulator._BLOCK))
+            for block in expected:
+                reference(out=block)
+            np.testing.assert_array_equal(row, expected.ravel())
+            firsts.add(row[0])
+    assert len(firsts) == len(simulator._KINDS) * len(indices)
 
 
 @pytest.mark.parametrize("seed,index", [(-1, 0), (0, -1), (-2**32, 0),
-                                        (0, -2**32 + 5)])
+                                        (0, -2**32 + 5), (2.7, 1.9), (2.7, 0),
+                                        (0, 1.9), (2**64, 0), (0, 2**64),
+                                        (2**100, 0)])
 def test_negative_seed_or_index_raises(seed, index):
-    """As with `SeedSequence`, a negative seed or trajectory index is an
-    error, not a value wrapped into uint32 words."""
-    with pytest.raises(ValueError, match="non-negative"):
-        simulator._Streams(seed, [index]).draws("random")
-    with pytest.raises(ValueError, match="non-negative"):
+    """A seed or trajectory index is a Philox key word: a non-integer is a
+    `TypeError`, not truncated, and an integer outside [0, 2**64) is a
+    `ValueError`, not wrapped, for every run of the library."""
+    if not all(isinstance(v, int) for v in (seed, index)):
+        error, match = TypeError, "integer"
+    elif min(seed, index) < 0:
+        error, match = ValueError, "non-negative"
+    else:
+        error, match = ValueError, r"below 2\*\*64"
+    with pytest.raises(error, match=match):
+        simulator._Streams(seed, [index])
+    with pytest.raises(error, match=match):
         simulate_discrete(discrete_two_state(), 4, 0.5, seed=seed,
                           traj_index=index)
-
-
-def test_batches_build_no_seed_sequence(monkeypatch):
-    """A batch keys its streams in one pass: it builds no `SeedSequence`,
-    per path or otherwise."""
-    monkeypatch.setattr(np.random, "SeedSequence", refuse_seed_sequence)
-    batch_continuous(two_state_flashing(), 0.1, 0.2, 4, base_seed=3)
-    batch_discrete(discrete_two_state(), 8, 0.5, 4, base_seed=3)
-    concentration_experiment(discrete_two_state(), [8, 16], 0.5, 4, 3,
-                             predicted_v=0.0)
+    with pytest.raises(error, match=match):
+        simulate_continuous(two_state_flashing(), 0.1, 0.2, seed=seed,
+                            traj_index=index)
+    if index == 0:      # the runs that take a seed alone
+        with pytest.raises(error, match=match):
+            batch_continuous(two_state_flashing(), 0.1, 0.2, 2, seed)
+        with pytest.raises(error, match=match):
+            batch_discrete(discrete_two_state(), 4, 0.5, 2, seed)
+        with pytest.raises(error, match=match):
+            concentration_experiment(discrete_two_state(), [4, 8], 0.5, 2,
+                                     seed, predicted_v=0.0)
 
 
 def test_concentration_golden_pin():
     """Pins small seeded experiments of each kind, with several scales and
-    gamma != 1 for the discrete model.  The discrete values are those of the
-    stepper before the lockstep rewrite, and of the per-scale rows before
-    the fast-variable stepper; the continuous one moved at rounding level
-    (from 0.20037517523367207, 0.26745990811124687) when the stepper moved
-    to the fast variables.  A change of scheme, streams or draw order must
-    update them on purpose."""
+    gamma != 1 for the discrete model.  Re-pinned when the stream keying
+    changed to Philox keyed by (seed, path) with the kind in the counter,
+    and every exponential became -log1p(-u) of the path's uniform stream
+    (every draw changed; the values before were those of numpy's
+    `SeedSequence((seed, k))` children).  A change of scheme, streams or
+    draw order must update them on purpose."""
     cont = concentration_experiment(two_state_flashing(), [0.1], 0.5, 64,
                                     2024, predicted_v=0.0)
     disc = [concentration_experiment(discrete_two_state(), scales, 1.0, 64,
@@ -234,13 +250,13 @@ def test_concentration_golden_pin():
                                   ([10, 20], 1.3))]
     assert [(r.mean_v, r.sd) for report in [cont] + disc
             for r in report.rows] == [
-        (0.2003751752336676, 0.26745990811124454),
-        (-0.0302734375, 0.5648641003134441),
-        (-0.021484375, 0.5524587391671372),
-        (-0.12451171875, 0.38706181171829623),
-        (-0.146484375, 0.2575812906244588),
-        (-0.021875000000000012, 0.6343272276562245),
-        (-0.06796875, 0.4979614942960824)]
+        (0.1815873839391895, 0.25719844443896905),
+        (-0.115234375, 0.43304402401616293),
+        (-0.0595703125, 0.43092129862957484),
+        (-0.10107421875, 0.3399520615121551),
+        (-0.111572265625, 0.2586078129043713),
+        (0.014062499999999999, 0.5117251207497528),
+        (-0.06015624999999998, 0.40709771139983597)]
 
 
 def _records_digest(trajectories):
@@ -255,19 +271,18 @@ def _records_digest(trajectories):
 
 def test_trajectory_records_golden_pin():
     """Pins the records of a continuous path with switches and a discrete
-    batch.  The discrete digest is that of the stepper before the record log
-    was rewritten; the continuous one was re-pinned when the stepper moved
-    to the fast variables (same record counts and states; times moved by at
-    most 2.3e-14, positions by 4.7e-13).  A change of stepper, streams or
-    record rule must update them on purpose."""
+    batch.  Both digests were re-pinned when the stream keying changed to
+    Philox keyed by (seed, path) with the kind in the counter, and every
+    exponential became -log1p(-u) of the path's uniform stream.  A change
+    of stepper, streams or record rule must update them on purpose."""
     switching = simulate_continuous(two_state_flashing(), 0.1, 1.0, seed=5,
                                     traj_index=2)
     disc = batch_discrete(discrete_two_state(), 32, 1.0, 8,
                           base_seed=9).trajectories
     assert switching.switch_count > 0
     assert [_records_digest([switching]), _records_digest(disc)] == [
-        "c331e85e2416815fca5d8eb72cd0b9c59d72522ec49397fa7dc357879fc1c3f4",
-        "ed4826e92fabbd8dea2ffac7adb6a7b38c392a298de16c574aae826c9d3b56fb"]
+        "d6dddec85acb4504e08eee5b1afd83d1b5a0761ef6c91c501a8273d1448d8c8e",
+        "428f6ddb1f32ac7852e35b756dc78237bf0ad22b1846d1b99aa1ca8456a37cfe"]
 
 
 def three_state_table_model():

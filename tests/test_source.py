@@ -81,6 +81,26 @@ def test_cli_import_leaves_numpy_random_unloaded():
     assert result.stdout.strip() == "[]", result.stdout
 
 
+def test_streams_are_built_at_one_philox_call():
+    """Every Monte Carlo stream is a `Philox` keyed by (seed, path) with its
+    kind in the counter, constructed at one call site; no module hashes
+    seeds through numpy's `SeedSequence` or reaches into its
+    `bit_generator` module."""
+    calls, named = [], []
+    for path in sorted(Path(effham.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        named += [f"{path.name} {word}"
+                  for word in ("SeedSequence", "numpy.random.bit_generator")
+                  if word in text]
+        calls += [f"{path.name}:{node.lineno}"
+                  for node in ast.walk(ast.parse(text, filename=str(path)))
+                  if isinstance(node, ast.Call) and "Philox" in (
+                      getattr(node.func, "id", None),
+                      getattr(node.func, "attr", None))]
+    assert len(calls) == 1, calls
+    assert not named, named
+
+
 def test_one_point_chain_helpers_called_only_in_chains():
     """Stationary laws are computed on whole lattices by
     `chains.stationary_measures`; the one-point helpers are for users and
