@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from . import chains, hamiltonian as ham, simulator
-from .model import (REGIMES, ContinuousModel, ModelFormatError, load_model,
-                    model_from_dict, validate)
+from .model import (REGIMES, ContinuousModel, ModelFormatError, fits_float,
+                    load_model, model_from_dict, validate)
 from .presets import PRESETS, get_preset
 
 log = logging.getLogger("effham.cli")
@@ -54,11 +54,6 @@ def _check_keys(block, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
 
 
-def _number(value) -> bool:
-    """True for an int or a float, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _integer(block: dict, key: str, where: str, default=None, *,
              at_least: int, at_most: Optional[int] = None) -> int:
     """block[key] (or `default` when absent) as an int in [at_least,
@@ -67,7 +62,8 @@ def _integer(block: dict, key: str, where: str, default=None, *,
     value = block.get(key, default)
     if value is None:
         raise ConfigError(f'{where} is missing "{key}"')
-    if not _number(value) or value % 1:     # NaN % 1 and inf % 1 are NaN
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or value % 1:     # NaN % 1 and inf % 1 are NaN
         raise ConfigError(f'{where}: "{key}" must be an integer, got {value!r}')
     if value < at_least:
         raise ConfigError(f'{where}: "{key}" must be at least {at_least}, '
@@ -81,11 +77,12 @@ def _integer(block: dict, key: str, where: str, default=None, *,
 def _real(block: dict, key: str, where: str, default=None, *,
           positive: bool = False) -> float:
     """block[key] (or `default` when absent) as a finite float, and > 0 when
-    `positive`; a bool or a string is rejected."""
+    `positive`; what `fits_float` rejects (a bool, a string, an int beyond
+    the float range) is rejected too."""
     value = block.get(key, default)
     if value is None:
         raise ConfigError(f'{where} is missing "{key}"')
-    if not _number(value) or not math.isfinite(value) \
+    if not fits_float(value) or not math.isfinite(value) \
             or (positive and value <= 0):
         kind = "a positive finite" if positive else "a finite"
         raise ConfigError(f'{where}: "{key}" must be {kind} number, '
@@ -252,7 +249,7 @@ def cmd_simulate(cfg: dict, model, outdir: Path,
     seed = _integer(source, "seed", name, at_least=0, at_most=2**64 - 1)
     scales = block.get("scales")
     if not (isinstance(scales, list) and scales and all(
-            _number(s) and math.isfinite(s) for s in scales)):
+            fits_float(s) and math.isfinite(s) for s in scales)):
         raise ConfigError(f'{where}: "scales" must be a non-empty array of '
                           f"finite numbers, got {scales!r}")
     T = _real(block, "T", where, positive=True)

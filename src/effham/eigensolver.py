@@ -1,10 +1,13 @@
 """Cell-problem operators as Metzler matrices and their principal eigenpairs.
 
 Every cell operator is one `TiltedGenerator`: per-state hop weights and a
-switching block, all free of the momentum.  `cell_operator` fills it from one
-of four weight builders (continuous/discrete x plain/averaged switching) once
-per model; `TiltedGenerator.at(p)` tilts the hops by e^{+-p_a h} and returns
-an `AssembledOperator`, a matrix with nonnegative off-diagonal entries whose
+switching block, all free of the momentum.  `cell_operator` fills it once per
+model from one weight builder per model kind.  Regime II is regime I
+averaged: the same per-state increments (continuous) or hop rates (discrete),
+averaged against the stationary law of the switching chain, with no
+switching block; a regime outside `model.REGIMES` raises.
+`TiltedGenerator.at(p)` tilts the hops by e^{+-p_a h} and returns an
+`AssembledOperator`, a matrix with nonnegative off-diagonal entries whose
 principal eigenvalue is the effective Hamiltonian at momentum p.  Each grid
 slice along the first axis couples only to its two neighbor slices, so the
 operator is stored as periodic block-tridiagonal blocks: one dense block per
@@ -45,7 +48,7 @@ import numpy as np
 from .chains import (hop_averages, irreducible, negative_samples,
                      state_average, switching_measures)
 from .fields import grid_points
-from .model import ContinuousModel, DiscreteModel, Model
+from .model import ContinuousModel, DiscreteModel, Model, solve_regime
 
 _EPS = np.finfo(float).eps
 # blocks up to this size are eliminated elementwise, larger ones by LAPACK
@@ -257,23 +260,21 @@ class TiltedGenerator:
                                  n, J)
 
 
-def cell_operator(model: Model, regime: str, *, N: int = 128,
+def cell_operator(model: Model, regime: Optional[str] = None, *, N: int = 128,
                   gamma: float = 1.0) -> TiltedGenerator:
-    """The momentum-free cell operator of `model` in `regime` ("I" or "II").
+    """The momentum-free cell operator of `model` in `regime` ("I" or "II",
+    None for the model's own; see `model.solve_regime`).
 
     `gamma` scales the switching rates of regime I; gamma -> infinity is the
     fast-switching regime II, which has no switching block to scale.
     """
+    regime = solve_regime(model, regime)
     if not 0 < gamma < math.inf:
         raise ValueError(f"gamma = {gamma} must be positive and finite")
     if isinstance(model, ContinuousModel):
-        if regime == "I":
-            return _continuous_I(model, N, gamma)
-        return _continuous_II(model, N)
+        return _continuous(model, N, gamma, regime)
     if isinstance(model, DiscreteModel):
-        if regime == "I":
-            return _discrete_I(model, gamma)
-        return _discrete_II(model)
+        return _discrete(model, gamma, regime)
     raise TypeError(f"not a model: {type(model)!r}")
 
 
@@ -309,80 +310,59 @@ def assemble_continuous_II(model: ContinuousModel, p, N: int) -> AssembledOperat
 # per-model weight builders
 # ---------------------------------------------------------------------------
 
-def _discrete_I(model: DiscreteModel, gamma: float) -> TiltedGenerator:
-    return TiltedGenerator(
-        "discrete_I", model.hop_rates_plus[:, None, :],
-        model.hop_rates_minus[:, None, :], gamma * model.switching,
-        model.ell, model.ell, None)
+def _discrete(model: DiscreteModel, gamma: float,
+              regime: str) -> TiltedGenerator:
+    """Hop rates of each state; regime II averages them at every site."""
+    if regime == "I":
+        up, down = model.hop_rates_plus, model.hop_rates_minus
+        switching = gamma * model.switching
+    else:
+        up, down = (rates[None] for rates in hop_averages(model))
+        switching = None
+    return TiltedGenerator(f"discrete_{regime}", up[:, None], down[:, None],
+                           switching, model.ell, model.ell, None)
 
 
-def _discrete_II(model: DiscreteModel) -> TiltedGenerator:
-    rbar_plus, rbar_minus = hop_averages(model)
-    return TiltedGenerator(
-        "discrete_II", rbar_plus[None, None], rbar_minus[None, None], None,
-        model.ell, model.ell, None)
-
-
-def _continuous_grid(model: ContinuousModel, N: int):
+def _continuous(model: ContinuousModel, N: int, gamma: float,
+                regime: str) -> TiltedGenerator:
+    """Hop weights exp(-2 * half-step increment) / (2 h^2) of each state;
+    regime II averages the increments y -> y +- h/2 against the switching
+    laws at their quarter points y +- h/4 before exponentiating."""
     if N < 3:
         raise ValueError("continuous assembly needs N >= 3")
-    return model.period / N, grid_points(model.dim, N, model.period)
-
-
-def _shifted(pts: np.ndarray, axis: int, offset: float) -> np.ndarray:
-    out = pts.copy()
-    out[:, axis] += offset
-    return out
-
-
-def _continuous_I(model: ContinuousModel, N: int,
-                  gamma: float) -> TiltedGenerator:
-    dim, J = model.dim, model.J
-    h, pts = _continuous_grid(model, N)
+    dim, h, rates = model.dim, model.period / N, model.rates
+    pts = grid_points(dim, N, model.period)
+    drift = np.stack([psi.gradients(pts) for psi in model.potentials])  # (J, n, d)
+    if regime == "I":
+        switching = gamma * np.moveaxis(rates.values(pts), 0, -1)
+    else:
+        drift = state_average(switching_measures(rates, pts), drift)[None]
+        switching = None
     fac = 1.0 / (2.0 * h * h)
-    ups, downs = _neighbor_tables(N, dim)
-    up = np.empty((J, dim, N ** dim))
+    _, downs = _neighbor_tables(N, dim)
+    vals = np.stack([psi.periodic_values(pts) for psi in model.potentials])
+    slopes = np.stack([psi.slope for psi in model.potentials])        # (J, d)
+    unit = np.eye(dim)
+    up = np.empty((len(drift), dim, N ** dim))   # J rows, or one averaged
     down = np.empty_like(up)
-    for i, psi in enumerate(model.potentials):
-        vals = psi.periodic_values(pts)
-        for a in range(dim):
-            mids = psi.periodic_values(_shifted(pts, a, 0.5 * h))
-            # half-step increments: periodic part by evaluation, affine part
-            # analytically so the torus seam carries the same local tilt
-            tilt = float(psi.slope[a]) * 0.5 * h
-            up[i, a] = fac * np.exp(-2.0 * ((mids - vals) + tilt))
-            down[i, a] = fac * np.exp(-2.0 * ((mids[downs[a]] - vals) - tilt))
-    switching = gamma * np.moveaxis(model.rates.values(pts), 0, -1)
-    drift = np.stack([psi.gradients(pts) for psi in model.potentials])
-    return TiltedGenerator("continuous_I", up, down, switching, N,
-                           model.period, drift)
-
-
-def _continuous_II(model: ContinuousModel, N: int) -> TiltedGenerator:
-    dim, rates = model.dim, model.rates
-    h, pts = _continuous_grid(model, N)
-    bbar = state_average(switching_measures(rates, pts),
-                         [psi.gradients(pts) for psi in model.potentials])  # (ng, d)
-
-    fac = 1.0 / (2.0 * h * h)
-    ups, downs = _neighbor_tables(N, dim)
-    up = np.empty((1, dim, N ** dim))
-    down = np.empty_like(up)
-    vals = np.stack([psi.periodic_values(pts) for psi in model.potentials])  # (J, ng)
-    slopes = np.stack([psi.slope for psi in model.potentials])               # (J, d)
     for a in range(dim):
-        mid_pts = _shifted(pts, a, 0.5 * h)
+        mid_pts = pts + 0.5 * h * unit[a]
         mids = np.stack([psi.periodic_values(mid_pts) for psi in model.potentials])
-        # laws at the quarter points of the increments y -> y + h/2 -> y + h
-        mu_q1 = switching_measures(rates, _shifted(pts, a, 0.25 * h))
-        mu_q3 = switching_measures(rates, _shifted(pts, a, 0.75 * h))
-        tilt = slopes[:, a][:, None] * 0.5 * h                               # (J, 1)
-        inc_up = state_average(mu_q1, (mids - vals) + tilt)
-        inc_dn_src = state_average(mu_q3, (mids - vals[:, ups[a]]) - tilt)
-        up[0, a] = fac * np.exp(-2.0 * inc_up)
-        down[0, a] = fac * np.exp(-2.0 * inc_dn_src[downs[a]])
-    return TiltedGenerator("continuous_II", up, down, None, N, model.period,
-                           bbar[None])
+        # half-step increments: periodic part by evaluation, affine part
+        # analytically so the torus seam carries the same local tilt
+        tilt = slopes[:, a, None] * 0.5 * h
+        inc_up = (mids - vals) + tilt
+        inc_down = (mids[:, downs[a]] - vals) - tilt
+        if regime == "II":
+            # y - h/4 is the 3/4 point of the step up from y - h
+            inc_up = state_average(switching_measures(
+                rates, pts + 0.25 * h * unit[a]), inc_up)
+            inc_down = state_average(switching_measures(
+                rates, pts + 0.75 * h * unit[a])[downs[a]], inc_down)
+        up[:, a] = fac * np.exp(-2.0 * inc_up)
+        down[:, a] = fac * np.exp(-2.0 * inc_down)
+    return TiltedGenerator(f"continuous_{regime}", up, down, switching, N,
+                           model.period, drift)
 
 
 # ---------------------------------------------------------------------------

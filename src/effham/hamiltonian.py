@@ -23,7 +23,7 @@ from .chains import hop_averages
 from .eigensolver import (EigenCertificate, _shifted_solve, cell_operator,
                           collatz_wielandt_bounds, principal_eigenpair)
 from .fields import grid_points, sampling_resolution
-from .model import ContinuousModel, DiscreteModel, Model
+from .model import ContinuousModel, DiscreteModel, Model, solve_regime
 
 log = logging.getLogger(__name__)
 
@@ -35,7 +35,7 @@ def hamiltonian_at(model: Model, p, regime: Optional[str] = None, *,
                    N: int = 128, tol: float = 1e-10,
                    gamma: float = 1.0) -> tuple:
     """H(p) with its eigen certificate.  Deterministic given (model, p, N, tol)."""
-    op = cell_operator(model, regime or model.regime, N=N, gamma=gamma)
+    op = cell_operator(model, regime, N=N, gamma=gamma)
     cert = principal_eigenpair(op.at(p), tol=tol)
     return cert.eigenvalue, cert
 
@@ -180,14 +180,14 @@ def sweep(model: Model, p_min: float, p_max: float, count: int,
     certificate, not bit for bit.  Failures are recorded per sample (value
     NaN), and the sample beyond a failure starts cold; the table is still
     returned.  If the operator cannot be built, every sample records that
-    error.  For continuous models with dim > 1 the sweep runs along the
-    momentum line t -> t * e_axis.
+    error; a regime outside `REGIMES` raises.  For continuous models with
+    dim > 1 the sweep runs along the momentum line t -> t * e_axis.
     """
     if count < 3:
         raise ValueError("sweep needs at least 3 samples")
     if not p_max > p_min:
         raise ValueError("empty momentum range")
-    regime = regime or model.regime
+    regime = solve_regime(model, regime)
     grid = np.linspace(p_min, p_max, count)
     if not np.any(np.isclose(grid, 0.0, atol=1e-12)):
         log.warning("momentum grid does not contain 0; augmenting")
@@ -242,7 +242,7 @@ def velocity_of_model(model: Model, regime: Optional[str] = None, *,
     rounding of the two n-term sums.  Returns (v, err): floats for a
     1-D model, (d,) arrays for d > 1.  A failed solve raises.
     """
-    gen = cell_operator(model, regime or model.regime, N=N, gamma=gamma)
+    gen = cell_operator(model, regime, N=N, gamma=gamma)
     dim = gen.up.shape[1]
     op = gen.at(np.zeros(dim))
     cert = principal_eigenpair(op.T, tol=tol)
@@ -407,7 +407,7 @@ def coercivity_check(table: HamiltonianTable, model: Model) -> CoercivityResult:
     minimum of any test vector the exchange terms are nonnegative.
     """
     p, H = table.p_grid, table.values
-    regime = table.provenance.get("regime", model.regime)
+    regime = solve_regime(model, table.provenance.get("regime"))
     if isinstance(model, ContinuousModel):
         n = sampling_resolution(list(model.potentials))
         pts = grid_points(model.dim, n, model.period)

@@ -11,6 +11,7 @@ than raising.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
@@ -189,6 +190,16 @@ class DiscreteModel:
 Model = Union[ContinuousModel, DiscreteModel]
 
 
+def solve_regime(model: Model, regime: Optional[str] = None) -> str:
+    """The regime to solve `model` in: `regime`, or the model's own when it
+    is None.  Anything outside `REGIMES` raises ValueError."""
+    if regime is None:
+        return model.regime
+    if regime not in REGIMES:
+        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
+    return regime
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -225,7 +236,7 @@ def validate(model: Model, regime: Optional[str] = None) -> List[Violation]:
     its stationary law there; this is the same kernel the assembly calls.
     """
     report: List[Violation] = []
-    fast = (regime or model.regime) == "II"
+    fast = solve_regime(model, regime) == "II"
     if isinstance(model, ContinuousModel):
         rate_fields = model.rates.iter_fields()
         n = sampling_resolution(list(model.potentials) + rate_fields)
@@ -307,30 +318,36 @@ def _field_to_json(f: Optional[PeriodicScalarField]):
     }
 
 
+def fits_float(value) -> bool:
+    """True for a JSON number that a float holds: an int or a float, not a
+    bool, and not an int beyond the largest float."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (isinstance(value, float) or abs(value) <= sys.float_info.max))
+
+
 def _number(value, what: str) -> float:
-    """A JSON number as a float; a bool, a string or null is rejected, not
-    converted."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A JSON number as a float; anything else `fits_float` rejects (a bool,
+    a string, null, an int beyond the float range) raises, not converted."""
+    if not fits_float(value):
         raise ModelFormatError(f"{what} must be a number, got {value!r}")
     return float(value)
 
 
 def _numbers(value, what: str) -> np.ndarray:
     """Nested lists of JSON numbers as a float array; each entry is checked
-    by `_number` unless all are Python ints and floats."""
+    by `_number` unless all are Python floats."""
     items = np.asarray(value, dtype=object)
-    if set(map(type, items.flat)) - {int, float}:
+    if set(map(type, items.flat)) - {float}:
         for item in items.flat:
             _number(item, what)
     return np.asarray(value, dtype=float)
 
 
 def _integer(obj: dict, key: str) -> int:
-    """obj[key] as an int; a bool, a string or a number with a fractional
-    part is rejected, not truncated."""
+    """obj[key] as an int; anything else `fits_float` rejects, or a number
+    with a fractional part, raises, not truncated."""
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not float(value).is_integer():
+    if not fits_float(value) or not float(value).is_integer():
         raise ModelFormatError(f'"{key}" must be an integer, got {value!r}')
     return int(value)
 

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -244,8 +245,9 @@ def _fast_step(eps: float, dt: Optional[float]) -> float:
 
 
 def _lattice_scale(n) -> int:
-    """The lattice refinement n of a discrete run, a positive integer."""
-    if not (float(n).is_integer() and n >= 1):
+    """The lattice refinement n of a discrete run, a positive integer no
+    larger than the largest float."""
+    if not (1 <= n <= sys.float_info.max and n % 1 == 0):
         raise ValueError(f"n = {n} must be a positive integer")
     return int(n)
 

@@ -246,6 +246,13 @@ def test_non_integer_config_value_exits_2(tmp_path, caplog, monkeypatch,
     ("simulate", "seed", 2.0**64, "at most 18446744073709551615"),
     pytest.param("simulate", "seed", 10**400, "at most 18446744073709551615",
                  id="simulate-seed-10**400-at most 18446744073709551615"),
+    *(pytest.param(command, key, value, rule, id=f"{command}-{key}-10**400")
+      for command, key, value, rule in [
+          ("sweep", "p_min", -10**400, "a finite number"),
+          ("check", "p_max", 10**400, "a positive finite number"),
+          ("simulate", "T", 10**400, "a positive finite number"),
+          ("simulate", "scales", [10**400],
+           "a non-empty array of finite numbers")]),
 ])
 def test_bad_real_config_value_exits_2(tmp_path, caplog, monkeypatch,
                                        command, key, value, rule):
@@ -256,7 +263,7 @@ def test_bad_real_config_value_exits_2(tmp_path, caplog, monkeypatch,
     not fit a Philox key word) and scales that are not a
     non-empty array of finite numbers, and a "dump_trajectories" that is
     not a JSON bool exit 2, naming the block and key, before any solve or
-    stream."""
+    stream.  A real value too large for a float is not finite."""
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
@@ -343,11 +350,14 @@ def malformed_model(case: str) -> dict:
     """A model description that names one defect `case`."""
     model = model_to_dict(get_preset("two_state_flashing"))
     mode = model["potentials"][0]["coeffs"][0]     # [k, a, b]
+    discrete = model_to_dict(get_preset("discrete_two_state"))
     if case == "ell-fraction":
-        return {**model_to_dict(get_preset("discrete_two_state")), "ell": 6.5}
-    if case == "hop-rate-bool":
-        discrete = model_to_dict(get_preset("discrete_two_state"))
-        discrete["hop_rates_plus"][0][1] = True
+        return {**discrete, "ell": 6.5}
+    if case == "ell-10**400":
+        return {**discrete, "ell": 10**400}
+    if case.startswith("hop-rate-"):
+        discrete["hop_rates_plus"][0][1] = {"hop-rate-bool": True,
+                                            "hop-rate-10**400": 10**400}[case]
         return discrete
     if case == "dim-zero":
         return {"kind": "continuous", "dim": 0, "J": 1, "regime": "I",
@@ -368,6 +378,10 @@ def malformed_model(case: str) -> dict:
         mode[1] = "0.5"
     elif case == "amplitude-nan":
         mode[1] = math.nan
+    elif case == "amplitude-10**400":
+        mode[1] = 10**400
+    elif case == "dim-10**400":
+        model["dim"] = 10**400
     elif case == "slope-1e400":
         model["potentials"][0]["slope"] = ["1e400"]   # a number in the file
     elif case == "slope-bool":
@@ -389,14 +403,20 @@ def malformed_model(case: str) -> dict:
         ("slope-bool", "slope must be a number, got True"),
         ("hop-rate-bool", '"hop_rates_plus" must be a number, got True'),
         ("amplitude-nan", "Fourier amplitudes and affine slope must be finite"),
-        ("slope-1e400", "Fourier amplitudes and affine slope must be finite")]])
+        ("slope-1e400", "Fourier amplitudes and affine slope must be finite"),
+        ("ell-10**400", f'"ell" must be an integer, got {10**400}'),
+        ("dim-10**400", f'"dim" must be an integer, got {10**400}'),
+        ("amplitude-10**400", f"amplitude must be a number, got {10**400}"),
+        ("hop-rate-10**400",
+         f'"hop_rates_plus" must be a number, got {10**400}')]])
 def test_malformed_model_exits_2(tmp_path, caplog, monkeypatch, case,
                                  message):
     """A model that cannot be built exits 2 before any solve: a count with a
     fractional part is not truncated, a number given as a bool or a string
     is not converted, and a field with a bad period, dimension, wave number
     or amplitude, or a non-finite amplitude or slope, is a malformed model,
-    not a traceback (exit 1) or a numerical failure (exit 3)."""
+    not a traceback (exit 1) or a numerical failure (exit 3).  So is an
+    integer too large for a float, as a count or as a number."""
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 

@@ -14,7 +14,7 @@ from effham.hamiltonian import (HamiltonianTable, coercivity_check,
                                 path_rate, sweep, symmetry_check,
                                 velocity_of_model)
 from effham.fields import PeriodicScalarField
-from effham.model import ContinuousModel, SwitchingRateMatrix
+from effham.model import ContinuousModel, SwitchingRateMatrix, validate
 from effham.presets import (PRESETS, constant_drift, detailed_balance_pair,
                             discrete_asymmetric, discrete_two_state,
                             two_state_flashing)
@@ -356,7 +356,7 @@ def test_legendre_minimum_at_velocity():
 
 def test_axis_sweep_dim2():
     from effham.fields import PeriodicScalarField
-    from effham.model import ContinuousModel, SwitchingRateMatrix
+    from effham.model import ContinuousModel, SwitchingRateMatrix, validate
     psi = PeriodicScalarField(dim=2, fourier_coeffs=(((1, 0), 0.3, 0.0),))
     m = ContinuousModel(dim=2, J=1, potentials=(psi,),
                         rates=SwitchingRateMatrix(J=1, entries=((None,),)))
@@ -457,6 +457,53 @@ def test_coercivity_random_models(rng):
     c = random_continuous_model(rng, J=2)
     table = sweep(c, -2.0, 2.0, 9, N=48)
     assert coercivity_check(table, c).passed
+
+
+def regime_table(regime) -> HamiltonianTable:
+    p = np.array([-1.0, 0.0, 1.0])
+    return HamiltonianTable(p, p ** 2, (None,) * 3,
+                            provenance={} if regime is None
+                            else {"regime": regime})
+
+
+# every entry point that takes a regime, called on (model, regime)
+REGIME_CALLS = {
+    "cell_operator": lambda m, r: cell_operator(m, r, N=32),
+    "hamiltonian_at": lambda m, r: hamiltonian_at(m, 0.5, r, N=32),
+    "sweep": lambda m, r: sweep(m, -1.0, 1.0, 3, r, N=32),
+    "velocity_of_model": lambda m, r: velocity_of_model(m, r, N=32),
+    "validate": validate,
+    "coercivity_check": lambda m, r: coercivity_check(regime_table(r), m),
+}
+
+
+@pytest.mark.parametrize("call", sorted(REGIME_CALLS))
+@pytest.mark.parametrize("regime", ["III", "ii", ""],
+                         ids=["III", "ii", "empty"])
+def test_unknown_regime_raises(call, regime):
+    """A regime outside ("I", "II") raises everywhere, before any solve:
+    no entry point reads it as I or as II, and an empty string does not
+    fall back to the model's regime."""
+    with pytest.raises(ValueError, match="regime must be one of"):
+        REGIME_CALLS[call](two_state_flashing(), regime)
+
+
+def test_no_regime_is_the_models_own(rng):
+    """None selects the model's own regime in every entry point."""
+    flashing = two_state_flashing()
+    fast = ContinuousModel(dim=1, J=2, potentials=flashing.potentials,
+                           rates=flashing.rates, regime="II")
+    assert validate(fast) == validate(fast, "II") != []
+    assert validate(flashing) == validate(flashing, "I") == []
+    d = random_discrete_model(rng, ell=4, J=2, regime="II")
+    own, fast_d = cell_operator(d).at(0.3), cell_operator(d, "II").at(0.3)
+    assert all(np.array_equal(getattr(own, name), getattr(fast_d, name))
+               for name in ("blocks", "up", "down"))
+    assert sweep(d, -1.0, 1.0, 3).provenance["regime"] == "II"
+    assert hamiltonian_at(d, 0.3)[0] == hamiltonian_at(d, 0.3, "II")[0]
+    assert velocity_of_model(d) == velocity_of_model(d, "II")
+    assert (coercivity_check(regime_table(None), d)
+            == coercivity_check(regime_table("II"), d))
 
 
 def test_table_csv_format(tmp_path):

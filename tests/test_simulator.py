@@ -487,6 +487,16 @@ def test_bad_gamma_raises(gamma):
         batch_discrete(discrete_two_state(), 16, 0.5, 4, 1, gamma=gamma)
 
 
+@pytest.mark.parametrize("n", [0, 2.5, 10**400], ids=["0", "2.5", "10**400"])
+def test_bad_lattice_scale_raises(n):
+    """A lattice refinement that is not a positive integer a float holds is
+    a ValueError, also one too large to convert."""
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        simulate_discrete(discrete_asymmetric(), n, 0.5, seed=4)
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        concentration_experiment(discrete_asymmetric(), [n], 0.5, 4, 1)
+
+
 def test_trajectory_csv(tmp_path):
     tr = simulate_discrete(discrete_asymmetric(), 10, 0.5, seed=4)
     path = tmp_path / "t.csv"

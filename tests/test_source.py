@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 import time
@@ -171,6 +172,37 @@ def test_cyclic_reduction_runs_through_one_shifted_solve():
                                           getattr(node.func, "attr", None))]
     assert sorted(found) == ["eigensolver.py:_cyclic_solve",
                              "eigensolver.py:_shifted_solve"], found
+
+
+def test_one_weight_builder_per_model_kind():
+    """Every cell operator is built by `_continuous` or `_discrete`, regime
+    II as regime I averaged, so no second builder per regime comes back."""
+    found = []
+    for path in sorted(Path(effham.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = {id(node): func.name for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+        found += [f"{path.name}:{owner.get(id(node))}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and "TiltedGenerator" in (getattr(node.func, "id", None),
+                                            getattr(node.func, "attr", None))]
+    assert sorted(found) == ["eigensolver.py:_continuous",
+                             "eigensolver.py:_discrete"], found
+
+
+def test_regime_fallback_lives_in_model():
+    """The model's own regime stands in for a missing one only in
+    `model.solve_regime`: no other module writes `or model.regime` or reads
+    a recorded regime with a fallback, `provenance.get("regime", ...)`."""
+    found = []
+    for path in sorted(Path(effham.__file__).parent.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        found += [f"{path.name}: {match.group()}" for pattern in (
+            r"\bor\s+model\.regime\b", r'provenance\.get\(\s*"regime"\s*,')
+            for match in re.finditer(pattern, text)]
+    assert not found, found
 
 
 def test_benchmark_tracer_binds_the_library(monkeypatch):
