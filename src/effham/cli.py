@@ -55,10 +55,10 @@ def _check_keys(block, allowed: set, where: str) -> None:
 
 
 def _integer(block: dict, key: str, where: str, default=None, *,
-             at_least: int, at_most: Optional[int] = None) -> int:
+             at_least: int, at_most: int = sys.maxsize) -> int:
     """block[key] (or `default` when absent) as an int in [at_least,
     at_most]; a bool, a string or a number with a fractional part is
-    rejected, not truncated."""
+    rejected, not truncated, and so is an integer too large for an index."""
     value = block.get(key, default)
     if value is None:
         raise ConfigError(f'{where} is missing "{key}"')
@@ -68,7 +68,7 @@ def _integer(block: dict, key: str, where: str, default=None, *,
     if value < at_least:
         raise ConfigError(f'{where}: "{key}" must be at least {at_least}, '
                           f"got {value!r}")
-    if at_most is not None and value > at_most:
+    if value > at_most:
         raise ConfigError(f'{where}: "{key}" must be at most {at_most}, '
                           f"got {value!r}")
     return int(value)

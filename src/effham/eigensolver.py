@@ -34,7 +34,8 @@ min_i (Mw)_i/w_i and max_i (Mw)_i/w_i sandwich the principal eigenvalue, and
 iteration stops only once that sandwich is tighter than the tolerance, or
 raises once it stops shrinking.  The solver works on the slice blocks:
 products slice by slice, and inverse steps by block cyclic reduction, which
-costs O(n b^2) for blocks of size b instead of a dense O(n^3) LU.
+costs O(n b^2) for blocks of size b instead of a dense O(n^3) LU; it ends
+at one dense LU of at most 64 unknowns.
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ _EPS = np.finfo(float).eps
 # blocks up to this size are eliminated elementwise, larger ones by LAPACK
 # (timed on the elimination alone: the crossover lies between b=6 and b=12)
 _ELEMENTWISE_BLOCK = 8
+# cyclic reduction stops once a level has at most this many unknowns and
+# solves them by one dense LU (timed on 1-D N=256 sweeps, J=2: 32 was within
+# 5 %, 128 about 10 % slower)
+_DENSE_BASE = 64
 # iterations without a narrower CW gap before the solver gives up
 _STALL_ITERATIONS = 32
 
@@ -425,13 +430,22 @@ def _cyclic_solve(D, U, L, f: np.ndarray) -> np.ndarray:
     even slices form a periodic block-tridiagonal system of ceil(m/2)
     slices, whose couplings are dense; when m is odd the last kept slice
     stays coupled to slice 0 directly.  Schur complements of a nonsingular
-    M-matrix are M-matrices, so no elimination needs pivoting.  One slice (a
-    raw matrix, or the last level) is solved by a dense LU, its couplings
-    folded into its block.
+    M-matrix are M-matrices, so no elimination needs pivoting.  The
+    recursion ends at one slice (a raw matrix) or at most `_DENSE_BASE`
+    unknowns: that periodic system is scattered into one dense matrix (for
+    one slice, its block plus both couplings) and solved by one pivoted
+    dense LU, so a 1-D grid of 256 points takes 2 to 4 reduction levels
+    (b = 1 to 3), not 8.
     """
     m, b = f.shape
-    if m == 1:
-        return np.linalg.solve(D + _dense(U) + _dense(L), f[..., None])[..., 0]
+    if m == 1 or m * b <= _DENSE_BASE:
+        k = np.arange(m)
+        system = np.zeros((m, b, m, b))
+        system[k, :, k] = D
+        system[k, :, (k + 1) % m] += _dense(U)
+        system[k, :, (k - 1) % m] += _dense(L)
+        return np.linalg.solve(system.reshape(m * b, m * b),
+                               f.reshape(m * b)).reshape(m, b)
     # odd slice j' = 2j+1 lies between kept slices j and j+1 (mod the kept
     # count); with m odd, kept slice 0 has no eliminated slice below it
     n_odd, lo = m // 2, m % 2
@@ -504,8 +518,9 @@ def principal_eigenpair(M, tol: float = 1e-10, max_iter: int = 10 ** 6,
     iterations in a row.
 
     An operator is iterated on its slice blocks: products and inverse steps
-    (block cyclic reduction) never form the dense matrix.  A raw matrix is a
-    single slice, iterated with a dense product and a dense LU.
+    (block cyclic reduction, ending at one dense LU of at most
+    `_DENSE_BASE` = 64 unknowns) never form the whole dense matrix.  A raw
+    matrix is a single slice, iterated with a dense product and a dense LU.
     """
     A, B, C, index = _slices(M)
     m, b = B.shape

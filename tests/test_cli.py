@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -248,6 +249,8 @@ def test_non_integer_config_value_exits_2(tmp_path, caplog, monkeypatch,
                  id="simulate-seed-10**400-at most 18446744073709551615"),
     *(pytest.param(command, key, value, rule, id=f"{command}-{key}-10**400")
       for command, key, value, rule in [
+          ("velocity", "N", 10**400, f"at most {sys.maxsize}"),
+          ("simulate", "paths", 10**400, f"at most {sys.maxsize}"),
           ("sweep", "p_min", -10**400, "a finite number"),
           ("check", "p_max", 10**400, "a positive finite number"),
           ("simulate", "T", 10**400, "a positive finite number"),
@@ -260,7 +263,8 @@ def test_bad_real_config_value_exits_2(tmp_path, caplog, monkeypatch,
     not finite (or not positive, where the key needs it), a bool or a
     string, too few sweep samples, an empty momentum range, an integer out
     of its range (N < 3, grid < 1, a seed outside [0, 2**64), which would
-    not fit a Philox key word) and scales that are not a
+    not fit a Philox key word, any other count above `sys.maxsize`, which
+    would not fit an index) and scales that are not a
     non-empty array of finite numbers, and a "dump_trajectories" that is
     not a JSON bool exit 2, naming the block and key, before any solve or
     stream.  A real value too large for a float is not finite."""

@@ -492,8 +492,9 @@ def test_fine_grid_detailed_balance_ends_in_bounded_time(p):
 
 def _structured_operator(kind, regime, size, gamma, rng):
     """Operators whose slice count m = size covers 1, 2, 3, 4, odd and
-    powers of two; continuous potentials are gentle enough for N = 3.  No
-    model has one slice (ell >= 2, N >= 3), so that one is built by hand."""
+    powers of two, and unknown counts on both sides of the dense base;
+    continuous potentials are gentle enough for N = 3.  No model has one
+    slice (ell >= 2, N >= 3), so that one is built by hand."""
     if kind == "one_slice":
         block = rng.uniform(0.2, 2.0, size=(1, 3, 3))
         block[0, range(3), range(3)] = -4.0
@@ -503,8 +504,9 @@ def _structured_operator(kind, regime, size, gamma, rng):
     if kind == "continuous":
         model = random_continuous_model(rng, J=2, amp=0.05)
         return cell_operator(model, regime, N=size).at(0.7)
-    if kind == "discrete":
-        model = random_discrete_model(rng, ell=size, J=2)
+    if kind in ("discrete", "discrete_J3"):
+        model = random_discrete_model(rng, ell=size,
+                                      J=3 if kind == "discrete_J3" else 2)
         return cell_operator(model, regime, gamma=gamma).at(0.7)
     psi1 = PeriodicScalarField(dim=2, fourier_coeffs=(((1, 0), 0.3, 0.0),))
     psi2 = PeriodicScalarField(dim=2, fourier_coeffs=(((0, 1), 0.0, 0.25),))
@@ -519,18 +521,29 @@ def _structured_operator(kind, regime, size, gamma, rng):
 STRUCTURED_CASES = (
     [("continuous", r, N, 1.0) for r in ("I", "II")
      for N in (3, 4, 20, 24, 255, 256)]
+    # 62, 64, 66 and 130 unknowns (J = 2) and 63, 64, 65 and 129 (averaged):
+    # solved at the dense base, one level above it and two levels above it
+    + [("continuous", "I", N, 1.0) for N in (31, 32, 33, 65)]
+    + [("continuous", "II", N, 1.0) for N in (63, 64, 65, 129)]
     + [("discrete", "I", ell, g) for ell in (2, 3, 6) for g in (1.0, 2.5)]
     + [("discrete", "II", ell, 1.0) for ell in (2, 3, 6)]
+    + [("discrete_J3", "I", ell, 1.0) for ell in (21, 22)]
     + [("dim2", "I", 12, 1.0), ("dim2", "II", 12, 1.0),
        ("one_slice", None, 1, 1.0)])
 
 
 def _dense_coupling_cyclic_solve(D, U, L, f):
     """`_cyclic_solve` as it was when every level multiplied its couplings
-    as dense b x b blocks; the reference for the row-scaled first level."""
+    as dense b x b blocks; the reference for the row-scaled first level.
+    It ends at the same dense base, scattered block by block."""
     m, b = f.shape
-    if m == 1:
-        return np.linalg.solve(D + U + L, f[..., None])[..., 0]
+    if m == 1 or m * b <= eigensolver._DENSE_BASE:
+        dense = np.zeros((m * b, m * b))
+        for k in range(m):
+            for j, block in ((k, D[k]), ((k + 1) % m, U[k]),
+                             ((k - 1) % m, L[k])):
+                dense[k * b:(k + 1) * b, j * b:(j + 1) * b] += block
+        return np.linalg.solve(dense, f.reshape(m * b)).reshape(m, b)
     n_odd, lo = m // 2, m % 2
     X = eigensolver._block_solve(D[1::2], np.concatenate(
         [L[1::2], U[1::2], f[1::2, :, None]], axis=2))
@@ -589,6 +602,35 @@ def test_structured_kernels_match_dense(kind, regime, size, gamma, rng):
     blocks = principal_eigenpair(op)
     assert dense.cw_lower <= blocks.eigenvalue <= dense.cw_upper
     assert blocks.cw_lower <= dense.eigenvalue <= blocks.cw_upper
+
+
+@pytest.mark.parametrize("regime", ["I", "II"])
+def test_one_dimensional_inverse_step_ends_at_the_dense_base(regime,
+                                                             monkeypatch):
+    """An inverse step on a 1-D grid of 256 points runs 3 cyclic-reduction
+    levels (blocks of b = 2) or 2 (averaged, b = 1), then one dense LU on
+    64 unknowns, not 8 levels down to a single slice."""
+    op = cell_operator(detailed_balance_pair(), regime, N=256).at(0.7)
+    sigma = collatz_wielandt_bounds(op, np.ones(op.shape[0]))[1] + 1.0
+    real_cyclic, real_solve = eigensolver._cyclic_solve, np.linalg.solve
+    levels, solves = [], []
+
+    def cyclic(D, U, L, f):
+        levels.append(f.shape)
+        return real_cyclic(D, U, L, f)
+
+    def solve(a, rhs):
+        solves.append(a.shape)
+        return real_solve(a, rhs)
+
+    monkeypatch.setattr(eigensolver, "_cyclic_solve", cyclic)
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    x = eigensolver._shifted_solve(op.blocks, op.up, op.down, sigma,
+                                   np.ones(op.up.shape))
+    monkeypatch.undo()
+    assert np.all(x > 0)
+    assert len(levels) - 1 == {"I": 3, "II": 2}[regime], levels
+    assert solves == [(64, 64)], solves
 
 
 def _inverse_steps_with_fault(monkeypatch, fault):

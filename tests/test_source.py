@@ -174,6 +174,23 @@ def test_cyclic_reduction_runs_through_one_shifted_solve():
                              "eigensolver.py:_shifted_solve"], found
 
 
+def test_eigensolver_solves_densely_only_in_its_kernels():
+    """Inside `eigensolver.py`, `np.linalg.solve` is called only by
+    `_block_solve` (one slice block) and `_cyclic_solve` (its base of at
+    most `_DENSE_BASE` unknowns, or a raw matrix), so no n x n solve of a
+    whole operator can creep back in."""
+    path = Path(eigensolver.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    owner = {id(node): func.name for func in ast.walk(tree)
+             if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+    found = [owner.get(id(node)) for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "solve"
+             and getattr(node.func.value, "attr", None) == "linalg"]
+    assert sorted(found) == ["_block_solve", "_cyclic_solve"], found
+
+
 def test_one_weight_builder_per_model_kind():
     """Every cell operator is built by `_continuous` or `_discrete`, regime
     II as regime I averaged, so no second builder per regime comes back."""
