@@ -59,8 +59,9 @@ _ELEMENTWISE_BLOCK = 8
 # solves them by one dense LU (timed on 1-D N=256 sweeps, J=2: 32 was within
 # 5 %, 128 about 10 % slower)
 _DENSE_BASE = 64
-# iterations without a narrower CW gap before the solver gives up
+# iterations without a narrower CW gap, and in all, before the solver gives up
 _STALL_ITERATIONS = 32
+_MAX_ITERATIONS = 10 ** 6
 
 
 class PecletError(ValueError):
@@ -72,7 +73,7 @@ class PecletError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Eigensolver hit the iteration cap; the best certificate is attached."""
+    """CW gap stalled or iteration cap hit; the best certificate is attached."""
 
     def __init__(self, message: str, certificate: "EigenCertificate"):
         super().__init__(message)
@@ -144,7 +145,7 @@ class EigenCertificate:
     cw_lower: float
     cw_upper: float
     iterations: int
-    fallbacks: int = 0           # power steps taken after failed inverse steps
+    fallbacks: int = 0           # failed inverse steps, retried at a wider shift
 
     @property
     def cw_gap(self) -> float:
@@ -489,16 +490,21 @@ def _positive_vector(g, n: int, what: str) -> np.ndarray:
     return g
 
 
+def _bracket(A, B, C, w: np.ndarray) -> tuple:
+    """(min, max) of (Mw)_i / w_i for M in slices (A, B, C): the CW sandwich."""
+    ratios = _apply(A, B, C, w) / w
+    return float(np.min(ratios)), float(np.max(ratios))
+
+
 def collatz_wielandt_bounds(M, g: np.ndarray) -> tuple:
     """(min_i (Mg)_i/g_i, max_i (Mg)_i/g_i); a sandwich for the principal
     eigenvalue of a Metzler irreducible M, valid for any positive g."""
     A, B, C, index = _slices(M)
-    x = _positive_vector(g, index.size, "Collatz-Wielandt vector")[index]
-    ratios = _apply(A, B, C, x) / x
-    return float(np.min(ratios)), float(np.max(ratios))
+    return _bracket(A, B, C, _positive_vector(
+        g, index.size, "Collatz-Wielandt vector")[index])
 
 
-def principal_eigenpair(M, tol: float = 1e-10, max_iter: int = 10 ** 6,
+def principal_eigenpair(M, tol: float = 1e-10,
                         start: Optional[np.ndarray] = None) -> EigenCertificate:
     """Principal eigenpair of a Metzler irreducible matrix (an ndarray or an
     `AssembledOperator`).
@@ -507,15 +513,15 @@ def principal_eigenpair(M, tol: float = 1e-10, max_iter: int = 10 ** 6,
     vector, e.g. the eigenvector of a nearby operator) or from the all-ones
     vector, with sigma just above the current Collatz-Wielandt upper bound:
     (sigma I - M) is then a nonsingular M-matrix, so the solve preserves
-    positivity and every iterate still carries a valid sandwich.  When an
-    inverse step is singular or loses positivity to round-off, the solver
-    takes 4 power steps with the shift alpha = 1 + max |M_ii| (which makes
-    the matrix nonnegative and primitive) and returns to inverse steps; the
-    certificate counts them as `fallbacks`.  Terminates when the sandwich
-    width is below tol * (1 + |lambda|) (with a floor at the round-off level
-    of the shifted matrix); raises `ConvergenceError` after `max_iter`
-    iterations, or once the width has not shrunk for `_STALL_ITERATIONS`
-    iterations in a row.
+    positivity and every iterate still carries a valid sandwich.  Inverse
+    steps are the only step kind: one that is singular or loses positivity
+    to round-off keeps the iterate and is retried with the shift's distance
+    above the upper bound doubled per failure in a row (a far shift makes a
+    positive near-power step), and counts in the certificate's `fallbacks`.
+    Terminates when the sandwich width is below tol * (1 + |lambda|) (with a
+    floor at the round-off level of the shifted matrix); raises
+    `ConvergenceError` after `_MAX_ITERATIONS` iterations, or once the width
+    has not shrunk for `_STALL_ITERATIONS` iterations in a row.
 
     An operator is iterated on its slice blocks: products and inverse steps
     (block cyclic reduction, ending at one dense LU of at most
@@ -526,24 +532,12 @@ def principal_eigenpair(M, tol: float = 1e-10, max_iter: int = 10 ** 6,
     m, b = B.shape
     if start is not None:
         start = _positive_vector(start, m * b, "start vector")
-    if m * b == 1:
-        lam = float(A[0, 0, 0] + B[0, 0] + C[0, 0])
-        return EigenCertificate(lam, np.ones(1), 0.0, lam, lam, 0)
 
     alpha = 1.0 + float(np.max(np.abs(np.diagonal(A, axis1=1, axis2=2))))
     w = np.ones((m, b)) if start is None else start[index] / np.max(start)
     lower, upper = -np.inf, np.inf
     best_gap, since_best = np.inf, 0
-    iters = fallbacks = power_until = 0
-
-    def bounds_from(vec):
-        z = _apply(A, B, C, vec) + alpha * vec
-        ratios = z / vec
-        return z, float(ratios.min()) - alpha, float(ratios.max()) - alpha
-
-    def threshold(lo, up):
-        lam_est = 0.5 * (lo + up)
-        return max(tol * (1.0 + abs(lam_est)), 4.0 * _EPS * (alpha + abs(lam_est)))
+    iters = fallbacks = failed_in_row = 0
 
     def certificate(lam):
         g = w / np.max(w)
@@ -554,42 +548,35 @@ def principal_eigenpair(M, tol: float = 1e-10, max_iter: int = 10 ** 6,
                                 fallbacks)
 
     while True:
-        z, lo, up = bounds_from(w)
+        lo, up = _bracket(A, B, C, w)
         lower, upper = max(lower, lo), min(upper, up)
         iters += 1
-        gap, limit = upper - lower, threshold(lower, upper)
+        lam, gap = 0.5 * (lower + upper), upper - lower
+        limit = max(tol * (1.0 + abs(lam)), 4.0 * _EPS * (alpha + abs(lam)))
         if gap <= limit:
-            break
+            return certificate(lam)
         if gap < best_gap:
             best_gap, since_best = gap, 0
         else:
             since_best += 1
         if since_best >= _STALL_ITERATIONS:
-            raise ConvergenceError(
-                f"CW gap stalled at {gap:.3e} above threshold {limit:.3e}",
-                certificate(0.5 * (lower + upper)))
-        if iters >= max_iter:
-            raise ConvergenceError(
-                f"no convergence after {iters} iterations "
-                f"(CW gap {gap:.3e})", certificate(0.5 * (lower + upper)))
-        if iters < power_until:
-            fallbacks += 1
-            w = z / np.max(z)
-            continue
-        # inverse-iteration step: sigma strictly above the principal eigenvalue
-        sigma = upper + max(gap, 16.0 * _EPS * (alpha + abs(upper)))
+            raise ConvergenceError(f"CW gap stalled at {gap:.3e} above "
+                                   f"threshold {limit:.3e}", certificate(lam))
+        if iters >= _MAX_ITERATIONS:
+            raise ConvergenceError(f"no convergence after {iters} iterations "
+                                   f"(CW gap {gap:.3e})", certificate(lam))
+        # sigma above the principal eigenvalue, twice as far per failure in a row
+        sigma = upper + 2.0 ** failed_in_row * max(
+            gap, 16.0 * _EPS * (alpha + abs(upper)))
         try:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 x = _shifted_solve(A, B, C, sigma, w)
         except np.linalg.LinAlgError:
             x = None
         if x is None or not np.all((x > 0) & (x < np.inf)):
-            # singular or positivity lost to round-off: plain power steps
-            # restore a safely positive iterate
-            power_until = iters + 4
+            # singular or positivity lost to round-off: keep w, widen the shift
+            failed_in_row += 1
             fallbacks += 1
-            w = z / np.max(z)
             continue
+        failed_in_row = 0
         w = x / np.max(x)
-
-    return certificate(0.5 * (lower + upper))

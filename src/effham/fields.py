@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -77,34 +77,28 @@ class PeriodicScalarField:
 
     # -- evaluation ------------------------------------------------------------
 
-    def _check_point(self, y) -> np.ndarray:
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        if y.shape != (self.dim,):
-            raise ValueError(f"point of dim {y.shape} passed to field of dim {self.dim}")
-        return y
+    def _point(self, y) -> np.ndarray:
+        return point_array(np.atleast_1d(y)[None], self.dim)
 
     def value(self, y) -> float:
-        return float(self._values(self._check_point(y)[None])[0])
+        return float(self._values(self._point(y))[0])
 
     def gradient(self, y) -> np.ndarray:
-        return self._gradients(self._check_point(y)[None])[0]
+        return self._gradients(self._point(y))[0]
 
     # -- vectorized grid evaluation ---------------------------------------------
 
     def values(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at an (n, d) array of points."""
-        return self._values(self._points(points))
+        return self._values(point_array(points, self.dim))
 
     def periodic_values(self, points: np.ndarray) -> np.ndarray:
         """Fourier part only (no affine tilt); safe across the torus seam."""
-        return self._fourier(self._points(points))
+        return self._fourier(point_array(points, self.dim))
 
     def gradients(self, points: np.ndarray) -> np.ndarray:
         """Evaluate the gradient at an (n, d) array of points; returns (n, d)."""
-        return self._gradients(self._points(points))
-
-    def _points(self, points) -> np.ndarray:
-        return np.asarray(points, dtype=float).reshape(-1, self.dim)
+        return self._gradients(point_array(points, self.dim))
 
     def _fourier(self, pts: np.ndarray) -> np.ndarray:
         return fourier_values(self._modes, pts.T)
@@ -193,6 +187,18 @@ def fourier_gradients(modes: np.ndarray, y) -> np.ndarray:
     phase = _phases(omegas, y)
     weights = modes[-1] * np.cos(phase) - modes[-2] * np.sin(phase)
     return _ordered_sum((omegas * weights).swapaxes(0, 1))
+
+
+def point_array(points, dim: Optional[int]) -> np.ndarray:
+    """`points` as an (n, dim) float array (dim None: any column count); for
+    dim 1 a bare (n,) array is n points.  Any other shape raises."""
+    pts = np.asarray(points, dtype=float)
+    if dim == 1 and pts.ndim == 1:
+        return pts[:, None]
+    if pts.ndim != 2 or dim not in (None, pts.shape[1]):
+        raise ValueError(f"points of shape {pts.shape} are not (n, d) with "
+                         f"dim d = {'any' if dim is None else dim}")
+    return pts
 
 
 def grid_points(dim: int, n_per_axis: int, period: float = 1.0) -> np.ndarray:

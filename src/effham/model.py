@@ -20,7 +20,7 @@ import numpy as np
 from .chains import (irreducible, negative_samples, point_label,
                      stationary_measures)
 from .fields import (PeriodicScalarField, fourier_values, grid_points,
-                     sampling_resolution, stack_modes)
+                     point_array, sampling_resolution, stack_modes)
 
 REGIMES = ("I", "II")
 
@@ -44,8 +44,9 @@ class SwitchingRateMatrix:
 
     # derived, filled in __post_init__: the (d + 2, m, J, J) `stack_modes`
     # of the entries (zero fields on the diagonal and for None) and each
-    # entry's round-off (J, J)
+    # entry's round-off (J, J); the entries' dimension (None without entries)
     _stack: tuple = field(init=False, repr=False, compare=False, default=None)
+    _dim: Optional[int] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.J < 1:
@@ -69,6 +70,7 @@ class SwitchingRateMatrix:
         if len(dims) > 1 or len(periods) > 1:
             raise ValueError("all rate fields must share dim and period")
         object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "_dim", next(iter(dims), None))
         fields = [None if i == j else e for i, row in enumerate(rows)
                   for j, e in enumerate(row)]
         modes = stack_modes(fields)
@@ -83,11 +85,7 @@ class SwitchingRateMatrix:
     def rates_at(self, y) -> np.ndarray:
         """Full J x J rate matrix at a point (diagonal zero): one row of
         `values`."""
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        if any(y.shape != (f.dim,) for f in self.iter_fields()):
-            raise ValueError(f"point of dim {y.shape} does not match the "
-                             "rate fields")
-        return self.values(y[None])[0]
+        return self.values(np.atleast_1d(y)[None])[0]
 
     def values(self, points) -> np.ndarray:
         """(n, J, J) rate matrices at an (n, d) array of points (diagonal zero).
@@ -96,7 +94,7 @@ class SwitchingRateMatrix:
         0, so a rate field that touches zero vanishes there whatever the
         sign of its round-off."""
         return self.rates_out_of(np.arange(self.J)[None],
-                                 np.asarray(points, dtype=float).T[:, :, None])
+                                 point_array(points, self._dim).T[:, :, None])
 
     def rates_out_of(self, states, y) -> np.ndarray:
         """(..., J) rates r_ij out of states i at coordinates y (d, ...), the

@@ -436,10 +436,11 @@ def test_eigenpair_invariant_under_permutation(rng):
                                atol=1e-8)
 
 
-def test_convergence_error_carries_certificate(rng):
+def test_convergence_error_carries_certificate(rng, monkeypatch):
     M = random_metzler(rng)
-    with pytest.raises(ConvergenceError) as info:
-        principal_eigenpair(M, tol=1e-14, max_iter=2)
+    monkeypatch.setattr(eigensolver, "_MAX_ITERATIONS", 2)
+    with pytest.raises(ConvergenceError, match="no convergence after 2") as info:
+        principal_eigenpair(M, tol=1e-14)
     cert = info.value.certificate
     assert cert.cw_lower <= dense_principal(M) <= cert.cw_upper
 
@@ -447,7 +448,8 @@ def test_convergence_error_carries_certificate(rng):
 def test_stalled_gap_raises_within_200_iterations():
     """Reducible input: the Perron vector (1, 0, 0) of the top-left block
     leaves the lower block's ratios at its own eigenvalue -2, so the CW gap
-    can never fall below 1.  The solver must give up, not spin to max_iter."""
+    can never fall below 1.  The solver must give up, not spin to the
+    iteration cap."""
     M = np.array([[-1.0, 2.0, 0.5],
                   [0.0, -3.0, 1.0],
                   [0.0, 1.0, -3.0]])
@@ -670,6 +672,37 @@ def test_singular_inverse_step_falls_back(monkeypatch):
     _inverse_steps_with_fault(monkeypatch, singular)
 
 
+def test_failed_inverse_step_is_retried_at_a_wider_shift(monkeypatch):
+    """A failed inverse step keeps its iterate: the very next step is another
+    inverse step from the same vector at a shift strictly farther above the
+    (unchanged) CW upper bound, and no iteration goes without a solve."""
+    op = assemble_continuous_I(tilted_cosine(1.0, 0.4), 1.0, 64)
+    real_cyclic, real_shifted = eigensolver._cyclic_solve, eigensolver._shifted_solve
+    steps, shifts = [], []
+
+    def cyclic(D, U, L, f):
+        if f.shape == op.up.shape:   # an inverse step, not a level below one
+            steps.append(f.copy())
+            if len(steps) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+        return real_cyclic(D, U, L, f)
+
+    def shifted(A, B, C, sigma, f):
+        shifts.append(sigma)
+        return real_shifted(A, B, C, sigma, f)
+
+    monkeypatch.setattr(eigensolver, "_cyclic_solve", cyclic)
+    monkeypatch.setattr(eigensolver, "_shifted_solve", shifted)
+    cert = principal_eigenpair(op, tol=1e-10)
+    monkeypatch.undo()
+    assert cert.fallbacks == 1
+    assert cert.iterations == len(steps) + 1 == len(shifts) + 1
+    np.testing.assert_array_equal(steps[1], steps[0])
+    assert shifts[1] > shifts[0]
+    reference = dense_principal(dense_matrix(op))
+    assert cert.cw_lower <= reference + 1e-12 and reference - 1e-12 <= cert.cw_upper
+
+
 @pytest.mark.parametrize("bad", ["short", "zero", "negative", "nan", "inf"])
 def test_start_vector_is_validated(bad):
     op = assemble_discrete_I(random_discrete_model(np.random.default_rng(5)), 0.3)
@@ -705,6 +738,12 @@ def test_cw_bounds_examples():
         collatz_wielandt_bounds(M, np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         collatz_wielandt_bounds(M, np.ones(3))
+    # a 1 x 1 matrix is its own eigenvalue, with a closed bracket
+    one = np.array([[-2.5]])
+    assert collatz_wielandt_bounds(one, np.ones(1)) == (-2.5, -2.5)
+    cert = principal_eigenpair(one)
+    assert cert.eigenvalue == cert.cw_lower == cert.cw_upper == -2.5
+    assert cert.residual == 0.0 and cert.eigenvector.tolist() == [1.0]
 
 
 def test_raw_matrix_keeps_dense_arithmetic(rng):

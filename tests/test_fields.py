@@ -1,6 +1,7 @@
 """Field evaluation against finite-difference oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,21 @@ def test_vectorized_matches_scalar(rng):
                                [f.value(p) for p in pts], atol=1e-14)
     np.testing.assert_allclose(f.gradients(pts),
                                [f.gradient(p) for p in pts], atol=1e-12)
+
+
+def test_point_arrays_of_the_wrong_shape_raise():
+    """Grid evaluation takes (n, d) points, and for d = 1 also a bare (n,)
+    array; any other shape raises instead of being reshaped into points."""
+    f1 = PeriodicScalarField(dim=1, fourier_coeffs=(((1,), 0.3, 0.1),))
+    f2 = PeriodicScalarField(dim=2, fourier_coeffs=(((1, 0), 0.3, 0.1),))
+    ys = np.linspace(0.0, 1.0, 4)
+    np.testing.assert_array_equal(f1.values(ys), f1.values(ys[:, None]))
+    np.testing.assert_array_equal(f1.gradients(ys), f1.gradients(ys[:, None]))
+    for f, bad in ((f1, np.zeros((5, 2))), (f1, np.zeros((2, 3, 1))),
+                   (f2, np.zeros((6, 1))), (f2, np.zeros(4))):
+        for evaluate in (f.values, f.periodic_values, f.gradients):
+            with pytest.raises(ValueError, match=re.escape(str(bad.shape))):
+                evaluate(bad)
 
 
 @settings(max_examples=40, deadline=None)

@@ -187,7 +187,7 @@ def test_failed_sample_restarts_its_outer_neighbour_cold(monkeypatch):
 
 def test_warm_sweep_needs_few_iterations():
     # stiff N = 256 operators: starting from the neighbour's eigenvector, a
-    # handful of inverse steps reach the tolerance, with no power steps
+    # handful of inverse steps reach the tolerance, none of them retried
     table = sweep(two_state_flashing(), -3.0, 3.0, 61, N=256, tol=1e-9)
     assert not table.failures
     assert max(c.iterations for c in table.certificates) <= 12

@@ -1,6 +1,7 @@
 """Model construction, validation reports, and the JSON schema."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,18 @@ def test_rates_at_equals_each_field_and_checks_the_point(rng):
             assert model.rates.rate(i, j, [y]) == R[i, j]
     with pytest.raises(ValueError, match="dim"):
         model.rates.rates_at([0.1, 0.2])
+
+
+def test_rate_values_check_the_point_array():
+    """`values` takes (n, d) points of its fields' dimension d: extra columns
+    raise instead of being ignored.  Without rate fields any d goes."""
+    rates = get_preset("two_state_flashing").rates
+    assert rates.values(np.zeros((4, 1))).shape == (4, 2, 2)
+    for bad in (np.zeros((4, 2)), np.zeros((2, 2, 1))):
+        with pytest.raises(ValueError, match=re.escape(str(bad.shape))):
+            rates.values(bad)
+    empty = SwitchingRateMatrix(J=1, entries=((None,),))
+    assert empty.values(np.zeros((3, 2))).shape == (3, 1, 1)
 
 
 def test_constructor_shape_errors():

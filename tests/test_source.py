@@ -191,6 +191,20 @@ def test_eigensolver_solves_densely_only_in_its_kernels():
     assert sorted(found) == ["_block_solve", "_cyclic_solve"], found
 
 
+def test_collatz_wielandt_ratios_are_formed_once():
+    """Inside `eigensolver.py`, `_apply` is called only by `_bracket` (the
+    one CW bracket, for the solver and `collatz_wielandt_bounds` alike) and
+    by the certificate's residual, so no second bracket formula comes back."""
+    path = Path(eigensolver.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    owner = {id(node): func.name for func in ast.walk(tree)
+             if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+    found = [owner.get(id(node)) for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_apply"]
+    assert sorted(found) == ["_bracket", "certificate"], found
+
+
 def test_one_weight_builder_per_model_kind():
     """Every cell operator is built by `_continuous` or `_discrete`, regime
     II as regime I averaged, so no second builder per regime comes back."""
