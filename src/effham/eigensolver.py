@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -59,6 +59,11 @@ _ELEMENTWISE_BLOCK = 8
 # solves them by one dense LU (timed on 1-D N=256 sweeps, J=2: 32 was within
 # 5 %, 128 about 10 % slower)
 _DENSE_BASE = 64
+# each inverse step shifts this fraction of the CW gap above the CW upper
+# bound (summed sweep iterations of the benchmark's check_regime2 / sweep_1d
+# inputs, seed 4242: the whole gap 1783 / 1139, 1/4 1480 / 1077, 1/16
+# 1412 / 1065, 1/100 1394 / 1062, for a shifted matrix 6x nearer singular)
+_SHIFT_FRACTION = 1.0 / 16.0
 # iterations without a narrower CW gap, and in all, before the solver gives up
 _STALL_ITERATIONS = 32
 _MAX_ITERATIONS = 10 ** 6
@@ -491,9 +496,11 @@ def _positive_vector(g, n: int, what: str) -> np.ndarray:
 
 
 def _bracket(A, B, C, w: np.ndarray) -> tuple:
-    """(min, max) of (Mw)_i / w_i for M in slices (A, B, C): the CW sandwich."""
-    ratios = _apply(A, B, C, w) / w
-    return float(np.min(ratios)), float(np.max(ratios))
+    """(Mw, min, max) of (Mw)_i / w_i for M in slices (A, B, C): the product
+    and the CW sandwich."""
+    z = _apply(A, B, C, w)
+    ratios = z / w
+    return z, float(np.min(ratios)), float(np.max(ratios))
 
 
 def collatz_wielandt_bounds(M, g: np.ndarray) -> tuple:
@@ -501,55 +508,86 @@ def collatz_wielandt_bounds(M, g: np.ndarray) -> tuple:
     eigenvalue of a Metzler irreducible M, valid for any positive g."""
     A, B, C, index = _slices(M)
     return _bracket(A, B, C, _positive_vector(
-        g, index.size, "Collatz-Wielandt vector")[index])
+        g, index.size, "Collatz-Wielandt vector")[index])[1:]
+
+
+class _Start(NamedTuple):
+    """A first iterate w of M (slice layout, max exactly 1) with its product
+    Mw and CW bracket, so the solve that starts from it forms neither again."""
+
+    w: np.ndarray
+    product: np.ndarray
+    lower: float
+    upper: float
+
+    @property
+    def gap(self) -> float:
+        return self.upper - self.lower
+
+
+def _bracketed_start(M, g: Optional[np.ndarray] = None) -> _Start:
+    """The start of a solve of M from g (a strictly positive state-major
+    vector) or from the all-ones vector."""
+    A, B, C, index = _slices(M)
+    if g is None:
+        w = np.ones(index.shape)
+    else:
+        g = _positive_vector(g, index.size, "start vector")
+        w = g[index] / np.max(g)
+    return _Start(w, *_bracket(A, B, C, w))
 
 
 def principal_eigenpair(M, tol: float = 1e-10,
-                        start: Optional[np.ndarray] = None) -> EigenCertificate:
+                        start: Union[np.ndarray, _Start, None] = None
+                        ) -> EigenCertificate:
     """Principal eigenpair of a Metzler irreducible matrix (an ndarray or an
     `AssembledOperator`).
 
     Runs inverse iteration from `start` (a strictly positive state-major
     vector, e.g. the eigenvector of a nearby operator) or from the all-ones
-    vector, with sigma just above the current Collatz-Wielandt upper bound:
-    (sigma I - M) is then a nonsingular M-matrix, so the solve preserves
-    positivity and every iterate still carries a valid sandwich.  Inverse
-    steps are the only step kind: one that is singular or loses positivity
-    to round-off keeps the iterate and is retried with the shift's distance
-    above the upper bound doubled per failure in a row (a far shift makes a
-    positive near-power step), and counts in the certificate's `fallbacks`.
+    vector, with sigma above the current Collatz-Wielandt upper bound by
+    `_SHIFT_FRACTION` = 1/16 of the CW gap: (sigma I - M) is then a
+    nonsingular M-matrix, so the solve preserves positivity and every
+    iterate still carries a valid sandwich, and the shift sits close to the
+    eigenvalue, which is what makes an inverse step converge fast.  Each
+    iterate costs one product Mw, which gives both its bracket and, at the
+    end, the certificate's residual.  Inverse steps are the only step kind:
+    one that is singular or loses positivity to round-off keeps the iterate
+    and its bracket and is retried with the shift's distance above the
+    upper bound doubled per failure in a row (a far shift makes a positive
+    near-power step), and counts in the certificate's `fallbacks`.
     Terminates when the sandwich width is below tol * (1 + |lambda|) (with a
     floor at the round-off level of the shifted matrix); raises
     `ConvergenceError` after `_MAX_ITERATIONS` iterations, or once the width
-    has not shrunk for `_STALL_ITERATIONS` iterations in a row.
+    has not shrunk for `_STALL_ITERATIONS` iterations in a row (naming the
+    failed steps when every one of those failed).
 
     An operator is iterated on its slice blocks: products and inverse steps
     (block cyclic reduction, ending at one dense LU of at most
     `_DENSE_BASE` = 64 unknowns) never form the whole dense matrix.  A raw
     matrix is a single slice, iterated with a dense product and a dense LU.
+    `hamiltonian._solve_outward` passes a `_Start` from `_bracketed_start`,
+    whose bracket it has already formed to choose the start.
     """
     A, B, C, index = _slices(M)
     m, b = B.shape
-    if start is not None:
-        start = _positive_vector(start, m * b, "start vector")
+    if not isinstance(start, _Start):
+        start = _bracketed_start(M, start)
+    w, z, lower, upper = start
 
     alpha = 1.0 + float(np.max(np.abs(np.diagonal(A, axis1=1, axis2=2))))
-    w = np.ones((m, b)) if start is None else start[index] / np.max(start)
-    lower, upper = -np.inf, np.inf
     best_gap, since_best = np.inf, 0
     iters = fallbacks = failed_in_row = 0
 
     def certificate(lam):
-        g = w / np.max(w)
-        residual = float(np.max(np.abs(_apply(A, B, C, g) - lam * g)))
+        # w has max exactly 1 and z = Mw: the residual of g = w / max(w)
+        residual = float(np.max(np.abs(z - lam * w)))
         state_major = np.empty(m * b)
-        state_major[index] = g
+        state_major[index] = w
         return EigenCertificate(lam, state_major, residual, lower, upper, iters,
                                 fallbacks)
 
     while True:
-        lo, up = _bracket(A, B, C, w)
-        lower, upper = max(lower, lo), min(upper, up)
         iters += 1
         lam, gap = 0.5 * (lower + upper), upper - lower
         limit = max(tol * (1.0 + abs(lam)), 4.0 * _EPS * (alpha + abs(lam)))
@@ -560,23 +598,31 @@ def principal_eigenpair(M, tol: float = 1e-10,
         else:
             since_best += 1
         if since_best >= _STALL_ITERATIONS:
-            raise ConvergenceError(f"CW gap stalled at {gap:.3e} above "
-                                   f"threshold {limit:.3e}", certificate(lam))
+            if failed_in_row >= since_best:
+                reason = (f"{failed_in_row} inverse steps failed in a row, the "
+                          f"last at a shift {distance:.3e} above the CW upper "
+                          f"bound (CW gap {gap:.3e})")
+            else:
+                reason = f"CW gap stalled at {gap:.3e} above threshold {limit:.3e}"
+            raise ConvergenceError(reason, certificate(lam))
         if iters >= _MAX_ITERATIONS:
             raise ConvergenceError(f"no convergence after {iters} iterations "
                                    f"(CW gap {gap:.3e})", certificate(lam))
         # sigma above the principal eigenvalue, twice as far per failure in a row
-        sigma = upper + 2.0 ** failed_in_row * max(
-            gap, 16.0 * _EPS * (alpha + abs(upper)))
+        distance = 2.0 ** failed_in_row * max(
+            gap * _SHIFT_FRACTION, 16.0 * _EPS * (alpha + abs(upper)))
         try:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                x = _shifted_solve(A, B, C, sigma, w)
+                x = _shifted_solve(A, B, C, upper + distance, w)
         except np.linalg.LinAlgError:
             x = None
         if x is None or not np.all((x > 0) & (x < np.inf)):
-            # singular or positivity lost to round-off: keep w, widen the shift
+            # singular or positivity lost to round-off: keep w and its
+            # bracket, widen the shift
             failed_in_row += 1
             fallbacks += 1
             continue
         failed_in_row = 0
         w = x / np.max(x)
+        z, lo, up = _bracket(A, B, C, w)
+        lower, upper = max(lower, lo), min(upper, up)

@@ -20,8 +20,8 @@ from typing import List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .chains import hop_averages
-from .eigensolver import (EigenCertificate, _shifted_solve, cell_operator,
-                          collatz_wielandt_bounds, principal_eigenpair)
+from .eigensolver import (EigenCertificate, _bracketed_start, _shifted_solve,
+                          cell_operator, principal_eigenpair)
 from .fields import grid_points, sampling_resolution
 from .model import ContinuousModel, DiscreteModel, Model, solve_regime
 
@@ -104,11 +104,6 @@ def _extrapolate(momenta: Sequence[float], logs: Sequence[np.ndarray],
     return np.exp(log_g - np.max(log_g))
 
 
-def _cw_gap(op, g: np.ndarray) -> float:
-    lower, upper = collatz_wielandt_bounds(op, g)
-    return upper - lower
-
-
 def _solve_outward(at, momenta: np.ndarray, origin: int, *,
                    tol: float) -> tuple:
     """Solve `principal_eigenpair(at(momenta[k]))` for every k, outward from
@@ -125,11 +120,12 @@ def _solve_outward(at, momenta: np.ndarray, origin: int, *,
     evaluated at the new momentum.  The principal eigenvector is analytic in
     p, so this start is close; but the polynomial can overshoot on a rough
     operator, so the solve starts from whichever of the two has the tighter
-    Collatz-Wielandt bracket on the new operator, the neighbour on a tie.
-    Any positive start gives a valid bracket, so the choice moves the
-    iteration count only.  Labels: "cold", "neighbour" or "extrapolated:<k>"
-    with k the number of samples used; a sample whose operator could not be
-    built keeps "cold".
+    Collatz-Wielandt bracket on the new operator, the neighbour on a tie;
+    the solve takes that bracket with its start (`eigensolver._bracketed_start`)
+    instead of forming it again.  Any positive start gives a valid bracket,
+    so the choice moves the iteration count only.  Labels: "cold",
+    "neighbour" or "extrapolated:<k>" with k the number of samples used; a
+    sample whose operator could not be built keeps "cold".
     """
     count = len(momenta)
     certs: List[Optional[EigenCertificate]] = [None] * count
@@ -149,13 +145,15 @@ def _solve_outward(at, momenta: np.ndarray, origin: int, *,
             op = at(float(momenta[k]))
             start = None
             if chain:
-                start, starts[k] = certs[inner].eigenvector, "neighbour"
+                start = _bracketed_start(op, certs[inner].eigenvector)
+                starts[k] = "neighbour"
             if len(chain) > 1:
                 guess = _extrapolate([momenta[j] for j in chain],
                                      [logs[j] for j in chain], momenta[k])
-                if (np.all(guess > 0)
-                        and _cw_gap(op, guess) < _cw_gap(op, start)):
-                    start, starts[k] = guess, f"extrapolated:{len(chain)}"
+                if np.all(guess > 0):
+                    offered = _bracketed_start(op, guess)
+                    if offered.gap < start.gap:
+                        start, starts[k] = offered, f"extrapolated:{len(chain)}"
             certs[k] = principal_eigenpair(op, tol=tol, start=start)
         except Exception as exc:   # recorded per sample
             failures[k] = exc
@@ -241,11 +239,24 @@ def velocity_of_model(model: Model, regime: Optional[str] = None, *,
     kappa (max chi - min chi) / 2, plus 2n ulps of u |f_a| / sum u for the
     rounding of the two n-term sums.  Returns (v, err): floats for a
     1-D model, (d,) arrays for d > 1.  A failed solve raises.
+
+    A continuous model in regime I starts the solve from its Gibbs weights
+    e^{-2 psi_i} on the cell grid, the stationary law of each state's hops
+    alone when its potential is untilted; regime II (whose rows average the
+    states out) and discrete models start from the all-ones vector.
     """
+    regime = solve_regime(model, regime)
     gen = cell_operator(model, regime, N=N, gamma=gamma)
     dim = gen.up.shape[1]
     op = gen.at(np.zeros(dim))
-    cert = principal_eigenpair(op.T, tol=tol)
+    start = None
+    if isinstance(model, ContinuousModel) and regime == "I":
+        pts = grid_points(model.dim, N, model.period)
+        log_gibbs = -2.0 * np.concatenate([psi.periodic_values(pts)
+                                           for psi in model.potentials])
+        # max 1, floored so that no weight underflows to zero
+        start = np.exp(np.maximum(log_gibbs - np.max(log_gibbs), -700.0))
+    cert = principal_eigenpair(op.T, tol=tol, start=start)
     u = cert.eigenvector
     f = gen.h * np.moveaxis(gen.up - gen.down, 1, 0).reshape(dim, -1)
     v = f @ u / u.sum()

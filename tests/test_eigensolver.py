@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from effham import eigensolver
+from effham import eigensolver, hamiltonian
 from effham.eigensolver import (ConvergenceError, PecletError,
                                 assemble_continuous_I, assemble_continuous_II,
                                 assemble_discrete_I, assemble_discrete_II,
@@ -701,6 +701,86 @@ def test_failed_inverse_step_is_retried_at_a_wider_shift(monkeypatch):
     assert shifts[1] > shifts[0]
     reference = dense_principal(dense_matrix(op))
     assert cert.cw_lower <= reference + 1e-12 and reference - 1e-12 <= cert.cw_upper
+
+
+def test_every_failed_inverse_step_is_named(monkeypatch):
+    """A solve whose every inverse step fails ends with an error naming the
+    failed steps in a row and the shift distance they reached, not a stall
+    of the CW gap."""
+    def singular(D, U, L, f):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(eigensolver, "_cyclic_solve", singular)
+    M = np.array([[-1.0, 2.0], [1.0, -3.0]])
+    failed = eigensolver._STALL_ITERATIONS
+    # all-ones gives the bracket [-2, 1]; each failure doubles 3/16
+    distance = 2.0 ** (failed - 1) * 3.0 * eigensolver._SHIFT_FRACTION
+    with pytest.raises(ConvergenceError) as info:
+        principal_eigenpair(M)
+    assert str(info.value).startswith(
+        f"{failed} inverse steps failed in a row, the last at a shift "
+        f"{distance:.3e} above the CW upper bound"), str(info.value)
+    cert = info.value.certificate
+    assert cert.fallbacks == failed and cert.iterations == failed + 1
+    assert (cert.cw_lower, cert.cw_upper) == (-2.0, 1.0)
+
+
+def test_one_product_per_iterate(monkeypatch):
+    """Every iterate costs one product Mw, which gives its CW bracket and,
+    at the end, the certificate's residual; a retried step reuses its
+    iterate's product, and a start costs one product per candidate."""
+    real = eigensolver._apply
+    products = []
+
+    def counted(A, B, C, x):
+        products.append(x.shape)
+        return real(A, B, C, x)
+
+    monkeypatch.setattr(eigensolver, "_apply", counted)
+    op = assemble_continuous_I(tilted_cosine(1.0, 0.4), 1.0, 64)
+    cert = principal_eigenpair(op, tol=1e-10)
+    assert cert.fallbacks == 0 and len(products) == cert.iterations > 2
+
+    # the residual is the last product's, bit for bit
+    g = cert.eigenvector[op.index]
+    fresh = real(op.blocks, op.up, op.down, g)
+    assert cert.residual == float(np.max(np.abs(fresh - cert.eigenvalue * g)))
+
+    # a failed step is retried without a new product
+    real_cyclic, calls = eigensolver._cyclic_solve, []
+
+    def fail_first(D, U, L, f):
+        calls.append(f.shape)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_cyclic(D, U, L, f)
+
+    monkeypatch.setattr(eigensolver, "_cyclic_solve", fail_first)
+    products.clear()
+    retried = principal_eigenpair(op, tol=1e-10)
+    assert retried.fallbacks == 1
+    assert len(products) == retried.iterations - retried.fallbacks
+    monkeypatch.setattr(eigensolver, "_cyclic_solve", real_cyclic)
+
+    # a sweep: samples two or more steps from p = 0 weigh two candidates
+    products.clear()
+    table = hamiltonian.sweep(constant_drift(), -2.0, 2.0, 9, N=32)
+    assert not table.failures
+    assert len(products) == sum(c.iterations for c in table.certificates) + 6
+
+
+def test_discrete_regime_II_warm_solve_takes_few_inverse_steps():
+    """A slowly mixing averaged hop operator on ell = 256 sites: from the
+    p = 0 eigenvector, shifting 1/16 of the CW gap above the upper bound
+    reaches tol 1e-9 at p = +-0.2 within 15 iterations (a whole gap above,
+    23 and 25)."""
+    m = random_discrete_model(np.random.default_rng(5), ell=256, J=3,
+                              regime="II")
+    gen = cell_operator(m)
+    zero = principal_eigenpair(gen.at(0.0), tol=1e-9)
+    for p in (-0.2, 0.2):
+        cert = principal_eigenpair(gen.at(p), tol=1e-9, start=zero.eigenvector)
+        assert cert.iterations <= 15 and cert.fallbacks == 0, (p, cert.iterations)
 
 
 @pytest.mark.parametrize("bad", ["short", "zero", "negative", "nan", "inf"])

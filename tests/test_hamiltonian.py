@@ -230,7 +230,8 @@ def test_extrapolation_is_exact_for_log_polynomials():
                                                   for kind, regime in FAMILIES])
 def test_chosen_start_is_no_wider_than_the_neighbour(monkeypatch, case):
     """Every sample starts from a vector whose CW bracket on its own operator
-    is at most as wide as that of the inner neighbour's eigenvector."""
+    is at most as wide as that of the inner neighbour's eigenvector, and the
+    bracket handed to the solve with it is that vector's own."""
     if case in PRESETS:
         model, kw, axis = PRESETS[case](), {"N": 64}, 0
     else:
@@ -253,10 +254,14 @@ def test_chosen_start_is_no_wider_than_the_neighbour(monkeypatch, case):
             continue
         inner = k - 1 if k > origin else k + 1
         neighbour = table.certificates[inner].eigenvector
+        vector = np.empty(op.shape[0])
+        vector[op.index] = start.w
         (lo, up), (nb_lo, nb_up) = (collatz_wielandt_bounds(op, g)
-                                    for g in (start, neighbour))
+                                    for g in (vector, neighbour))
+        assert (start.lower, start.upper) == (lo, up)
         assert up - lo <= nb_up - nb_lo
-        assert (table.starts[k] == "neighbour") == (start is neighbour)
+        assert ((table.starts[k] == "neighbour")
+                == np.array_equal(vector, neighbour))
 
 
 def test_sweep_records_build_failure_for_every_sample():
@@ -310,6 +315,31 @@ def test_velocity_matches_dense_stationary_oracle(model, N):
     for a, (va, ea) in enumerate(zip(np.atleast_1d(v), np.atleast_1d(err))):
         reference = float(mu[0] @ (gen.h * (gen.up - gen.down)[:, a].ravel()))
         assert abs(va - reference) <= ea <= 1e-10
+
+
+def test_velocity_left_solve_starts_from_gibbs_weights(monkeypatch):
+    """A regime-I continuous model's left solve starts from its Gibbs
+    weights e^{-2 psi_i} on the cell grid, in fewer inverse steps than from
+    all-ones; discrete models start from all-ones."""
+    real, solves = hamiltonian.principal_eigenpair, []
+
+    def record(op, **kwargs):
+        solves.append((op, kwargs.get("start"), real(op, **kwargs)))
+        return solves[-1][2]
+
+    monkeypatch.setattr(hamiltonian, "principal_eigenpair", record)
+    model = two_state_flashing()
+    velocity_of_model(model, N=256, tol=1e-9)
+    velocity_of_model(discrete_two_state(), tol=1e-9)
+    (op, start, warm), (_, discrete_start, _) = solves
+    assert discrete_start is None
+    pts = (np.arange(256) / 256)[:, None]
+    gibbs = np.exp(-2.0 * np.concatenate([psi.periodic_values(pts)
+                                          for psi in model.potentials]))
+    np.testing.assert_allclose(start, gibbs / np.max(gibbs), rtol=1e-14)
+    cold = real(op, tol=1e-9)
+    assert warm.iterations < cold.iterations
+    assert max(warm.cw_lower, cold.cw_lower) <= min(warm.cw_upper, cold.cw_upper)
 
 
 def test_velocity_detailed_balance_vanishes():

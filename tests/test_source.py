@@ -141,8 +141,10 @@ def test_simulator_builds_trajectories_only_from_records():
 
 
 def test_warm_starts_come_from_one_helper():
-    """Every warm-started solve goes through `hamiltonian._solve_outward`,
-    so the start rule (neighbour or extrapolated, CW-guarded) has one home."""
+    """Every warm-started solve of a sweep goes through
+    `hamiltonian._solve_outward`, so the start rule (neighbour or
+    extrapolated, CW-guarded) has one home; the only other start is the
+    Gibbs start of the velocity's left solve."""
     found = []
     for path in sorted(Path(effham.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -154,7 +156,8 @@ def test_warm_starts_come_from_one_helper():
                   and "principal_eigenpair" in (getattr(node.func, "id", None),
                                                 getattr(node.func, "attr", None))
                   and any(kw.arg == "start" for kw in node.keywords)]
-    assert found == ["hamiltonian.py:_solve_outward"], found
+    assert sorted(found) == ["hamiltonian.py:_solve_outward",
+                             "hamiltonian.py:velocity_of_model"], found
 
 
 def test_cyclic_reduction_runs_through_one_shifted_solve():
@@ -193,8 +196,9 @@ def test_eigensolver_solves_densely_only_in_its_kernels():
 
 def test_collatz_wielandt_ratios_are_formed_once():
     """Inside `eigensolver.py`, `_apply` is called only by `_bracket` (the
-    one CW bracket, for the solver and `collatz_wielandt_bounds` alike) and
-    by the certificate's residual, so no second bracket formula comes back."""
+    one CW bracket, for the solver and `collatz_wielandt_bounds` alike, whose
+    product also gives the certificate's residual), so no second bracket
+    formula and no second product per iterate comes back."""
     path = Path(eigensolver.__file__)
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     owner = {id(node): func.name for func in ast.walk(tree)
@@ -202,7 +206,7 @@ def test_collatz_wielandt_ratios_are_formed_once():
     found = [owner.get(id(node)) for node in ast.walk(tree)
              if isinstance(node, ast.Call)
              and getattr(node.func, "id", None) == "_apply"]
-    assert sorted(found) == ["_bracket", "certificate"], found
+    assert found == ["_bracket"], found
 
 
 def test_one_weight_builder_per_model_kind():
