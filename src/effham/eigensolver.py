@@ -32,10 +32,13 @@ The continuous operators are discretized with an exponentially fitted
 Eigenpairs come with Collatz-Wielandt certificates: for any positive vector w,
 min_i (Mw)_i/w_i and max_i (Mw)_i/w_i sandwich the principal eigenvalue, and
 iteration stops only once that sandwich is tighter than the tolerance, or
-raises once it stops shrinking.  The solver works on the slice blocks:
-products slice by slice, and inverse steps by block cyclic reduction, which
-costs O(n b^2) for blocks of size b instead of a dense O(n^3) LU; it ends
-at one dense LU of at most 64 unknowns.
+raises once it stops shrinking.  Each inverse step shifts to the middle of
+the sandwich: a solution of either sign moves one end of it past the
+middle, and a singular or mixed-sign step is retried above the sandwich.
+The solver works on the slice blocks: products slice by slice, and inverse
+steps by block cyclic reduction, which costs O(n b^2) for blocks of size b
+instead of a dense O(n^3) LU; it ends at one dense LU of at most 64
+unknowns.
 """
 
 from __future__ import annotations
@@ -59,10 +62,9 @@ _ELEMENTWISE_BLOCK = 8
 # solves them by one dense LU (timed on 1-D N=256 sweeps, J=2: 32 was within
 # 5 %, 128 about 10 % slower)
 _DENSE_BASE = 64
-# each inverse step shifts this fraction of the CW gap above the CW upper
-# bound (summed sweep iterations of the benchmark's check_regime2 / sweep_1d
-# inputs, seed 4242: the whole gap 1783 / 1139, 1/4 1480 / 1077, 1/16
-# 1412 / 1065, 1/100 1394 / 1062, for a shifted matrix 6x nearer singular)
+# an inverse step that failed k times in a row is retried 2**k times this
+# fraction of the CW gap above the CW upper bound, where sigma I - M is a
+# nonsingular M-matrix and a positive solution is certain up to round-off
 _SHIFT_FRACTION = 1.0 / 16.0
 # iterations without a narrower CW gap, and in all, before the solver gives up
 _STALL_ITERATIONS = 32
@@ -400,9 +402,11 @@ def _apply(A, B, C, x: np.ndarray) -> np.ndarray:
 def _block_solve(D: np.ndarray, R: np.ndarray) -> np.ndarray:
     """X_k = D_k^{-1} R_k for every k.
 
-    Every D_k here is a nonsingular M-matrix, whose pivots stay positive
-    without pivoting, so small blocks are eliminated (Gauss-Jordan) with array
-    operations over k; larger ones go to LAPACK.
+    Small blocks are eliminated (Gauss-Jordan) without pivoting, with array
+    operations over k; larger ones go to LAPACK.  For a shift above the
+    principal eigenvalue every D_k is a nonsingular M-matrix, whose pivots
+    stay positive; below it a pivot may vanish or change sign, and the
+    solver rejects the resulting non-finite or mixed-sign solution.
     """
     b = D.shape[-1]
     if b > _ELEMENTWISE_BLOCK:
@@ -435,8 +439,10 @@ def _cyclic_solve(D, U, L, f: np.ndarray) -> np.ndarray:
     operator, diagonals (m, b).  The odd slices are eliminated and the kept
     even slices form a periodic block-tridiagonal system of ceil(m/2)
     slices, whose couplings are dense; when m is odd the last kept slice
-    stays coupled to slice 0 directly.  Schur complements of a nonsingular
-    M-matrix are M-matrices, so no elimination needs pivoting.  The
+    stays coupled to slice 0 directly.  The eliminations do not pivot:
+    Schur complements of a nonsingular M-matrix (a shift above the
+    principal eigenvalue) are M-matrices, and below it the caller checks
+    the solution's sign and finiteness instead.  The
     recursion ends at one slice (a raw matrix) or at most `_DENSE_BASE`
     unknowns: that periodic system is scattered into one dense matrix (for
     one slice, its block plus both couplings) and solved by one pivoted
@@ -479,7 +485,9 @@ def _cyclic_solve(D, U, L, f: np.ndarray) -> np.ndarray:
 def _shifted_solve(A, B, C, sigma: float, f: np.ndarray) -> np.ndarray:
     """Solve (sigma I - M) x = f for M in slices (A, B, C), f and x in slice
     layout.  With sigma above the principal eigenvalue of M, sigma I - M is
-    a nonsingular M-matrix, as `_cyclic_solve` needs."""
+    a nonsingular M-matrix and a positive f gives a positive x; with sigma
+    below it, x may have either sign, or be non-finite where an unpivoted
+    elimination in `_cyclic_solve` meets a zero pivot."""
     shifted = -A
     b = A.shape[-1]
     shifted[:, range(b), range(b)] += sigma
@@ -545,17 +553,23 @@ def principal_eigenpair(M, tol: float = 1e-10,
 
     Runs inverse iteration from `start` (a strictly positive state-major
     vector, e.g. the eigenvector of a nearby operator) or from the all-ones
-    vector, with sigma above the current Collatz-Wielandt upper bound by
-    `_SHIFT_FRACTION` = 1/16 of the CW gap: (sigma I - M) is then a
-    nonsingular M-matrix, so the solve preserves positivity and every
-    iterate still carries a valid sandwich, and the shift sits close to the
-    eigenvalue, which is what makes an inverse step converge fast.  Each
-    iterate costs one product Mw, which gives both its bracket and, at the
-    end, the certificate's residual.  Inverse steps are the only step kind:
-    one that is singular or loses positivity to round-off keeps the iterate
-    and its bracket and is retried with the shift's distance above the
-    upper bound doubled per failure in a row (a far shift makes a positive
-    near-power step), and counts in the certificate's `fallbacks`.
+    vector, with sigma at the middle of the current Collatz-Wielandt
+    bracket, so a step bisects the bracket on top of inverse iteration's
+    own convergence.  A solution x of (sigma I - M) x = w > 0 of one sign
+    is a new iterate either way: x > 0 gives Mx < sigma x, so its CW upper
+    bound lies below sigma; x < 0 gives M(-x) > sigma (-x), so -x is the
+    iterate and its lower bound lies above sigma.  Each bound of a
+    certificate is a CW bound of a positive iterate, formed from that
+    iterate's own product, so no accuracy of a solve below the eigenvalue
+    is assumed.
+    Each iterate costs one product Mw, which gives both its bracket and, at
+    the end, the certificate's residual.  Inverse steps are the only step
+    kind: one that is singular, non-finite or of mixed sign keeps the
+    iterate and its bracket and is retried above the upper bound, by
+    2**k `_SHIFT_FRACTION` = 2**k / 16 of the CW gap after k failures in a
+    row, where (sigma I - M) is a nonsingular M-matrix (a far shift makes a
+    positive near-power step); failures count in the certificate's
+    `fallbacks`.
     Terminates when the sandwich width is below tol * (1 + |lambda|) (with a
     floor at the round-off level of the shifted matrix); raises
     `ConvergenceError` after `_MAX_ITERATIONS` iterations, or once the width
@@ -608,17 +622,25 @@ def principal_eigenpair(M, tol: float = 1e-10,
         if iters >= _MAX_ITERATIONS:
             raise ConvergenceError(f"no convergence after {iters} iterations "
                                    f"(CW gap {gap:.3e})", certificate(lam))
-        # sigma above the principal eigenvalue, twice as far per failure in a row
-        distance = 2.0 ** failed_in_row * max(
-            gap * _SHIFT_FRACTION, 16.0 * _EPS * (alpha + abs(upper)))
+        if failed_in_row:
+            # a retry: sigma above the principal eigenvalue, twice as far
+            # per failure in a row
+            distance = 2.0 ** failed_in_row * max(
+                gap * _SHIFT_FRACTION, 16.0 * _EPS * (alpha + abs(upper)))
+            sigma = upper + distance
+        else:
+            sigma = lam
         try:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                x = _shifted_solve(A, B, C, upper + distance, w)
+                x = _shifted_solve(A, B, C, sigma, w)
         except np.linalg.LinAlgError:
             x = None
+        if x is not None and x[0, 0] < 0:
+            # sigma below the eigenvalue: -x > 0 and M(-x) > sigma (-x)
+            x = -x
         if x is None or not np.all((x > 0) & (x < np.inf)):
-            # singular or positivity lost to round-off: keep w and its
-            # bracket, widen the shift
+            # singular, non-finite or of mixed sign: keep w and its
+            # bracket, retry above the upper bound
             failed_in_row += 1
             fallbacks += 1
             continue

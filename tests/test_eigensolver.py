@@ -673,9 +673,10 @@ def test_singular_inverse_step_falls_back(monkeypatch):
 
 
 def test_failed_inverse_step_is_retried_at_a_wider_shift(monkeypatch):
-    """A failed inverse step keeps its iterate: the very next step is another
-    inverse step from the same vector at a shift strictly farther above the
-    (unchanged) CW upper bound, and no iteration goes without a solve."""
+    """A failed inverse step keeps its iterate: the first attempt shifts to
+    the middle of the CW bracket, and the very next step is another inverse
+    step from the same vector at a shift above the (unchanged) CW upper
+    bound, so strictly farther up; no iteration goes without a solve."""
     op = assemble_continuous_I(tilted_cosine(1.0, 0.4), 1.0, 64)
     real_cyclic, real_shifted = eigensolver._cyclic_solve, eigensolver._shifted_solve
     steps, shifts = [], []
@@ -771,16 +772,77 @@ def test_one_product_per_iterate(monkeypatch):
 
 def test_discrete_regime_II_warm_solve_takes_few_inverse_steps():
     """A slowly mixing averaged hop operator on ell = 256 sites: from the
-    p = 0 eigenvector, shifting 1/16 of the CW gap above the upper bound
-    reaches tol 1e-9 at p = +-0.2 within 15 iterations (a whole gap above,
-    23 and 25)."""
+    p = 0 eigenvector, shifting to the middle of the CW bracket reaches
+    tol 1e-9 at p = +-0.2 within 8 iterations (a sixteenth of the gap above
+    the upper bound, 11 and 12; a whole gap above, 23 and 25)."""
     m = random_discrete_model(np.random.default_rng(5), ell=256, J=3,
                               regime="II")
     gen = cell_operator(m)
     zero = principal_eigenpair(gen.at(0.0), tol=1e-9)
     for p in (-0.2, 0.2):
         cert = principal_eigenpair(gen.at(p), tol=1e-9, start=zero.eigenvector)
-        assert cert.iterations <= 15 and cert.fallbacks == 0, (p, cert.iterations)
+        assert cert.iterations <= 8 and cert.fallbacks == 0, (p, cert.iterations)
+
+
+def _regime_II_sweeps(discrete_seeds, continuous_seeds):
+    """Sweeps of seeded ell = 256 discrete and N = 256 continuous regime-II
+    models (J = 3, tol 1e-9, 21 samples on [-2, 2]), as the benchmark's
+    fast-switching check runs them."""
+    models = ([random_discrete_model(np.random.default_rng(s), ell=256, J=3,
+                                     regime="II") for s in discrete_seeds]
+              + [random_continuous_model(np.random.default_rng(s), J=3,
+                                         regime="II") for s in continuous_seeds])
+    tables = [hamiltonian.sweep(m, -2.0, 2.0, 21, N=256, tol=1e-9)
+              for m in models]
+    assert not any(t.failures for t in tables)
+    return tables
+
+
+def test_midpoint_step_halves_the_bracket_from_either_side(monkeypatch):
+    """A successful inverse step at sigma returns x of one sign.  x > 0 gives
+    Mx < sigma x, so the new iterate's CW upper bound lies below sigma; x < 0
+    gives M(-x) > sigma (-x), so its lower bound lies above sigma.  Either way
+    the bracket of a step shifted to its middle at least halves, and some
+    steps land below the eigenvalue and are kept with their sign flipped."""
+    real_shifted, real_bracket = eigensolver._shifted_solve, eigensolver._bracket
+    pending, steps = [], []
+
+    def shifted(A, B, C, sigma, f):
+        x = real_shifted(A, B, C, sigma, f)
+        pending[:] = [(sigma, x)]
+        return x
+
+    def bracket(A, B, C, w):
+        z, lo, up = real_bracket(A, B, C, w)
+        if pending:
+            sigma, x = pending.pop()
+            flipped = x[0, 0] < 0
+            y = -x if flipped else x
+            # the iterate of this step, not a start candidate
+            assert np.array_equal(w, y / np.max(y))
+            steps.append((sigma, lo, up, flipped))
+        return z, lo, up
+
+    monkeypatch.setattr(eigensolver, "_shifted_solve", shifted)
+    monkeypatch.setattr(eigensolver, "_bracket", bracket)
+    tables = _regime_II_sweeps([2], [2])
+    monkeypatch.undo()
+    assert all(c.fallbacks == 0 for t in tables for c in t.certificates)
+    assert len(steps) == sum(c.iterations - 1 for t in tables
+                             for c in t.certificates)
+    for sigma, lo, up, flipped in steps:
+        assert (lo >= sigma) if flipped else (up <= sigma), (sigma, lo, up)
+    assert any(flipped for *_, flipped in steps)
+
+
+def test_regime_II_sweeps_keep_their_iteration_budget():
+    """Summed sweep iterations of two discrete and one continuous regime-II
+    model: 220 with midpoint shifts (288 a sixteenth of the gap above the
+    upper bound, where the discrete samples near p = 0 crawl), held within
+    10 %."""
+    tables = _regime_II_sweeps([0, 1], [0])
+    total = sum(c.iterations for t in tables for c in t.certificates)
+    assert total <= 242, total
 
 
 @pytest.mark.parametrize("bad", ["short", "zero", "negative", "nan", "inf"])
