@@ -11,7 +11,8 @@ from one stacked solve, with a mask of the points whose chain is irreducible
 and whose solve passes the positivity and residual test.  The regime-II
 assembly, the coercivity bounds and `validate` all call it on whole lattices;
 `stationary_measure`, `generator_at`, `averaged_drift` and
-`averaged_hop_rates` are its one-point cases.
+`averaged_hop_rates` are its one-point cases.  The switching-rate rule has
+one home, `_switching_findings`, which `validate` and the builders call.
 """
 
 from __future__ import annotations
@@ -31,21 +32,15 @@ class ReducibleChainError(RuntimeError):
 
 
 def negative_rates(values) -> np.ndarray:
-    """Mask of sampled rates that are negative beyond round-off.
+    """Mask of rate-field samples below the cut -1e-12 * max(1, max |r|).
 
-    A rate field that touches zero evaluates to about -1e-16 there, so the
-    cut is -1e-12 * max(1, max |r|), not 0.
+    The rule: a given rate is negative below 0, a field sample below this
+    cut.  `SwitchingRateMatrix.values` snaps evaluation round-off to 0; the
+    cut stays for a field that touches zero only up to the rounding of its
+    coefficients (computed in floating point, or written with fewer digits).
     """
     r = np.asarray(values, dtype=float)
     return r < -1e-12 * max(1.0, float(np.max(np.abs(r), initial=0.0)))
-
-
-def negative_samples(R) -> list:
-    """(i, j, k) for every rate r_ij sampled negative beyond round-off in the
-    (n, J, J) stack R, with k its most negative sample."""
-    J = R.shape[1]
-    return [(i, j, int(np.argmin(R[:, i, j]))) for i, j in np.ndindex(J, J)
-            if i != j and np.any(negative_rates(R[:, i, j]))]
 
 
 def irreducible(adjacency) -> np.ndarray:
@@ -59,6 +54,37 @@ def irreducible(adjacency) -> np.ndarray:
     for _ in range(max(reach.shape[-1] - 1, 0).bit_length()):
         reach = reach @ reach
     return reach.all(axis=(-2, -1))
+
+
+def _switching_findings(R, label, sampled: bool, laws: bool = False) -> list:
+    """(kind, location, detail) of every breach of the switching-rate rule
+    by the rates R (n, J, J) at n points, point k named `label(k)`:
+    "negative_rate" once per rate r_ij, at its most negative point, below 0
+    for given numbers and below the cut of `negative_rates` when `sampled`;
+    "reducible_coupling" when the positive entries of the sup over the
+    points do not connect every state; and, with `laws` and a connected
+    coupling, "reducible_switching" at each point without a unique positive
+    stationary law.  `validate` reports these, the builders raise the first.
+    """
+    R = np.asarray(R, dtype=float)
+    found = []
+    for i, j in np.ndindex(R.shape[1:]):
+        r = R[:, i, j]
+        if i != j and np.any(negative_rates(r) if sampled else r < 0):
+            k = int(np.argmin(r))
+            found.append(("negative_rate", f"r[{i+1}][{j+1}], {label(k)}",
+                          f"negative switching rate {r[k]:.3e}"))
+    if not irreducible(np.max(R, axis=0) > 0):
+        found.append(("reducible_coupling", "sup-matrix of switching rates",
+                      "switching chain is reducible: its positive-entry "
+                      "digraph is not strongly connected"))
+    elif laws:
+        _, ok = stationary_measures(R)
+        found += [("reducible_switching", label(k),
+                   "switching chain is reducible here (or its stationary "
+                   "solve fails), so regime II has no averaged coefficients")
+                  for k in np.flatnonzero(~ok)]
+    return found
 
 
 def state_average(mu: np.ndarray, per_state) -> np.ndarray:
@@ -87,8 +113,6 @@ def stationary_measures(R) -> tuple:
     """
     R = np.asarray(R, dtype=float)
     n, J, _ = R.shape
-    if J == 1:
-        return np.ones((n, 1)), np.ones(n, dtype=bool)
     Q = np.clip(R, 0.0, None)
     Q[:, range(J), range(J)] = 0.0
     connected = irreducible(Q > 0)
@@ -133,13 +157,14 @@ def point_label(y) -> str:
 
 def switching_measures(rates: SwitchingRateMatrix, points) -> np.ndarray:
     """(n, J) stationary laws of the switching chain at an (n, d) array of
-    points.  Raises ValueError for a rate sampled negative beyond round-off
+    points.  Raises ValueError for a negative rate (`_switching_findings`)
     and ReducibleChainError at the first point without a unique law."""
     pts = np.asarray(points, dtype=float).reshape(len(points), -1)
     R = rates.values(pts)
-    for i, j, k in negative_samples(R):
-        raise ValueError(f"negative switching rate r[{i+1}][{j+1}] = "
-                         f"{R[k, i, j]} at {point_label(pts[k])}")
+    for kind, location, detail in _switching_findings(
+            R, lambda k: point_label(pts[k]), sampled=True):
+        if kind == "negative_rate":
+            raise ValueError(f"{detail} at {location}")
     return _measures_or_raise(R, lambda k: point_label(pts[k]))
 
 
@@ -197,8 +222,6 @@ def detailed_balance_report(model: ContinuousModel,
     Returns (holds, max_violation).  `holds` means the worst absolute
     imbalance stays below 1e-10 relative to the scale of the compared terms.
     """
-    if model.J == 1:
-        return True, 0.0
     n = max(sample_grid, sampling_resolution(
         list(model.potentials) + model.rates.iter_fields()))
     pts = grid_points(model.dim, n, model.period)

@@ -222,8 +222,10 @@ def cmd_legendre(cfg: dict, model, outdir: Path) -> int:
     where = '"legendre" block'
     _check_keys(block, _LEGENDRE_KEYS, where)
     v_min, v_max = _real(block, "v_min", where), _real(block, "v_max", where)
-    v_grid = np.linspace(v_min, v_max,
-                         _integer(block, "count", where, at_least=1))
+    count = _integer(block, "count", where, at_least=1)
+    if count > 1 and not v_max > v_min:
+        raise ConfigError(f'{where}: "v_max" must be greater than "v_min"')
+    v_grid = np.linspace(v_min, v_max, count)
     table = _run_sweep(model, sweep_block)
     table.to_csv(outdir / "hamiltonian.csv")
     if table.failures:

@@ -49,7 +49,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .chains import (hop_averages, irreducible, negative_samples,
+from .chains import (_switching_findings, hop_averages, point_label,
                      state_average, switching_measures)
 from .fields import grid_points
 from .model import ContinuousModel, DiscreteModel, Model, solve_regime
@@ -202,9 +202,9 @@ class TiltedGenerator:
     at rate switching[i, j, y].  Its diagonal is minus the sum of the untilted
     weights and rates, so rows sum to zero at p = 0.  `side` is the number of
     grid points (or sites) per axis and `period` the cell length along each
-    axis, so the grid step is h = period / side.  The structural checks and the
-    momentum-free part of the slice blocks are done once, here; `at` only
-    applies the tilt and, when a drift field is given, the Peclet guard.
+    axis, so the grid step is h = period / side.  The hop-weight check and the
+    momentum-free part of the slice blocks are done once, here (the builders
+    check the rates); `at` applies the tilt and any Peclet guard.
     """
 
     def __init__(self, kind: str, up: np.ndarray, down: np.ndarray,
@@ -215,26 +215,17 @@ class TiltedGenerator:
         self.down = down              # (J, d, n) weights towards the -1 neighbor
         self.side, self.period, self.h = side, period, period / side
         self.drift = drift            # (K, n, d) for the Peclet bound, or None
-        context = f"assemble_{kind}"
         if not (np.all(up > 0) and np.all(down > 0)):
-            raise ValueError(f"{context}: hop weights must be positive")
+            raise ValueError(f"assemble_{kind}: hop weights must be positive")
         J, dim, n = up.shape
-        if switching is not None:
-            for i, j, _ in negative_samples(np.moveaxis(switching, -1, 0)):
-                raise ValueError(f"{context}: negative switching rate "
-                                 f"sampled in r[{i+1}][{j+1}]")
-            # rates touching zero round to -1e-16
-            switching = np.clip(switching, 0.0, None)
-            switching[range(J), range(J)] = 0.0
-            # each layer is a cycle of positive hops, so the operator is
-            # irreducible exactly when the switching digraph is
-            if not irreducible(np.max(switching, axis=2) > 0):
-                raise ValueError(f"{context}: switching rates leave the "
-                                 "operator reducible")
         diagonal = np.zeros((J, n))
         for a in range(dim):
             diagonal -= up[:, a] + down[:, a]
         if switching is not None:
+            # a sample between the cut of `chains.negative_rates` and 0 is a
+            # zero rate, and the diagonal is ignored
+            switching = np.clip(switching, 0.0, None)
+            switching[range(J), range(J)] = 0.0
             for j in range(J):
                 diagonal -= switching[:, j]
 
@@ -323,9 +314,20 @@ def assemble_continuous_II(model: ContinuousModel, p, N: int) -> AssembledOperat
 # per-model weight builders
 # ---------------------------------------------------------------------------
 
+def _check_rates(kind: str, R: np.ndarray, label, sampled: bool) -> None:
+    """Raise the first `chains._switching_findings` of the rates R (n, J, J)
+    that the builder of `assemble_<kind>` reads.  In regime I each state's
+    hops form a cycle of positive weights, so the operator is irreducible
+    exactly when the switching coupling is."""
+    for _, location, detail in _switching_findings(R, label, sampled):
+        raise ValueError(f"assemble_{kind}: {detail} at {location}")
+
+
 def _discrete(model: DiscreteModel, gamma: float,
               regime: str) -> TiltedGenerator:
     """Hop rates of each state; regime II averages them at every site."""
+    _check_rates(f"discrete_{regime}", np.moveaxis(model.switching, -1, 0),
+                 lambda k: f"k={k}", sampled=False)
     if regime == "I":
         up, down = model.hop_rates_plus, model.hop_rates_minus
         switching = gamma * model.switching
@@ -346,8 +348,11 @@ def _continuous(model: ContinuousModel, N: int, gamma: float,
     dim, h, rates = model.dim, model.period / N, model.rates
     pts = grid_points(dim, N, model.period)
     drift = np.stack([psi.gradients(pts) for psi in model.potentials])  # (J, n, d)
+    R = rates.values(pts)
+    _check_rates(f"continuous_{regime}", R, lambda k: point_label(pts[k]),
+                 sampled=True)
     if regime == "I":
-        switching = gamma * np.moveaxis(rates.values(pts), 0, -1)
+        switching = gamma * np.moveaxis(R, 0, -1)
     else:
         drift = state_average(switching_measures(rates, pts), drift)[None]
         switching = None

@@ -292,6 +292,8 @@ class LagrangianTable:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if np.any(np.diff(self.v_grid) <= 0):
+            raise ValueError("v grid must be strictly increasing")
         b = np.asarray(self.boundary, dtype=bool)
         b.setflags(write=False)
         object.__setattr__(self, "boundary", b)
@@ -353,6 +355,8 @@ def path_rate(times: Sequence[float], positions: Sequence[float],
     if np.any(np.diff(t) <= 0):
         raise ValueError("knot times must be strictly increasing")
     v_nodes = lagrangian.v_grid
+    if len(v_nodes) < 2:
+        raise ValueError("need a Lagrangian sampled at two velocities or more")
     total = float(initial_rate)
     for seg in range(len(t) - 1):
         dt = t[seg + 1] - t[seg]

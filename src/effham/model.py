@@ -17,8 +17,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .chains import (irreducible, negative_samples, point_label,
-                     stationary_measures)
+from .chains import _switching_findings, point_label
 from .fields import (PeriodicScalarField, fourier_values, grid_points,
                      point_array, sampling_resolution, stack_modes)
 
@@ -179,11 +178,6 @@ class DiscreteModel:
         object.__setattr__(self, "hop_rates_minus", rm)
         object.__setattr__(self, "switching", sw)
 
-    def sup_switching(self) -> np.ndarray:
-        S = np.max(self.switching, axis=2)
-        np.fill_diagonal(S, 0.0)
-        return S
-
 
 Model = Union[ContinuousModel, DiscreteModel]
 
@@ -212,66 +206,35 @@ class Violation:
         return f"{self.kind} at {self.location}: {self.detail}"
 
 
-def _reducible_points(R: np.ndarray, labels) -> List[Violation]:
-    """One violation per point whose switching chain has no unique positive
-    stationary law: the points where the regime-II assembly would fail."""
-    _, ok = stationary_measures(R)
-    return [Violation("reducible_switching", labels(k),
-                      "switching chain is reducible here (or its stationary "
-                      "solve fails), so regime II has no averaged coefficients")
-            for k in np.flatnonzero(~ok)]
-
-
 def validate(model: Model, regime: Optional[str] = None) -> List[Violation]:
     """Check the structural assumptions the solvers rely on.
 
     Returns a list of violations; an empty list means the model is valid.
-    Purely a sampling check for continuous rate fields (fields are
-    band-limited, so the lattice from `sampling_resolution` is conclusive
-    in practice).  When the regime to be solved (`regime`, default the
-    model's own) is II, the switching chain must also be irreducible at
-    every lattice point (every site), since the averaged coefficients need
-    its stationary law there; this is the same kernel the assembly calls.
+    Hop rates must be positive.  The switching rates (a continuous model's
+    sampled on the lattice from `sampling_resolution`, conclusive for
+    band-limited fields) go through the check the operator builders raise
+    from, `chains._switching_findings`; when the regime to be solved
+    (`regime`, default the model's own) is II it also needs a unique
+    positive stationary law at every lattice point (every site).
     """
     report: List[Violation] = []
-    fast = solve_regime(model, regime) == "II"
     if isinstance(model, ContinuousModel):
-        rate_fields = model.rates.iter_fields()
-        n = sampling_resolution(list(model.potentials) + rate_fields)
+        n = sampling_resolution(list(model.potentials)
+                                + model.rates.iter_fields())
         pts = grid_points(model.dim, n, model.period)
-        R = model.rates.values(pts)
-        report += [Violation("negative_rate",
-                             f"r[{i+1}][{j+1}], {point_label(pts[k])}",
-                             f"sampled value {R[k, i, j]:.3e} < 0")
-                   for i, j, k in negative_samples(R)]
-        if model.J >= 2 and not irreducible(np.max(R, axis=0) > 0):
-            report.append(Violation(
-                "reducible_coupling", "sup-matrix of switching rates",
-                "positive-entry digraph is not strongly connected"))
-        elif fast:
-            report += _reducible_points(R, lambda k: point_label(pts[k]))
+        R, label = model.rates.values(pts), lambda k: point_label(pts[k])
     elif isinstance(model, DiscreteModel):
         for sign, arr in (("+", model.hop_rates_plus), ("-", model.hop_rates_minus)):
-            bad = np.argwhere(arr <= 0)
-            for i, k in bad:
+            for i, k in np.argwhere(arr <= 0):
                 report.append(Violation(
                     "nonpositive_hop_rate", f"r{sign}[{i+1}](k={k})",
                     f"value {arr[i, k]:.3e} must be > 0"))
-        neg = np.argwhere(model.switching < 0)
-        for i, j, k in neg:
-            if i != j:
-                report.append(Violation(
-                    "negative_rate", f"r[{i+1}][{j+1}](k={k})",
-                    f"value {model.switching[i, j, k]:.3e} < 0"))
-        if model.J >= 2 and not irreducible(model.sup_switching() > 0):
-            report.append(Violation(
-                "reducible_coupling", "sup-matrix of switching rates",
-                "positive-entry digraph is not strongly connected"))
-        elif fast:
-            report += _reducible_points(np.moveaxis(model.switching, -1, 0),
-                                        lambda k: f"k={k}")
+        R, label = np.moveaxis(model.switching, -1, 0), lambda k: f"k={k}"
     else:
         raise TypeError(f"not a model: {type(model)!r}")
+    report += [Violation(*finding) for finding in _switching_findings(
+        R, label, sampled=isinstance(model, ContinuousModel),
+        laws=solve_regime(model, regime) == "II")]
     return report
 
 

@@ -79,13 +79,15 @@ def _stream(seed: int, k: int, kind: str):
 class _Streams:
     """The seed and path indices of a run, Philox key words: integers in
     [0, 2**64), never a float truncated (`TypeError`) or a value wrapped
-    (`ValueError`).  Each kind of draw of each path reads its own
-    `_stream`, so a path's draws depend neither on the other paths in the
-    run nor on the block size."""
+    (`ValueError`), and at least one path (`ValueError`).  Each kind of draw
+    of each path reads its own `_stream`, so a path's draws depend neither
+    on the other paths in the run nor on the block size."""
 
     def __init__(self, seed: int, indices: Sequence[int]):
         self.seed, *self.indices = words = [operator.index(word)
                                             for word in (seed, *indices)]
+        if not self.indices:
+            raise ValueError("a run needs at least one path, got none")
         bad = [word for word in words if not 0 <= word < 2**64]
         if bad:
             raise ValueError("a seed or trajectory index must be a "
@@ -222,10 +224,8 @@ class _Records:
 def max_total_switching_rate(model: ContinuousModel) -> float:
     """sup over (y, i) of sum_j r_ij(y), rates clipped at 0 as the stepper
     clips them, from a resolving sample lattice."""
-    fields = model.rates.iter_fields()
-    if not fields:
-        return 0.0
-    pts = grid_points(model.dim, sampling_resolution(fields), model.period)
+    pts = grid_points(model.dim, sampling_resolution(model.rates.iter_fields()),
+                      model.period)
     return float(np.max(np.sum(np.maximum(model.rates.values(pts), 0.0),
                                axis=2)))
 

@@ -8,6 +8,7 @@ from effham.chains import (ReducibleChainError, averaged_drift,
                            averaged_hop_rates, detailed_balance_report,
                            generator_at, irreducible, stationary_measure,
                            stationary_measures)
+from effham import simulator
 from effham.eigensolver import cell_operator
 from effham.fields import PeriodicScalarField
 from effham.model import (ContinuousModel, DiscreteModel, SwitchingRateMatrix,
@@ -99,6 +100,27 @@ def test_stationary_reducible_raises():
 def test_detailed_balance_j1():
     m = random_continuous_model(np.random.default_rng(0), J=1)
     assert detailed_balance_report(m) == (True, 0.0)
+
+
+def test_single_state_results_come_from_the_general_paths(rng):
+    """With one state, or no rate field, the general code gives what the
+    special cases it replaced returned: a law of ones on every point,
+    balance held with no violation, and no switching to bound."""
+    mu, ok = stationary_measures(np.zeros((5, 1, 1)))
+    assert mu.dtype == float and ok.dtype == bool
+    np.testing.assert_array_equal(mu, np.ones((5, 1)))
+    assert ok.all()
+    single = random_continuous_model(rng, J=1)
+    holds, worst = detailed_balance_report(single)
+    assert (holds, worst) == (True, 0.0)
+    assert type(holds) is bool and type(worst) is float
+    psi = PeriodicScalarField(dim=1)
+    fieldless = ContinuousModel(dim=1, J=2, potentials=(psi, psi),
+                                rates=SwitchingRateMatrix(J=2, entries=(
+                                    (None, None), (None, None))))
+    for model in (single, fieldless):
+        bound = simulator.max_total_switching_rate(model)
+        assert bound == 0.0 and type(bound) is float
 
 
 def test_detailed_balance_direct_violation():
@@ -335,3 +357,5 @@ def test_vanishing_rates_are_zero_whatever_their_roundoff(N):
     with pytest.raises(ReducibleChainError):
         cell_operator(model, "II", N=N)
     assert validate(model, "II") != []
+    with pytest.raises(ReducibleChainError):
+        averaged_drift(model, [0.5])

@@ -111,6 +111,44 @@ def test_solver_failure_exits_3(tmp_path):
     assert np.isnan(data["H"]).any() and not np.isnan(data["H"]).all()
 
 
+@pytest.mark.parametrize("command", ["legendre", "check"])
+def test_failed_sweep_sample_exits_3(tmp_path, command):
+    """The slope -6, N = 8 model of `test_solver_failure_exits_3` fails
+    some samples; `legendre` still writes the table it swept."""
+    cfg = {"model": model_to_dict(get_preset("constant_drift"))}
+    cfg["model"]["potentials"][0]["slope"] = [-6.0]
+    if command == "legendre":
+        cfg["sweep"] = {"p_min": -3.0, "p_max": 3.0, "count": 7, "N": 8}
+        cfg["legendre"] = {"v_min": -1.0, "v_max": 1.0, "count": 5}
+    else:
+        cfg["check"] = {"p_max": 3.0, "count": 7, "N": 8}
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 3
+    assert not (out / "lagrangian.csv").exists()
+    assert not (out / "check.json").exists()
+    if command == "legendre":
+        data = np.genfromtxt(out / "hamiltonian.csv", delimiter=",",
+                             names=True)
+        assert len(data) == 7
+        assert np.isnan(data["H"]).any() and not np.isnan(data["H"]).all()
+
+
+def test_legendre_velocity_range_must_increase(tmp_path, caplog):
+    sweep = {"p_min": -3.0, "p_max": 3.0, "count": 13, "N": 64}
+    out = tmp_path / "out"
+    for count, code in ((5, 2), (1, 0)):
+        cfg = write_config(tmp_path, {
+            "sweep": sweep,
+            "legendre": {"v_min": 1.0, "v_max": 0.0, "count": count}})
+        assert main(["legendre", "--preset", "constant_drift", "--config",
+                     cfg, "--out", str(out)]) == code
+    assert '"legendre" block: "v_max" must be greater than "v_min"' in caplog.text
+    # one velocity needs no range
+    lines = (out / "lagrangian.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("1,")
+
+
 def test_velocity_command(tmp_path):
     out = tmp_path / "out"
     assert main(["velocity", "--preset", "constant_drift",

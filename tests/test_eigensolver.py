@@ -14,7 +14,8 @@ from effham.eigensolver import (ConvergenceError, PecletError,
                                 principal_eigenpair)
 from effham.fields import PeriodicScalarField
 from effham.hamiltonian import hamiltonian_at
-from effham.model import ContinuousModel, DiscreteModel, SwitchingRateMatrix
+from effham.model import (ContinuousModel, DiscreteModel,
+                          SwitchingRateMatrix, validate)
 from effham.presets import constant_drift, detailed_balance_pair, tilted_cosine
 
 from conftest import (dense_matrix, random_continuous_model,
@@ -207,6 +208,52 @@ def test_one_way_coupling_is_reducible():
                                                                 (None, None))))
     with pytest.raises(ValueError, match="reducible"):
         assemble_continuous_I(m, 0.5, 16)
+
+
+@pytest.mark.parametrize("regime, J, rate", [("I", 2, -1e-14), ("II", 3, -0.5)])
+def test_builders_reject_what_validate_rejects(rng, regime, J, rate):
+    """A given switching rate below 0 is negative however small, in either
+    regime: the builders raise the first finding of the check `validate`
+    reports from.  Regime I once let -1e-14 pass as round-off, and the
+    regime-II averaging clipped -0.5 to 0 and solved (H(0) = 1.1e-16)."""
+    m = random_discrete_model(rng, ell=4, J=J, regime=regime)
+    sw = np.array(m.switching)
+    sw[0, 1, 2] = rate
+    bad = DiscreteModel(ell=4, J=J, hop_rates_plus=m.hop_rates_plus,
+                        hop_rates_minus=m.hop_rates_minus, switching=sw,
+                        regime=regime)
+    assert [(v.kind, v.location) for v in validate(bad)] == [
+        ("negative_rate", "r[1][2], k=2")]
+    with pytest.raises(ValueError, match=(
+            rf"^assemble_discrete_{regime}: negative switching rate "
+            r".* at r\[1\]\[2\], k=2$")):
+        cell_operator(bad)
+    table = hamiltonian.sweep(bad, -1.0, 1.0, 3)
+    assert sorted(table.failures) == [0, 1, 2]
+
+
+def test_regime2_build_checks_its_quarter_points():
+    """A regime-II continuous build reads its rates on the grid, where the
+    builder checks them, and at the points y + h/4 and y + 3h/4, where
+    `switching_measures` does.  r12 = 1 + 2 cos(16 pi y) is 3 on the N = 4
+    grid and -1 at its quarter points; on the N = 16 grid it is -1 at every
+    other point."""
+    flat = PeriodicScalarField(dim=1)
+    one = PeriodicScalarField(dim=1, fourier_coeffs=(((0,), 1.0, 0.0),))
+    dip = PeriodicScalarField(dim=1, fourier_coeffs=(((0,), 1.0, 0.0),
+                                                     ((8,), 2.0, 0.0)))
+    m = ContinuousModel(dim=1, J=2, potentials=(flat, flat), regime="II",
+                        rates=SwitchingRateMatrix(J=2, entries=((None, dip),
+                                                                (one, None))))
+    with pytest.raises(ValueError, match=(
+            r"^negative switching rate -1\.000e\+00 at r\[1\]\[2\], y=")):
+        cell_operator(m, N=4)
+    with pytest.raises(ValueError, match=(
+            r"^assemble_continuous_II: negative switching rate -1\.000e\+00 "
+            r"at r\[1\]\[2\], y=")):
+        cell_operator(m, N=16)
+    assert {v.kind for v in validate(m)} == {"negative_rate",
+                                             "reducible_switching"}
 
 
 def test_continuous_II_equals_I_for_J1(rng):

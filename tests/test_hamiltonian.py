@@ -379,6 +379,20 @@ def test_legendre_flags_edge_argmax():
     assert lag.boundary[0]
 
 
+@pytest.mark.parametrize("v_grid", [[1.0, 0.5, 0.0], [0.0, 0.0]])
+def test_lagrangian_grid_must_increase(v_grid):
+    """As `HamiltonianTable` does for p, `LagrangianTable` (and so
+    `legendre`) rejects a v grid that does not strictly increase."""
+    with pytest.raises(ValueError, match="v grid must be strictly increasing"):
+        legendre(quadratic_table(), v_grid)
+
+
+def test_path_rate_needs_two_velocities():
+    lag = legendre(quadratic_table(), [0.5])
+    with pytest.raises(ValueError, match="two velocities"):
+        path_rate([0.0, 1.0], [0.0, 0.5], lag)
+
+
 def test_legendre_minimum_at_velocity():
     table = sweep(constant_drift(1.0), -3.0, 3.0, 61, N=256)
     lag = legendre(table, np.linspace(0.0, 2.0, 41))

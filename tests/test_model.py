@@ -153,6 +153,20 @@ def test_discrete_json_roundtrip(rng):
     np.testing.assert_array_equal(clone.hop_rates_plus, m.hop_rates_plus)
 
 
+def test_null_off_diagonal_rate_roundtrips(rng):
+    """An absent rate field is `null` in JSON and None again when read."""
+    m = random_continuous_model(rng, J=3)
+    entries = [list(row) for row in m.rates.entries]
+    entries[0][2] = None
+    model = ContinuousModel(dim=1, J=3, potentials=m.potentials,
+                            rates=SwitchingRateMatrix(J=3, entries=entries))
+    obj = model_to_dict(model)
+    assert obj["rates"][0][2] is None and obj["rates"][2][0] is not None
+    clone = model_from_dict(json.loads(json.dumps(obj)))
+    assert clone.rates.entries[0][2] is None
+    assert clone == model and model_to_dict(clone) == obj
+
+
 def test_regime2_validation_locates_reducible_switching():
     """two_state_flashing's rates r12 = 1.5 (1 + cos 2 pi (y - 0.625))^2 and
     r21 = 1.5 (1 + cos 2 pi y)^2 vanish at y = 0.125 and y = 0.5, so regime

@@ -514,3 +514,15 @@ def test_summary_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "epsilon,mean_v,sd,se,predicted_v,verdict"
     assert lines[1].split(",")[-1] in ("pass", "fail")
+
+
+@pytest.mark.parametrize("run", [
+    lambda: concentration_experiment(two_state_flashing(), [0.1], 0.2, 0, 1),
+    lambda: batch_continuous(two_state_flashing(), 0.1, 0.2, 0, 1),
+    lambda: batch_discrete(discrete_two_state(), 16, 0.5, 0, 1),
+], ids=["concentration_experiment", "batch_continuous", "batch_discrete"])
+def test_zero_paths_rejected(run):
+    """An empty path set is rejected where its streams are keyed, before any
+    solve or step (it once gave NaN rows, or a stray trajectory error)."""
+    with pytest.raises(ValueError, match="at least one path"):
+        run()

@@ -122,6 +122,37 @@ def test_one_point_chain_helpers_called_only_in_chains():
     assert not found, f"one-point chain helpers called outside chains.py: {found}"
 
 
+def test_switching_rate_rule_has_one_home():
+    """The switching-rate rule is applied by `chains._switching_findings`
+    alone: outside chains.py nothing calls the cut, the coupling test or
+    the law kernel behind it, and `validate`, both weight builders (through
+    `_check_rates`) and `switching_measures` call the check, so a second
+    copy cannot come back in model.py or eigensolver.py."""
+    rule = {"negative_rates", "irreducible", "stationary_measures"}
+    calls = {"_switching_findings": [], "_check_rates": []}
+    found = []
+    for path in sorted(Path(effham.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = {id(node): func.name for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = (getattr(node.func, "id", None)
+                    or getattr(node.func, "attr", ""))
+            site = f"{path.name}:{owner.get(id(node))}"
+            if name in calls:
+                calls[name].append(site)
+            elif name in rule and path.name != "chains.py":
+                found.append(f"{site} {name}")
+    assert not found, found
+    assert sorted(calls["_switching_findings"]) == [
+        "chains.py:switching_measures", "eigensolver.py:_check_rates",
+        "model.py:validate"], calls
+    assert sorted(calls["_check_rates"]) == [
+        "eigensolver.py:_continuous", "eigensolver.py:_discrete"], calls
+
+
 def test_simulator_builds_trajectories_only_from_records():
     """A run keeps end positions only; `Trajectory` objects are built at one
     call site, in `_Records`, so an endpoint-only path cannot quietly grow a
