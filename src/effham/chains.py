@@ -155,24 +155,30 @@ def point_label(y) -> str:
     return "y=(" + ", ".join(f"{c:.6g}" for c in np.atleast_1d(y)) + ")"
 
 
+def _raise_negative(R: np.ndarray, label, sampled: bool) -> None:
+    """Raise the first negative-rate finding of the rates R as a ValueError."""
+    for kind, location, detail in _switching_findings(R, label, sampled):
+        if kind == "negative_rate":
+            raise ValueError(f"{detail} at {location}")
+
+
 def switching_measures(rates: SwitchingRateMatrix, points) -> np.ndarray:
     """(n, J) stationary laws of the switching chain at an (n, d) array of
     points.  Raises ValueError for a negative rate (`_switching_findings`)
     and ReducibleChainError at the first point without a unique law."""
     pts = np.asarray(points, dtype=float).reshape(len(points), -1)
     R = rates.values(pts)
-    for kind, location, detail in _switching_findings(
-            R, lambda k: point_label(pts[k]), sampled=True):
-        if kind == "negative_rate":
-            raise ValueError(f"{detail} at {location}")
+    _raise_negative(R, lambda k: point_label(pts[k]), sampled=True)
     return _measures_or_raise(R, lambda k: point_label(pts[k]))
 
 
 def hop_averages(model: DiscreteModel, sites=None) -> tuple:
     """Stationary-average hop rates (rbar_plus, rbar_minus) at every site
-    (or at the listed `sites`), one array each."""
+    (or at the listed `sites`), one array each.  Raises like
+    `switching_measures`."""
     sites = np.arange(model.ell) if sites is None else np.asarray(sites)
     R = np.moveaxis(model.switching[:, :, sites], -1, 0)
+    _raise_negative(R, lambda k: f"k={sites[k]}", sampled=False)
     mu = _measures_or_raise(R, lambda k: f"site k={sites[k]}")
     return (state_average(mu, model.hop_rates_plus[:, sites]),
             state_average(mu, model.hop_rates_minus[:, sites]))
@@ -185,12 +191,8 @@ def hop_averages(model: DiscreteModel, sites=None) -> tuple:
 def generator_at(rates: SwitchingRateMatrix, y) -> np.ndarray:
     """Generator matrix Q with Q_ij = r_ij(y) off the diagonal, zero row sums."""
     R = rates.rates_at(y)
-    negative = negative_rates(R)
-    if np.any(negative):
-        i, j = np.argwhere(negative)[0]
-        raise ValueError(f"negative switching rate r[{i+1}][{j+1}]({y}) = {R[i, j]}")
-    Q = np.clip(R, 0.0, None)
-    np.fill_diagonal(Q, 0.0)
+    _raise_negative(R[None], lambda k: point_label(y), sampled=True)
+    Q = np.clip(R, 0.0, None)          # its diagonal is zero
     np.fill_diagonal(Q, -Q.sum(axis=1))
     return Q
 

@@ -49,8 +49,8 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .chains import (_switching_findings, hop_averages, point_label,
-                     state_average, switching_measures)
+from .chains import (_measures_or_raise, _switching_findings, hop_averages,
+                     point_label, state_average, switching_measures)
 from .fields import grid_points
 from .model import ContinuousModel, DiscreteModel, Model, solve_regime
 
@@ -316,9 +316,8 @@ def assemble_continuous_II(model: ContinuousModel, p, N: int) -> AssembledOperat
 
 def _check_rates(kind: str, R: np.ndarray, label, sampled: bool) -> None:
     """Raise the first `chains._switching_findings` of the rates R (n, J, J)
-    that the builder of `assemble_<kind>` reads.  In regime I each state's
-    hops form a cycle of positive weights, so the operator is irreducible
-    exactly when the switching coupling is."""
+    that `assemble_<kind>` reads.  Each state's hops form a cycle, so the
+    regime-I operator is irreducible exactly when the switching coupling is."""
     for _, location, detail in _switching_findings(R, label, sampled):
         raise ValueError(f"assemble_{kind}: {detail} at {location}")
 
@@ -354,7 +353,8 @@ def _continuous(model: ContinuousModel, N: int, gamma: float,
     if regime == "I":
         switching = gamma * np.moveaxis(R, 0, -1)
     else:
-        drift = state_average(switching_measures(rates, pts), drift)[None]
+        mu = _measures_or_raise(R, lambda k: point_label(pts[k]))  # checked
+        drift = state_average(mu, drift)[None]
         switching = None
     fac = 1.0 / (2.0 * h * h)
     _, downs = _neighbor_tables(N, dim)

@@ -38,6 +38,18 @@ def test_generator_j1():
     assert Q.shape == (1, 1) and Q[0, 0] == 0.0
 
 
+def test_generator_rejects_negative_rates_by_the_one_check():
+    """`generator_at` raises the negative-rate finding of the check that
+    `validate` reports from, cut per rate: -1e-11 beside a rate of 100 is
+    negative, though it lies within 1e-12 of the largest rate at the point."""
+    with pytest.raises(ValueError, match=(
+            r"^negative switching rate -5\.000e-01 at r\[1\]\[2\], "
+            r"y=\(0\.3\)$")):
+        generator_at(two_state_rates(-0.5, 2.0), [0.3])
+    with pytest.raises(ValueError, match=r"-1\.000e-11 at r\[1\]\[2\]"):
+        generator_at(two_state_rates(-1e-11, 100.0), [0.3])
+
+
 def test_generator_complete_graph():
     one = const_field(1.0)
     rates = SwitchingRateMatrix(J=3, entries=(
@@ -212,6 +224,22 @@ def test_averaged_hops_equal_rates(rng):
                           hop_rates_minus=np.full((3, 4), 0.9),
                           switching=m.switching, regime="II")
     assert averaged_hop_rates(equal, 2) == (pytest.approx(1.7), pytest.approx(0.9))
+
+
+def test_averaged_hops_reject_a_negative_rate(rng):
+    """A J = 3 regime-II model with r12 = -0.5 at site 2 fails `validate`;
+    its hop averages (and so the discrete regime-II coercivity bound) raise
+    instead of clipping the rate to 0."""
+    m = random_discrete_model(rng, ell=4, J=3, regime="II")
+    sw = np.array(m.switching)
+    sw[0, 1, 2] = -0.5
+    bad = DiscreteModel(ell=4, J=3, hop_rates_plus=m.hop_rates_plus,
+                        hop_rates_minus=m.hop_rates_minus, switching=sw,
+                        regime="II")
+    assert [v.kind for v in validate(bad)] == ["negative_rate"]
+    with pytest.raises(ValueError, match=(
+            r"^negative switching rate -5\.000e-01 at r\[1\]\[2\], k=2$")):
+        averaged_hop_rates(bad, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -125,11 +125,13 @@ def test_one_point_chain_helpers_called_only_in_chains():
 def test_switching_rate_rule_has_one_home():
     """The switching-rate rule is applied by `chains._switching_findings`
     alone: outside chains.py nothing calls the cut, the coupling test or
-    the law kernel behind it, and `validate`, both weight builders (through
-    `_check_rates`) and `switching_measures` call the check, so a second
-    copy cannot come back in model.py or eigensolver.py."""
+    the law kernel behind it, inside it only the check calls the cut, and
+    `validate`, both weight builders (through `_check_rates`) and the
+    chain helpers (through `_raise_negative`) call the check, so a second
+    copy cannot come back."""
     rule = {"negative_rates", "irreducible", "stationary_measures"}
-    calls = {"_switching_findings": [], "_check_rates": []}
+    calls = {"_switching_findings": [], "_check_rates": [],
+             "_raise_negative": []}
     found = []
     for path in sorted(Path(effham.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -143,14 +145,19 @@ def test_switching_rate_rule_has_one_home():
             site = f"{path.name}:{owner.get(id(node))}"
             if name in calls:
                 calls[name].append(site)
-            elif name in rule and path.name != "chains.py":
+            elif name in rule and (path.name != "chains.py" or (
+                    name == "negative_rates"
+                    and site != "chains.py:_switching_findings")):
                 found.append(f"{site} {name}")
     assert not found, found
     assert sorted(calls["_switching_findings"]) == [
-        "chains.py:switching_measures", "eigensolver.py:_check_rates",
+        "chains.py:_raise_negative", "eigensolver.py:_check_rates",
         "model.py:validate"], calls
     assert sorted(calls["_check_rates"]) == [
         "eigensolver.py:_continuous", "eigensolver.py:_discrete"], calls
+    assert sorted(calls["_raise_negative"]) == [
+        "chains.py:generator_at", "chains.py:hop_averages",
+        "chains.py:switching_measures"], calls
 
 
 def test_simulator_builds_trajectories_only_from_records():
