@@ -29,17 +29,16 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
-_TOP_KEYS = {"model", "model_file", "preset", "out", "sweep", "legendre",
-             "velocity", "simulate", "check"}
-_SWEEP_KEYS = {"p_min", "p_max", "count", "N", "tol", "gamma", "regime"}
-_LEGENDRE_KEYS = {"v_min", "v_max", "count"}
-_VELOCITY_KEYS = {"N", "tol", "gamma", "regime"}
-_SIMULATE_KEYS = {"scales", "T", "dt_factor", "paths", "seed", "predicted_v",
-                  "N", "gamma", "dump_trajectories"}
-_CHECK_KEYS = {"grid", "p_max", "count", "N", "tol", "gamma", "regime"}
-# the config block whose "regime" overrides the model's, per command
-_REGIME_BLOCKS = {"sweep": "sweep", "legendre": "sweep", "velocity": "velocity",
-                  "check": "check"}
+# the keys each command's config block may hold
+_BLOCK_KEYS = {
+    "sweep": {"p_min", "p_max", "count", "N", "tol", "gamma", "regime"},
+    "legendre": {"v_min", "v_max", "count"},
+    "velocity": {"N", "tol", "gamma", "regime"},
+    "simulate": {"scales", "T", "dt_factor", "paths", "seed", "predicted_v",
+                 "N", "gamma", "dump_trajectories"},
+    "check": {"grid", "p_max", "count", "N", "tol", "gamma", "regime"},
+}
+_TOP_KEYS = {"model", "model_file", "preset", "out", *_BLOCK_KEYS}
 
 
 class ConfigError(ValueError):
@@ -52,6 +51,16 @@ def _check_keys(block, allowed: set, where: str) -> None:
     unknown = set(block) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
+
+
+def _block(cfg: dict, name: str, required: bool) -> dict:
+    """The config's `name` block, its keys checked against `_BLOCK_KEYS`;
+    an absent block is an error when `required` and empty otherwise."""
+    block = cfg.get(name, None if required else {})
+    if block is None and required:
+        raise ConfigError(f'config is missing the "{name}" block')
+    _check_keys(block, _BLOCK_KEYS[name], f'"{name}" block')
+    return block
 
 
 def _integer(block: dict, key: str, where: str, default=None, *,
@@ -133,22 +142,26 @@ def resolve_model(cfg: dict, preset: Optional[str]):
                       '"model" / "model_file"')
 
 
-def _solve_regime(cfg: dict, command: str) -> Optional[str]:
-    """The regime `command` will solve in, when its config block overrides
-    the model's (None otherwise)."""
-    block = cfg.get(_REGIME_BLOCKS.get(command))
-    regime = block.get("regime") if isinstance(block, dict) else None
-    if regime is not None and regime not in REGIMES:
-        raise ConfigError(f'"regime" must be one of {list(REGIMES)}, '
-                          f"got {regime!r}")
-    return regime
-
-
 def _require_valid(model, regime: Optional[str]) -> None:
     report = validate(model, regime)
     if report:
         lines = "\n".join(f"  - {v}" for v in report)
         raise ConfigError(f"model fails validation:\n{lines}")
+
+
+def _solver(model, block: dict, where: str) -> dict:
+    """The solver settings of a command block, as keywords of `ham.sweep`
+    and `ham.velocity_of_model`, once the model is valid in their regime."""
+    regime = block.get("regime")
+    if regime is not None and regime not in REGIMES:
+        raise ConfigError(f'{where}: "regime" must be one of {list(REGIMES)}, '
+                          f"got {regime!r}")
+    settings = {"regime": regime,
+                "N": _integer(block, "N", where, 128, at_least=3),
+                "tol": _real(block, "tol", where, 1e-10, positive=True),
+                "gamma": _real(block, "gamma", where, 1.0, positive=True)}
+    _require_valid(model, regime)
+    return settings
 
 
 def _write_json(path: Path, obj) -> None:
@@ -171,26 +184,22 @@ def _certificates_json(table: ham.HamiltonianTable) -> dict:
     return {"provenance": table.provenance, "samples": rows}
 
 
-def _run_sweep(model, block: dict) -> ham.HamiltonianTable:
+def _run_sweep(model, cfg: dict, outdir: Path) -> ham.HamiltonianTable:
+    """Sweep the "sweep" block's momenta and write hamiltonian.csv."""
     where = '"sweep" block'
-    _check_keys(block, _SWEEP_KEYS, where)
+    block = _block(cfg, "sweep", True)
     p_min, p_max = _real(block, "p_min", where), _real(block, "p_max", where)
     if not p_max > p_min:
         raise ConfigError(f'{where}: "p_max" must be greater than "p_min"')
-    return ham.sweep(model, p_min, p_max,
-                     _integer(block, "count", where, at_least=3),
-                     regime=block.get("regime"),
-                     N=_integer(block, "N", where, 128, at_least=3),
-                     tol=_real(block, "tol", where, 1e-10, positive=True),
-                     gamma=_real(block, "gamma", where, 1.0, positive=True))
+    count = _integer(block, "count", where, at_least=3)
+    table = ham.sweep(model, p_min, p_max, count,
+                      **_solver(model, block, where))
+    table.to_csv(outdir / "hamiltonian.csv")
+    return table
 
 
 def cmd_sweep(cfg: dict, model, outdir: Path) -> int:
-    block = cfg.get("sweep")
-    if block is None:
-        raise ConfigError('sweep command needs a "sweep" config block')
-    table = _run_sweep(model, block)
-    table.to_csv(outdir / "hamiltonian.csv")
+    table = _run_sweep(model, cfg, outdir)
     _write_json(outdir / "certificates.json", _certificates_json(table))
     if table.failures:
         log.error("%d sweep sample(s) failed", len(table.failures))
@@ -199,35 +208,24 @@ def cmd_sweep(cfg: dict, model, outdir: Path) -> int:
 
 
 def cmd_velocity(cfg: dict, model, outdir: Path) -> int:
-    block = cfg.get("velocity", {})
-    where = '"velocity" block'
-    _check_keys(block, _VELOCITY_KEYS, where)
-    N = _integer(block, "N", where, 128, at_least=3)
-    v, err = ham.velocity_of_model(
-        model, regime=block.get("regime"), N=N,
-        tol=_real(block, "tol", where, 1e-10, positive=True),
-        gamma=_real(block, "gamma", where, 1.0, positive=True))
+    solver = _solver(model, _block(cfg, "velocity", False), '"velocity" block')
+    v, err = ham.velocity_of_model(model, **solver)
     # floats for a 1-D model, lists for d > 1
     _write_json(outdir / "velocity.json",
                 {"velocity": np.asarray(v).tolist(),
-                 "error_estimate": np.asarray(err).tolist(), "N": N})
+                 "error_estimate": np.asarray(err).tolist(), "N": solver["N"]})
     return EXIT_OK
 
 
 def cmd_legendre(cfg: dict, model, outdir: Path) -> int:
-    sweep_block = cfg.get("sweep")
-    block = cfg.get("legendre")
-    if sweep_block is None or block is None:
-        raise ConfigError('legendre command needs "sweep" and "legendre" blocks')
     where = '"legendre" block'
-    _check_keys(block, _LEGENDRE_KEYS, where)
+    block = _block(cfg, "legendre", True)
     v_min, v_max = _real(block, "v_min", where), _real(block, "v_max", where)
     count = _integer(block, "count", where, at_least=1)
     if count > 1 and not v_max > v_min:
         raise ConfigError(f'{where}: "v_max" must be greater than "v_min"')
     v_grid = np.linspace(v_min, v_max, count)
-    table = _run_sweep(model, sweep_block)
-    table.to_csv(outdir / "hamiltonian.csv")
+    table = _run_sweep(model, cfg, outdir)
     if table.failures:
         log.error("sweep failures prevent the transform")
         return EXIT_NUMERICAL
@@ -238,11 +236,8 @@ def cmd_legendre(cfg: dict, model, outdir: Path) -> int:
 
 def cmd_simulate(cfg: dict, model, outdir: Path,
                  seed_override: Optional[int] = None) -> int:
-    block = cfg.get("simulate")
-    if block is None:
-        raise ConfigError('simulate command needs a "simulate" config block')
     where = '"simulate" block'
-    _check_keys(block, _SIMULATE_KEYS, where)
+    block = _block(cfg, "simulate", True)
     if seed_override is None and block.get("seed") is None:
         raise ConfigError("stochastic command needs a seed (config or --seed)")
     # the seed is the first word of every path's Philox key
@@ -270,6 +265,7 @@ def cmd_simulate(cfg: dict, model, outdir: Path,
     if not isinstance(dump, bool):
         raise ConfigError(f'{where}: "dump_trajectories" must be true or '
                           f"false, got {dump!r}")
+    _require_valid(model, None)
     report = simulator.concentration_experiment(
         model, scales, T, paths, seed, predicted_v=predicted_v,
         dt_factor=dt_factor, gamma=gamma, solver_n=solver_n)
@@ -288,19 +284,13 @@ def cmd_simulate(cfg: dict, model, outdir: Path,
 
 
 def cmd_check(cfg: dict, model, outdir: Path) -> int:
-    block = cfg.get("check", {})
     where = '"check" block'
-    _check_keys(block, _CHECK_KEYS, where)
-    N = _integer(block, "N", where, 128, at_least=3)
-    tol = _real(block, "tol", where, 1e-10, positive=True)
-    gamma = _real(block, "gamma", where, 1.0, positive=True)
+    block = _block(cfg, "check", False)
     p_max = _real(block, "p_max", where, 2.0, positive=True)
     count = _integer(block, "count", where, 21, at_least=3)
     grid = _integer(block, "grid", where, 256, at_least=1)
-    regime = block.get("regime")
-
-    table = ham.sweep(model, -p_max, p_max, count, regime=regime, N=N, tol=tol,
-                      gamma=gamma)
+    table = ham.sweep(model, -p_max, p_max, count,
+                      **_solver(model, block, where))
     if table.failures:
         log.error("sweep failures during check")
         return EXIT_NUMERICAL
@@ -369,8 +359,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         model = resolve_model(cfg, args.preset)
-        if args.command != "validate":
-            _require_valid(model, _solve_regime(cfg, args.command))
         outdir = Path(args.out or _text(cfg, "out") or ".")
         outdir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, ModelFormatError) as exc:

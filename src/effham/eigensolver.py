@@ -49,8 +49,8 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .chains import (_measures_or_raise, _switching_findings, hop_averages,
-                     point_label, state_average, switching_measures)
+from .chains import (_measures_or_raise, _switching_findings, point_label,
+                     state_average, switching_measures)
 from .fields import grid_points
 from .model import ContinuousModel, DiscreteModel, Model, solve_regime
 
@@ -325,13 +325,14 @@ def _check_rates(kind: str, R: np.ndarray, label, sampled: bool) -> None:
 def _discrete(model: DiscreteModel, gamma: float,
               regime: str) -> TiltedGenerator:
     """Hop rates of each state; regime II averages them at every site."""
-    _check_rates(f"discrete_{regime}", np.moveaxis(model.switching, -1, 0),
-                 lambda k: f"k={k}", sampled=False)
+    R = np.moveaxis(model.switching, -1, 0)
+    _check_rates(f"discrete_{regime}", R, lambda k: f"k={k}", sampled=False)
+    up, down = model.hop_rates_plus, model.hop_rates_minus
     if regime == "I":
-        up, down = model.hop_rates_plus, model.hop_rates_minus
         switching = gamma * model.switching
     else:
-        up, down = (rates[None] for rates in hop_averages(model))
+        mu = _measures_or_raise(R, lambda k: f"site k={k}")   # checked
+        up, down = state_average(mu, up)[None], state_average(mu, down)[None]
         switching = None
     return TiltedGenerator(f"discrete_{regime}", up[:, None], down[:, None],
                            switching, model.ell, model.ell, None)

@@ -388,6 +388,93 @@ def test_bad_top_level_input_exits_2(tmp_path, caplog, monkeypatch, case,
         ["folder", "latin1.json"] + (["cfg.json"] if case in configs else []))
 
 
+def test_model_file_sweeps_like_its_preset(tmp_path):
+    """A model read from "model_file" sweeps to the same bytes as the
+    preset it was written from."""
+    model_file = tmp_path / "model.json"
+    model_file.write_text(json.dumps(model_to_dict(
+        get_preset("two_state_flashing"))))
+    sweep = {"p_min": -1.0, "p_max": 1.0, "count": 5, "N": 32}
+    by_file, by_preset = tmp_path / "file", tmp_path / "preset"
+    assert main(["sweep", "--config", write_config(tmp_path, {
+        "model_file": str(model_file), "sweep": sweep}),
+        "--out", str(by_file)]) == 0
+    assert main(["sweep", "--preset", "two_state_flashing", "--config",
+                 write_config(tmp_path, {"sweep": sweep}, "preset.json"),
+                 "--out", str(by_preset)]) == 0
+    assert (by_file / "hamiltonian.csv").read_bytes() == \
+        (by_preset / "hamiltonian.csv").read_bytes()
+
+
+@pytest.mark.parametrize("case,message", [
+    ("model-file-absent", "does not exist"),
+    ("model-file-not-json", "invalid JSON in"),
+    ("config-absent", "does not exist"),
+    ("config-not-json", "invalid JSON in"),
+    ("no-model", "no model: provide --preset"),
+])
+def test_missing_or_broken_input_exits_2(tmp_path, caplog, monkeypatch, case,
+                                         message):
+    """A config or model file that does not exist or is not JSON, and a run
+    with no model at all, exit 2 before any solve."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli.ham, "velocity_of_model", refuse)
+    absent, broken = tmp_path / "absent.json", tmp_path / "broken.json"
+    broken.write_text('{"kind": "continuous",')
+    if case.startswith("model-file"):
+        model_file = absent if case == "model-file-absent" else broken
+        config = ["--config", write_config(tmp_path,
+                                           {"model_file": str(model_file)})]
+    else:
+        config = {"config-absent": ["--config", str(absent)],
+                  "config-not-json": ["--config", str(broken)],
+                  "no-model": []}[case]
+    out = tmp_path / "out"
+    assert main(["velocity", *config, "--out", str(out)]) == 2
+    assert message in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,blocks,missing", [
+    ("sweep", {}, "sweep"),
+    ("legendre", {"sweep": {"p_min": -1.0, "p_max": 1.0, "count": 5}},
+     "legendre"),
+    ("legendre", {"legendre": {"v_min": -1.0, "v_max": 1.0, "count": 5}},
+     "sweep"),
+    ("simulate", {}, "simulate"),
+], ids=["sweep", "legendre-without-legendre", "legendre-without-sweep",
+        "simulate"])
+def test_missing_block_exits_2(tmp_path, caplog, monkeypatch, command,
+                               blocks, missing):
+    """Every block a command needs is reported missing in one wording,
+    before any solve or stream."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(simulator, "_stream", refuse)
+    monkeypatch.setattr(cli.ham, "sweep", refuse)
+    out = tmp_path / "out"
+    assert main([command, "--preset", "discrete_asymmetric", "--config",
+                 write_config(tmp_path, blocks), "--out", str(out)]) == 2
+    assert f'config is missing the "{missing}" block' in caplog.text
+    assert not any(out.iterdir())
+
+
+def test_solver_error_in_a_command_exits_3(tmp_path, caplog):
+    """An exception a solver raises inside a command is a numerical
+    failure, exit 3: N = 8 cannot resolve the drift of slope -10."""
+    cfg = {"model": model_to_dict(get_preset("constant_drift")),
+           "velocity": {"N": 8}}
+    cfg["model"]["potentials"][0]["slope"] = [-10.0]
+    out = tmp_path / "out"
+    assert main(["velocity", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 3
+    assert "numerical failure: PecletError" in caplog.text
+    assert not any(out.iterdir())
+
+
 def malformed_model(case: str) -> dict:
     """A model description that names one defect `case`."""
     model = model_to_dict(get_preset("two_state_flashing"))

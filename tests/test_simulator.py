@@ -17,6 +17,8 @@ from effham.simulator import (batch_continuous, batch_discrete,
                               concentration_experiment, simulate_continuous,
                               simulate_discrete)
 
+from conftest import two_dim_model
+
 
 def const_field(c):
     return PeriodicScalarField(dim=1, fourier_coeffs=(((0,), float(c), 0.0),))
@@ -525,4 +527,24 @@ def test_zero_paths_rejected(run):
     """An empty path set is rejected where its streams are keyed, before any
     solve or step (it once gave NaN rows, or a stray trajectory error)."""
     with pytest.raises(ValueError, match="at least one path"):
+        run()
+
+
+@pytest.mark.parametrize("run,error,match", [
+    (lambda: simulate_continuous(two_state_flashing(), 0.1, -1.0),
+     ValueError, r"horizons \[-10\.0\] .* must be positive"),
+    (lambda: simulate_continuous(two_state_flashing(), 0.1, 0.5, i0=2),
+     ValueError, "initial state 2 out of range"),
+    (lambda: simulate_discrete(discrete_two_state(), 16, 0.5, i0=2),
+     ValueError, "initial state 2 out of range"),
+    (lambda: simulate_continuous(two_dim_model(), 0.1, 0.5),
+     NotImplementedError, "d = 1"),
+    (lambda: simulator.experiment_scales(two_state_flashing(), []),
+     ValueError, "need at least one scale"),
+], ids=["negative-horizon", "continuous-i0", "discrete-i0", "two-dim",
+        "no-scales"])
+def test_run_arguments_are_checked(run, error, match):
+    """A run's horizon, initial state, dimension and scales are checked
+    before any step."""
+    with pytest.raises(error, match=match):
         run()

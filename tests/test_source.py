@@ -160,6 +160,38 @@ def test_switching_rate_rule_has_one_home():
         "chains.py:switching_measures"], calls
 
 
+def test_cli_reads_each_solver_setting_once():
+    """In cli.py, `_solver` alone reads a solver block's "regime", "tol"
+    and "gamma" ("gamma" is also a key of the simulator's own block), the
+    model is validated only by `_require_valid` (for `_solver` and
+    `cmd_simulate`) and `cmd_validate`, and `ham.sweep` runs only in
+    `_run_sweep` and `cmd_check`, so no command parses its settings or
+    validates the model a second time."""
+    path = Path(effham.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    owner = {id(node): func.name for func in ast.walk(tree)
+             if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+    keys = [(node.value, owner[id(node)]) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and id(node) in owner
+            and node.value in ("regime", "tol", "gamma")]
+    assert {key for key, func in keys if func == "_solver"} == {
+        "regime", "tol", "gamma"}
+    assert all(func == "_solver" or (key, func) == ("gamma", "cmd_simulate")
+               for key, func in keys), keys
+    calls = {"validate": [], "_require_valid": [], "sweep": []}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            module = getattr(getattr(func, "value", None), "id", None)
+            name = getattr(func, "id", None) or (
+                getattr(func, "attr", None) if module == "ham" else None)
+            if name in calls:
+                calls[name].append(owner.get(id(node)))
+    assert sorted(calls["validate"]) == ["_require_valid", "cmd_validate"], calls
+    assert sorted(calls["_require_valid"]) == ["_solver", "cmd_simulate"], calls
+    assert sorted(calls["sweep"]) == ["_run_sweep", "cmd_check"], calls
+
+
 def test_simulator_builds_trajectories_only_from_records():
     """A run keeps end positions only; `Trajectory` objects are built at one
     call site, in `_Records`, so an endpoint-only path cannot quietly grow a
