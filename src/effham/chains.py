@@ -9,7 +9,7 @@ Every stationary measure comes from one kernel, `stationary_measures`, which
 takes the rates at many points stacked as (n, J, J) and returns all n laws
 from one stacked solve, with a mask of the points whose chain is irreducible
 and whose solve passes the positivity and residual test.  The regime-II
-assembly, the coercivity bounds and `validate` all call it on whole lattices;
+weight builders (once per build) and `validate` call it on whole lattices;
 `stationary_measure`, `generator_at`, `averaged_drift` and
 `averaged_hop_rates` are its one-point cases.  The switching-rate rule has
 one home, `_switching_findings`, which `validate` and the builders call.
@@ -162,28 +162,6 @@ def _raise_negative(R: np.ndarray, label, sampled: bool) -> None:
             raise ValueError(f"{detail} at {location}")
 
 
-def switching_measures(rates: SwitchingRateMatrix, points) -> np.ndarray:
-    """(n, J) stationary laws of the switching chain at an (n, d) array of
-    points.  Raises ValueError for a negative rate (`_switching_findings`)
-    and ReducibleChainError at the first point without a unique law."""
-    pts = np.asarray(points, dtype=float).reshape(len(points), -1)
-    R = rates.values(pts)
-    _raise_negative(R, lambda k: point_label(pts[k]), sampled=True)
-    return _measures_or_raise(R, lambda k: point_label(pts[k]))
-
-
-def hop_averages(model: DiscreteModel, sites=None) -> tuple:
-    """Stationary-average hop rates (rbar_plus, rbar_minus) at every site
-    (or at the listed `sites`), one array each.  Raises like
-    `switching_measures`."""
-    sites = np.arange(model.ell) if sites is None else np.asarray(sites)
-    R = np.moveaxis(model.switching[:, :, sites], -1, 0)
-    _raise_negative(R, lambda k: f"k={sites[k]}", sampled=False)
-    mu = _measures_or_raise(R, lambda k: f"site k={sites[k]}")
-    return (state_average(mu, model.hop_rates_plus[:, sites]),
-            state_average(mu, model.hop_rates_minus[:, sites]))
-
-
 # ---------------------------------------------------------------------------
 # one-point cases of the kernel
 # ---------------------------------------------------------------------------
@@ -207,14 +185,19 @@ def stationary_measure(Q: np.ndarray) -> np.ndarray:
 def averaged_drift(model: ContinuousModel, y) -> np.ndarray:
     """Stationary-average drift Fbar(y) = sum_i mu_y(i) grad psi^i(y)."""
     pts = np.atleast_1d(np.asarray(y, dtype=float))[None]
-    mu = switching_measures(model.rates, pts)
+    R = model.rates.values(pts)
+    _raise_negative(R, lambda _: point_label(pts[0]), sampled=True)
+    mu = _measures_or_raise(R, lambda _: point_label(pts[0]))
     return state_average(mu, [psi.gradients(pts) for psi in model.potentials])[0]
 
 
 def averaged_hop_rates(model: DiscreteModel, k: int) -> tuple:
     """Stationary-average hop rates (rbar_plus(k), rbar_minus(k)), both > 0."""
-    rp, rm = hop_averages(model, [k])
-    return float(rp[0]), float(rm[0])
+    R = model.switching[None, :, :, k]
+    _raise_negative(R, lambda _: f"k={k}", sampled=False)
+    mu = _measures_or_raise(R, lambda _: f"site k={k}")
+    return tuple(float(state_average(mu, rates[:, [k]])[0])
+                 for rates in (model.hop_rates_plus, model.hop_rates_minus))
 
 
 def detailed_balance_report(model: ContinuousModel,

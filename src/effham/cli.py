@@ -360,7 +360,11 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         model = resolve_model(cfg, args.preset)
         outdir = Path(args.out or _text(cfg, "out") or ".")
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:   # a file in the way
+            raise ConfigError(f"cannot create output directory {outdir}: "
+                              f"{exc.strerror or exc}") from exc
     except (ConfigError, ModelFormatError) as exc:
         log.error("%s", exc)
         return EXIT_INVALID

@@ -50,7 +50,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .chains import (_measures_or_raise, _switching_findings, point_label,
-                     state_average, switching_measures)
+                     state_average)
 from .fields import grid_points
 from .model import ContinuousModel, DiscreteModel, Model, solve_regime
 
@@ -342,26 +342,33 @@ def _continuous(model: ContinuousModel, N: int, gamma: float,
                 regime: str) -> TiltedGenerator:
     """Hop weights exp(-2 * half-step increment) / (2 h^2) of each state;
     regime II averages the increments y -> y +- h/2 against the switching
-    laws at their quarter points y +- h/4 before exponentiating."""
+    laws at their quarter points y +- h/4 before exponentiating.  The rates
+    are read, checked and (regime II) solved for their laws once, on the
+    grid stacked with its quarter points y + h/4 and y + 3h/4 per axis."""
     if N < 3:
         raise ValueError("continuous assembly needs N >= 3")
-    dim, h, rates = model.dim, model.period / N, model.rates
+    dim, h = model.dim, model.period / N
     pts = grid_points(dim, N, model.period)
+    unit = np.eye(dim)
+    stack = pts if regime == "I" else np.concatenate(
+        [pts] + [pts + q * h * unit[a] for a in range(dim) for q in (0.25, 0.75)])
     drift = np.stack([psi.gradients(pts) for psi in model.potentials])  # (J, n, d)
-    R = rates.values(pts)
-    _check_rates(f"continuous_{regime}", R, lambda k: point_label(pts[k]),
+    R = model.rates.values(stack)
+    _check_rates(f"continuous_{regime}", R, lambda k: point_label(stack[k]),
                  sampled=True)
     if regime == "I":
         switching = gamma * np.moveaxis(R, 0, -1)
     else:
-        mu = _measures_or_raise(R, lambda k: point_label(pts[k]))  # checked
-        drift = state_average(mu, drift)[None]
+        # rates checked above; laws[0] on the grid, laws[1 + 2a] and
+        # laws[2 + 2a] at its quarter points along axis a
+        laws = _measures_or_raise(R, lambda k: point_label(stack[k]))
+        laws = laws.reshape(1 + 2 * dim, len(pts), -1)
+        drift = state_average(laws[0], drift)[None]
         switching = None
     fac = 1.0 / (2.0 * h * h)
     _, downs = _neighbor_tables(N, dim)
     vals = np.stack([psi.periodic_values(pts) for psi in model.potentials])
     slopes = np.stack([psi.slope for psi in model.potentials])        # (J, d)
-    unit = np.eye(dim)
     up = np.empty((len(drift), dim, N ** dim))   # J rows, or one averaged
     down = np.empty_like(up)
     for a in range(dim):
@@ -374,10 +381,8 @@ def _continuous(model: ContinuousModel, N: int, gamma: float,
         inc_down = (mids[:, downs[a]] - vals) - tilt
         if regime == "II":
             # y - h/4 is the 3/4 point of the step up from y - h
-            inc_up = state_average(switching_measures(
-                rates, pts + 0.25 * h * unit[a]), inc_up)
-            inc_down = state_average(switching_measures(
-                rates, pts + 0.75 * h * unit[a])[downs[a]], inc_down)
+            inc_up = state_average(laws[1 + 2 * a], inc_up)
+            inc_down = state_average(laws[2 + 2 * a][downs[a]], inc_down)
         up[:, a] = fac * np.exp(-2.0 * inc_up)
         down[:, a] = fac * np.exp(-2.0 * inc_down)
     return TiltedGenerator(f"continuous_{regime}", up, down, switching, N,

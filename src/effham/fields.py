@@ -83,9 +83,6 @@ class PeriodicScalarField:
     def value(self, y) -> float:
         return float(self._values(self._point(y))[0])
 
-    def gradient(self, y) -> np.ndarray:
-        return self._gradients(self._point(y))[0]
-
     # -- vectorized grid evaluation ---------------------------------------------
 
     def values(self, points: np.ndarray) -> np.ndarray:

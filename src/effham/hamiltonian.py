@@ -19,7 +19,6 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .chains import hop_averages
 from .eigensolver import (EigenCertificate, _bracketed_start, _shifted_solve,
                           cell_operator, principal_eigenpair)
 from .fields import grid_points, sampling_resolution
@@ -418,8 +417,10 @@ def coercivity_check(table: HamiltonianTable, model: Model) -> CoercivityResult:
     Continuous: H(p) >= |p|^2/4 - sup |grad psi|^2 (the averaged drift of the
     fast-switching regime is a convex combination of the same gradients, so
     the bound covers both regimes).  Discrete: H(p) >= min over (site, state)
-    of [r_+ (e^p - 1) + r_- (e^{-p} - 1)]; switching drops out because at the
-    minimum of any test vector the exchange terms are nonnegative.
+    of [r_+ (e^p - 1) + r_- (e^{-p} - 1)], with the hop rates of the cell
+    operator (in regime II the averaged ones, one state); switching drops out
+    because at the minimum of any test vector the exchange terms are
+    nonnegative.
     """
     p, H = table.p_grid, table.values
     regime = solve_regime(model, table.provenance.get("regime"))
@@ -430,11 +431,8 @@ def coercivity_check(table: HamiltonianTable, model: Model) -> CoercivityResult:
                         for psi in model.potentials)
         bound = 0.25 * p ** 2 - sup_grad2
     elif isinstance(model, DiscreteModel):
-        if regime == "II":
-            rp, rm = hop_averages(model)
-        else:
-            rp = model.hop_rates_plus.ravel()
-            rm = model.hop_rates_minus.ravel()
+        op = cell_operator(model, regime)
+        rp, rm = op.up.ravel(), op.down.ravel()
         bound = np.array([np.min(rp * (math.exp(pk) - 1.0)
                                  + rm * (math.exp(-pk) - 1.0)) for pk in p])
     else:

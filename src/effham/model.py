@@ -78,9 +78,6 @@ class SwitchingRateMatrix:
                 [0.0 if f is None else f.roundoff for f in fields],
                 (self.J, self.J))))
 
-    def rate(self, i: int, j: int, y) -> float:
-        return float(self.rates_at(y)[i, j])
-
     def rates_at(self, y) -> np.ndarray:
         """Full J x J rate matrix at a point (diagonal zero): one row of
         `values`."""

@@ -16,7 +16,7 @@ from effham.model import (ContinuousModel, DiscreteModel, SwitchingRateMatrix,
 from effham.presets import get_preset
 
 from conftest import detailed_balance_model, random_continuous_model, \
-    random_discrete_model
+    random_discrete_model, two_dim_model
 
 
 def const_field(c):
@@ -165,7 +165,7 @@ def test_averaged_drift_equal_potentials(rng):
     m = ContinuousModel(dim=1, J=2, potentials=(psi, psi),
                         rates=two_state_rates(1.3, 0.4))
     y = [0.37]
-    np.testing.assert_allclose(averaged_drift(m, y), psi.gradient(y), atol=1e-14)
+    np.testing.assert_allclose(averaged_drift(m, y), psi.gradients([y])[0], atol=1e-14)
 
 
 def test_averaged_drift_two_state_slopes():
@@ -181,7 +181,7 @@ def test_averaged_drift_j1(rng):
     m = random_continuous_model(rng, J=1)
     y = [0.81]
     np.testing.assert_allclose(averaged_drift(m, y),
-                               m.potentials[0].gradient(y), atol=1e-14)
+                               m.potentials[0].gradients([y])[0], atol=1e-14)
 
 
 def test_averaged_drift_linear_in_potentials(rng):
@@ -339,18 +339,35 @@ def count_solves(monkeypatch):
 
 
 def test_regime2_builds_solve_whole_lattices(rng, monkeypatch):
-    """A regime-II build solves each lattice of points in one stacked call:
-    the grid and two quarter-point lattices per axis (continuous), or all
+    """A regime-II build solves all its laws in one stacked call: the grid
+    stacked with two quarter-point lattices per axis (continuous), or all
     sites at once (discrete)."""
     cont = random_continuous_model(rng, J=3, regime="II")
     disc = random_discrete_model(rng, ell=256, J=3, regime="II")
     calls = count_solves(monkeypatch)
     cell_operator(cont, "II", N=64)
-    assert len(calls) <= 1 + 2 * cont.dim
-    assert all(shape == (64, 3, 3) for shape in calls)
+    assert calls == [(64 * (1 + 2 * cont.dim), 3, 3)]
     del calls[:]
     cell_operator(disc, "II")
     assert calls == [(256, 3, 3)]
+
+
+@pytest.mark.parametrize("case", ["d1-J3", "d2-J2"])
+def test_regime2_build_reads_its_rates_once(rng, monkeypatch, case):
+    """A regime-II continuous build evaluates the switching rates in one
+    call, on the grid stacked with its quarter points."""
+    model = (random_continuous_model(rng, J=3, regime="II") if case == "d1-J3"
+             else two_dim_model())
+    calls = []
+    values = SwitchingRateMatrix.values
+
+    def counted(self, points):
+        calls.append(len(points))
+        return values(self, points)
+
+    monkeypatch.setattr(SwitchingRateMatrix, "values", counted)
+    cell_operator(model, "II", N=12)
+    assert calls == [12 ** model.dim * (1 + 2 * model.dim)]
 
 
 def test_regime2_weights_match_a_per_point_reference(rng):
@@ -368,7 +385,7 @@ def test_regime2_weights_match_a_per_point_reference(rng):
     op = cell_operator(cont, "II", N=32)
     for k, y in enumerate(np.arange(32) / 32):
         mu = null_space_measure(generator_at(cont.rates, [y]))
-        drift = mu @ [psi.gradient([y])[0] for psi in cont.potentials]
+        drift = mu @ [psi.gradients([y])[0, 0] for psi in cont.potentials]
         assert op.drift[0, k, 0] == pytest.approx(drift, rel=1e-12, abs=1e-13)
 
 
@@ -381,7 +398,7 @@ def test_vanishing_rates_are_zero_whatever_their_roundoff(N):
     model = get_preset("two_state_flashing")
     R = model.rates.values(np.array([[0.125], [0.5]]))
     assert R[0, 0, 1] == 0.0 and R[1, 1, 0] == 0.0
-    assert model.rates.rate(1, 0, [0.5]) == 0.0
+    assert model.rates.rates_at([0.5])[1, 0] == 0.0
     with pytest.raises(ReducibleChainError):
         cell_operator(model, "II", N=N)
     assert validate(model, "II") != []

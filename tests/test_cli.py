@@ -437,6 +437,24 @@ def test_missing_or_broken_input_exits_2(tmp_path, caplog, monkeypatch, case,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_out_at_a_file_exits_2(tmp_path, caplog, monkeypatch, below):
+    """An `--out` that names an existing file, or a path below one, is a
+    config error, logged without a traceback, before any solve."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli.ham, "velocity_of_model", refuse)
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    out = afile / "sub" if below else afile
+    assert main(["velocity", "--preset", "constant_drift",
+                 "--out", str(out)]) == 2
+    assert f"cannot create output directory {out}: " in caplog.text
+    assert "Traceback" not in caplog.text
+    assert afile.read_text() == "kept"
+
+
 @pytest.mark.parametrize("command,blocks,missing", [
     ("sweep", {}, "sweep"),
     ("legendre", {"sweep": {"p_min": -1.0, "p_max": 1.0, "count": 5}},

@@ -233,11 +233,11 @@ def test_builders_reject_what_validate_rejects(rng, regime, J, rate):
 
 
 def test_regime2_build_checks_its_quarter_points():
-    """A regime-II continuous build reads its rates on the grid, where the
-    builder checks them, and at the points y + h/4 and y + 3h/4, where
-    `switching_measures` does.  r12 = 1 + 2 cos(16 pi y) is 3 on the N = 4
-    grid and -1 at its quarter points; on the N = 16 grid it is -1 at every
-    other point."""
+    """A regime-II continuous build reads its rates on the grid and at the
+    points y + h/4 and y + 3h/4, and checks them all at once.
+    r12 = 1 + 2 cos(16 pi y) is 3 on the N = 4 grid and -1 at its quarter
+    points, first at y = 1/16; on the N = 16 grid it is -1 at every other
+    point."""
     flat = PeriodicScalarField(dim=1)
     one = PeriodicScalarField(dim=1, fourier_coeffs=(((0,), 1.0, 0.0),))
     dip = PeriodicScalarField(dim=1, fourier_coeffs=(((0,), 1.0, 0.0),
@@ -246,7 +246,8 @@ def test_regime2_build_checks_its_quarter_points():
                         rates=SwitchingRateMatrix(J=2, entries=((None, dip),
                                                                 (one, None))))
     with pytest.raises(ValueError, match=(
-            r"^negative switching rate -1\.000e\+00 at r\[1\]\[2\], y=")):
+            r"^assemble_continuous_II: negative switching rate -1\.000e\+00 "
+            r"at r\[1\]\[2\], y=\(0\.0625\)")):
         cell_operator(m, N=4)
     with pytest.raises(ValueError, match=(
             r"^assemble_continuous_II: negative switching rate -1\.000e\+00 "
@@ -382,14 +383,14 @@ def central_difference_I(model, p, N):
         psi = model.potentials[i]
         for k in range(N):
             row = i * N + k
-            g = psi.gradient([ys[k]])[0]
+            g = psi.gradients([ys[k]])[0, 0]
             b = p - g
             M[row, i * N + (k + 1) % N] += 0.5 / h ** 2 + b / (2 * h)
             M[row, i * N + (k - 1) % N] += 0.5 / h ** 2 - b / (2 * h)
             M[row, row] += -1.0 / h ** 2 + 0.5 * p * p - p * g
             for j in range(J):
                 if j != i:
-                    r = model.rates.rate(i, j, [ys[k]])
+                    r = model.rates.rates_at([ys[k]])[i, j]
                     M[row, j * N + k] += r
                     M[row, row] -= r
     return M

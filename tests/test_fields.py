@@ -25,19 +25,19 @@ def fd_gradient(field, y, h):
 def test_zero_field():
     f = PeriodicScalarField(dim=1)
     assert f.value([0.37]) == 0.0
-    assert f.gradient([0.37]) == pytest.approx([0.0])
+    assert f.gradients([0.37])[0] == pytest.approx([0.0])
 
 
 def test_cosine_at_origin():
     f = PeriodicScalarField(dim=1, fourier_coeffs=(((1,), 1.0, 0.0),))
     assert f.value([0.0]) == pytest.approx(1.0)
-    assert f.gradient([0.0]) == pytest.approx([0.0], abs=1e-14)
+    assert f.gradients([0.0])[0] == pytest.approx([0.0], abs=1e-14)
 
 
 def test_cosine_gradient_matches_central_difference():
     f = PeriodicScalarField(dim=1, fourier_coeffs=(((1,), 1.0, 0.0),))
     y = [0.3]
-    assert f.gradient(y)[0] == pytest.approx(fd_gradient(f, y, 1e-5)[0], abs=1e-8)
+    assert f.gradients([y])[0, 0] == pytest.approx(fd_gradient(f, y, 1e-5)[0], abs=1e-8)
 
 
 def test_periodicity():
@@ -50,7 +50,7 @@ def test_affine_part_breaks_periodicity_but_not_gradient():
     f = PeriodicScalarField(dim=1, fourier_coeffs=(((1,), 0.4, 0.0),),
                             affine_slope=(2.0,))
     assert f.value([1.2]) - f.value([0.2]) == pytest.approx(2.0, abs=1e-12)
-    assert f.gradient([0.2])[0] == pytest.approx(f.gradient([1.2])[0], abs=1e-12)
+    assert f.gradients([0.2])[0, 0] == pytest.approx(f.gradients([1.2])[0, 0], abs=1e-12)
 
 
 def test_second_order_fd_ratio():
@@ -58,7 +58,7 @@ def test_second_order_fd_ratio():
     f = PeriodicScalarField(dim=1, fourier_coeffs=(((1,), 0.7, 0.3), ((2,), -0.2, 0.4)),
                             affine_slope=(0.5,))
     y = [0.234]
-    exact = f.gradient(y)[0]
+    exact = f.gradients([y])[0, 0]
     errs = {h: abs(fd_gradient(f, y, h)[0] - exact) for h in (1e-3, 1e-4)}
     ratio = errs[1e-3] / errs[1e-4]
     assert 50 < ratio < 200
@@ -68,7 +68,7 @@ def test_dim2_gradient():
     f = PeriodicScalarField(dim=2, fourier_coeffs=(((1, 0), 0.5, 0.0),
                                                    ((1, 2), 0.2, -0.3)))
     y = [0.21, 0.64]
-    np.testing.assert_allclose(f.gradient(y), fd_gradient(f, y, 1e-5), atol=1e-8)
+    np.testing.assert_allclose(f.gradients([y])[0], fd_gradient(f, y, 1e-5), atol=1e-8)
 
 
 def test_dimension_mismatch_raises():
@@ -85,7 +85,7 @@ def test_vectorized_matches_scalar(rng):
     np.testing.assert_allclose(f.values(pts),
                                [f.value(p) for p in pts], atol=1e-14)
     np.testing.assert_allclose(f.gradients(pts),
-                               [f.gradient(p) for p in pts], atol=1e-12)
+                               [f.gradients([p])[0] for p in pts], atol=1e-12)
 
 
 def test_point_arrays_of_the_wrong_shape_raise():
@@ -111,7 +111,7 @@ def test_gradient_property(coeff_pairs, y):
     modes = tuple(((k + 1,), a, b) for k, (a, b) in enumerate(coeff_pairs))
     f = PeriodicScalarField(dim=1, fourier_coeffs=modes)
     scale = 1.0 + sum(abs(a) + abs(b) for a, b in coeff_pairs)
-    assert f.gradient([y])[0] == pytest.approx(fd_gradient(f, [y], 1e-6)[0],
+    assert f.gradients([y])[0, 0] == pytest.approx(fd_gradient(f, [y], 1e-6)[0],
                                                abs=1e-6 * scale)
 
 
@@ -141,7 +141,7 @@ def test_batch_size_does_not_change_a_point(modes):
                                 affine_slope=tuple(rng.normal(size=dim)))
         pts = rng.uniform(-1.0, 2.0, size=(4097, dim))
         one_values = np.array([f.value(y) for y in pts])
-        one_grads = np.array([f.gradient(y) for y in pts])
+        one_grads = np.array([f.gradients([y])[0] for y in pts])
         for n in [*range(1, 130), *range(130, 4097, 131), 4096, 4097]:
             np.testing.assert_array_equal(f.values(pts[:n]), one_values[:n])
             np.testing.assert_array_equal(f.gradients(pts[:n]), one_grads[:n])

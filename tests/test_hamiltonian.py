@@ -510,6 +510,22 @@ def test_coercivity_random_models(rng):
     assert coercivity_check(table, c).passed
 
 
+def test_coercivity_discrete_regime2_reads_the_averaged_rates(rng):
+    """The discrete regime-II bound uses the averaged hop rates of the cell
+    operator: its margin equals, bit for bit, one built from
+    `averaged_hop_rates` at every site."""
+    m = random_discrete_model(rng, ell=8, J=3, regime="II")
+    table = sweep(m, -2.0, 2.0, 9)
+    rp, rm = np.array([chains.averaged_hop_rates(m, k)
+                       for k in range(m.ell)]).T
+    bound = np.array([np.min(rp * (math.exp(pk) - 1.0)
+                             + rm * (math.exp(-pk) - 1.0))
+                      for pk in table.p_grid])
+    result = coercivity_check(table, m)
+    assert result.passed
+    assert result.min_margin == float(np.min(table.values - bound))
+
+
 def regime_table(regime) -> HamiltonianTable:
     p = np.array([-1.0, 0.0, 1.0])
     return HamiltonianTable(p, p ** 2, (None,) * 3,

@@ -72,7 +72,7 @@ def test_rates_at_equals_each_field_and_checks_the_point(rng):
         for i, j in np.ndindex(3, 3):
             entry = model.rates.entries[i][j]
             assert R[i, j] == (0.0 if i == j else entry.value([y]))
-            assert model.rates.rate(i, j, [y]) == R[i, j]
+            assert model.rates.rates_at([y])[i, j] == R[i, j]
     with pytest.raises(ValueError, match="dim"):
         model.rates.rates_at([0.1, 0.2])
 
@@ -126,8 +126,8 @@ def test_json_roundtrip_values_match(rng):
                 m.potentials[i].value([y]), abs=1e-15)
             for j in range(2):
                 if i != j:
-                    assert clone.rates.rate(i, j, [y]) == pytest.approx(
-                        m.rates.rate(i, j, [y]), abs=1e-15)
+                    assert clone.rates.rates_at([y])[i, j] == pytest.approx(
+                        m.rates.rates_at([y])[i, j], abs=1e-15)
 
 
 def test_unknown_keys_rejected():

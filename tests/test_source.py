@@ -156,8 +156,37 @@ def test_switching_rate_rule_has_one_home():
     assert sorted(calls["_check_rates"]) == [
         "eigensolver.py:_continuous", "eigensolver.py:_discrete"], calls
     assert sorted(calls["_raise_negative"]) == [
-        "chains.py:generator_at", "chains.py:hop_averages",
-        "chains.py:switching_measures"], calls
+        "chains.py:averaged_drift", "chains.py:averaged_hop_rates",
+        "chains.py:generator_at"], calls
+
+
+def test_switching_laws_are_averaged_only_by_the_weight_builders():
+    """Outside chains.py only the weight builders `eigensolver._continuous`
+    and `eigensolver._discrete` solve for switching laws
+    (`_measures_or_raise`) or average against them (`state_average`), and
+    each solves at most once, so a second averaging path cannot come back."""
+    builders = ("eigensolver.py:_continuous", "eigensolver.py:_discrete")
+    solves, found = [], []
+    for path in sorted(Path(effham.__file__).parent.glob("*.py")):
+        if path.name == "chains.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = {id(node): func.name for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = (getattr(node.func, "id", None)
+                    or getattr(node.func, "attr", ""))
+            site = f"{path.name}:{owner.get(id(node))}"
+            if name not in ("_measures_or_raise", "state_average"):
+                continue
+            if site not in builders:
+                found.append(f"{site} {name}")
+            elif name == "_measures_or_raise":
+                solves.append(site)
+    assert not found, found
+    assert len(solves) == len(set(solves)), solves
 
 
 def test_cli_reads_each_solver_setting_once():
