@@ -37,7 +37,8 @@ the sandwich: a solution of either sign moves one end of it past the
 middle, and a singular or mixed-sign step is retried above the sandwich.
 The solver works on the slice blocks: products slice by slice, and inverse
 steps by block cyclic reduction, which costs O(n b^2) for blocks of size b
-instead of a dense O(n^3) LU; it ends at one dense LU of at most 64
+instead of a dense O(n^3) LU; slices of one unknown (b = 1) reduce as plain
+vectors with the same arithmetic, and it ends at one dense LU of at most 64
 unknowns.
 """
 
@@ -431,15 +432,16 @@ def _block_solve(D: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 
 def _dense(C: np.ndarray) -> np.ndarray:
-    """Coupling blocks (m, b, b); diagonal couplings (m, b) are expanded."""
-    return C if C.ndim == 3 else C[..., None] * np.eye(C.shape[-1])
+    """Diagonal couplings (m, b) expanded to blocks (m, b, b); blocks and
+    one-unknown couplings (m,) are returned as they are."""
+    return C[..., None] * np.eye(C.shape[-1]) if C.ndim == 2 else C
 
 
 def _coupled(C: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """C_k X_k for coupling blocks (m, b, b) or diagonal couplings (m, b),
-    the latter as row scalings (the same products: the dropped terms are
-    exact zeros)."""
-    return C[..., None] * X if C.ndim == 2 else C @ X
+    """C_k X_k for coupling blocks (m, b, b), or for diagonal couplings (m, b)
+    and one-unknown couplings (m,) as row scalings (the same products: the
+    dropped terms are exact zeros)."""
+    return C @ X if C.ndim == 3 else C[..., None] * X
 
 
 def _cyclic_solve(D, U, L, f: np.ndarray) -> np.ndarray:
@@ -450,7 +452,12 @@ def _cyclic_solve(D, U, L, f: np.ndarray) -> np.ndarray:
     operator, diagonals (m, b).  The odd slices are eliminated and the kept
     even slices form a periodic block-tridiagonal system of ceil(m/2)
     slices, whose couplings are dense; when m is odd the last kept slice
-    stays coupled to slice 0 directly.  The eliminations do not pivot:
+    stays coupled to slice 0 directly.  Slices of one unknown (b = 1:
+    regime II in 1-D, every single-state model) are reduced as plain
+    vectors, and the levels below them take and return D, U, L, f and x of
+    shape (m,): one stacked divide for the odd slices and vector updates
+    for the kept ones do the arithmetic of (m, 1, 1) blocks, so the
+    solution is the block path's bit for bit.  The eliminations do not pivot:
     Schur complements of a nonsingular M-matrix (a shift above the
     principal eigenvalue) are M-matrices, and below it the caller checks
     the solution's sign and finiteness instead.  The
@@ -460,37 +467,48 @@ def _cyclic_solve(D, U, L, f: np.ndarray) -> np.ndarray:
     dense LU, so a 1-D grid of 256 points takes 2 to 4 reduction levels
     (b = 1 to 3), not 8.
     """
-    m, b = f.shape
+    shape, m = f.shape, len(f)
+    b = f.size // m   # 1 for a vector level
     if m == 1 or m * b <= _DENSE_BASE:
         k = np.arange(m)
         system = np.zeros((m, b, m, b))
-        system[k, :, k] = D
-        system[k, :, (k + 1) % m] += _dense(U)
-        system[k, :, (k - 1) % m] += _dense(L)
+        system[k, :, k] = D.reshape(m, b, b)
+        system[k, :, (k + 1) % m] += _dense(U).reshape(m, b, b)
+        system[k, :, (k - 1) % m] += _dense(L).reshape(m, b, b)
         return np.linalg.solve(system.reshape(m * b, m * b),
-                               f.reshape(m * b)).reshape(m, b)
+                               f.reshape(m * b)).reshape(shape)
     # odd slice j' = 2j+1 lies between kept slices j and j+1 (mod the kept
     # count); with m odd, kept slice 0 has no eliminated slice below it
     n_odd, lo = m // 2, m % 2
-    # X_j = D_{2j+1}^{-1} [L_{2j+1} | U_{2j+1} | f_{2j+1}]
-    X = _block_solve(D[1::2], np.concatenate(
-        [_dense(L[1::2]), _dense(U[1::2]), f[1::2, :, None]], axis=2))
+    # X_j = D_{2j+1}^{-1} [L_{2j+1} | U_{2j+1} | f_{2j+1}], and the columns
+    # of X that multiply x_{j}, x_{j+1} and 1
+    if b == 1:
+        D, U, L, f = (a.reshape(m) for a in (D, U, L, f))
+        X = np.concatenate([L[1::2, None], U[1::2, None], f[1::2, None]],
+                           axis=1) / D[1::2, None]
+        lower, upper, rhs = 0, 1, 2
+    else:
+        X = _block_solve(D[1::2], np.concatenate(
+            [_dense(L[1::2]), _dense(U[1::2]), f[1::2, :, None]], axis=2))
+        lower, upper, rhs = slice(0, b), slice(b, 2 * b), 2 * b
     Y = _coupled(U[::2][:n_odd], X)
     Z = _coupled(L[::2][lo:], np.concatenate([X[-1:], X])[lo:lo + n_odd])
     D2, f2 = D[::2].copy(), f[::2].copy()
-    D2[:n_odd] -= Y[..., :b]
-    D2[lo:] -= Z[..., b:2 * b]
-    U2 = np.concatenate([-Y[..., b:2 * b], _dense(U[::2][n_odd:])])
-    L2 = np.concatenate([_dense(L[:lo]), -Z[..., :b]])
-    f2[:n_odd] -= Y[..., 2 * b]
-    f2[lo:] -= Z[..., 2 * b]
-    kept = _cyclic_solve(D2, U2, L2, f2)
-    x = np.empty_like(f)
+    D2[:n_odd] -= Y[..., lower]
+    D2[lo:] -= Z[..., upper]
+    U2 = np.concatenate([-Y[..., upper], _dense(U[::2][n_odd:])])
+    L2 = np.concatenate([_dense(L[:lo]), -Z[..., lower]])
+    f2[:n_odd] -= Y[..., rhs]
+    f2[lo:] -= Z[..., rhs]
+    kept = _cyclic_solve(D2, U2, L2, f2).reshape(-1, b)
+    # back-substitution by the block path's stacked product, for b = 1 too
+    X = X.reshape(n_odd, b, 2 * b + 1)
+    x = np.empty((m, b))
     x[::2] = kept
     neighbours = np.concatenate([kept, np.concatenate([kept[1:], kept[:1]])],
                                 axis=1)[:n_odd]
     x[1::2] = X[..., 2 * b] - (X[..., :2 * b] @ neighbours[..., None])[..., 0]
-    return x
+    return x.reshape(shape)
 
 
 def _shifted_solve(A, B, C, sigma: float, f: np.ndarray) -> np.ndarray:
@@ -588,9 +606,10 @@ def principal_eigenpair(M, tol: float = 1e-10,
     failed steps when every one of those failed).
 
     An operator is iterated on its slice blocks: products and inverse steps
-    (block cyclic reduction, ending at one dense LU of at most
-    `_DENSE_BASE` = 64 unknowns) never form the whole dense matrix.  A raw
-    matrix is a single slice, iterated with a dense product and a dense LU.
+    (block cyclic reduction, on plain vectors when a slice holds one
+    unknown, ending at one dense LU of at most `_DENSE_BASE` = 64 unknowns)
+    never form the whole dense matrix.  A raw matrix is a single slice,
+    iterated with a dense product and a dense LU.
     `hamiltonian._solve_outward` passes a `_Start` from `_bracketed_start`,
     whose bracket it has already formed to choose the start.
     """

@@ -545,6 +545,8 @@ def _structured_operator(kind, regime, size, gamma, rng):
     powers of two, and unknown counts on both sides of the dense base;
     continuous potentials are gentle enough for N = 3.  No model has one
     slice (ell >= 2, N >= 3), so that one is built by hand."""
+    if kind == "tilted_cosine":
+        return cell_operator(tilted_cosine(1.0, 0.4), N=size).at(0.7)
     if kind == "one_slice":
         block = rng.uniform(0.2, 2.0, size=(1, 3, 3))
         block[0, range(3), range(3)] = -4.0
@@ -578,6 +580,11 @@ STRUCTURED_CASES = (
     + [("discrete", "I", ell, g) for ell in (2, 3, 6) for g in (1.0, 2.5)]
     + [("discrete", "II", ell, 1.0) for ell in (2, 3, 6)]
     + [("discrete_J3", "I", ell, 1.0) for ell in (21, 22)]
+    # one unknown per slice, reduced as vectors: 65, 130 and 257 slices
+    # meet odd slice counts on every vector level, and 101 and 255 end at
+    # the dense base from an odd and from an even level
+    + [("discrete", "II", ell, 1.0) for ell in (65, 130, 257)]
+    + [("tilted_cosine", "I", N, 1.0) for N in (101, 255)]
     + [("dim2", "I", 12, 1.0), ("dim2", "II", 12, 1.0),
        ("one_slice", None, 1, 1.0)])
 
@@ -648,6 +655,15 @@ def test_structured_kernels_match_dense(kind, regime, size, gamma, rng):
         residual = np.max(np.abs(T @ xs - w))
         assert residual <= 1e-12 * np.max(np.sum(np.abs(T), axis=1)) * np.max(np.abs(xs))
 
+    # below the eigenvalue the solution has mixed signs and an unpivoted
+    # elimination may overflow; still the block path's bits
+    shifted = -A
+    shifted[:, range(b), range(b)] += lam - 0.5 * (1.0 + abs(lam))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.testing.assert_array_equal(
+            eigensolver._cyclic_solve(shifted, -B, -C, w[index]),
+            _dense_coupling_cyclic_solve(shifted, U, L, w[index]))
+
     # eigenpairs from blocks and from the dense matrix agree within both brackets
     blocks = principal_eigenpair(op)
     assert dense.cw_lower <= blocks.eigenvalue <= dense.cw_upper
@@ -659,7 +675,9 @@ def test_one_dimensional_inverse_step_ends_at_the_dense_base(regime,
                                                              monkeypatch):
     """An inverse step on a 1-D grid of 256 points runs 3 cyclic-reduction
     levels (blocks of b = 2) or 2 (averaged, b = 1), then one dense LU on
-    64 unknowns, not 8 levels down to a single slice."""
+    64 unknowns, not 8 levels down to a single slice.  Averaged slices of
+    one unknown are reduced as vectors: the levels below the first get
+    (m,) arrays, while blocks stay (m, b)."""
     op = cell_operator(detailed_balance_pair(), regime, N=256).at(0.7)
     sigma = collatz_wielandt_bounds(op, np.ones(op.shape[0]))[1] + 1.0
     real_cyclic, real_solve = eigensolver._cyclic_solve, np.linalg.solve
@@ -681,6 +699,8 @@ def test_one_dimensional_inverse_step_ends_at_the_dense_base(regime,
     assert np.all(x > 0)
     assert len(levels) - 1 == {"I": 3, "II": 2}[regime], levels
     assert solves == [(64, 64)], solves
+    assert levels == {"I": [(256, 2), (128, 2), (64, 2), (32, 2)],
+                      "II": [(256, 1), (128,), (64,)]}[regime], levels
 
 
 def _inverse_steps_with_fault(monkeypatch, fault):

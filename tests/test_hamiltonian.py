@@ -1,5 +1,6 @@
 """Hamiltonian tables, velocity, Legendre transform, path rates, diagnostics."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -262,6 +263,37 @@ def test_chosen_start_is_no_wider_than_the_neighbour(monkeypatch, case):
         assert up - lo <= nb_up - nb_lo
         assert ((table.starts[k] == "neighbour")
                 == np.array_equal(vector, neighbour))
+
+
+def _sweep_digest(table):
+    """sha256 over a sweep's values, CW bounds and iteration counts, dtype
+    included."""
+    digest = hashlib.sha256()
+    certs = table.certificates
+    for column in (table.values, np.array([c.cw_lower for c in certs]),
+                   np.array([c.cw_upper for c in certs]),
+                   np.array([c.iterations for c in certs], dtype=np.int64)):
+        digest.update(column.dtype.str.encode())
+        digest.update(column.tobytes())
+    return digest.hexdigest()
+
+
+def test_regime2_sweep_golden_pin():
+    """Pins a continuous (J = 3, N = 256) and a discrete (ell = 256, J = 3)
+    regime-II sweep: one unknown per slice, so every inverse step runs the
+    vector levels of the cyclic reduction.  Pinned before those levels
+    replaced the (m, 1, 1) block levels, whose arithmetic they repeat bit
+    for bit.  A change of kernel, shift rule or start rule that moves a bit
+    must re-pin on purpose and say why."""
+    rng = np.random.default_rng(4242)
+    cont = random_continuous_model(rng, J=3, regime="II")
+    disc = random_discrete_model(rng, ell=256, J=3, regime="II")
+    tables = [sweep(cont, -2.0, 2.0, 21, N=256, tol=1e-9),
+              sweep(disc, -2.0, 2.0, 21, tol=1e-9)]
+    assert not any(table.failures for table in tables)
+    assert [_sweep_digest(table) for table in tables] == [
+        "05832721c1a3dd6d7379f60ed35ddc6b7459d6ec9dd69d28a5abeb394c26a540",
+        "53d968ffb5cedc6b778a90e7418a3fc11e1ac49b856eff14e84e21d5d5ebafdf"]
 
 
 def test_sweep_records_build_failure_for_every_sample():

@@ -1,6 +1,7 @@
 """Source-level rules for the library package."""
 
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -274,6 +275,20 @@ def test_cyclic_reduction_runs_through_one_shifted_solve():
                                           getattr(node.func, "attr", None))]
     assert sorted(found) == ["eigensolver.py:_cyclic_solve",
                              "eigensolver.py:_shifted_solve"], found
+
+
+def test_cyclic_reduction_path_is_chosen_by_slice_width_alone():
+    """`_cyclic_solve` reduces slices of one unknown as vectors and wider
+    slices as blocks, chosen by the shape of its right-hand side: neither
+    it nor `_shifted_solve`, its only outside caller, takes a flag, keyword
+    or default that could choose a path."""
+    for fn, names in ((eigensolver._cyclic_solve, ["D", "U", "L", "f"]),
+                      (eigensolver._shifted_solve,
+                       ["A", "B", "C", "sigma", "f"])):
+        params = inspect.signature(fn).parameters.values()
+        assert [p.name for p in params] == names, fn.__name__
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty
+                   for p in params), fn.__name__
 
 
 def test_eigensolver_solves_densely_only_in_its_kernels():
