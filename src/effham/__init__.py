@@ -10,7 +10,7 @@ direct Monte Carlo simulation of the process.
 from .fields import PeriodicScalarField, field_from_function
 from .model import (ContinuousModel, DiscreteModel, SwitchingRateMatrix,
                     Violation, load_model, model_from_dict, model_to_dict,
-                    validate)
+                    scaled_switching, validate)
 from .chains import (ReducibleChainError, averaged_drift, averaged_hop_rates,
                      detailed_balance_report, generator_at, stationary_measure)
 from .eigensolver import (AssembledOperator, ConvergenceError, EigenCertificate,

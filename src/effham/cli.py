@@ -20,7 +20,7 @@ import numpy as np
 
 from . import chains, hamiltonian as ham, simulator
 from .model import (REGIMES, ContinuousModel, ModelFormatError, fits_float,
-                    load_model, model_from_dict, validate)
+                    load_model, model_from_dict, scaled_switching, validate)
 from .presets import PRESETS, get_preset
 
 log = logging.getLogger("effham.cli")
@@ -142,26 +142,33 @@ def resolve_model(cfg: dict, preset: Optional[str]):
                       '"model" / "model_file"')
 
 
-def _require_valid(model, regime: Optional[str]) -> None:
+def _require_valid(model, regime: Optional[str], scale: float, where: str):
+    """`model` with its switching `scale` times faster, once it is valid in
+    `regime`; an overflowing scale or an invalid model is a config error."""
+    try:
+        model = scaled_switching(model, scale)
+    except ValueError as exc:
+        raise ConfigError(f'{where}: "gamma" must be small enough for finite '
+                          f"switching rates, got {scale!r} ({exc})") from exc
     report = validate(model, regime)
     if report:
         lines = "\n".join(f"  - {v}" for v in report)
         raise ConfigError(f"model fails validation:\n{lines}")
+    return model
 
 
-def _solver(model, block: dict, where: str) -> dict:
-    """The solver settings of a command block, as keywords of `ham.sweep`
-    and `ham.velocity_of_model`, once the model is valid in their regime."""
+def _solver(model, block: dict, where: str) -> tuple:
+    """The model a command block solves (see `_require_valid`) and its solver
+    settings, as keywords of `ham.sweep` and `ham.velocity_of_model`."""
     regime = block.get("regime")
     if regime is not None and regime not in REGIMES:
         raise ConfigError(f'{where}: "regime" must be one of {list(REGIMES)}, '
                           f"got {regime!r}")
     settings = {"regime": regime,
                 "N": _integer(block, "N", where, 128, at_least=3),
-                "tol": _real(block, "tol", where, 1e-10, positive=True),
-                "gamma": _real(block, "gamma", where, 1.0, positive=True)}
-    _require_valid(model, regime)
-    return settings
+                "tol": _real(block, "tol", where, 1e-10, positive=True)}
+    scale = _real(block, "gamma", where, 1.0, positive=True)
+    return _require_valid(model, regime, scale, where), settings
 
 
 def _write_json(path: Path, obj) -> None:
@@ -192,8 +199,8 @@ def _run_sweep(model, cfg: dict, outdir: Path) -> ham.HamiltonianTable:
     if not p_max > p_min:
         raise ConfigError(f'{where}: "p_max" must be greater than "p_min"')
     count = _integer(block, "count", where, at_least=3)
-    table = ham.sweep(model, p_min, p_max, count,
-                      **_solver(model, block, where))
+    model, solver = _solver(model, block, where)
+    table = ham.sweep(model, p_min, p_max, count, **solver)
     table.to_csv(outdir / "hamiltonian.csv")
     return table
 
@@ -208,7 +215,8 @@ def cmd_sweep(cfg: dict, model, outdir: Path) -> int:
 
 
 def cmd_velocity(cfg: dict, model, outdir: Path) -> int:
-    solver = _solver(model, _block(cfg, "velocity", False), '"velocity" block')
+    model, solver = _solver(model, _block(cfg, "velocity", False),
+                            '"velocity" block')
     v, err = ham.velocity_of_model(model, **solver)
     # floats for a 1-D model, lists for d > 1
     _write_json(outdir / "velocity.json",
@@ -258,27 +266,26 @@ def cmd_simulate(cfg: dict, model, outdir: Path,
         simulator.experiment_scales(model, scales, dt_factor)
     except ValueError as exc:
         raise ConfigError(f'"simulate" block: {exc}') from exc
-    gamma = _real(block, "gamma", where, 1.0, positive=True)
+    scale = _real(block, "gamma", where, 1.0, positive=True)
     predicted_v = (None if block.get("predicted_v") is None
                    else _real(block, "predicted_v", where))
     dump = block.get("dump_trajectories", False)
     if not isinstance(dump, bool):
         raise ConfigError(f'{where}: "dump_trajectories" must be true or '
                           f"false, got {dump!r}")
-    _require_valid(model, None)
+    model = _require_valid(model, None, scale, where)
     report = simulator.concentration_experiment(
         model, scales, T, paths, seed, predicted_v=predicted_v,
-        dt_factor=dt_factor, gamma=gamma, solver_n=solver_n)
+        dt_factor=dt_factor, solver_n=solver_n)
     report.to_csv(outdir / "summary.csv")
     if dump:
         for row in report.rows:
             if isinstance(model, ContinuousModel):
                 tr = simulator.simulate_continuous(
-                    model, row.scale, T, row.scale / dt_factor, seed=seed,
-                    gamma=gamma)
+                    model, row.scale, T, row.scale / dt_factor, seed=seed)
             else:
-                tr = simulator.simulate_discrete(
-                    model, int(row.scale), T, seed=seed, gamma=gamma)
+                tr = simulator.simulate_discrete(model, int(row.scale), T,
+                                                 seed=seed)
             tr.to_csv(outdir / f"trajectory_scale_{row.scale:g}.csv")
     return EXIT_OK
 
@@ -289,8 +296,8 @@ def cmd_check(cfg: dict, model, outdir: Path) -> int:
     p_max = _real(block, "p_max", where, 2.0, positive=True)
     count = _integer(block, "count", where, 21, at_least=3)
     grid = _integer(block, "grid", where, 256, at_least=1)
-    table = ham.sweep(model, -p_max, p_max, count,
-                      **_solver(model, block, where))
+    model, solver = _solver(model, block, where)
+    table = ham.sweep(model, -p_max, p_max, count, **solver)
     if table.failures:
         log.error("sweep failures during check")
         return EXIT_NUMERICAL

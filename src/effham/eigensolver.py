@@ -265,32 +265,23 @@ class TiltedGenerator:
                                  n, J)
 
 
-def cell_operator(model: Model, regime: Optional[str] = None, *, N: int = 128,
-                  gamma: float = 1.0) -> TiltedGenerator:
+def cell_operator(model: Model, regime: Optional[str] = None, *,
+                  N: int = 128) -> TiltedGenerator:
     """The momentum-free cell operator of `model` in `regime` ("I" or "II",
-    None for the model's own; see `model.solve_regime`).
-
-    `gamma` scales the switching rates of regime I; gamma -> infinity is the
-    fast-switching regime II, which has no switching block to scale.
-    """
+    None for the model's own; see `model.solve_regime`).  Regime II, the
+    limit of `model.scaled_switching` as gamma -> infinity, has no switching
+    block."""
     regime = solve_regime(model, regime)
-    if not 0 < gamma < math.inf:
-        raise ValueError(f"gamma = {gamma} must be positive and finite")
     if isinstance(model, ContinuousModel):
-        return _continuous(model, N, gamma, regime)
+        return _continuous(model, N, regime)
     if isinstance(model, DiscreteModel):
-        return _discrete(model, gamma, regime)
+        return _discrete(model, regime)
     raise TypeError(f"not a model: {type(model)!r}")
 
 
-def assemble_discrete_I(model: DiscreteModel, p: float,
-                        gamma: float = 1.0) -> AssembledOperator:
-    """Hop + switching operator on (ell * J) states, hop weights tilted by e^{+-p}.
-
-    `gamma` scales the switching block; gamma -> infinity is the fast-switching
-    regime whose limit is `assemble_discrete_II`.
-    """
-    return cell_operator(model, "I", gamma=gamma).at(p)
+def assemble_discrete_I(model: DiscreteModel, p: float) -> AssembledOperator:
+    """Hop + switching operator on (ell * J) states, hop weights tilted by e^{+-p}."""
+    return cell_operator(model, "I").at(p)
 
 
 def assemble_discrete_II(model: DiscreteModel, p: float) -> AssembledOperator:
@@ -323,14 +314,13 @@ def _check_rates(kind: str, R: np.ndarray, label, sampled: bool) -> None:
         raise ValueError(f"assemble_{kind}: {detail} at {location}")
 
 
-def _discrete(model: DiscreteModel, gamma: float,
-              regime: str) -> TiltedGenerator:
+def _discrete(model: DiscreteModel, regime: str) -> TiltedGenerator:
     """Hop rates of each state; regime II averages them at every site."""
     R = np.moveaxis(model.switching, -1, 0)
     _check_rates(f"discrete_{regime}", R, lambda k: f"k={k}", sampled=False)
     up, down = model.hop_rates_plus, model.hop_rates_minus
     if regime == "I":
-        switching = gamma * model.switching
+        switching = model.switching
     else:
         mu = _measures_or_raise(R, lambda k: f"site k={k}")   # checked
         up, down = state_average(mu, up)[None], state_average(mu, down)[None]
@@ -339,8 +329,7 @@ def _discrete(model: DiscreteModel, gamma: float,
                            switching, model.ell, model.ell, None)
 
 
-def _continuous(model: ContinuousModel, N: int, gamma: float,
-                regime: str) -> TiltedGenerator:
+def _continuous(model: ContinuousModel, N: int, regime: str) -> TiltedGenerator:
     """Hop weights exp(-2 * half-step increment) / (2 h^2) of each state;
     regime II averages the increments y -> y +- h/2 against the switching
     laws at their quarter points y +- h/4 before exponentiating.  The rates
@@ -358,7 +347,7 @@ def _continuous(model: ContinuousModel, N: int, gamma: float,
     _check_rates(f"continuous_{regime}", R, lambda k: point_label(stack[k]),
                  sampled=True)
     if regime == "I":
-        switching = gamma * np.moveaxis(R, 0, -1)
+        switching = np.moveaxis(R, 0, -1)
     else:
         # rates checked above; laws[0] on the grid, laws[1 + 2a] and
         # laws[2 + 2a] at its quarter points along axis a

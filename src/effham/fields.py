@@ -65,15 +65,16 @@ class PeriodicScalarField:
         object.__setattr__(self, "fourier_coeffs", tuple(coeffs))
         object.__setattr__(self, "affine_slope", tuple(slope))
         modes = stack_modes([self])
-        if not (np.all(np.isfinite(modes[-2:])) and np.all(np.isfinite(slope))):
+        with np.errstate(over="ignore"):     # an infinite sum is rejected
+            size = float(np.sum(np.abs(modes[-2])) + np.sum(np.abs(modes[-1])))
+        if not (math.isfinite(size) and np.all(np.isfinite(slope))):
             raise ValueError("Fourier amplitudes and affine slope must be finite")
         for arr in (modes, slope):
             arr.setflags(write=False)
         object.__setattr__(self, "_modes", modes)
         object.__setattr__(self, "_slope", slope)
         object.__setattr__(self, "_tilted", bool(np.any(slope != 0.0)))
-        object.__setattr__(self, "_roundoff", 8.0 * np.finfo(float).eps * float(
-            np.sum(np.abs(modes[-2])) + np.sum(np.abs(modes[-1]))))
+        object.__setattr__(self, "_roundoff", 8.0 * np.finfo(float).eps * size)
 
     # -- evaluation ------------------------------------------------------------
 

@@ -31,10 +31,9 @@ _EXTRAPOLATION_SAMPLES = 5
 
 
 def hamiltonian_at(model: Model, p, regime: Optional[str] = None, *,
-                   N: int = 128, tol: float = 1e-10,
-                   gamma: float = 1.0) -> tuple:
+                   N: int = 128, tol: float = 1e-10) -> tuple:
     """H(p) with its eigen certificate.  Deterministic given (model, p, N, tol)."""
-    op = cell_operator(model, regime, N=N, gamma=gamma)
+    op = cell_operator(model, regime, N=N)
     cert = principal_eigenpair(op.at(p), tol=tol)
     return cert.eigenvalue, cert
 
@@ -163,7 +162,7 @@ def _solve_outward(at, momenta: np.ndarray, origin: int, *,
 
 def sweep(model: Model, p_min: float, p_max: float, count: int,
           regime: Optional[str] = None, *, N: int = 128, tol: float = 1e-10,
-          gamma: float = 1.0, axis: int = 0) -> HamiltonianTable:
+          axis: int = 0) -> HamiltonianTable:
     """Tabulate H over a uniform momentum grid; p = 0 is always included.
 
     The cell operator is built once and every sample tilts it.  The solve
@@ -203,7 +202,7 @@ def sweep(model: Model, p_min: float, p_max: float, count: int,
         return vec
 
     try:
-        op = cell_operator(model, regime, N=N, gamma=gamma)
+        op = cell_operator(model, regime, N=N)
     except Exception as exc:   # recorded against every sample
         certs, starts = [None] * len(grid), ["cold"] * len(grid)
         failures = dict.fromkeys(range(len(grid)), f"{type(exc).__name__}: {exc}")
@@ -216,8 +215,7 @@ def sweep(model: Model, p_min: float, p_max: float, count: int,
     values = np.array([np.nan if c is None else c.eigenvalue for c in certs])
     return HamiltonianTable(grid, values, tuple(certs),
                             provenance={"regime": regime, "N": N, "tol": tol,
-                                        "gamma": gamma, "axis": axis,
-                                        "kind": type(model).__name__},
+                                        "axis": axis, "kind": type(model).__name__},
                             failures=failures, starts=tuple(starts))
 
 
@@ -226,8 +224,7 @@ def sweep(model: Model, p_min: float, p_max: float, count: int,
 # ---------------------------------------------------------------------------
 
 def velocity_of_model(model: Model, regime: Optional[str] = None, *,
-                      N: int = 128, tol: float = 1e-10,
-                      gamma: float = 1.0) -> tuple:
+                      N: int = 128, tol: float = 1e-10) -> tuple:
     """DH(0) from one left eigenvector, with an error estimate.
 
     Only the hop tilts depend on p, so M_a'(0) 1 = f_a = h (up_a - down_a),
@@ -245,7 +242,7 @@ def velocity_of_model(model: Model, regime: Optional[str] = None, *,
     states out) and discrete models start from the all-ones vector.
     """
     regime = solve_regime(model, regime)
-    gen = cell_operator(model, regime, N=N, gamma=gamma)
+    gen = cell_operator(model, regime, N=N)
     dim = gen.up.shape[1]
     op = gen.at(np.zeros(dim))
     start = None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Union
 
 import numpy as np
@@ -187,6 +187,24 @@ def solve_regime(model: Model, regime: Optional[str] = None) -> str:
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
     return regime
+
+
+def scaled_switching(model: Model, gamma: float) -> Model:
+    """`model` with switching rates gamma r_ij (gamma-scaled Fourier
+    amplitudes for a continuous model), gamma times faster than the spatial
+    motion; regime II is the limit gamma -> infinity.  A gamma that is not
+    positive and finite, or takes a rate out of the float range, raises."""
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma = {gamma} must be positive and finite")
+    if isinstance(model, DiscreteModel):
+        with np.errstate(over="ignore"):     # an infinite rate is rejected
+            return replace(model, switching=gamma * model.switching)
+    if isinstance(model, ContinuousModel):
+        return replace(model, rates=SwitchingRateMatrix(J=model.J, entries=[
+            [None if f is None else replace(f, fourier_coeffs=[
+                (k, gamma * a, gamma * b) for k, a, b in f.fourier_coeffs])
+             for f in row] for row in model.rates.entries]))
+    raise TypeError(f"not a model: {type(model)!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ universal cover so displacement and empirical velocity are well defined.
 
 Paths are stepped in scale-free fast variables.  A continuous path at scale
 eps is X_t = eps Y_{t/eps}, where dY = -psi_i'(Y) ds + dW_s switches at
-gamma r_ij(Y): a stepper runs y = x/eps in the fast time s = t/eps with one
-fast step ds = dt/eps (1/dt_factor in an experiment, 1/DT_FACTOR by
-default), drift psi_i'(y) and the thinning bound 1.01 gamma max_i sum_j r_ij.
+r_ij(Y): a stepper runs y = x/eps in the fast time s = t/eps with one fast
+step ds = dt/eps (1/dt_factor in an experiment, 1/DT_FACTOR by default),
+drift psi_i'(y) and the thinning bound 1.01 max_i sum_j r_ij.
 A discrete path at refinement n is the n = 1 walk on sites m, read at
 x = m/n, t = s/n.  So a scale is a horizon of the fast process: T/eps or
 n T.  A stepper takes the increasing horizons of its run and steps one row
@@ -252,24 +252,20 @@ def _lattice_scale(n) -> int:
     return int(n)
 
 
-def _check_run(model: Model, horizons: Sequence[float], gamma: float,
-               i0: int) -> np.ndarray:
+def _check_run(model: Model, horizons: Sequence[float], i0: int) -> np.ndarray:
     """`horizons` as an array, after checking the run's arguments."""
     horizons = np.asarray(horizons, dtype=float)
     if not (horizons.size and 0 < horizons[0] and horizons[-1] < math.inf
             and np.all(np.diff(horizons) > 0)):
         raise ValueError(f"horizons {horizons.tolist()} (T/eps or n T) must "
                          "be positive, finite and increasing")
-    if not 0 < gamma < math.inf:
-        raise ValueError(f"gamma = {gamma} must be positive and finite")
     if not 0 <= i0 < model.J:
         raise ValueError(f"initial state {i0} out of range")
     return horizons
 
 
 def _continuous_paths(model: ContinuousModel, horizons: Sequence[float],
-                      ds: float, streams: _Streams, *, gamma: float = 1.0,
-                      i0: int = 0,
+                      ds: float, streams: _Streams, *, i0: int = 0,
                       records: Optional[_Records] = None) -> np.ndarray:
     """Fast positions y = x/eps (len(horizons), paths) of the paths of
     `streams` at each fast horizon T/eps of `horizons` (increasing), each
@@ -278,14 +274,14 @@ def _continuous_paths(model: ContinuousModel, horizons: Sequence[float],
     `records` collects every path's (s, y, i) records."""
     if model.dim != 1:
         raise NotImplementedError("trajectory sampling is implemented for d = 1")
-    horizons = _check_run(model, horizons, gamma, i0)
+    horizons = _check_run(model, horizons, i0)
     last, ahead = horizons[-1], np.append(horizons, math.inf)
     paths = len(streams.indices)
     normal = _StepDraws(streams, "standard_normal")
     uniform = _Draws(streams, "random")     # thinning: one cursor per path
     # the thinning bound has 1% headroom: the lattice max can sit slightly
     # below the continuum sup
-    lam = 1.01 * gamma * max_total_switching_rate(model)
+    lam = 1.01 * max_total_switching_rate(model)
     potentials = stack_modes(model.potentials)
     slopes = np.array([psi.slope[0] for psi in model.potentials])
 
@@ -330,8 +326,8 @@ def _continuous_paths(model: ContinuousModel, horizons: Sequence[float],
         hit = (s >= candidate).nonzero()[0]
         if hit.size:
             rows = live[hit]
-            cum = (gamma * np.maximum(model.rates.rates_out_of(
-                state[hit], y[hit][None]), 0.0)).cumsum(axis=1)
+            cum = np.maximum(model.rates.rates_out_of(
+                state[hit], y[hit][None]), 0.0).cumsum(axis=1)
             total = cum[:, -1]
             if total.max() > lam * (1 + 1e-12):
                 raise RuntimeError("thinning bound violated; rate field "
@@ -375,16 +371,14 @@ def _continuous_trajectories(model: ContinuousModel, eps: float, T: float,
 
 def simulate_continuous(model: ContinuousModel, eps: float, T: float,
                         dt: Optional[float] = None, seed: int = 0, *,
-                        gamma: float = 1.0, i0: int = 0,
-                        traj_index: int = 0) -> Trajectory:
+                        i0: int = 0, traj_index: int = 0) -> Trajectory:
     """One lifted path of the diffusion with switching, exact jump times.
 
     dt defaults to eps/DT_FACTOR and must satisfy dt <= eps/10 so the fast
     variable x/eps is resolved.
     """
     return _continuous_trajectories(
-        model, eps, T, dt, _Streams(seed, [traj_index]), gamma=gamma,
-        i0=i0)[0]
+        model, eps, T, dt, _Streams(seed, [traj_index]), i0=i0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +386,13 @@ def simulate_continuous(model: ContinuousModel, eps: float, T: float,
 # ---------------------------------------------------------------------------
 
 def _discrete_paths(model: DiscreteModel, horizons: Sequence[float],
-                    streams: _Streams, *, gamma: float = 1.0, i0: int = 0,
+                    streams: _Streams, *, i0: int = 0,
                     records: Optional[_Records] = None) -> np.ndarray:
     """Sites m (len(horizons), paths) of the paths of `streams` at each
     fast horizon n T of `horizons` (increasing), each path run once in the
     fast time s = n t at the event rates of n = 1, one event per row per
     array step.  `records` collects every path's (s, m, i) records."""
-    horizons = _check_run(model, horizons, gamma, i0)
+    horizons = _check_run(model, horizons, i0)
     ahead = np.append(horizons, math.inf)
     paths = len(streams.indices)
     # each running row reads its clock, then its event choice
@@ -408,7 +402,7 @@ def _discrete_paths(model: DiscreteModel, horizons: Sequence[float],
     # cumulative event rates (J, ell, 2 + J): hop up, hop down, switch to j
     cum_rates = np.cumsum(np.concatenate(
         [model.hop_rates_plus[..., None], model.hop_rates_minus[..., None],
-         gamma * np.moveaxis(switching, 1, 2)], axis=2), axis=2)
+         np.moveaxis(switching, 1, 2)], axis=2), axis=2)
     hop = np.r_[1, -1, np.zeros(J, dtype=int)].astype(np.int32)
 
     live = np.arange(paths)     # path numbers of the running rows
@@ -458,11 +452,10 @@ def _discrete_trajectories(model: DiscreteModel, n: int, T: float,
 
 
 def simulate_discrete(model: DiscreteModel, n: int, T: float, seed: int = 0, *,
-                      gamma: float = 1.0, i0: int = 0,
-                      traj_index: int = 0) -> Trajectory:
-    """Exact event-driven path: hop rates n r_+-, switching rates n gamma r_ij."""
+                      i0: int = 0, traj_index: int = 0) -> Trajectory:
+    """Exact event-driven path: hop rates n r_+-, switching rates n r_ij."""
     return _discrete_trajectories(model, n, T, _Streams(seed, [traj_index]),
-                                  gamma=gamma, i0=i0)[0]
+                                  i0=i0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -494,17 +487,15 @@ class TrajectoryBatch:
 
 def batch_continuous(model: ContinuousModel, eps: float, T: float, paths: int,
                      base_seed: int, dt: Optional[float] = None, *,
-                     gamma: float = 1.0, i0: int = 0) -> TrajectoryBatch:
+                     i0: int = 0) -> TrajectoryBatch:
     return TrajectoryBatch.from_trajectories(_continuous_trajectories(
-        model, eps, T, dt, _Streams(base_seed, range(paths)), gamma=gamma,
-        i0=i0))
+        model, eps, T, dt, _Streams(base_seed, range(paths)), i0=i0))
 
 
 def batch_discrete(model: DiscreteModel, n: int, T: float, paths: int,
-                   base_seed: int, *, gamma: float = 1.0,
-                   i0: int = 0) -> TrajectoryBatch:
+                   base_seed: int, *, i0: int = 0) -> TrajectoryBatch:
     return TrajectoryBatch.from_trajectories(_discrete_trajectories(
-        model, n, T, _Streams(base_seed, range(paths)), gamma=gamma, i0=i0))
+        model, n, T, _Streams(base_seed, range(paths)), i0=i0))
 
 
 @dataclass(frozen=True)
@@ -564,7 +555,7 @@ def experiment_scales(model: Model, scales: Sequence[float],
 def concentration_experiment(model: Model, scales: Sequence[float], T: float,
                              paths: int, base_seed: int,
                              predicted_v: Optional[float] = None, *,
-                             dt_factor: float = DT_FACTOR, gamma: float = 1.0,
+                             dt_factor: float = DT_FACTOR,
                              solver_n: int = 128) -> ConcentrationReport:
     """Empirical-velocity concentration against the eigenvalue prediction.
 
@@ -582,14 +573,13 @@ def concentration_experiment(model: Model, scales: Sequence[float], T: float,
     streams = _Streams(base_seed, range(paths))
     if predicted_v is None:
         from .hamiltonian import velocity_of_model
-        predicted_v, _ = velocity_of_model(model, N=solver_n, gamma=gamma)
+        predicted_v, _ = velocity_of_model(model, N=solver_n)
     column = np.array(scales)[:, None]
     if isinstance(model, ContinuousModel):
         x = column * _continuous_paths(model, [T / eps for eps in scales],
-                                       1.0 / dt_factor, streams, gamma=gamma)
+                                       1.0 / dt_factor, streams)
     else:
-        x = _discrete_paths(model, [n * T for n in scales], streams,
-                            gamma=gamma) / column
+        x = _discrete_paths(model, [n * T for n in scales], streams) / column
     rows: List[ScaleResult] = []
     for scale, xs in zip(scales, x):
         mean, sd, se = _velocity_summary(xs / T)

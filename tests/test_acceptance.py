@@ -145,8 +145,8 @@ def test_criterion_5_time_scale_separation(ctx):
     diffs = {}
     for gamma in (10.0, 100.0, 1000.0):
         for p in ps:
-            value, cert = eh.hamiltonian_at(model, p, regime="I", gamma=gamma,
-                                            tol=1e-10)
+            value, cert = eh.hamiltonian_at(eh.scaled_switching(model, gamma),
+                                            p, regime="I", tol=1e-10)
             ctx.add_cert(f"c5:g{gamma:g}[p={p:g}]", cert)
             diffs[(gamma, p)] = abs(value - hbar[p])
     for p in ps:

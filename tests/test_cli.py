@@ -294,6 +294,8 @@ def test_non_integer_config_value_exits_2(tmp_path, caplog, monkeypatch,
           ("simulate", "T", 10**400, "a positive finite number"),
           ("simulate", "scales", [10**400],
            "a non-empty array of finite numbers")]),
+    ("sweep", "gamma", 1e308, "small enough for finite switching rates"),
+    ("simulate", "gamma", 1e308, "small enough for finite switching rates"),
 ])
 def test_bad_real_config_value_exits_2(tmp_path, caplog, monkeypatch,
                                        command, key, value, rule):
@@ -305,7 +307,9 @@ def test_bad_real_config_value_exits_2(tmp_path, caplog, monkeypatch,
     would not fit an index) and scales that are not a
     non-empty array of finite numbers, and a "dump_trajectories" that is
     not a JSON bool exit 2, naming the block and key, before any solve or
-    stream.  A real value too large for a float is not finite."""
+    stream.  A real value too large for a float is not finite, and a
+    "gamma" that scales a switching rate beyond the float range is too
+    large (the model switches, so its rates can overflow)."""
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
@@ -317,7 +321,7 @@ def test_bad_real_config_value_exits_2(tmp_path, caplog, monkeypatch,
               "simulate": {"scales": [10, 20], "T": 0.5, "paths": 10, "seed": 1}}
     blocks[command] = {**blocks.get(command, {}), key: value}
     out = tmp_path / "out"
-    assert main([command, "--preset", "discrete_asymmetric", "--config",
+    assert main([command, "--preset", "discrete_two_state", "--config",
                  write_config(tmp_path, blocks), "--out", str(out)]) == 2
     assert f'"{command}" block: "{key}" must be {rule}' in caplog.text
     assert not any(out.iterdir())
@@ -662,6 +666,31 @@ def test_validate_command(tmp_path):
     report = json.loads((out / "validation.json").read_text())
     assert not report["valid"]
     assert report["violations"][0]["kind"] == "nonpositive_hop_rate"
+
+
+def test_validation_judges_the_scaled_rates(tmp_path, caplog):
+    """A command validates the model it solves, its switching scaled by
+    "gamma".  The rate r12 dips to -9.0e-13 at y = 0.5, inside the round-off
+    cut -1e-12 max(1, max|r|), so the model itself is valid; scaled by 1000
+    it dips to -9.0e-10, below the scaled cut -5e-10, and exits 2 before any
+    solve (it used to sweep, its build judging the unscaled rates)."""
+    model = model_to_dict(get_preset("two_state_flashing"))
+    model["rates"][0][1] = {"coeffs": [[0, 0.25 - 4.5e-13, 0.0],
+                                       [1, 0.25 + 4.5e-13, 0.0]]}
+    model["rates"][1][0] = {"coeffs": [[0, 1.0, 0.0]]}
+    out = tmp_path / "out"
+    sweep = {"p_min": -1.0, "p_max": 1.0, "count": 3}
+    assert main(["validate", "--config", write_config(tmp_path, {
+        "model": model}), "--out", str(out)]) == 0
+    assert main(["sweep", "--config", write_config(tmp_path, {
+        "model": model, "sweep": sweep}), "--out", str(out)]) == 0
+    caplog.clear()
+    assert main(["sweep", "--config", write_config(tmp_path, {
+        "model": model, "sweep": {**sweep, "gamma": 1000.0}}),
+        "--out", str(tmp_path / "scaled")]) == 2
+    assert "negative switching rate -9.0" in caplog.text
+    assert "y=(0.5)" in caplog.text
+    assert not (tmp_path / "scaled" / "hamiltonian.csv").exists()
 
 
 def test_regime2_validation_exits_2(tmp_path):

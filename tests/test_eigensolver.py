@@ -1,5 +1,6 @@
 """Operator assembly against hand/naive oracles; eigenpairs against dense solves."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,8 +16,11 @@ from effham.eigensolver import (ConvergenceError, PecletError,
 from effham.fields import PeriodicScalarField
 from effham.hamiltonian import hamiltonian_at
 from effham.model import (ContinuousModel, DiscreteModel,
-                          SwitchingRateMatrix, validate)
-from effham.presets import constant_drift, detailed_balance_pair, tilted_cosine
+                          SwitchingRateMatrix, model_to_dict,
+                          scaled_switching, validate)
+from effham.presets import (constant_drift, detailed_balance_pair,
+                            discrete_two_state, tilted_cosine,
+                            two_state_flashing)
 
 from conftest import (dense_matrix, random_continuous_model,
                       random_discrete_model, two_dim_model)
@@ -71,7 +75,7 @@ def naive_discrete_action(model, p, gamma=1.0):
 def test_discrete_I_matches_naive_action(rng):
     m = random_discrete_model(rng, ell=3, J=2)
     for p, gamma in ((0.0, 1.0), (0.9, 1.0), (-0.4, 7.5)):
-        M = dense_matrix(assemble_discrete_I(m, p, gamma=gamma))
+        M = dense_matrix(assemble_discrete_I(scaled_switching(m, gamma), p))
         np.testing.assert_allclose(M, naive_discrete_action(m, p, gamma),
                                    atol=1e-13)
 
@@ -166,10 +170,54 @@ def test_assembled_operators_are_metzler(rng):
 
 @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
 def test_bad_gamma_raises(gamma, rng):
+    """The switching scale is checked once, by the transform, for both
+    model kinds: a gamma <= 0 would switch the coupling off."""
     for model in (random_continuous_model(rng), random_discrete_model(rng)):
-        for regime in ("I", "II"):
-            with pytest.raises(ValueError, match="gamma"):
-                cell_operator(model, regime, N=16, gamma=gamma)
+        with pytest.raises(ValueError, match="gamma"):
+            scaled_switching(model, gamma)
+
+
+@pytest.mark.parametrize("model,gamma", [
+    (discrete_two_state(), 1e308), (two_state_flashing(), 1e308),
+    (two_state_flashing(), 5e307)], ids=["discrete", "amplitude", "sum"])
+def test_scaled_switching_rejects_rates_out_of_range(model, gamma):
+    """A finite gamma that takes a rate out of the float range is rejected
+    by the model constructors: a discrete rate or a Fourier amplitude that
+    overflows, or amplitudes that are finite (two_state_flashing's largest
+    is 3) but whose sum of magnitudes, the field's round-off scale, is
+    not."""
+    with pytest.raises(ValueError, match="finite"):
+        scaled_switching(model, gamma)
+
+
+@pytest.mark.parametrize("kind", ["continuous", "discrete"])
+def test_unit_scale_keeps_the_model(kind, rng):
+    """At gamma = 1 the transform returns an equal model, whose operator
+    blocks equal the input's bit for bit in both regimes."""
+    model = (random_continuous_model(rng, J=3) if kind == "continuous"
+             else random_discrete_model(rng, ell=5, J=3))
+    scaled = scaled_switching(model, 1.0)
+    assert model_to_dict(scaled) == model_to_dict(model)
+    for regime in ("I", "II"):
+        ops = [cell_operator(m, regime, N=16).at(0.6) for m in (model, scaled)]
+        for name in ("blocks", "up", "down"):
+            np.testing.assert_array_equal(getattr(ops[1], name),
+                                          getattr(ops[0], name))
+
+
+@pytest.mark.parametrize("gamma", [1.7, 1000.0])
+def test_scaled_rate_fields_scale_their_values(gamma, rng):
+    """A continuous model's rates scale through their Fourier amplitudes:
+    every sample is gamma times the input's within twice the scaled
+    field's round-off."""
+    model = random_continuous_model(rng, J=3)
+    scaled = scaled_switching(model, gamma)
+    pts = np.linspace(0.0, 1.0, 97)[:, None]
+    for i, j in itertools.permutations(range(3), 2):
+        field = scaled.rates.entries[i][j]
+        got = scaled.rates.values(pts)[:, i, j]
+        want = gamma * model.rates.values(pts)[:, i, j]
+        assert np.max(np.abs(got - want)) <= 2.0 * field.roundoff
 
 
 def test_peclet_error_names_minimal_n():
@@ -559,7 +607,7 @@ def _structured_operator(kind, regime, size, gamma, rng):
     if kind in ("discrete", "discrete_J3"):
         model = random_discrete_model(rng, ell=size,
                                       J=3 if kind == "discrete_J3" else 2)
-        return cell_operator(model, regime, gamma=gamma).at(0.7)
+        return cell_operator(scaled_switching(model, gamma), regime).at(0.7)
     psi1 = PeriodicScalarField(dim=2, fourier_coeffs=(((1, 0), 0.3, 0.0),))
     psi2 = PeriodicScalarField(dim=2, fourier_coeffs=(((0, 1), 0.0, 0.25),))
     rate = PeriodicScalarField(dim=2, fourier_coeffs=(((0, 0), 1.0, 0.0),

@@ -15,7 +15,8 @@ from effham.hamiltonian import (HamiltonianTable, coercivity_check,
                                 path_rate, sweep, symmetry_check,
                                 velocity_of_model)
 from effham.fields import PeriodicScalarField
-from effham.model import ContinuousModel, SwitchingRateMatrix, validate
+from effham.model import (ContinuousModel, SwitchingRateMatrix,
+                          scaled_switching, validate)
 from effham.presets import (PRESETS, constant_drift, detailed_balance_pair,
                             discrete_asymmetric, discrete_two_state,
                             two_state_flashing)
@@ -111,8 +112,8 @@ def _family(kind, regime):
     if kind == "continuous":
         return random_continuous_model(rng, J=3, regime=regime), {"N": 32}, 0
     if kind == "discrete":
-        return (random_discrete_model(rng, ell=6, J=2, regime=regime),
-                {"gamma": 2.5}, 0)
+        return scaled_switching(random_discrete_model(
+            rng, ell=6, J=2, regime=regime), 2.5), {}, 0
     return _two_state_2d(), {"N": 8}, 1
 
 
@@ -624,13 +625,13 @@ def test_lagrangian_csv_format(tmp_path):
 
 
 def test_continuous_time_scale_separation():
-    """Criterion 5 for a continuous model: gamma scales the regime-I
-    switching rates, so H_gamma approaches the regime-II Hamiltonian as
-    gamma grows."""
+    """Criterion 5 for a continuous model: as its switching is scaled by a
+    growing gamma, the regime-I Hamiltonian approaches the regime-II one."""
     model = random_continuous_model(np.random.default_rng(3), J=2)
     for p in (-1.0, 0.5, 1.0):
         hbar, _ = hamiltonian_at(model, p, "II", N=128)
-        diffs = [abs(hamiltonian_at(model, p, "I", N=128, gamma=g)[0] - hbar)
+        diffs = [abs(hamiltonian_at(scaled_switching(model, g), p, "I",
+                                    N=128)[0] - hbar)
                  for g in (10.0, 100.0, 1000.0)]
         assert diffs[0] > diffs[1] > diffs[2], (p, diffs)
         assert diffs[2] <= 2e-3, (p, diffs)

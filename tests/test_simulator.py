@@ -10,7 +10,8 @@ import pytest
 from effham import simulator
 from effham.fields import PeriodicScalarField, fourier_gradients, stack_modes
 from effham.hamiltonian import velocity_of_model
-from effham.model import ContinuousModel, DiscreteModel, SwitchingRateMatrix
+from effham.model import (ContinuousModel, DiscreteModel, SwitchingRateMatrix,
+                          scaled_switching)
 from effham.presets import (constant_drift, discrete_asymmetric,
                             discrete_two_state, two_state_flashing)
 from effham.simulator import (batch_continuous, batch_discrete,
@@ -93,36 +94,36 @@ def test_block_size_does_not_change_a_path(monkeypatch):
 def test_concentration_rows_equal_independent_batches(monkeypatch):
     """An experiment runs each path once in the fast variables and reads
     every scale at its horizon; every row still equals a fresh batch of its
-    scale, bit for bit, also for gamma != 1 and, calling the stepper with
-    one fast step ds, for i0 = 1.  The scales end at different steps, and
-    the paths read their draws at different paces; with a block of 5 the
-    draw blocks refill many times within a run."""
+    scale, bit for bit, also with switching scaled by gamma != 1 and,
+    calling the stepper with one fast step ds, for i0 = 1.  The scales end
+    at different steps, and the paths read their draws at different paces;
+    with a block of 5 the draw blocks refill many times within a run."""
     gamma, seed, dt_factor = 1.7, 31, 150.0
-    cases = ((two_state_flashing(), [0.1, 0.07, 0.05], 0.3, 6),
-             (discrete_two_state(), [16, 32, 64], 1.0, 8))
+    cases = ((scaled_switching(two_state_flashing(), gamma),
+              [0.1, 0.07, 0.05], 0.3, 6),
+             (scaled_switching(discrete_two_state(), gamma), [16, 32, 64],
+              1.0, 8))
     # a batch steps ds = dt/eps, the experiment 1/dt_factor: equal here
     assert all((s / dt_factor) / s == 1.0 / dt_factor for s in cases[0][1])
     for block, (model, scales, T, paths) in itertools.product(
             (simulator._BLOCK, 5), cases):
         monkeypatch.setattr(simulator, "_BLOCK", block)
         report = concentration_experiment(model, scales, T, paths, seed,
-                                          predicted_v=0.0, dt_factor=dt_factor,
-                                          gamma=gamma)
+                                          predicted_v=0.0, dt_factor=dt_factor)
         streams = simulator._Streams(seed, range(paths))
         if isinstance(model, ContinuousModel):
             ends = simulator._continuous_paths(
                 model, [T / s for s in scales], 1.0 / dt_factor, streams,
-                gamma=gamma, i0=1) * np.array(scales)[:, None]
+                i0=1) * np.array(scales)[:, None]
             batches, alone = ([batch_continuous(model, s, T, paths, seed,
-                                                dt=s / dt_factor, gamma=gamma,
-                                                i0=i0) for s in scales]
+                                                dt=s / dt_factor, i0=i0)
+                               for s in scales]
                               for i0 in (0, 1))
         else:
             ends = simulator._discrete_paths(
-                model, [n * T for n in scales], streams, gamma=gamma,
+                model, [n * T for n in scales], streams,
                 i0=1) / np.array(scales)[:, None]
-            batches, alone = ([batch_discrete(model, s, T, paths, seed,
-                                              gamma=gamma, i0=i0)
+            batches, alone = ([batch_discrete(model, s, T, paths, seed, i0=i0)
                                for s in scales] for i0 in (0, 1))
         for row, batch, from_one, x in zip(report.rows, batches, alone, ends):
             assert (row.mean_v, row.sd, row.se) == (batch.mean, batch.sd,
@@ -238,16 +239,17 @@ def test_negative_seed_or_index_raises(seed, index):
 
 def test_concentration_golden_pin():
     """Pins small seeded experiments of each kind, with several scales and
-    gamma != 1 for the discrete model.  Re-pinned when the stream keying
-    changed to Philox keyed by (seed, path) with the kind in the counter,
-    and every exponential became -log1p(-u) of the path's uniform stream
-    (every draw changed; the values before were those of numpy's
-    `SeedSequence((seed, k))` children).  A change of scheme, streams or
-    draw order must update them on purpose."""
+    the discrete model's switching scaled by gamma != 1.  Re-pinned when
+    the stream keying changed to Philox keyed by (seed, path) with the kind
+    in the counter, and every exponential became -log1p(-u) of the path's
+    uniform stream (every draw changed; the values before were those of
+    numpy's `SeedSequence((seed, k))` children).  A change of scheme,
+    streams or draw order must update them on purpose."""
     cont = concentration_experiment(two_state_flashing(), [0.1], 0.5, 64,
                                     2024, predicted_v=0.0)
-    disc = [concentration_experiment(discrete_two_state(), scales, 1.0, 64,
-                                     2024, predicted_v=0.0, gamma=gamma)
+    disc = [concentration_experiment(scaled_switching(discrete_two_state(),
+                                                      gamma),
+                                     scales, 1.0, 64, 2024, predicted_v=0.0)
             for scales, gamma in (([16], 1.0), ([16, 32, 64], 1.3),
                                   ([10, 20], 1.3))]
     assert [(r.mean_v, r.sd) for report in [cont] + disc
@@ -402,8 +404,8 @@ def test_thinning_rates_of_constant_rate_model():
 def test_thinning_rates_scale_with_gamma():
     """Fast-switching factor gamma multiplies the exit rates."""
     eps, gamma = 0.5, 8.0
-    m = two_state_constant_rates(1.0, 2.0)
-    tr = simulate_continuous(m, eps, 30.0, seed=6, gamma=gamma)
+    m = scaled_switching(two_state_constant_rates(1.0, 2.0), gamma)
+    tr = simulate_continuous(m, eps, 30.0, seed=6)
     t_in = 0.0
     exits = 0
     for k in range(len(tr.times) - 1):
@@ -476,17 +478,6 @@ def test_concentration_discrete_uses_increasing_n():
     with pytest.raises(ValueError, match="monotonically"):
         concentration_experiment(discrete_asymmetric(), [50, 25], 1.0, 10,
                                  base_seed=1, predicted_v=1.0)
-
-
-@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
-def test_bad_gamma_raises(gamma):
-    """A gamma <= 0 would leave the thinning clock unset (no switching at
-    all); every run rejects it, also with the prediction given."""
-    with pytest.raises(ValueError, match="gamma"):
-        concentration_experiment(two_state_flashing(), [0.1], 0.5, 4, 1,
-                                 predicted_v=0.0, gamma=gamma)
-    with pytest.raises(ValueError, match="gamma"):
-        batch_discrete(discrete_two_state(), 16, 0.5, 4, 1, gamma=gamma)
 
 
 @pytest.mark.parametrize("n", [0, 2.5, 10**400], ids=["0", "2.5", "10**400"])

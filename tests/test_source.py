@@ -28,9 +28,9 @@ def test_no_assert_statements():
 def test_fourier_coeffs_read_only_by_fields_and_codec():
     """Fourier series are evaluated in `fields.py` only: no other module
     calls `np.cos`/`np.sin` or reads a field's stacked `modes`, and
-    `model.py` reads the coefficients for the JSON codec only.  The presets
-    may call `np.cos`/`np.sin`: they tabulate a discrete model's rates per
-    site and evaluate no field."""
+    `model.py` reads the coefficients for the JSON codec and to scale the
+    switching rates only.  The presets may call `np.cos`/`np.sin`: they
+    tabulate a discrete model's rates per site and evaluate no field."""
     found = []
     for path in sorted(Path(effham.__file__).parent.glob("*.py")):
         if path.name == "fields.py":
@@ -220,6 +220,22 @@ def test_cli_reads_each_solver_setting_once():
     assert sorted(calls["validate"]) == ["_require_valid", "cmd_validate"], calls
     assert sorted(calls["_require_valid"]) == ["_solver", "cmd_simulate"], calls
     assert sorted(calls["sweep"]) == ["_run_sweep", "cmd_check"], calls
+
+
+def test_only_the_switching_transform_takes_a_gamma():
+    """The switching scale gamma is a model transform: no function of the
+    library but `model.scaled_switching` has a `gamma` parameter, so no
+    solver, simulator or CLI path scales the rates on its own."""
+    found = []
+    for path in sorted(Path(effham.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.stem}.{getattr(node, 'name', 'lambda')}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.Lambda))
+                  and any(isinstance(arg, ast.arg) and arg.arg == "gamma"
+                          for arg in ast.walk(node.args))]
+    assert found == ["model.scaled_switching"], found
 
 
 def test_simulator_builds_trajectories_only_from_records():
