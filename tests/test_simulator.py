@@ -480,6 +480,21 @@ def test_concentration_discrete_uses_increasing_n():
                                  base_seed=1, predicted_v=1.0)
 
 
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+def test_bad_gamma_raises(gamma):
+    """A gamma <= 0 would leave the thinning clock unset (no switching at
+    all); the transform that builds the model a run samples rejects it, and
+    the runners take no gamma of their own that could bypass it."""
+    for model in (two_state_flashing(), discrete_two_state()):
+        with pytest.raises(ValueError, match="gamma"):
+            scaled_switching(model, gamma)
+    with pytest.raises(TypeError, match="gamma"):
+        concentration_experiment(two_state_flashing(), [0.1], 0.5, 4, 1,
+                                 predicted_v=0.0, gamma=gamma)
+    with pytest.raises(TypeError, match="gamma"):
+        batch_discrete(discrete_two_state(), 16, 0.5, 4, 1, gamma=gamma)
+
+
 @pytest.mark.parametrize("n", [0, 2.5, 10**400], ids=["0", "2.5", "10**400"])
 def test_bad_lattice_scale_raises(n):
     """A lattice refinement that is not a positive integer a float holds is
