@@ -13,6 +13,7 @@ import json
 import logging
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -142,15 +143,15 @@ def resolve_model(cfg: dict, preset: Optional[str]):
                       '"model" / "model_file"')
 
 
-def _require_valid(model, regime: Optional[str], scale: float, where: str):
-    """`model` with its switching `scale` times faster, once it is valid in
-    `regime`; an overflowing scale or an invalid model is a config error."""
+def _require_valid(model, scale: float, where: str):
+    """`model` with its switching `scale` times faster, once it is valid;
+    an overflowing scale or an invalid model is a config error."""
     try:
         model = scaled_switching(model, scale)
     except ValueError as exc:
         raise ConfigError(f'{where}: "gamma" must be small enough for finite '
                           f"switching rates, got {scale!r} ({exc})") from exc
-    report = validate(model, regime)
+    report = validate(model)
     if report:
         lines = "\n".join(f"  - {v}" for v in report)
         raise ConfigError(f"model fails validation:\n{lines}")
@@ -158,17 +159,19 @@ def _require_valid(model, regime: Optional[str], scale: float, where: str):
 
 
 def _solver(model, block: dict, where: str) -> tuple:
-    """The model a command block solves (see `_require_valid`) and its solver
-    settings, as keywords of `ham.sweep` and `ham.velocity_of_model`."""
+    """The model a command block solves, in the block's "regime" (default
+    the model's own; see `_require_valid`), and its solver settings, as
+    keywords of `ham.sweep` and `ham.velocity_of_model`."""
     regime = block.get("regime")
-    if regime is not None and regime not in REGIMES:
+    if regime is None:
+        regime = model.regime
+    elif regime not in REGIMES:
         raise ConfigError(f'{where}: "regime" must be one of {list(REGIMES)}, '
                           f"got {regime!r}")
-    settings = {"regime": regime,
-                "N": _integer(block, "N", where, 128, at_least=3),
+    settings = {"N": _integer(block, "N", where, 128, at_least=3),
                 "tol": _real(block, "tol", where, 1e-10, positive=True)}
     scale = _real(block, "gamma", where, 1.0, positive=True)
-    return _require_valid(model, regime, scale, where), settings
+    return _require_valid(replace(model, regime=regime), scale, where), settings
 
 
 def _write_json(path: Path, obj) -> None:
@@ -273,7 +276,7 @@ def cmd_simulate(cfg: dict, model, outdir: Path,
     if not isinstance(dump, bool):
         raise ConfigError(f'{where}: "dump_trajectories" must be true or '
                           f"false, got {dump!r}")
-    model = _require_valid(model, None, scale, where)
+    model = _require_valid(model, scale, where)
     report = simulator.concentration_experiment(
         model, scales, T, paths, seed, predicted_v=predicted_v,
         dt_factor=dt_factor, solver_n=solver_n)

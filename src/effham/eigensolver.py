@@ -5,7 +5,7 @@ switching block, all free of the momentum.  `cell_operator` fills it once per
 model from one weight builder per model kind.  Regime II is regime I
 averaged: the same per-state increments (continuous) or hop rates (discrete),
 averaged against the stationary law of the switching chain, with no
-switching block; a regime outside `model.REGIMES` raises.
+switching block; the regime is the model's own, `model.regime`.
 `TiltedGenerator.at(p)` tilts the hops by e^{+-p_a h} and returns an
 `AssembledOperator`, a matrix with nonnegative off-diagonal entries whose
 principal eigenvalue is the effective Hamiltonian at momentum p.  Each grid
@@ -45,7 +45,7 @@ unknowns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -53,7 +53,7 @@ import numpy as np
 from .chains import (_measures_or_raise, _switching_findings, point_label,
                      state_average)
 from .fields import grid_points
-from .model import ContinuousModel, DiscreteModel, Model, solve_regime
+from .model import ContinuousModel, DiscreteModel, Model
 
 _EPS = np.finfo(float).eps
 # blocks up to this size are eliminated elementwise, larger ones by LAPACK
@@ -265,41 +265,38 @@ class TiltedGenerator:
                                  n, J)
 
 
-def cell_operator(model: Model, regime: Optional[str] = None, *,
-                  N: int = 128) -> TiltedGenerator:
-    """The momentum-free cell operator of `model` in `regime` ("I" or "II",
-    None for the model's own; see `model.solve_regime`).  Regime II, the
-    limit of `model.scaled_switching` as gamma -> infinity, has no switching
-    block."""
-    regime = solve_regime(model, regime)
+def cell_operator(model: Model, *, N: int = 128) -> TiltedGenerator:
+    """The momentum-free cell operator of `model` in its own regime.  Regime
+    II, the limit of `model.scaled_switching` as gamma -> infinity, has no
+    switching block."""
     if isinstance(model, ContinuousModel):
-        return _continuous(model, N, regime)
+        return _continuous(model, N)
     if isinstance(model, DiscreteModel):
-        return _discrete(model, regime)
+        return _discrete(model)
     raise TypeError(f"not a model: {type(model)!r}")
 
 
 def assemble_discrete_I(model: DiscreteModel, p: float) -> AssembledOperator:
     """Hop + switching operator on (ell * J) states, hop weights tilted by e^{+-p}."""
-    return cell_operator(model, "I").at(p)
+    return cell_operator(replace(model, regime="I")).at(p)
 
 
 def assemble_discrete_II(model: DiscreteModel, p: float) -> AssembledOperator:
     """Averaged hop operator on ell sites, rates rbar_+-(k) from the stationary
     measure of the switching chain at each site."""
-    return cell_operator(model, "II").at(p)
+    return cell_operator(replace(model, regime="II")).at(p)
 
 
 def assemble_continuous_I(model: ContinuousModel, p, N: int) -> AssembledOperator:
     """Tilted-generator discretization of the J-state cell operator on N**d points."""
-    return cell_operator(model, "I", N=N).at(p)
+    return cell_operator(replace(model, regime="I"), N=N).at(p)
 
 
 def assemble_continuous_II(model: ContinuousModel, p, N: int) -> AssembledOperator:
     """Averaged scalar cell operator: drift is the stationary-measure average of
     the potential gradients; hop weights use mu-weighted potential increments so
     the J=1 / equal-potentials / constant-rates cases reduce exactly."""
-    return cell_operator(model, "II", N=N).at(p)
+    return cell_operator(replace(model, regime="II"), N=N).at(p)
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +311,9 @@ def _check_rates(kind: str, R: np.ndarray, label, sampled: bool) -> None:
         raise ValueError(f"assemble_{kind}: {detail} at {location}")
 
 
-def _discrete(model: DiscreteModel, regime: str) -> TiltedGenerator:
+def _discrete(model: DiscreteModel) -> TiltedGenerator:
     """Hop rates of each state; regime II averages them at every site."""
-    R = np.moveaxis(model.switching, -1, 0)
+    regime, R = model.regime, np.moveaxis(model.switching, -1, 0)
     _check_rates(f"discrete_{regime}", R, lambda k: f"k={k}", sampled=False)
     up, down = model.hop_rates_plus, model.hop_rates_minus
     if regime == "I":
@@ -329,7 +326,7 @@ def _discrete(model: DiscreteModel, regime: str) -> TiltedGenerator:
                            switching, model.ell, model.ell, None)
 
 
-def _continuous(model: ContinuousModel, N: int, regime: str) -> TiltedGenerator:
+def _continuous(model: ContinuousModel, N: int) -> TiltedGenerator:
     """Hop weights exp(-2 * half-step increment) / (2 h^2) of each state;
     regime II averages the increments y -> y +- h/2 against the switching
     laws at their quarter points y +- h/4 before exponentiating.  The rates
@@ -337,7 +334,7 @@ def _continuous(model: ContinuousModel, N: int, regime: str) -> TiltedGenerator:
     grid stacked with its quarter points y + h/4 and y + 3h/4 per axis."""
     if N < 3:
         raise ValueError("continuous assembly needs N >= 3")
-    dim, h = model.dim, model.period / N
+    regime, dim, h = model.regime, model.dim, model.period / N
     pts = grid_points(dim, N, model.period)
     unit = np.eye(dim)
     stack = pts if regime == "I" else np.concatenate(

@@ -209,8 +209,9 @@ def grid_points(dim: int, n_per_axis: int, period: float = 1.0) -> np.ndarray:
 
 
 def sampling_resolution(fields: Iterable[PeriodicScalarField]) -> int:
-    """Sampling density that resolves every field: 4 points per highest
-    mode, and at least 64."""
+    """Sampling density for the fields: 4 points per highest mode, and at
+    least 64.  A sample, not a bound: an extremum of a field may fall
+    between its points."""
     band = max((f.max_band for f in fields), default=0)
     return max(64, 4 * (band + 1))
 

@@ -22,7 +22,7 @@ import numpy as np
 from .eigensolver import (EigenCertificate, _bracketed_start, _shifted_solve,
                           cell_operator, principal_eigenpair)
 from .fields import grid_points, sampling_resolution
-from .model import ContinuousModel, DiscreteModel, Model, solve_regime
+from .model import ContinuousModel, DiscreteModel, Model
 
 log = logging.getLogger(__name__)
 
@@ -30,10 +30,10 @@ log = logging.getLogger(__name__)
 _EXTRAPOLATION_SAMPLES = 5
 
 
-def hamiltonian_at(model: Model, p, regime: Optional[str] = None, *,
-                   N: int = 128, tol: float = 1e-10) -> tuple:
+def hamiltonian_at(model: Model, p, *, N: int = 128,
+                   tol: float = 1e-10) -> tuple:
     """H(p) with its eigen certificate.  Deterministic given (model, p, N, tol)."""
-    op = cell_operator(model, regime, N=N)
+    op = cell_operator(model, N=N)
     cert = principal_eigenpair(op.at(p), tol=tol)
     return cert.eigenvalue, cert
 
@@ -160,9 +160,8 @@ def _solve_outward(at, momenta: np.ndarray, origin: int, *,
     return certs, starts, failures
 
 
-def sweep(model: Model, p_min: float, p_max: float, count: int,
-          regime: Optional[str] = None, *, N: int = 128, tol: float = 1e-10,
-          axis: int = 0) -> HamiltonianTable:
+def sweep(model: Model, p_min: float, p_max: float, count: int, *,
+          N: int = 128, tol: float = 1e-10, axis: int = 0) -> HamiltonianTable:
     """Tabulate H over a uniform momentum grid; p = 0 is always included.
 
     The cell operator is built once and every sample tilts it.  The solve
@@ -176,14 +175,13 @@ def sweep(model: Model, p_min: float, p_max: float, count: int,
     certificate, not bit for bit.  Failures are recorded per sample (value
     NaN), and the sample beyond a failure starts cold; the table is still
     returned.  If the operator cannot be built, every sample records that
-    error; a regime outside `REGIMES` raises.  For continuous models with
-    dim > 1 the sweep runs along the momentum line t -> t * e_axis.
+    error.  For continuous models with dim > 1 the sweep runs along the
+    momentum line t -> t * e_axis.
     """
     if count < 3:
         raise ValueError("sweep needs at least 3 samples")
     if not p_max > p_min:
         raise ValueError("empty momentum range")
-    regime = solve_regime(model, regime)
     grid = np.linspace(p_min, p_max, count)
     if not np.any(np.isclose(grid, 0.0, atol=1e-12)):
         log.warning("momentum grid does not contain 0; augmenting")
@@ -202,7 +200,7 @@ def sweep(model: Model, p_min: float, p_max: float, count: int,
         return vec
 
     try:
-        op = cell_operator(model, regime, N=N)
+        op = cell_operator(model, N=N)
     except Exception as exc:   # recorded against every sample
         certs, starts = [None] * len(grid), ["cold"] * len(grid)
         failures = dict.fromkeys(range(len(grid)), f"{type(exc).__name__}: {exc}")
@@ -214,8 +212,9 @@ def sweep(model: Model, p_min: float, p_max: float, count: int,
                     for k, exc in errors.items()}
     values = np.array([np.nan if c is None else c.eigenvalue for c in certs])
     return HamiltonianTable(grid, values, tuple(certs),
-                            provenance={"regime": regime, "N": N, "tol": tol,
-                                        "axis": axis, "kind": type(model).__name__},
+                            provenance={"regime": model.regime, "N": N,
+                                        "tol": tol, "axis": axis,
+                                        "kind": type(model).__name__},
                             failures=failures, starts=tuple(starts))
 
 
@@ -223,8 +222,8 @@ def sweep(model: Model, p_min: float, p_max: float, count: int,
 # velocity
 # ---------------------------------------------------------------------------
 
-def velocity_of_model(model: Model, regime: Optional[str] = None, *,
-                      N: int = 128, tol: float = 1e-10) -> tuple:
+def velocity_of_model(model: Model, *, N: int = 128,
+                      tol: float = 1e-10) -> tuple:
     """DH(0) from one left eigenvector, with an error estimate.
 
     Only the hop tilts depend on p, so M_a'(0) 1 = f_a = h (up_a - down_a),
@@ -241,12 +240,11 @@ def velocity_of_model(model: Model, regime: Optional[str] = None, *,
     alone when its potential is untilted; regime II (whose rows average the
     states out) and discrete models start from the all-ones vector.
     """
-    regime = solve_regime(model, regime)
-    gen = cell_operator(model, regime, N=N)
+    gen = cell_operator(model, N=N)
     dim = gen.up.shape[1]
     op = gen.at(np.zeros(dim))
     start = None
-    if isinstance(model, ContinuousModel) and regime == "I":
+    if isinstance(model, ContinuousModel) and model.regime == "I":
         pts = grid_points(model.dim, N, model.period)
         log_gibbs = -2.0 * np.concatenate([psi.periodic_values(pts)
                                            for psi in model.potentials])
@@ -414,13 +412,12 @@ def coercivity_check(table: HamiltonianTable, model: Model) -> CoercivityResult:
     Continuous: H(p) >= |p|^2/4 - sup |grad psi|^2 (the averaged drift of the
     fast-switching regime is a convex combination of the same gradients, so
     the bound covers both regimes).  Discrete: H(p) >= min over (site, state)
-    of [r_+ (e^p - 1) + r_- (e^{-p} - 1)], with the hop rates of the cell
-    operator (in regime II the averaged ones, one state); switching drops out
-    because at the minimum of any test vector the exchange terms are
-    nonnegative.
+    of [r_+ (e^p - 1) + r_- (e^{-p} - 1)], with the hop rates of the model's
+    cell operator (in regime II the averaged ones, one state); switching
+    drops out because at the minimum of any test vector the exchange terms
+    are nonnegative.
     """
     p, H = table.p_grid, table.values
-    regime = solve_regime(model, table.provenance.get("regime"))
     if isinstance(model, ContinuousModel):
         n = sampling_resolution(list(model.potentials))
         pts = grid_points(model.dim, n, model.period)
@@ -428,7 +425,7 @@ def coercivity_check(table: HamiltonianTable, model: Model) -> CoercivityResult:
                         for psi in model.potentials)
         bound = 0.25 * p ** 2 - sup_grad2
     elif isinstance(model, DiscreteModel):
-        op = cell_operator(model, regime)
+        op = cell_operator(model)
         rp, rm = op.up.ravel(), op.down.ravel()
         bound = np.array([np.min(rp * (math.exp(pk) - 1.0)
                                  + rm * (math.exp(-pk) - 1.0)) for pk in p])

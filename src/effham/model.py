@@ -73,6 +73,11 @@ class SwitchingRateMatrix:
         fields = [None if i == j else e for i, row in enumerate(rows)
                   for j, e in enumerate(row)]
         modes = stack_modes(fields)
+        with np.errstate(over="ignore"):     # an infinite sum is rejected
+            sizes = np.abs(modes[-2:]).sum(axis=(0, 1)).reshape(self.J, -1)
+            if not np.isfinite(sizes.sum(axis=1)).all():
+                raise ValueError("each state's summed rate amplitudes must be "
+                                 "finite")
         object.__setattr__(self, "_stack", (
             modes.reshape(modes.shape[:2] + (self.J, self.J)), np.reshape(
                 [0.0 if f is None else f.roundoff for f in fields],
@@ -167,6 +172,12 @@ class DiscreteModel:
         if not (np.isfinite(rp).all() and np.isfinite(rm).all()
                 and np.isfinite(sw).all()):
             raise ValueError("rates must be finite")
+        off = np.where(np.eye(self.J, dtype=bool)[:, :, None], 0.0, np.abs(sw))
+        with np.errstate(over="ignore"):     # an infinite sum is rejected
+            exits = np.abs(rp) + np.abs(rm) + off.sum(axis=1)
+        if not np.isfinite(exits).all():
+            raise ValueError("each state's total exit rate (hops plus "
+                             "switching) must be finite at every site")
         for arr in (rp, rm, sw):
             arr.setflags(write=False)
         if self.regime not in REGIMES:
@@ -177,16 +188,6 @@ class DiscreteModel:
 
 
 Model = Union[ContinuousModel, DiscreteModel]
-
-
-def solve_regime(model: Model, regime: Optional[str] = None) -> str:
-    """The regime to solve `model` in: `regime`, or the model's own when it
-    is None.  Anything outside `REGIMES` raises ValueError."""
-    if regime is None:
-        return model.regime
-    if regime not in REGIMES:
-        raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
-    return regime
 
 
 def scaled_switching(model: Model, gamma: float) -> Model:
@@ -221,16 +222,16 @@ class Violation:
         return f"{self.kind} at {self.location}: {self.detail}"
 
 
-def validate(model: Model, regime: Optional[str] = None) -> List[Violation]:
+def validate(model: Model) -> List[Violation]:
     """Check the structural assumptions the solvers rely on.
 
     Returns a list of violations; an empty list means the model is valid.
     Hop rates must be positive.  The switching rates (a continuous model's
-    sampled on the lattice from `sampling_resolution`, conclusive for
-    band-limited fields) go through the check the operator builders raise
-    from, `chains._switching_findings`; when the regime to be solved
-    (`regime`, default the model's own) is II it also needs a unique
-    positive stationary law at every lattice point (every site).
+    sampled on the lattice from `sampling_resolution`: a sample, not a
+    bound, so a dip between its points goes unseen) go through the check
+    the operator builders raise from, `chains._switching_findings`; in
+    regime II the model also needs a unique positive stationary law at
+    every lattice point (every site).
     """
     report: List[Violation] = []
     if isinstance(model, ContinuousModel):
@@ -249,7 +250,7 @@ def validate(model: Model, regime: Optional[str] = None) -> List[Violation]:
         raise TypeError(f"not a model: {type(model)!r}")
     report += [Violation(*finding) for finding in _switching_findings(
         R, label, sampled=isinstance(model, ContinuousModel),
-        laws=solve_regime(model, regime) == "II")]
+        laws=model.regime == "II")]
     return report
 
 

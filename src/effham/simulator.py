@@ -222,8 +222,9 @@ class _Records:
 # ---------------------------------------------------------------------------
 
 def max_total_switching_rate(model: ContinuousModel) -> float:
-    """sup over (y, i) of sum_j r_ij(y), rates clipped at 0 as the stepper
-    clips them, from a resolving sample lattice."""
+    """max over (y, i) of sum_j r_ij(y), rates clipped at 0 as the stepper
+    clips them, on the lattice of `sampling_resolution`: a sample of the
+    sup, which may lie above it between the lattice points."""
     pts = grid_points(model.dim, sampling_resolution(model.rates.iter_fields()),
                       model.period)
     return float(np.max(np.sum(np.maximum(model.rates.values(pts), 0.0),

@@ -6,6 +6,7 @@ module-scoped context and reused by the certificate/convexity criteria.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,14 +140,15 @@ def test_criterion_5_time_scale_separation(ctx):
     ps = (-1.0, 0.0, 1.0)
     hbar = {}
     for p in ps:
-        value, cert = eh.hamiltonian_at(model, p, regime="II", tol=1e-10)
+        value, cert = eh.hamiltonian_at(replace(model, regime="II"), p,
+                                        tol=1e-10)
         ctx.add_cert(f"c5:avg[p={p:g}]", cert)
         hbar[p] = value
     diffs = {}
     for gamma in (10.0, 100.0, 1000.0):
         for p in ps:
             value, cert = eh.hamiltonian_at(eh.scaled_switching(model, gamma),
-                                            p, regime="I", tol=1e-10)
+                                            p, tol=1e-10)
             ctx.add_cert(f"c5:g{gamma:g}[p={p:g}]", cert)
             diffs[(gamma, p)] = abs(value - hbar[p])
     for p in ps:

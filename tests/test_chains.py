@@ -1,5 +1,7 @@
 """Generators, stationary measures, detailed balance, averaged coefficients."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -345,10 +347,10 @@ def test_regime2_builds_solve_whole_lattices(rng, monkeypatch):
     cont = random_continuous_model(rng, J=3, regime="II")
     disc = random_discrete_model(rng, ell=256, J=3, regime="II")
     calls = count_solves(monkeypatch)
-    cell_operator(cont, "II", N=64)
+    cell_operator(cont, N=64)
     assert calls == [(64 * (1 + 2 * cont.dim), 3, 3)]
     del calls[:]
-    cell_operator(disc, "II")
+    cell_operator(disc)
     assert calls == [(256, 3, 3)]
 
 
@@ -366,7 +368,7 @@ def test_regime2_build_reads_its_rates_once(rng, monkeypatch, case):
         return values(self, points)
 
     monkeypatch.setattr(SwitchingRateMatrix, "values", counted)
-    cell_operator(model, "II", N=12)
+    cell_operator(replace(model, regime="II"), N=12)
     assert calls == [12 ** model.dim * (1 + 2 * model.dim)]
 
 
@@ -374,7 +376,7 @@ def test_regime2_weights_match_a_per_point_reference(rng):
     """The batched regime-II weights equal a per-point loop over the SVD
     null-space oracle to round-off."""
     disc = random_discrete_model(rng, ell=16, J=3, regime="II")
-    op = cell_operator(disc, "II")
+    op = cell_operator(disc)
     for k in range(disc.ell):
         mu = null_space_measure(generator_of(disc.switching[:, :, k]))
         assert op.up[0, 0, k] == pytest.approx(mu @ disc.hop_rates_plus[:, k],
@@ -382,7 +384,7 @@ def test_regime2_weights_match_a_per_point_reference(rng):
         assert op.down[0, 0, k] == pytest.approx(
             mu @ disc.hop_rates_minus[:, k], rel=1e-12)
     cont = random_continuous_model(rng, J=3, regime="II")
-    op = cell_operator(cont, "II", N=32)
+    op = cell_operator(cont, N=32)
     for k, y in enumerate(np.arange(32) / 32):
         mu = null_space_measure(generator_at(cont.rates, [y]))
         drift = mu @ [psi.gradients([y])[0, 0] for psi in cont.potentials]
@@ -400,7 +402,7 @@ def test_vanishing_rates_are_zero_whatever_their_roundoff(N):
     assert R[0, 0, 1] == 0.0 and R[1, 1, 0] == 0.0
     assert model.rates.rates_at([0.5])[1, 0] == 0.0
     with pytest.raises(ReducibleChainError):
-        cell_operator(model, "II", N=N)
-    assert validate(model, "II") != []
+        cell_operator(replace(model, regime="II"), N=N)
+    assert validate(replace(model, regime="II")) != []
     with pytest.raises(ReducibleChainError):
         averaged_drift(model, [0.5])

@@ -716,3 +716,47 @@ def test_regime2_validation_exits_2(tmp_path):
         "velocity": {"regime": "III"}}, "unknown.json")
     assert main(["velocity", "--preset", "constant_drift", "--config",
                  unknown, "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("command", ["sweep", "simulate"])
+def test_overflowing_exit_rate_exits_2(tmp_path, caplog, command):
+    """A J = 3, ell = 4 model with every rate 1, scaled by 1e308: each
+    switching rate is finite, but a state's two of them sum past the float
+    range, so the scaled model is refused (was NaN sweeps and exit 3)."""
+    sw = np.ones((3, 3, 4))
+    model = {"kind": "discrete", "ell": 4, "J": 3, "regime": "I",
+             "hop_rates_plus": np.ones((3, 4)).tolist(),
+             "hop_rates_minus": np.ones((3, 4)).tolist(),
+             "switching": sw.tolist()}
+    blocks = {"sweep": {"p_min": -1.0, "p_max": 1.0, "count": 3,
+                        "gamma": 1e308},
+              "simulate": {"scales": [10, 20], "T": 0.5, "paths": 10,
+                           "seed": 1, "gamma": 1e308}}
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, {
+        "model": model, command: blocks[command]}), "--out", str(out)]) == 2
+    assert (f'"{command}" block: "gamma" must be small enough for finite '
+            "switching rates") in caplog.text
+    assert "total exit rate" in caplog.text
+    assert not any(out.iterdir())
+
+
+def test_check_regime_override_reaches_every_verdict(tmp_path):
+    """The check block's "regime" solves the model in that regime for every
+    verdict, coercivity included: check.json equals, byte for byte, the one
+    of the same model with its own regime set to II."""
+    model = model_to_dict(get_preset("discrete_two_state"))
+    override, own = tmp_path / "override", tmp_path / "own"
+    assert main(["check", "--config", write_config(tmp_path, {
+        "model": model, "check": {"regime": "II"}}, "override.json"),
+        "--out", str(override)]) == 0
+    assert main(["check", "--config", write_config(tmp_path, {
+        "model": {**model, "regime": "II"}}, "own.json"),
+        "--out", str(own)]) == 0
+    assert ((override / "check.json").read_bytes()
+            == (own / "check.json").read_bytes())
+    plain = tmp_path / "plain"
+    assert main(["check", "--preset", "discrete_two_state",
+                 "--out", str(plain)]) == 0
+    assert ((plain / "check.json").read_bytes()
+            != (own / "check.json").read_bytes())

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -199,7 +200,8 @@ def test_unit_scale_keeps_the_model(kind, rng):
     scaled = scaled_switching(model, 1.0)
     assert model_to_dict(scaled) == model_to_dict(model)
     for regime in ("I", "II"):
-        ops = [cell_operator(m, regime, N=16).at(0.6) for m in (model, scaled)]
+        ops = [cell_operator(replace(m, regime=regime), N=16).at(0.6)
+               for m in (model, scaled)]
         for name in ("blocks", "up", "down"):
             np.testing.assert_array_equal(getattr(ops[1], name),
                                           getattr(ops[0], name))
@@ -399,13 +401,14 @@ def test_transpose_keeps_the_slice_layout(kind, regime, size, rng):
     """`op.T` is the transpose exactly, also where up and down couple to the
     same slice (two slices) and where hops stay inside a slice (d = 2)."""
     if kind == "dim2":
-        op = cell_operator(two_dim_model(), regime, N=size).at([0.4, -0.3])
+        op = cell_operator(replace(two_dim_model(), regime=regime),
+                           N=size).at([0.4, -0.3])
     elif kind == "continuous":
-        op = cell_operator(random_continuous_model(rng, J=2), regime,
+        op = cell_operator(random_continuous_model(rng, J=2, regime=regime),
                            N=size).at(0.7)
     else:
-        op = cell_operator(random_discrete_model(rng, ell=size, J=2),
-                           regime).at(0.7)
+        op = cell_operator(random_discrete_model(rng, ell=size, J=2,
+                                                 regime=regime)).at(0.7)
     assert np.array_equal(dense_matrix(op.T), dense_matrix(op).T)
 
 
@@ -572,7 +575,7 @@ def test_fine_grid_detailed_balance_ends_in_bounded_time(p):
         converged = True
     assert cert.iterations <= 200
     assert cert.cw_lower <= cert.eigenvalue <= cert.cw_upper
-    op = cell_operator(detailed_balance_pair(), "I", N=1024).at(p)
+    op = cell_operator(detailed_balance_pair(), N=1024).at(p)
     alpha = 1.0 + np.max(np.abs(np.diagonal(op.blocks, axis1=1, axis2=2)))
     lam = abs(cert.eigenvalue)
     limit = max(1e-10 * (1.0 + lam), 4.0 * np.finfo(float).eps * (alpha + lam))
@@ -602,12 +605,12 @@ def _structured_operator(kind, regime, size, gamma, rng):
             block, rng.uniform(0.5, 1.0, size=(1, 3)),
             rng.uniform(0.5, 1.0, size=(1, 3)), 1, 3)
     if kind == "continuous":
-        model = random_continuous_model(rng, J=2, amp=0.05)
-        return cell_operator(model, regime, N=size).at(0.7)
+        model = random_continuous_model(rng, J=2, regime=regime, amp=0.05)
+        return cell_operator(model, N=size).at(0.7)
     if kind in ("discrete", "discrete_J3"):
-        model = random_discrete_model(rng, ell=size,
+        model = random_discrete_model(rng, ell=size, regime=regime,
                                       J=3 if kind == "discrete_J3" else 2)
-        return cell_operator(scaled_switching(model, gamma), regime).at(0.7)
+        return cell_operator(scaled_switching(model, gamma)).at(0.7)
     psi1 = PeriodicScalarField(dim=2, fourier_coeffs=(((1, 0), 0.3, 0.0),))
     psi2 = PeriodicScalarField(dim=2, fourier_coeffs=(((0, 1), 0.0, 0.25),))
     rate = PeriodicScalarField(dim=2, fourier_coeffs=(((0, 0), 1.0, 0.0),
@@ -615,7 +618,7 @@ def _structured_operator(kind, regime, size, gamma, rng):
     model = ContinuousModel(dim=2, J=2, potentials=(psi1, psi2),
                             rates=SwitchingRateMatrix(J=2, entries=(
                                 (None, rate), (rate, None))))
-    return cell_operator(model, regime, N=size).at([0.4, -0.2])
+    return cell_operator(replace(model, regime=regime), N=size).at([0.4, -0.2])
 
 
 STRUCTURED_CASES = (
@@ -726,7 +729,8 @@ def test_one_dimensional_inverse_step_ends_at_the_dense_base(regime,
     64 unknowns, not 8 levels down to a single slice.  Averaged slices of
     one unknown are reduced as vectors: the levels below the first get
     (m,) arrays, while blocks stay (m, b)."""
-    op = cell_operator(detailed_balance_pair(), regime, N=256).at(0.7)
+    op = cell_operator(replace(detailed_balance_pair(), regime=regime),
+                       N=256).at(0.7)
     sigma = collatz_wielandt_bounds(op, np.ones(op.shape[0]))[1] + 1.0
     real_cyclic, real_solve = eigensolver._cyclic_solve, np.linalg.solve
     levels, solves = [], []

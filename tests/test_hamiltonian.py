@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -136,7 +137,7 @@ def test_sweep_reuse_equals_fresh_build(kind, regime):
     grid = table.p_grid
     origin = int(np.flatnonzero(grid == 0.0)[0])
     certs, starts, failures = hamiltonian._solve_outward(
-        lambda t: cell_operator(model, model.regime, **kw).at(
+        lambda t: cell_operator(model, **kw).at(
             _momentum(model, axis, t)), grid, origin, tol=1e-10)
     assert not failures and tuple(starts) == table.starts
     for k, cert in enumerate(certs):
@@ -300,7 +301,9 @@ def test_regime2_sweep_golden_pin():
 def test_sweep_records_build_failure_for_every_sample():
     # regime II needs a stationary measure at every grid point, and the
     # flashing rates vanish at y = 1/8
-    table = sweep(two_state_flashing(), -1.0, 1.0, 5, regime="II", N=32)
+    table = sweep(replace(two_state_flashing(), regime="II"), -1.0, 1.0, 5,
+                  N=32)
+    assert table.provenance["regime"] == "II"      # the model's own
     assert sorted(table.failures) == list(range(5))
     assert all(msg.startswith("ReducibleChainError")
                for msg in table.failures.values())
@@ -339,7 +342,7 @@ def test_velocity_matches_dense_stationary_oracle(model, N):
     M_a'(0) 1 = h (up_a - down_a) along every axis a; ell = 2 couples up and
     down to the same slice."""
     v, err = velocity_of_model(model, N=N, tol=1e-10)
-    gen = cell_operator(model, model.regime, N=N)
+    gen = cell_operator(model, N=N)
     dim = gen.up.shape[1]
     assert np.shape(v) == np.shape(err) == ((dim,) if dim > 1 else ())
     M = dense_matrix(gen.at(np.zeros(dim)))
@@ -566,44 +569,37 @@ def regime_table(regime) -> HamiltonianTable:
                             else {"regime": regime})
 
 
-# every entry point that takes a regime, called on (model, regime)
+# the entry points that took a regime of their own, handed one
 REGIME_CALLS = {
-    "cell_operator": lambda m, r: cell_operator(m, r, N=32),
-    "hamiltonian_at": lambda m, r: hamiltonian_at(m, 0.5, r, N=32),
-    "sweep": lambda m, r: sweep(m, -1.0, 1.0, 3, r, N=32),
-    "velocity_of_model": lambda m, r: velocity_of_model(m, r, N=32),
-    "validate": validate,
-    "coercivity_check": lambda m, r: coercivity_check(regime_table(r), m),
+    "cell_operator": lambda m, r: cell_operator(m, regime=r, N=32),
+    "hamiltonian_at": lambda m, r: hamiltonian_at(m, 0.5, regime=r, N=32),
+    "sweep": lambda m, r: sweep(m, -1.0, 1.0, 3, regime=r, N=32),
+    "velocity_of_model": lambda m, r: velocity_of_model(m, regime=r, N=32),
+    "validate": lambda m, r: validate(m, regime=r),
 }
 
 
-@pytest.mark.parametrize("call", sorted(REGIME_CALLS))
+@pytest.mark.parametrize("call", sorted([*REGIME_CALLS, "coercivity_check"]))
 @pytest.mark.parametrize("regime", ["III", "ii", ""],
                          ids=["III", "ii", "empty"])
 def test_unknown_regime_raises(call, regime):
-    """A regime outside ("I", "II") raises everywhere, before any solve:
-    no entry point reads it as I or as II, and an empty string does not
-    fall back to the model's regime."""
-    with pytest.raises(ValueError, match="regime must be one of"):
-        REGIME_CALLS[call](two_state_flashing(), regime)
-
-
-def test_no_regime_is_the_models_own(rng):
-    """None selects the model's own regime in every entry point."""
-    flashing = two_state_flashing()
-    fast = ContinuousModel(dim=1, J=2, potentials=flashing.potentials,
-                           rates=flashing.rates, regime="II")
-    assert validate(fast) == validate(fast, "II") != []
-    assert validate(flashing) == validate(flashing, "I") == []
-    d = random_discrete_model(rng, ell=4, J=2, regime="II")
-    own, fast_d = cell_operator(d).at(0.3), cell_operator(d, "II").at(0.3)
-    assert all(np.array_equal(getattr(own, name), getattr(fast_d, name))
-               for name in ("blocks", "up", "down"))
-    assert sweep(d, -1.0, 1.0, 3).provenance["regime"] == "II"
-    assert hamiltonian_at(d, 0.3)[0] == hamiltonian_at(d, 0.3, "II")[0]
-    assert velocity_of_model(d) == velocity_of_model(d, "II")
-    assert (coercivity_check(regime_table(None), d)
-            == coercivity_check(regime_table("II"), d))
+    """A regime outside ("I", "II") is refused by the constructors of both
+    model kinds, so no solver sees one, and an empty string does not fall
+    back to the model's regime.  The regime is the model's own: no entry
+    point takes one (TypeError), and `coercivity_check` reads none from the
+    table's provenance."""
+    for model in (two_state_flashing(), discrete_two_state()):
+        with pytest.raises(ValueError, match="regime must be one of"):
+            replace(model, regime=regime)
+    d = discrete_two_state()
+    if call == "coercivity_check":
+        assert (coercivity_check(regime_table(regime), d)
+                == coercivity_check(regime_table(None), d)
+                != coercivity_check(regime_table(None),
+                                    replace(d, regime="II")))
+    else:
+        with pytest.raises(TypeError, match="regime"):
+            REGIME_CALLS[call](d, regime)
 
 
 def test_table_csv_format(tmp_path):
@@ -629,8 +625,8 @@ def test_continuous_time_scale_separation():
     growing gamma, the regime-I Hamiltonian approaches the regime-II one."""
     model = random_continuous_model(np.random.default_rng(3), J=2)
     for p in (-1.0, 0.5, 1.0):
-        hbar, _ = hamiltonian_at(model, p, "II", N=128)
-        diffs = [abs(hamiltonian_at(scaled_switching(model, g), p, "I",
+        hbar, _ = hamiltonian_at(replace(model, regime="II"), p, N=128)
+        diffs = [abs(hamiltonian_at(scaled_switching(model, g), p,
                                     N=128)[0] - hbar)
                  for g in (10.0, 100.0, 1000.0)]
         assert diffs[0] > diffs[1] > diffs[2], (p, diffs)

@@ -355,18 +355,22 @@ def test_one_weight_builder_per_model_kind():
                              "eigensolver.py:_discrete"], found
 
 
-def test_regime_fallback_lives_in_model():
-    """The model's own regime stands in for a missing one only in
-    `model.solve_regime`: no other module writes `or model.regime` or reads
-    a recorded regime with a fallback, `provenance.get("regime", ...)`."""
+def test_only_the_model_carries_a_regime():
+    """The regime is a model field: no function or lambda of the library
+    has a `regime` parameter, and none reads a recorded regime back with
+    `provenance.get("regime"`, so every solver solves the model's own."""
     found = []
     for path in sorted(Path(effham.__file__).parent.glob("*.py")):
-        if path.name == "model.py":
-            continue
         text = path.read_text(encoding="utf-8")
-        found += [f"{path.name}: {match.group()}" for pattern in (
-            r"\bor\s+model\.regime\b", r'provenance\.get\(\s*"regime"\s*,')
-            for match in re.finditer(pattern, text)]
+        tree = ast.parse(text, filename=str(path))
+        found += [f"{path.stem}.{getattr(node, 'name', 'lambda')}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.Lambda))
+                  and any(isinstance(arg, ast.arg) and arg.arg == "regime"
+                          for arg in ast.walk(node.args))]
+        found += [f"{path.name}: {match.group()}" for match in re.finditer(
+            r'provenance\.get\(\s*"regime"', text)]
     assert not found, found
 
 
