@@ -42,12 +42,30 @@ sums and the round-off rule of the fields and of `values`.  (t, x, i)
 records and `Trajectory` objects are built only for `simulate_*` and
 `batch_*`, and close at exactly T; an experiment keeps each path's end at
 each horizon.
+
+A concentration experiment splits its paths into k = min(cores, paths)
+contiguous shards, with cores the size of the process's affinity mask
+(`os.sched_getaffinity`).  It forks a child for each shard but the first,
+steps the first itself, and joins the shards' ends in path order.  A shard
+keeps its paths' indices, and a path's draws depend on nothing but (seed,
+path, kind, index), so each path's ends are its one-process ends bit for
+bit and the report does not depend on k.  The experiment runs in process
+with one core or one path, where `os.fork` or `os.sched_getaffinity` is
+missing, and on Python 3.12 and later: there `os.fork()` warns with a
+DeprecationWarning in a process with more than one thread, native BLAS
+workers included, and a warning raised as an error would leave a child
+whose pid the parent never learns.  The prediction (`velocity_of_model`)
+runs before the fork; `simulate_*` and `batch_*` run in one process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
+import os
+import pickle
+import signal
 import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -553,6 +571,106 @@ def experiment_scales(model: Model, scales: Sequence[float],
             else [_lattice_scale(n) for n in scales])
 
 
+def _cores() -> int:
+    """The number of cores this process may run on, or 1 where the
+    experiment does not fork (see the module docstring)."""
+    if (sys.version_info >= (3, 12) or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _serve(run, shard: _Streams, write: int, mask) -> None:
+    """A forked child's part of `_sharded`: restore the signal mask, run its
+    shard, write `(True, ends)` or `(False, exception)` pickled to `write`
+    and leave by `os._exit`, so it never returns into its caller, runs no
+    atexit handler and flushes no buffer it inherited."""
+    try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        try:
+            result = True, run(shard)
+        except BaseException as exc:
+            result = False, exc
+        try:
+            payload = pickle.dumps(result)
+            if not result[0]:
+                pickle.loads(payload)
+        except Exception:       # an exception that does not pickle
+            error = result[1]
+            payload = pickle.dumps((False, RuntimeError(
+                f"{type(error).__name__}: {error}")))
+        view = memoryview(payload)
+        while view:
+            view = view[os.write(write, view):]
+    finally:
+        os._exit(0)
+
+
+def _read_all(fd: int) -> bytes:
+    """Everything written to the pipe whose read end is `fd`, up to EOF."""
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _sharded(run, streams: _Streams) -> np.ndarray:
+    """`run(streams)`, a stepper's ends (horizons, paths), computed in
+    k = min(`_cores()`, paths) contiguous shards that keep their paths'
+    indices.  The parent forks a child for each shard but the first, runs
+    the first itself, then reads each child's ends from its pipe and joins
+    them in path order.  A child's exception is raised again in the parent;
+    whatever leaves the parent, a signal handler's exception during its own
+    shard included, it first kills and reaps every child it has not
+    reaped."""
+    indices = streams.indices
+    k = min(_cores(), len(indices))
+    if k == 1:
+        return run(streams)
+    cuts = [len(indices) * j // k for j in range(k + 1)]
+    shards = [_Streams(streams.seed, indices[a:b])
+              for a, b in zip(cuts, cuts[1:])]
+    children = {}       # pid: the read end of its pipe, until it is reaped
+    try:
+        for shard in shards[1:]:
+            read, write = os.pipe()
+            # no signal handler runs between the fork and the bookkeeping
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK,
+                                          signal.valid_signals())
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(run, shard, write, mask)
+                children[pid] = read
+            except OSError:     # no child
+                os.close(read)
+                raise
+            finally:
+                os.close(write)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        ends = [run(shards[0])]
+        for pid, read in list(children.items()):
+            payload = _read_all(read)
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            os.close(read)
+            if status or not payload:
+                raise RuntimeError(f"a shard's worker process ended with "
+                                   f"wait status {status} before its result")
+            done, value = pickle.loads(payload)
+            if not done:
+                raise value
+            ends.append(value)
+    finally:
+        for pid, read in children.items():
+            # a signal may land between a reap and its bookkeeping
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(read)
+    return np.concatenate(ends, axis=1)
+
+
 def concentration_experiment(model: Model, scales: Sequence[float], T: float,
                              paths: int, base_seed: int,
                              predicted_v: Optional[float] = None, *,
@@ -569,6 +687,17 @@ def concentration_experiment(model: Model, scales: Sequence[float], T: float,
     scales are horizons of one sample of paths, not independent samples,
     and each row equals the `batch_*` run of its scale (for a continuous
     one, whose dt/eps is 1/dt_factor in floating point).
+
+    The paths run in contiguous shards, one per core the process may use
+    (at most one per path): a forked child steps each shard but the first,
+    which this process steps.  Each shard keeps its paths' indices and so
+    their streams, so every path's ends, and the report, are those of one
+    process, bit for bit.  A child's exception is raised here with its type
+    and message; every child is killed and reaped before any exception
+    leaves.  With one core or one path, without `os.fork` or
+    `os.sched_getaffinity`, and on Python 3.12 and later (whose `os.fork()`
+    warns in a multi-threaded process), the experiment runs in process.
+    The prediction runs before the fork.
     """
     scales = experiment_scales(model, scales, dt_factor)
     streams = _Streams(base_seed, range(paths))
@@ -577,10 +706,12 @@ def concentration_experiment(model: Model, scales: Sequence[float], T: float,
         predicted_v, _ = velocity_of_model(model, N=solver_n)
     column = np.array(scales)[:, None]
     if isinstance(model, ContinuousModel):
-        x = column * _continuous_paths(model, [T / eps for eps in scales],
-                                       1.0 / dt_factor, streams)
+        x = column * _sharded(lambda shard: _continuous_paths(
+            model, [T / eps for eps in scales], 1.0 / dt_factor, shard),
+            streams)
     else:
-        x = _discrete_paths(model, [n * T for n in scales], streams) / column
+        x = _sharded(lambda shard: _discrete_paths(
+            model, [n * T for n in scales], shard), streams) / column
     rows: List[ScaleResult] = []
     for scale, xs in zip(scales, x):
         mean, sd, se = _velocity_summary(xs / T)

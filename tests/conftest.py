@@ -1,6 +1,7 @@
 """Shared builders for randomized but valid models."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -122,3 +123,16 @@ def dense_matrix(op):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fails a test that leaves a child process behind, running or not
+    reaped: when it ends, this process has no children at all."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind (waitpid gave pid "
+                f"{pid}, status {status})")

@@ -2,13 +2,19 @@
 
 import hashlib
 import itertools
+import json
 import math
+import os
+import signal
+import sys
+import time
 
 import numpy as np
 import pytest
 
 from effham import simulator
 from effham.fields import PeriodicScalarField, fourier_gradients, stack_modes
+from effham.cli import main
 from effham.hamiltonian import velocity_of_model
 from effham.model import (ContinuousModel, DiscreteModel, SwitchingRateMatrix,
                           scaled_switching)
@@ -135,7 +141,9 @@ def test_concentration_rows_equal_independent_batches(monkeypatch):
 def test_experiment_does_only_its_finest_scales_work(monkeypatch):
     """Every scale reads the same paths at its own horizon, so an experiment
     evaluates the drift at as many rows as a batch of its finest scale
-    alone: the coarser scales cost no steps of their own."""
+    alone: the coarser scales cost no steps of their own.  One shard, so
+    that every row is stepped in this process."""
+    set_cores(monkeypatch, 1)
     rows = []
     gradients = simulator.fourier_gradients
     monkeypatch.setattr(simulator, "fourier_gradients", lambda modes, y: (
@@ -153,7 +161,10 @@ def test_concentration_builds_no_paths_and_reads_each_stream_once(monkeypatch):
     """The experiment keeps end positions only: it builds no `Trajectory`
     and no `_Records`, and it builds one Philox per path and kind of draw it
     uses (normals and uniforms for a continuous model, uniforms alone for a
-    discrete one), whatever the number of scales."""
+    discrete one), whatever the number of scales.  One shard, so that every
+    stream is built in this process."""
+    set_cores(monkeypatch, 1)
+
     def refuse(*args, **kwargs):
         raise AssertionError("the experiment built a per-path object")
 
@@ -175,6 +186,191 @@ def test_concentration_builds_no_paths_and_reads_each_stream_once(monkeypatch):
         concentration_experiment(model, scales, T, paths, 5, predicted_v=0.0)
         assert sorted(built) == sorted((kind, (5, k)) for kind in kinds
                                        for k in range(paths))
+
+
+def set_cores(monkeypatch, cores):
+    """Make the experiment split its paths into `cores` shards at most."""
+    monkeypatch.setattr(simulator, "_cores", lambda: cores)
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def record_forks(monkeypatch):
+    """The pids of the children that `os.fork` starts from now on."""
+    forked, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return forked
+
+
+@pytest.mark.parametrize("paths", [1, 2, 7])
+def test_shards_equal_one_process(monkeypatch, paths):
+    """Split across 2 or 3 forked shards (unequal ones for 7 paths), every
+    path's ends at every scale equal its one-process ends bit for bit, for a
+    continuous and a discrete model, from i0 = 0 and 1; so the experiment's
+    report is the same with one shard and with two."""
+    forked = record_forks(monkeypatch)
+    seed = 2**64 - 3
+    cases = ((scaled_switching(two_state_flashing(), 1.7), [0.1, 0.07, 0.05],
+              0.3), (discrete_two_state(), [8, 16, 32], 0.5))
+    for model, scales, T in cases:
+        if isinstance(model, ContinuousModel):
+            def run(streams, i0):
+                return simulator._continuous_paths(
+                    model, [T / eps for eps in scales], 1 / 200, streams,
+                    i0=i0)
+        else:
+            def run(streams, i0):
+                return simulator._discrete_paths(
+                    model, [n * T for n in scales], streams, i0=i0)
+        streams = simulator._Streams(seed, range(paths))
+        for i0, cores in itertools.product((0, 1), (2, 3)):
+            alone = run(streams, i0)
+            set_cores(monkeypatch, cores)
+            forked.clear()
+            ends = simulator._sharded(lambda shard: run(shard, i0), streams)
+            assert len(forked) == min(cores, paths) - 1
+            assert (ends.dtype, ends.shape) == (alone.dtype, alone.shape)
+            assert ends.tobytes() == alone.tobytes()
+        reports = []
+        for cores in (1, 2):
+            set_cores(monkeypatch, cores)
+            reports.append(concentration_experiment(model, scales, T, paths,
+                                                    seed, predicted_v=0.0))
+        assert reports[0] == reports[1]
+
+
+class ShardError(Exception):
+    """An exception type of the tests' own, raised in a child's shard."""
+
+
+def test_a_childs_exception_is_raised_in_the_parent(monkeypatch):
+    """An exception in a child's shard is raised again in the parent with
+    its type and message; one that does not pickle comes back as a
+    RuntimeError that names it.  No pipe is left open."""
+    class Unpicklable(Exception):
+        pass
+
+    fds, parent, stepper = open_fds(), os.getpid(), simulator._discrete_paths
+    set_cores(monkeypatch, 3)
+    for error in (RuntimeError, ShardError, Unpicklable):
+        def failing(model, horizons, streams, **options):
+            if os.getpid() != parent:
+                raise error("thinning bound violated in the shard from path "
+                            f"{streams.indices[0]}")
+            return stepper(model, horizons, streams, **options)
+
+        monkeypatch.setattr(simulator, "_discrete_paths", failing)
+        with pytest.raises(Exception) as info:
+            concentration_experiment(discrete_two_state(), [8], 0.5, 6, 1,
+                                     predicted_v=0.0)
+        message = "thinning bound violated in the shard from path 2"
+        if error is Unpicklable:
+            assert type(info.value) is RuntimeError
+            assert str(info.value) == f"Unpicklable: {message}"
+        else:
+            assert type(info.value) is error
+            assert str(info.value) == message
+    assert open_fds() == fds
+
+
+class Interrupt(BaseException):
+    """What a signal handler raises, as a command's time limit does."""
+
+
+def test_an_interrupted_parent_kills_and_reaps_its_children(monkeypatch):
+    """A BaseException that a signal handler raises during the parent's own
+    shard leaves the experiment only after every child is killed and
+    reaped, long before the child's shard would end, and no pipe is left
+    open."""
+    fds, forked = open_fds(), record_forks(monkeypatch)
+    parent, stepper = os.getpid(), simulator._continuous_paths
+
+    def slow(*args, **options):
+        time.sleep(10 if os.getpid() == parent else 60)
+        return stepper(*args, **options)
+
+    def on_alarm(signum, frame):
+        raise Interrupt
+
+    monkeypatch.setattr(simulator, "_continuous_paths", slow)
+    set_cores(monkeypatch, 2)
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        with pytest.raises(Interrupt):
+            concentration_experiment(two_state_flashing(), [0.1], 0.2, 4, 1,
+                                     predicted_v=0.0)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 5
+    assert len(forked) == 1
+    with pytest.raises(ProcessLookupError):     # killed and reaped
+        os.kill(forked[0], 0)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds
+
+
+def test_simulate_writes_the_same_summary_in_shards(tmp_path, monkeypatch):
+    """`effham simulate` writes a byte-identical `summary.csv` with one
+    shard and with two, for a continuous and a discrete preset."""
+    forked = record_forks(monkeypatch)
+    for preset, scales in (("two_state_flashing", [0.2, 0.1]),
+                           ("discrete_two_state", [8, 16])):
+        cfg = tmp_path / f"{preset}.json"
+        cfg.write_text(json.dumps({"simulate": {
+            "scales": scales, "T": 0.5, "paths": 9, "seed": 77}}))
+        summaries = []
+        for cores in (1, 2):
+            set_cores(monkeypatch, cores)
+            forked.clear()
+            out = tmp_path / f"{preset}-{cores}"
+            assert main(["simulate", "--preset", preset, "--config", str(cfg),
+                         "--out", str(out)]) == 0
+            assert len(forked) == cores - 1
+            summaries.append((out / "summary.csv").read_bytes())
+        assert summaries[0] == summaries[1]
+
+
+def test_the_experiment_forks_only_where_it_may(monkeypatch):
+    """The shard count is the affinity mask's size; it is 1, and the
+    experiment forks nothing, with one core, without `os.fork` or
+    `os.sched_getaffinity`, and on Python 3.12 and later."""
+    with monkeypatch.context() as m:
+        m.setattr(sys, "version_info", (3, 11, 7, "final", 0))
+        m.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert simulator._cores() == 3
+        m.setattr(os, "sched_getaffinity", lambda pid: {1})
+        assert simulator._cores() == 1
+        m.delattr(os, "sched_getaffinity")
+        assert simulator._cores() == 1
+    for change in (lambda m: m.delattr(os, "fork"),
+                   lambda m: m.setattr(sys, "version_info",
+                                       (3, 12, 0, "final", 0))):
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            change(m)
+            assert simulator._cores() == 1
+
+    def refuse():
+        raise AssertionError("the experiment forked")
+
+    set_cores(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", refuse)
+    for model, scales in ((two_state_flashing(), [0.1]),
+                          (discrete_two_state(), [8])):
+        concentration_experiment(model, scales, 0.2, 5, 3, predicted_v=0.0)
 
 
 @pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1])
