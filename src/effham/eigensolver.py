@@ -45,7 +45,7 @@ unknowns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -165,6 +165,10 @@ class EigenCertificate:
             raise ValueError("certificate eigenvector must be strictly positive")
         g.setflags(write=False)
         object.__setattr__(self, "eigenvector", g)
+
+    def __reduce__(self):
+        # unpickled through __init__: checked again, and read-only
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 # ---------------------------------------------------------------------------

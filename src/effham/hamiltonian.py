@@ -12,13 +12,15 @@ coercivity lower bounds.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import workers
 from .eigensolver import (EigenCertificate, _bracketed_start, _shifted_solve,
                           cell_operator, principal_eigenpair)
 from .fields import grid_points, sampling_resolution
@@ -28,6 +30,16 @@ log = logging.getLogger(__name__)
 
 # certified samples of a chain that an extrapolated start is built from
 _EXTRAPOLATION_SAMPLES = 5
+# a sweep solves its two sides of p = 0 in two processes when (samples on
+# its shorter side) x (operator unknowns) reaches this.  On 2 cores, one
+# BLAS thread (medians of 40 alternating runs, N = 256, tol 1e-9), one
+# process -> two: J = 2 regime I (512 unknowns), 2,048: 17.2 -> 18.9 ms,
+# 4,096: 16.1 -> 19.1 ms, 8,192: 34.5 -> 31.9 ms, 12,288: 60.3 -> 43.5 ms,
+# 15,360: 71.6 -> 46.5 ms; J = 3 regime II (256 unknowns), 2,560:
+# 16.5 -> 19.2 ms, 7,680: 32.9 -> 31.8 ms.  A fork and join costs a few
+# ms: the fork, the pickled certificates and both processes' copy-on-write
+# faults.
+_FORK_WORK = 8192
 
 
 def hamiltonian_at(model: Model, p, *, N: int = 128,
@@ -60,6 +72,10 @@ class HamiltonianTable:
             arr.setflags(write=False)
         object.__setattr__(self, "p_grid", p)
         object.__setattr__(self, "values", v)
+
+    def __reduce__(self):
+        # unpickled through __init__: checked again, and read-only
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def value_at(self, p: float) -> float:
         hits = np.nonzero(np.isclose(self.p_grid, p, rtol=0.0, atol=1e-12))[0]
@@ -124,6 +140,11 @@ def _solve_outward(at, momenta: np.ndarray, origin: int, *,
     so the choice moves the iteration count only.  Labels: "cold",
     "neighbour" or "extrapolated:<k>" with k the number of samples used; a
     sample whose operator could not be built keeps "cold".
+
+    The chain above the origin and the one below it read nothing of each
+    other, so a walk over `momenta[origin:]` (origin 0) or over
+    `momenta[:origin + 1]` gives, sample for sample, the bits of the whole
+    walk; `sweep` runs the two sides that way in two processes.
     """
     count = len(momenta)
     certs: List[Optional[EigenCertificate]] = [None] * count
@@ -160,6 +181,16 @@ def _solve_outward(at, momenta: np.ndarray, origin: int, *,
     return certs, starts, failures
 
 
+def _solve_span(at, momenta: np.ndarray, first: int, tol: float) -> tuple:
+    """`_solve_outward` over `momenta`, a span of a sweep's grid that starts
+    at its sample `first` and holds p = 0; its failures as "Type: message"
+    texts keyed by grid index."""
+    origin = int(np.flatnonzero(momenta == 0.0)[0])
+    certs, starts, errors = _solve_outward(at, momenta, origin, tol=tol)
+    return certs, starts, {first + k: f"{type(exc).__name__}: {exc}"
+                           for k, exc in errors.items()}
+
+
 def sweep(model: Model, p_min: float, p_max: float, count: int, *,
           N: int = 128, tol: float = 1e-10, axis: int = 0) -> HamiltonianTable:
     """Tabulate H over a uniform momentum grid; p = 0 is always included.
@@ -177,6 +208,17 @@ def sweep(model: Model, p_min: float, p_max: float, count: int, *,
     returned.  If the operator cannot be built, every sample records that
     error.  For continuous models with dim > 1 the sweep runs along the
     momentum line t -> t * e_axis.
+
+    A large sweep runs on two cores: when (samples on the shorter side of
+    p = 0) x (operator unknowns) reaches `_FORK_WORK`, `workers.run` forks
+    a child that walks p >= 0 while this process walks p <= 0, and the
+    child's certificates, start labels and failure texts join the table.
+    Each side starts from its own cold solve at p = 0, which takes one
+    iteration (the all-ones vector is the eigenvector there), and neither
+    side reads the other's samples, so the table is bit for bit the
+    one-process table.  Smaller sweeps run in one walk, and wherever
+    `workers.run` does not fork (one core, Python 3.12 and later) both
+    sides run in process.
     """
     if count < 3:
         raise ValueError("sweep needs at least 3 samples")
@@ -192,12 +234,12 @@ def sweep(model: Model, p_min: float, p_max: float, count: int, *,
     if not 0 <= axis < dim:
         raise ValueError(f"axis {axis} out of range for dimension {dim}")
 
-    def momentum_of(t: float):
+    def at(t: float):
         if dim == 1:
-            return float(t)
+            return op.at(float(t))
         vec = np.zeros(dim)
         vec[axis] = t
-        return vec
+        return op.at(vec)
 
     try:
         op = cell_operator(model, N=N)
@@ -205,11 +247,20 @@ def sweep(model: Model, p_min: float, p_max: float, count: int, *,
         certs, starts = [None] * len(grid), ["cold"] * len(grid)
         failures = dict.fromkeys(range(len(grid)), f"{type(exc).__name__}: {exc}")
     else:
-        certs, starts, errors = _solve_outward(
-            lambda t: op.at(momentum_of(t)), grid,
-            int(np.flatnonzero(grid == 0.0)[0]), tol=tol)
-        failures = {k: f"{type(exc).__name__}: {exc}"
-                    for k, exc in errors.items()}
+        origin = int(np.flatnonzero(grid == 0.0)[0])
+        shorter = min(origin, len(grid) - 1 - origin)
+        unknowns = op.up.shape[0] * op.up.shape[-1]     # states x points
+        if shorter * unknowns >= _FORK_WORK:
+            # this process: p <= 0; a child, where `workers.run` forks: p >= 0
+            below, above = workers.run([
+                functools.partial(_solve_span, at, grid[:origin + 1], 0, tol),
+                functools.partial(_solve_span, at, grid[origin:], origin, tol)])
+            certs = below[0] + above[0][1:]
+            starts = below[1] + above[1][1:]
+            # the order of the one-process walk: origin, p > 0, p < 0
+            failures = {**above[2], **below[2]}
+        else:
+            certs, starts, failures = _solve_span(at, grid, 0, tol)
     values = np.array([np.nan if c is None else c.eigenvalue for c in certs])
     return HamiltonianTable(grid, values, tuple(certs),
                             provenance={"regime": model.regime, "N": N,
@@ -291,6 +342,10 @@ class LagrangianTable:
         b = np.asarray(self.boundary, dtype=bool)
         b.setflags(write=False)
         object.__setattr__(self, "boundary", b)
+
+    def __reduce__(self):
+        # unpickled through __init__: checked again, and read-only
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def to_csv(self, path) -> None:
         """Fixed column order: v,L,pstar,boundary_flag."""

@@ -120,6 +120,24 @@ def dense_matrix(op):
     return M
 
 
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def record_forks(monkeypatch):
+    """The pids of the children that `os.fork` starts from now on."""
+    forked, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return forked
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
@@ -136,3 +154,14 @@ def no_child_process_left():
         return
     pytest.fail(f"the test left a child process behind (waitpid gave pid "
                 f"{pid}, status {status})")
+
+
+@pytest.fixture(autouse=True)
+def affinity_mask_kept():
+    """Fails a test after which this process may run on other cores than
+    before it: `workers.run` moves its children, never this process."""
+    mask = os.sched_getaffinity(0)
+    yield
+    if os.sched_getaffinity(0) != mask:
+        pytest.fail(f"the test left the affinity mask at "
+                    f"{os.sched_getaffinity(0)}, not {mask}")

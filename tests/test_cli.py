@@ -7,12 +7,12 @@ import sys
 import numpy as np
 import pytest
 
-from effham import cli, simulator
+from effham import cli, hamiltonian, simulator, workers
 from effham.cli import main
 from effham.model import model_to_dict
 from effham.presets import get_preset
 
-from conftest import two_dim_model
+from conftest import record_forks, two_dim_model
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -47,6 +47,32 @@ def test_sweep_rerun_bit_identical(tmp_path):
         (out2 / "hamiltonian.csv").read_bytes()
     assert (out1 / "certificates.json").read_bytes() == \
         (out2 / "certificates.json").read_bytes()
+
+
+@pytest.mark.parametrize("preset", ["two_state_flashing", "discrete_two_state"])
+def test_commands_write_the_same_artifacts_on_one_core_and_two(
+        tmp_path, monkeypatch, preset):
+    """`sweep`, `legendre` and `check` write byte-identical artifacts with
+    their sweep in one process and, with the fork threshold forced low, in
+    two."""
+    forked = record_forks(monkeypatch)
+    monkeypatch.setattr(hamiltonian, "_FORK_WORK", 1)
+    sweep = {"p_min": -1.5, "p_max": 2.0, "count": 9, "N": 64}
+    cfg = write_config(tmp_path, {
+        "sweep": sweep, "legendre": {"v_min": -0.5, "v_max": 0.5, "count": 5},
+        "check": {"p_max": 1.5, "count": 9, "N": 64}})
+    for command in ("sweep", "legendre", "check"):
+        artifacts = []
+        for cores in (1, 2):
+            monkeypatch.setattr(workers, "_cores", lambda: cores)
+            forked.clear()
+            out = tmp_path / f"{command}-{cores}"
+            assert main([command, "--preset", preset, "--config", cfg,
+                         "--out", str(out)]) == 0
+            assert len(forked) == cores - 1
+            artifacts.append({path.name: path.read_bytes()
+                              for path in out.iterdir()})
+        assert artifacts[0] == artifacts[1] and artifacts[0], command
 
 
 def test_certificates_record_each_start(tmp_path):

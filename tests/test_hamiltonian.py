@@ -2,12 +2,16 @@
 
 import hashlib
 import math
+import os
+import pickle
+import signal
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from effham import chains, hamiltonian
+from effham import chains, hamiltonian, workers
 from effham.eigensolver import (ConvergenceError, EigenCertificate,
                                 TiltedGenerator, cell_operator,
                                 collatz_wielandt_bounds, principal_eigenpair)
@@ -23,8 +27,8 @@ from effham.presets import (PRESETS, constant_drift, detailed_balance_pair,
                             two_state_flashing)
 
 from conftest import (balance_violating_model, dense_matrix,
-                      detailed_balance_model, random_continuous_model,
-                      random_discrete_model, two_dim_model)
+                      detailed_balance_model, open_fds, random_continuous_model,
+                      random_discrete_model, record_forks, two_dim_model)
 
 
 def quadratic_table(p_min=-4.0, p_max=4.0, count=81, curvature=0.5):
@@ -631,3 +635,178 @@ def test_continuous_time_scale_separation():
                  for g in (10.0, 100.0, 1000.0)]
         assert diffs[0] > diffs[1] > diffs[2], (p, diffs)
         assert diffs[2] <= 2e-3, (p, diffs)
+
+
+# ---------------------------------------------------------------------------
+# a sweep's two sides in two processes
+# ---------------------------------------------------------------------------
+
+def force_fork(monkeypatch):
+    """Fork every sweep that has a sample on each side of p = 0."""
+    monkeypatch.setattr(hamiltonian, "_FORK_WORK", 1)
+    monkeypatch.setattr(workers, "_cores", lambda: 2)
+
+
+def _table_digest(table):
+    """sha256 over everything a sweep returns per sample: values,
+    eigenvectors, CW bounds, residuals, iteration and fallback counts,
+    start labels and failure texts in their order."""
+    digest = hashlib.sha256(table.p_grid.tobytes() + table.values.tobytes())
+    for cert in table.certificates:
+        if cert is None:
+            digest.update(b"none")
+            continue
+        digest.update(cert.eigenvector.tobytes())
+        digest.update(np.array([cert.eigenvalue, cert.residual, cert.cw_lower,
+                                cert.cw_upper]).tobytes())
+        digest.update(f"{cert.iterations},{cert.fallbacks}".encode())
+    digest.update(repr((table.starts, list(table.failures.items()))).encode())
+    return digest.hexdigest()
+
+
+FORKED_SWEEPS = {
+    "regime-I-J2": (lambda: random_continuous_model(
+        np.random.default_rng(21), J=2), (-2.0, 2.0, 17), {"N": 64}),
+    "regime-II-J3": (lambda: random_continuous_model(
+        np.random.default_rng(22), J=3, regime="II"), (-2.0, 2.0, 11),
+        {"N": 64}),
+    "discrete": (lambda: random_discrete_model(
+        np.random.default_rng(23), ell=8, J=2), (-1.5, 1.5, 9), {}),
+    # 0 is not on this grid: the sweep adds it, 3 samples below, 9 above
+    "asymmetric-grid": (two_state_flashing, (-0.7, 2.3, 12), {"N": 64}),
+}
+
+
+@pytest.mark.parametrize("case", FORKED_SWEEPS)
+def test_forked_sweep_equals_one_process(monkeypatch, case):
+    """With the threshold forced low, a sweep forks one child for p >= 0,
+    and its table equals the one-process table byte for byte; the child's
+    certificates come back read-only, as this process's are."""
+    make, (p_min, p_max, count), kw = FORKED_SWEEPS[case]
+    model, forked = make(), record_forks(monkeypatch)
+    monkeypatch.setattr(workers, "_cores", lambda: 1)
+    alone = sweep(model, p_min, p_max, count, **kw)
+    assert not forked and not alone.failures
+    force_fork(monkeypatch)
+    table = sweep(model, p_min, p_max, count, **kw)
+    assert len(forked) == 1
+    assert _table_digest(table) == _table_digest(alone)
+    assert not any(cert.eigenvector.flags.writeable
+                   for cert in table.certificates)
+
+
+@pytest.mark.parametrize("failing", [(0.5,), (0.0,), (-1.0, 1.5)])
+def test_forked_sweep_reports_failures_as_one_process(monkeypatch, failing):
+    """A sample that fails, on the child's side, at p = 0 (on both sides) or
+    on both, reads the same failure text in the same place and order with
+    and without the fork, and so does every start after it."""
+    real_at = TiltedGenerator.at
+
+    def at(gen, p):
+        if float(p) in failing:
+            raise ConvergenceError(f"injected at p = {float(p)}", None)
+        return real_at(gen, p)
+
+    monkeypatch.setattr(TiltedGenerator, "at", at)
+    tables = []
+    for fork in (False, True):
+        if fork:
+            force_fork(monkeypatch)
+        tables.append(sweep(discrete_two_state(), -1.5, 1.5, 7))
+    assert _table_digest(tables[0]) == _table_digest(tables[1])
+    grid = tables[0].p_grid
+    walk = [k for k, _ in hamiltonian._outward(len(grid), 3)]
+    assert list(tables[1].failures.items()) == [
+        (k, f"ConvergenceError: injected at p = {grid[k]}")
+        for k in walk if grid[k] in failing]
+
+
+def test_a_sweep_forks_only_when_its_shorter_side_is_worth_it(monkeypatch):
+    """At `_FORK_WORK` = 8192, a J = 2, N = 256 sweep (512 unknowns) forks
+    with 16 samples on each side and not with 15, nor with its origin at
+    an end; neither do sweeps the size of `check_regime2`'s (J = 3 regime
+    II, 10 samples a side of 256 unknowns) or of the benchmark's warm-up
+    (1 x 128), nor any sweep on one core."""
+    assert hamiltonian._FORK_WORK == 8192
+    forked = record_forks(monkeypatch)
+    monkeypatch.setattr(workers, "_cores", lambda: 2)
+    sweep(two_state_flashing(), -1.6, 1.6, 33, N=256, tol=1e-9)
+    assert len(forked) == 1
+
+    def refuse():
+        raise AssertionError("the sweep forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    rng = np.random.default_rng(4242)
+    for model, args, kw in (
+            (two_state_flashing(), (-1.5, 1.5, 31), {"N": 256}),
+            (two_state_flashing(), (0.0, 3.0, 61), {"N": 256}),
+            (two_state_flashing(), (-3.0, 0.0, 61), {"N": 256}),
+            (random_continuous_model(rng, J=3, regime="II"), (-2.0, 2.0, 21),
+             {"N": 256}),
+            (random_discrete_model(rng, ell=256, J=3, regime="II"),
+             (-2.0, 2.0, 21), {}),
+            (two_state_flashing(), (-1.0, 1.0, 3), {"N": 64})):
+        assert not sweep(model, *args, tol=1e-9, **kw).failures
+    monkeypatch.setattr(workers, "_cores", lambda: 1)
+    assert not sweep(two_state_flashing(), -3.0, 3.0, 61, N=256,
+                     tol=1e-9).failures
+
+
+class Interrupt(BaseException):
+    """What a signal handler raises, as a command's time limit does."""
+
+
+def test_an_interrupted_sweep_kills_and_reaps_its_child(monkeypatch):
+    """A BaseException that a signal handler raises during this process's
+    side of a forked sweep leaves only after the child is killed and
+    reaped, with no pipe left open."""
+    fds, forked = open_fds(), record_forks(monkeypatch)
+    parent, walk = os.getpid(), hamiltonian._solve_outward
+
+    def slow(*args, **kw):
+        time.sleep(10 if os.getpid() == parent else 60)
+        return walk(*args, **kw)
+
+    def on_alarm(signum, frame):
+        raise Interrupt
+
+    monkeypatch.setattr(hamiltonian, "_solve_outward", slow)
+    force_fork(monkeypatch)
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        with pytest.raises(Interrupt):
+            sweep(discrete_two_state(), -1.0, 1.0, 5)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 5
+    assert len(forked) == 1
+    with pytest.raises(ProcessLookupError):     # killed and reaped
+        os.kill(forked[0], 0)
+    assert open_fds() == fds
+
+
+def test_certificates_and_tables_unpickle_read_only():
+    """Pickling rebuilds a certificate, a Hamiltonian table and a Lagrangian
+    table through their constructors: the copies' arrays are read-only and
+    equal, and a certificate that the constructor would reject does not
+    unpickle."""
+    table = sweep(detailed_balance_pair(), -1.0, 1.0, 5, N=32)
+    lag = legendre(table, [-0.2, 0.0, 0.2])
+    for obj, names in ((table.certificates[1], ["eigenvector"]),
+                       (table, ["p_grid", "values"]),
+                       (lag, ["v_grid", "values", "pstar", "boundary"])):
+        copy = pickle.loads(pickle.dumps(obj))
+        for name in names:
+            assert not getattr(copy, name).flags.writeable, name
+            np.testing.assert_array_equal(getattr(copy, name),
+                                          getattr(obj, name))
+    assert _table_digest(pickle.loads(pickle.dumps(table))) == \
+        _table_digest(table)
+    bad = pickle.loads(pickle.dumps(table.certificates[1]))
+    object.__setattr__(bad, "eigenvector", np.zeros(3))
+    with pytest.raises(ValueError, match="strictly positive"):
+        pickle.loads(pickle.dumps(bad))

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from effham import simulator
+from effham import simulator, workers
 from effham.fields import PeriodicScalarField, fourier_gradients, stack_modes
 from effham.cli import main
 from effham.hamiltonian import velocity_of_model
@@ -24,7 +24,7 @@ from effham.simulator import (batch_continuous, batch_discrete,
                               concentration_experiment, simulate_continuous,
                               simulate_discrete)
 
-from conftest import two_dim_model
+from conftest import open_fds, record_forks, two_dim_model
 
 
 def const_field(c):
@@ -190,25 +190,7 @@ def test_concentration_builds_no_paths_and_reads_each_stream_once(monkeypatch):
 
 def set_cores(monkeypatch, cores):
     """Make the experiment split its paths into `cores` shards at most."""
-    monkeypatch.setattr(simulator, "_cores", lambda: cores)
-
-
-def open_fds():
-    return len(os.listdir("/proc/self/fd"))
-
-
-def record_forks(monkeypatch):
-    """The pids of the children that `os.fork` starts from now on."""
-    forked, fork = [], os.fork
-
-    def recording():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording)
-    return forked
+    monkeypatch.setattr(workers, "_cores", lambda: cores)
 
 
 @pytest.mark.parametrize("paths", [1, 2, 7])
@@ -350,18 +332,18 @@ def test_the_experiment_forks_only_where_it_may(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(sys, "version_info", (3, 11, 7, "final", 0))
         m.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        assert simulator._cores() == 3
+        assert workers._cores() == 3
         m.setattr(os, "sched_getaffinity", lambda pid: {1})
-        assert simulator._cores() == 1
+        assert workers._cores() == 1
         m.delattr(os, "sched_getaffinity")
-        assert simulator._cores() == 1
+        assert workers._cores() == 1
     for change in (lambda m: m.delattr(os, "fork"),
                    lambda m: m.setattr(sys, "version_info",
                                        (3, 12, 0, "final", 0))):
         with monkeypatch.context() as m:
             m.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
             change(m)
-            assert simulator._cores() == 1
+            assert workers._cores() == 1
 
     def refuse():
         raise AssertionError("the experiment forked")

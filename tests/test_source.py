@@ -374,6 +374,22 @@ def test_only_the_model_carries_a_regime():
     assert not found, found
 
 
+def test_one_home_forks():
+    """`workers.run` is the library's one `os.fork` call site, so the rules
+    of a forked child (signals blocked across the fork, `os._exit`, every
+    child killed and reaped on every exit path) are written once."""
+    found = []
+    for path in sorted(Path(effham.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = {id(node): func.name for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+        found += [f"{path.name}:{owner.get(id(node))}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and "fork" in (getattr(node.func, "id", None),
+                                 getattr(node.func, "attr", None))]
+    assert found == ["workers.py:run"], found
+
+
 def test_benchmark_tracer_binds_the_library(monkeypatch):
     """The benchmark's tracer wraps library functions and methods by name,
     and binds the simulators' arguments by name (`eps`, `T`, `dt`), so
