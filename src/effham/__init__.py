@@ -21,8 +21,7 @@ from .eigensolver import (AssembledOperator, ConvergenceError, EigenCertificate,
 from .hamiltonian import (HamiltonianTable, LagrangianTable, convexity_report,
                           coercivity_check, hamiltonian_at, legendre, path_rate,
                           sweep, symmetry_check, velocity_of_model)
-from .simulator import (ConcentrationReport, Trajectory, TrajectoryBatch,
-                        batch_continuous, batch_discrete,
+from .simulator import (ConcentrationReport, Trajectory,
                         concentration_experiment, simulate_continuous,
                         simulate_discrete)
 from .presets import PRESETS, get_preset

@@ -87,6 +87,10 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.certificate = certificate
 
+    def __reduce__(self):
+        # unpickled with its certificate, as a worker's child sends it back
+        return type(self), (*self.args, self.certificate)
+
 
 def _slice_layout(values: np.ndarray, m: int) -> np.ndarray:
     """(J, n) state-major values -> (m, b): m slices along the first grid

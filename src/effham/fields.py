@@ -14,7 +14,7 @@ periodic itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -75,6 +75,11 @@ class PeriodicScalarField:
         object.__setattr__(self, "_slope", slope)
         object.__setattr__(self, "_tilted", bool(np.any(slope != 0.0)))
         object.__setattr__(self, "_roundoff", 8.0 * np.finfo(float).eps * size)
+
+    def __reduce__(self):
+        # unpickled through __init__: checked again, and read-only
+        return type(self), tuple(getattr(self, f.name) for f in fields(self)
+                                 if f.init)
 
     # -- evaluation ------------------------------------------------------------
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import List, Optional, Union
 
 import numpy as np
@@ -185,6 +185,10 @@ class DiscreteModel:
         object.__setattr__(self, "hop_rates_plus", rp)
         object.__setattr__(self, "hop_rates_minus", rm)
         object.__setattr__(self, "switching", sw)
+
+    def __reduce__(self):
+        # unpickled through __init__: checked again, and read-only
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 Model = Union[ContinuousModel, DiscreteModel]

@@ -30,18 +30,18 @@ counter, each once, in blocks of `_BLOCK`; an exponential is -log1p(-u) of
 the path's next uniform u.  A kind that every running row reads as often
 per array step (the normals; the discrete clock and choice) keeps one
 cursor for all rows; the thinning draws keep one per path.  So every draw
-is a function of (seed, path, kind, index): `simulate_*` with
-`traj_index=k` reproduces path k of a batch bit for bit, whatever the batch
-and the block size, and each row of a concentration experiment equals the
-`batch_*` run of its scale whenever the batch's fast step dt/eps equals the
-experiment's in floating point.  Each row's drift is
+is a function of (seed, path, kind, index), whatever the other paths of
+the run and the block size: each row of a concentration experiment equals
+the one-scale experiment of its scale, and `simulate_*` with `traj_index=k`
+ends where path k of an experiment does whenever its fast step dt/eps
+equals the experiment's 1/dt_factor in floating point.  Each row's drift is
 `fields.fourier_gradients` of its state's column of the potentials'
 `stack_modes`, gathered again only when the row jumps, and its switching
 rates are `SwitchingRateMatrix.rates_out_of` its state, clipped at 0: the
 sums and the round-off rule of the fields and of `values`.  (t, x, i)
-records and `Trajectory` objects are built only for `simulate_*` and
-`batch_*`, and close at exactly T; an experiment keeps each path's end at
-each horizon.
+records and `Trajectory` objects are built only for `simulate_*`, one
+path at a time, and close at exactly T; an experiment keeps each path's
+end at each horizon.
 
 A concentration experiment splits its paths into k = min(cores, paths)
 contiguous shards, with cores the size of the process's affinity mask
@@ -52,8 +52,8 @@ A shard keeps its paths' indices, and a path's draws depend on nothing but
 bit for bit and the report does not depend on k.  The experiment runs in
 process wherever `workers.run` does not fork (one core, no `os.fork` or
 `os.sched_getaffinity`, Python 3.12 and later) and with one path.  The
-prediction (`velocity_of_model`) runs before the fork; `simulate_*` and
-`batch_*` run in one process.
+prediction (`velocity_of_model`) runs before the fork; `simulate_*` runs
+in one process.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -179,10 +179,9 @@ class Trajectory:
         if len(self.times) < 2 or self.times[0] != 0.0:
             raise ValueError("trajectory must start at t = 0 and have >= 2 records")
 
-    @property
-    def empirical_velocity(self) -> float:
-        return float((self.positions[-1] - self.positions[0])
-                     / (self.times[-1] - self.times[0]))
+    def __reduce__(self):
+        # unpickled through __init__: checked again, and read-only
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def switch_count(self) -> int:
@@ -197,38 +196,34 @@ class Trajectory:
 
 
 class _Records:
-    """(t, x, i) records of a run's paths at one scale.  The stepper logs
-    them in its fast variables (s, y, i), in time order, as chunks
-    (paths, s, y, i); the split by path maps s and y to t and x with `slow`
-    and closes every path at exactly T."""
+    """(t, x, i) records of a one-path run at one scale.  The stepper logs
+    them in its fast variables (s, y, i), in time order, each for the rows
+    `paths` it names (the run's one path, or none); `trajectory` maps s and
+    y to t and x with `slow` and closes the path at exactly T."""
 
-    def __init__(self, paths: int, T: float, slow):
+    def __init__(self, T: float, slow):
         self._log: list = []
         self._T, self._slow = T, slow
-        self._last = np.full(paths, -math.inf)
+        self._last = -math.inf
 
     def add(self, paths: np.ndarray, s, y, i) -> None:
-        # `i` is copied: the continuous stepper changes its states in place
-        self._log.append(np.broadcast_arrays(paths, s, y, np.array(i)))
-        self._last[paths] = s
+        if len(paths):
+            # `i` is copied: the continuous stepper changes its states in place
+            self._log.append((s, y, np.array(i)))
+            self._last = s
 
     def end(self, paths: np.ndarray, horizon: float, y: np.ndarray,
             i: np.ndarray) -> None:
         """Close `paths` at `horizon`, unless their last record is there."""
-        new = self._last[paths] != horizon
-        self.add(paths[new], horizon, y[new], i[new])
+        if self._last != horizon:
+            self.add(paths, horizon, y, i)
 
-    def trajectories(self, *, seed: int, scale: float,
-                     kind: str) -> List[Trajectory]:
-        paths, s, y, i = (np.concatenate(chunks) for chunks in zip(*self._log))
-        order = np.argsort(paths, kind="stable")
-        cuts = np.cumsum(np.bincount(paths, minlength=len(self._last)))
-        t, x = self._slow(s[order]), self._slow(y[order])
-        t[cuts - 1] = self._T       # each path's last record is its close
-        t, x, i = (np.split(column, cuts[:-1]) for column in (t, x, i[order]))
-        return [Trajectory(seed=seed, scale=scale, times=tk, positions=xk,
-                           states=ik, kind=kind)
-                for tk, xk, ik in zip(t, x, i)]
+    def trajectory(self, *, seed: int, scale: float, kind: str) -> Trajectory:
+        s, y, i = (np.hstack(column) for column in zip(*self._log))
+        t = self._slow(s)
+        t[-1] = self._T             # the last record is the path's close
+        return Trajectory(seed=seed, scale=scale, times=t,
+                          positions=self._slow(y), states=i, kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -373,17 +368,6 @@ def _continuous_paths(model: ContinuousModel, horizons: Sequence[float],
     return ends
 
 
-def _continuous_trajectories(model: ContinuousModel, eps: float, T: float,
-                             dt: Optional[float], streams: _Streams,
-                             **options) -> List[Trajectory]:
-    """The paths of `streams` at one scale, with their records."""
-    ds = _fast_step(eps, dt)
-    records = _Records(len(streams.indices), T, lambda a: eps * a)
-    _continuous_paths(model, [T / eps], ds, streams, records=records,
-                      **options)
-    return records.trajectories(seed=streams.seed, scale=eps, kind="continuous")
-
-
 def simulate_continuous(model: ContinuousModel, eps: float, T: float,
                         dt: Optional[float] = None, seed: int = 0, *,
                         i0: int = 0, traj_index: int = 0) -> Trajectory:
@@ -392,8 +376,11 @@ def simulate_continuous(model: ContinuousModel, eps: float, T: float,
     dt defaults to eps/DT_FACTOR and must satisfy dt <= eps/10 so the fast
     variable x/eps is resolved.
     """
-    return _continuous_trajectories(
-        model, eps, T, dt, _Streams(seed, [traj_index]), i0=i0)[0]
+    streams = _Streams(seed, [traj_index])
+    ds = _fast_step(eps, dt)
+    records = _Records(T, lambda a: eps * a)
+    _continuous_paths(model, [T / eps], ds, streams, i0=i0, records=records)
+    return records.trajectory(seed=streams.seed, scale=eps, kind="continuous")
 
 
 # ---------------------------------------------------------------------------
@@ -456,25 +443,19 @@ def _discrete_paths(model: DiscreteModel, horizons: Sequence[float],
     return ends
 
 
-def _discrete_trajectories(model: DiscreteModel, n: int, T: float,
-                           streams: _Streams, **options) -> List[Trajectory]:
-    """The paths of `streams` at one lattice refinement, with their records."""
-    n = _lattice_scale(n)
-    records = _Records(len(streams.indices), T, lambda a: a / n)
-    _discrete_paths(model, [n * T], streams, records=records, **options)
-    return records.trajectories(seed=streams.seed, scale=float(n),
-                                kind="discrete")
-
-
 def simulate_discrete(model: DiscreteModel, n: int, T: float, seed: int = 0, *,
                       i0: int = 0, traj_index: int = 0) -> Trajectory:
     """Exact event-driven path: hop rates n r_+-, switching rates n r_ij."""
-    return _discrete_trajectories(model, n, T, _Streams(seed, [traj_index]),
-                                  i0=i0)[0]
+    streams = _Streams(seed, [traj_index])
+    n = _lattice_scale(n)
+    records = _Records(T, lambda a: a / n)
+    _discrete_paths(model, [n * T], streams, i0=i0, records=records)
+    return records.trajectory(seed=streams.seed, scale=float(n),
+                              kind="discrete")
 
 
 # ---------------------------------------------------------------------------
-# batches and the concentration experiment
+# the concentration experiment
 # ---------------------------------------------------------------------------
 
 def _velocity_summary(vels: np.ndarray) -> Tuple[float, float, float]:
@@ -482,35 +463,6 @@ def _velocity_summary(vels: np.ndarray) -> Tuple[float, float, float]:
     sd = float(np.std(vels, ddof=1)) if len(vels) > 1 else 0.0
     return (float(np.mean(vels)), sd,
             sd / math.sqrt(len(vels)) if len(vels) > 1 else 0.0)
-
-
-@dataclass(frozen=True)
-class TrajectoryBatch:
-    """Independent paths with their empirical-velocity summary."""
-
-    trajectories: tuple
-    velocities: np.ndarray
-    mean: float
-    sd: float
-    se: float
-
-    @classmethod
-    def from_trajectories(cls, trajs: Sequence[Trajectory]) -> "TrajectoryBatch":
-        vels = np.array([tr.empirical_velocity for tr in trajs])
-        return cls(tuple(trajs), vels, *_velocity_summary(vels))
-
-
-def batch_continuous(model: ContinuousModel, eps: float, T: float, paths: int,
-                     base_seed: int, dt: Optional[float] = None, *,
-                     i0: int = 0) -> TrajectoryBatch:
-    return TrajectoryBatch.from_trajectories(_continuous_trajectories(
-        model, eps, T, dt, _Streams(base_seed, range(paths)), i0=i0))
-
-
-def batch_discrete(model: DiscreteModel, n: int, T: float, paths: int,
-                   base_seed: int, *, i0: int = 0) -> TrajectoryBatch:
-    return TrajectoryBatch.from_trajectories(_discrete_trajectories(
-        model, n, T, _Streams(base_seed, range(paths)), i0=i0))
 
 
 @dataclass(frozen=True)
@@ -595,8 +547,7 @@ def concentration_experiment(model: Model, scales: Sequence[float], T: float,
     each path runs once in the fast variables, in steps ds = 1/dt_factor,
     and scale eps (or n) is its end at the horizon T/eps (or n T).  So the
     scales are horizons of one sample of paths, not independent samples,
-    and each row equals the `batch_*` run of its scale (for a continuous
-    one, whose dt/eps is 1/dt_factor in floating point).
+    and each row equals the one-scale experiment of its scale.
 
     The paths run in contiguous shards, one per core the process may use
     (at most one per path): a forked child steps each shard but the first,

@@ -221,12 +221,12 @@ def test_criterion_9_motor_effect():
     assert abs(v_eig) >= 0.01
 
     eps = 0.02
-    batch = eh.batch_continuous(model, eps, 1.0, 1000, base_seed=SEED + 2,
-                                dt=eps / 200.0)
-    tolerance = max(3.0 * batch.se, 0.05)
-    assert abs(batch.mean - v_eig) <= tolerance, \
-        f"simulated {batch.mean:.4f} vs eigen {v_eig:.4f} (tol {tolerance:.4f})"
+    row, = eh.concentration_experiment(model, [eps], 1.0, 1000, SEED + 2,
+                                       predicted_v=v_eig, dt_factor=200).rows
+    tolerance = max(3.0 * row.se, 0.05)
+    assert abs(row.mean_v - v_eig) <= tolerance, \
+        f"simulated {row.mean_v:.4f} vs eigen {v_eig:.4f} (tol {tolerance:.4f})"
     elapsed = time.perf_counter() - t0
     print(f"\nPASS criterion 9: motor velocity DH(0)={v_eig:.4f}, simulated "
-          f"{batch.mean:.4f} +- {batch.se:.4f} (tol {tolerance:.3f}), "
+          f"{row.mean_v:.4f} +- {row.se:.4f} (tol {tolerance:.3f}), "
           f"{elapsed:.0f}s")

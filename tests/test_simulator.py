@@ -20,8 +20,7 @@ from effham.model import (ContinuousModel, DiscreteModel, SwitchingRateMatrix,
                           scaled_switching)
 from effham.presets import (constant_drift, discrete_asymmetric,
                             discrete_two_state, two_state_flashing)
-from effham.simulator import (batch_continuous, batch_discrete,
-                              concentration_experiment, simulate_continuous,
+from effham.simulator import (concentration_experiment, simulate_continuous,
                               simulate_discrete)
 
 from conftest import open_fds, record_forks, two_dim_model
@@ -61,88 +60,100 @@ def six_mode_flashing():
 
 
 def test_batch_membership_does_not_change_a_path():
-    """Path k of a batch equals the same path simulated alone, also for
-    potentials with many modes."""
+    """Path k of a many-path run ends where the same path simulated alone
+    ends, also for potentials with many modes."""
     paths = 5
-    conts = [batch_continuous(m(), 0.1, 0.5, paths, base_seed=42)
-             for m in (two_state_flashing, six_mode_flashing)]
-    disc = batch_discrete(discrete_two_state(), 32, 1.0, paths, base_seed=42)
+    streams = simulator._Streams(42, range(paths))
+    runs = [0.1 * simulator._continuous_paths(m(), [0.5 / 0.1], 1 / 200,
+                                              streams)[0]
+            for m in (two_state_flashing, six_mode_flashing)]
+    runs.append(simulator._discrete_paths(discrete_two_state(), [32.0],
+                                          streams)[0] / 32)
     for k in (0, paths - 1):
         alone = [simulate_continuous(m(), 0.1, 0.5, seed=42, traj_index=k)
                  for m in (two_state_flashing, six_mode_flashing)]
         alone.append(simulate_discrete(discrete_two_state(), 32, 1.0, seed=42,
                                        traj_index=k))
-        for batch, single in zip(conts + [disc], alone):
-            in_batch = batch.trajectories[k]
-            np.testing.assert_array_equal(in_batch.times, single.times)
-            np.testing.assert_array_equal(in_batch.positions, single.positions)
-            np.testing.assert_array_equal(in_batch.states, single.states)
+        for ends, single in zip(runs, alone):
+            assert ends[k] == single.positions[-1]
 
 
 def test_block_size_does_not_change_a_path(monkeypatch):
     """Each kind of draw has its own stream, read by its path alone, so the
     draw block size is a memory setting only, for every kind of draw: the
-    normals and thinning draws of a continuous batch, the clocks and choices
-    of a discrete one, refilled as the paths read them at their own pace."""
+    normals and thinning draws of a continuous run, the clocks and choices
+    of a discrete one, refilled as the paths read them at their own pace.
+    The records of paths 0 and 5 simulated alone and the ends of a six-path
+    run are the same bits with either block."""
     runs = []
+    streams = simulator._Streams(8, range(6))
     for block in (simulator._BLOCK, 5):
         monkeypatch.setattr(simulator, "_BLOCK", block)
-        runs.append(batch_continuous(two_state_flashing(), 0.1, 0.3, 6,
-                                     base_seed=8).trajectories
-                    + batch_discrete(discrete_two_state(), 16, 1.0, 6,
-                                     base_seed=8).trajectories)
-    for a, b in zip(*runs):
+        singles = [simulate_continuous(two_state_flashing(), 0.1, 0.3,
+                                       seed=8, traj_index=k) for k in (0, 5)]
+        singles += [simulate_discrete(discrete_two_state(), 16, 1.0, seed=8,
+                                      traj_index=k) for k in (0, 5)]
+        ends = [simulator._continuous_paths(two_state_flashing(), [2.0, 3.0],
+                                            1 / 200, streams),
+                simulator._discrete_paths(discrete_two_state(), [8.0, 16.0],
+                                          streams)]
+        runs.append((singles, ends))
+    for a, b in zip(*(singles for singles, _ in runs)):
         np.testing.assert_array_equal(a.times, b.times)
         np.testing.assert_array_equal(a.positions, b.positions)
         np.testing.assert_array_equal(a.states, b.states)
+    for a, b in zip(*(ends for _, ends in runs)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_concentration_rows_equal_independent_batches(monkeypatch):
     """An experiment runs each path once in the fast variables and reads
-    every scale at its horizon; every row still equals a fresh batch of its
-    scale, bit for bit, also with switching scaled by gamma != 1 and,
-    calling the stepper with one fast step ds, for i0 = 1.  The scales end
-    at different steps, and the paths read their draws at different paces;
-    with a block of 5 the draw blocks refill many times within a run."""
+    every scale at its horizon; every row still equals a fresh one-scale
+    experiment of its scale, bit for bit, also with switching scaled by
+    gamma != 1; and, calling the stepper from i0 = 1, the first and last
+    paths end at every horizon where `simulate_*` with their index ends.
+    The scales end at different steps, and the paths read their draws at
+    different paces; with a block of 5 the draw blocks refill many times
+    within a run."""
     gamma, seed, dt_factor = 1.7, 31, 150.0
     cases = ((scaled_switching(two_state_flashing(), gamma),
               [0.1, 0.07, 0.05], 0.3, 6),
              (scaled_switching(discrete_two_state(), gamma), [16, 32, 64],
               1.0, 8))
-    # a batch steps ds = dt/eps, the experiment 1/dt_factor: equal here
+    # simulate_continuous steps ds = dt/eps, the experiment 1/dt_factor
     assert all((s / dt_factor) / s == 1.0 / dt_factor for s in cases[0][1])
     for block, (model, scales, T, paths) in itertools.product(
             (simulator._BLOCK, 5), cases):
         monkeypatch.setattr(simulator, "_BLOCK", block)
         report = concentration_experiment(model, scales, T, paths, seed,
                                           predicted_v=0.0, dt_factor=dt_factor)
+        for row, scale in zip(report.rows, scales):
+            assert row == concentration_experiment(
+                model, [scale], T, paths, seed, predicted_v=0.0,
+                dt_factor=dt_factor).rows[0]
         streams = simulator._Streams(seed, range(paths))
         if isinstance(model, ContinuousModel):
             ends = simulator._continuous_paths(
                 model, [T / s for s in scales], 1.0 / dt_factor, streams,
                 i0=1) * np.array(scales)[:, None]
-            batches, alone = ([batch_continuous(model, s, T, paths, seed,
-                                                dt=s / dt_factor, i0=i0)
-                               for s in scales]
-                              for i0 in (0, 1))
+            alone = [[simulate_continuous(model, s, T, s / dt_factor, seed,
+                                          i0=1, traj_index=k)
+                      for k in (0, paths - 1)] for s in scales]
         else:
             ends = simulator._discrete_paths(
                 model, [n * T for n in scales], streams,
                 i0=1) / np.array(scales)[:, None]
-            batches, alone = ([batch_discrete(model, s, T, paths, seed, i0=i0)
-                               for s in scales] for i0 in (0, 1))
-        for row, batch, from_one, x in zip(report.rows, batches, alone, ends):
-            assert (row.mean_v, row.sd, row.se) == (batch.mean, batch.sd,
-                                                    batch.se)
-            assert list(x) == [tr.positions[-1]
-                               for tr in from_one.trajectories]
+            alone = [[simulate_discrete(model, s, T, seed, i0=1, traj_index=k)
+                      for k in (0, paths - 1)] for s in scales]
+        for x, singles in zip(ends, alone):
+            assert [x[0], x[-1]] == [tr.positions[-1] for tr in singles]
 
 
 def test_experiment_does_only_its_finest_scales_work(monkeypatch):
     """Every scale reads the same paths at its own horizon, so an experiment
-    evaluates the drift at as many rows as a batch of its finest scale
-    alone: the coarser scales cost no steps of their own.  One shard, so
-    that every row is stepped in this process."""
+    evaluates the drift at as many rows as a one-scale experiment of its
+    finest scale: the coarser scales cost no steps of their own.  One
+    shard, so that every row is stepped in this process."""
     set_cores(monkeypatch, 1)
     rows = []
     gradients = simulator.fourier_gradients
@@ -153,7 +164,7 @@ def test_experiment_does_only_its_finest_scales_work(monkeypatch):
                              predicted_v=0.0)
     experiment = sum(rows)
     rows.clear()
-    batch_continuous(model, 0.05, T, paths, seed)
+    concentration_experiment(model, [0.05], T, paths, seed, predicted_v=0.0)
     assert experiment == sum(rows) > 0
 
 
@@ -407,9 +418,8 @@ def test_negative_seed_or_index_raises(seed, index):
                             traj_index=index)
     if index == 0:      # the runs that take a seed alone
         with pytest.raises(error, match=match):
-            batch_continuous(two_state_flashing(), 0.1, 0.2, 2, seed)
-        with pytest.raises(error, match=match):
-            batch_discrete(discrete_two_state(), 4, 0.5, 2, seed)
+            concentration_experiment(two_state_flashing(), [0.1], 0.2, 2,
+                                     seed, predicted_v=0.0)
         with pytest.raises(error, match=match):
             concentration_experiment(discrete_two_state(), [4, 8], 0.5, 2,
                                      seed, predicted_v=0.0)
@@ -452,15 +462,15 @@ def _records_digest(trajectories):
 
 
 def test_trajectory_records_golden_pin():
-    """Pins the records of a continuous path with switches and a discrete
-    batch.  Both digests were re-pinned when the stream keying changed to
+    """Pins the records of a continuous path with switches and of discrete
+    paths 0 to 7 of one seed.  Both digests were re-pinned when the stream keying changed to
     Philox keyed by (seed, path) with the kind in the counter, and every
     exponential became -log1p(-u) of the path's uniform stream.  A change
     of stepper, streams or record rule must update them on purpose."""
     switching = simulate_continuous(two_state_flashing(), 0.1, 1.0, seed=5,
                                     traj_index=2)
-    disc = batch_discrete(discrete_two_state(), 32, 1.0, 8,
-                          base_seed=9).trajectories
+    disc = [simulate_discrete(discrete_two_state(), 32, 1.0, seed=9,
+                              traj_index=k) for k in range(8)]
     assert switching.switch_count > 0
     assert [_records_digest([switching]), _records_digest(disc)] == [
         "d6dddec85acb4504e08eee5b1afd83d1b5a0761ef6c91c501a8273d1448d8c8e",
@@ -526,8 +536,9 @@ def test_default_dt_matches_eigen_velocity():
     a coarse step (dt = eps/20) once biased it to about twice that."""
     model = two_state_flashing()
     v_eig, _ = velocity_of_model(model, N=128)
-    batch = batch_continuous(model, 0.05, 1.0, 1000, base_seed=61)
-    assert abs(batch.mean - v_eig) <= max(3.0 * batch.se, 0.05)
+    row, = concentration_experiment(model, [0.05], 1.0, 1000, 61,
+                                    predicted_v=v_eig).rows
+    assert abs(row.mean_v - v_eig) <= max(3.0 * row.se, 0.05)
 
 
 def test_thinning_bound_violation_raises(monkeypatch):
@@ -540,9 +551,10 @@ def test_thinning_bound_violation_raises(monkeypatch):
 
 
 def test_drift_only_mean_displacement():
-    batch = batch_continuous(constant_drift(1.0), 0.1, 1.0, 200, base_seed=7)
-    assert abs(batch.mean - 1.0) <= 3 * batch.se
-    tr = batch.trajectories[0]
+    row, = concentration_experiment(constant_drift(1.0), [0.1], 1.0, 200, 7,
+                                    predicted_v=1.0).rows
+    assert abs(row.mean_v - 1.0) <= 3 * row.se
+    tr = simulate_continuous(constant_drift(1.0), 0.1, 1.0, seed=7)
     assert tr.times[0] == 0.0 and tr.times[-1] == 1.0
     assert np.all(np.diff(tr.times) > 0)
 
@@ -597,8 +609,9 @@ def test_thinning_rates_scale_with_gamma():
 
 def test_discrete_event_rate_oracle():
     m = discrete_asymmetric(2.0, 1.0)
-    batch = batch_discrete(m, 50, 1.0, 100, base_seed=3)
-    counts = np.array([len(tr.times) - 2 for tr in batch.trajectories])
+    counts = np.array([len(simulate_discrete(m, 50, 1.0, seed=3,
+                                             traj_index=k).times) - 2
+                       for k in range(100)])
     expected = 50 * 3.0          # n (r+ + r-) T
     se = counts.std(ddof=1) / math.sqrt(len(counts))
     assert abs(counts.mean() - expected) <= 3 * se
@@ -614,11 +627,13 @@ def test_discrete_positions_step_by_1_over_n():
 
 def test_discrete_velocity_oracles():
     m = discrete_asymmetric(2.0, 1.0)
-    batch = batch_discrete(m, 100, 1.0, 300, base_seed=17)
-    assert abs(batch.mean - 1.0) <= 3 * batch.se     # DH(0) = r+ - r-
+    row, = concentration_experiment(m, [100], 1.0, 300, 17,
+                                    predicted_v=1.0).rows
+    assert abs(row.mean_v - 1.0) <= 3 * row.se      # DH(0) = r+ - r-
     sym = discrete_asymmetric(1.5, 1.5)
-    batch = batch_discrete(sym, 100, 1.0, 300, base_seed=18)
-    assert abs(batch.mean) <= 3 * batch.se
+    row, = concentration_experiment(sym, [100], 1.0, 300, 18,
+                                    predicted_v=0.0).rows
+    assert abs(row.mean_v) <= 3 * row.se
 
 
 def test_discrete_switching_changes_states():
@@ -635,8 +650,9 @@ def test_cosine_potential_velocity_vanishes():
     """A pure periodic potential is reversible: mean velocity ~ 0."""
     from effham.presets import tilted_cosine
     m = tilted_cosine(force=0.0, amplitude=0.25)
-    batch = batch_continuous(m, 0.05, 1.0, 200, base_seed=13)
-    assert abs(batch.mean) <= 3 * batch.se
+    row, = concentration_experiment(m, [0.05], 1.0, 200, 13,
+                                    predicted_v=0.0).rows
+    assert abs(row.mean_v) <= 3 * row.se
 
 
 def test_concentration_constant_drift_small():
@@ -670,7 +686,9 @@ def test_bad_gamma_raises(gamma):
         concentration_experiment(two_state_flashing(), [0.1], 0.5, 4, 1,
                                  predicted_v=0.0, gamma=gamma)
     with pytest.raises(TypeError, match="gamma"):
-        batch_discrete(discrete_two_state(), 16, 0.5, 4, 1, gamma=gamma)
+        simulate_continuous(two_state_flashing(), 0.1, 0.5, gamma=gamma)
+    with pytest.raises(TypeError, match="gamma"):
+        simulate_discrete(discrete_two_state(), 16, 0.5, gamma=gamma)
 
 
 @pytest.mark.parametrize("n", [0, 2.5, 10**400], ids=["0", "2.5", "10**400"])
@@ -704,9 +722,8 @@ def test_summary_csv(tmp_path):
 
 @pytest.mark.parametrize("run", [
     lambda: concentration_experiment(two_state_flashing(), [0.1], 0.2, 0, 1),
-    lambda: batch_continuous(two_state_flashing(), 0.1, 0.2, 0, 1),
-    lambda: batch_discrete(discrete_two_state(), 16, 0.5, 0, 1),
-], ids=["concentration_experiment", "batch_continuous", "batch_discrete"])
+    lambda: concentration_experiment(discrete_two_state(), [16], 0.5, 0, 1),
+], ids=["concentration_experiment", "discrete_experiment"])
 def test_zero_paths_rejected(run):
     """An empty path set is rejected where its streams are keyed, before any
     solve or step (it once gave NaN rows, or a stray trajectory error)."""

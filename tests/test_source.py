@@ -390,6 +390,35 @@ def test_one_home_forks():
     assert found == ["workers.py:run"], found
 
 
+def test_one_monte_carlo_entry_point():
+    """`concentration_experiment` is the library's one way to run many
+    paths: no other public function or class of `simulator` takes a path
+    count, and no `batch_*` runner or `TrajectoryBatch` (many paths with a
+    record of every step) is defined, imported or used in the library or
+    its tests."""
+    runners = [name for name, obj in vars(simulator).items()
+               if not name.startswith("_")
+               and (inspect.isfunction(obj) or inspect.isclass(obj))
+               and obj.__module__ == simulator.__name__
+               and any("paths" in param
+                       for param in inspect.signature(obj).parameters)]
+    assert runners == ["concentration_experiment"], runners
+    pattern = re.compile(r"^batch_|TrajectoryBatch")
+    root = Path(effham.__file__).resolve().parents[2]
+    found = []
+    for path in sorted([*(root / "src" / "effham").glob("*.py"),
+                        *(root / "tests").glob("*.py")]):
+        text = path.read_text(encoding="utf-8")
+        if "batch_" not in text and "TrajectoryBatch" not in text:
+            continue    # parsing every file costs about 0.4 s
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            names = [getattr(node, attr, None)
+                     for attr in ("id", "attr", "name", "asname", "arg")]
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if isinstance(name, str) and pattern.search(name)]
+    assert not found, found
+
+
 def test_benchmark_tracer_binds_the_library(monkeypatch):
     """The benchmark's tracer wraps library functions and methods by name,
     and binds the simulators' arguments by name (`eps`, `T`, `dt`), so

@@ -1,12 +1,36 @@
 """Calls run on several cores by forked children (`effham.workers`)."""
 
+import dataclasses
 import os
+import pickle
 
+import numpy as np
 import pytest
 
 from effham import workers
+from effham.eigensolver import ConvergenceError, EigenCertificate
+from effham.fields import PeriodicScalarField
+from effham.presets import discrete_two_state
+from effham.simulator import simulate_discrete
 
 from conftest import record_forks
+
+
+def stalled():
+    """A `ConvergenceError` with its best certificate attached."""
+    return ConvergenceError("CW gap stalled at 1e-9", EigenCertificate(
+        eigenvalue=-0.25, eigenvector=np.array([1.0, 0.5, 0.75]),
+        residual=1e-9, cw_lower=-0.3, cw_upper=-0.2, iterations=7))
+
+
+def assert_same_certificate(error, expected):
+    assert type(error) is ConvergenceError
+    assert str(error) == str(expected)
+    cert, want = error.certificate, expected.certificate
+    assert not cert.eigenvector.flags.writeable
+    np.testing.assert_array_equal(cert.eigenvector, want.eigenvector)
+    assert all(getattr(cert, f.name) == getattr(want, f.name)
+               for f in dataclasses.fields(want) if f.name != "eigenvector")
 
 
 def test_each_child_runs_on_another_core(monkeypatch):
@@ -49,3 +73,55 @@ def test_a_child_that_dies_before_its_result_raises(monkeypatch):
     for code in (0, 3):
         with pytest.raises(RuntimeError, match="wait status"):
             workers.run([lambda: None, lambda code=code: os._exit(code)])
+
+
+def test_a_convergence_error_keeps_its_certificate_across_pickling():
+    """A `ConvergenceError` unpickles with its message and its certificate,
+    also one without a certificate."""
+    error = stalled()
+    assert_same_certificate(pickle.loads(pickle.dumps(error)), error)
+    bare = pickle.loads(pickle.dumps(ConvergenceError("stalled", None)))
+    assert (type(bare), str(bare), bare.certificate) == (
+        ConvergenceError, "stalled", None)
+
+
+def test_a_childs_convergence_error_arrives_with_its_certificate(monkeypatch):
+    """A `ConvergenceError` raised in a forked child is raised here with its
+    type, message and certificate, not as a `RuntimeError` that names it."""
+    forked = record_forks(monkeypatch)
+    monkeypatch.setattr(workers, "_cores", lambda: 2)
+
+    def failing():
+        raise stalled()
+
+    with pytest.raises(ConvergenceError) as info:
+        workers.run([lambda: None, failing])
+    assert len(forked) == 1
+    assert_same_certificate(info.value, stalled())
+
+
+@pytest.mark.parametrize("make", [
+    discrete_two_state,
+    lambda: PeriodicScalarField(dim=1, fourier_coeffs=(((1,), 0.3, -0.2),
+                                                       ((2,), 0.1, 0.05)),
+                                affine_slope=(0.5,)),
+    lambda: simulate_discrete(discrete_two_state(), 16, 0.5, seed=1),
+], ids=["DiscreteModel", "PeriodicScalarField", "Trajectory"])
+def test_frozen_value_types_unpickle_read_only(make):
+    """A frozen value type that freezes its arrays unpickles through its
+    constructor: every field of the copy equals the original's, and its
+    arrays are read-only, as a child's results that carry them must be."""
+    obj = make()
+    copy = pickle.loads(pickle.dumps(obj))
+    assert type(copy) is type(obj)
+    arrays = 0
+    for f in dataclasses.fields(obj):
+        value, want = getattr(copy, f.name), getattr(obj, f.name)
+        if isinstance(want, np.ndarray):
+            arrays += 1
+            assert not value.flags.writeable, f.name
+            assert value.dtype == want.dtype, f.name
+            np.testing.assert_array_equal(value, want)
+        else:
+            assert value == want, f.name
+    assert arrays >= 2
