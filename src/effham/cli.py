@@ -267,7 +267,7 @@ def cmd_simulate(cfg: dict, model, outdir: Path,
                       positive=True)
     try:
         simulator.experiment_scales(model, scales, dt_factor)
-    except ValueError as exc:
+    except (ValueError, NotImplementedError) as exc:
         raise ConfigError(f'"simulate" block: {exc}') from exc
     scale = _real(block, "gamma", where, 1.0, positive=True)
     predicted_v = (None if block.get("predicted_v") is None

@@ -604,7 +604,7 @@ def principal_eigenpair(M, tol: float = 1e-10,
     unknown, ending at one dense LU of at most `_DENSE_BASE` = 64 unknowns)
     never form the whole dense matrix.  A raw matrix is a single slice,
     iterated with a dense product and a dense LU.
-    `hamiltonian._solve_outward` passes a `_Start` from `_bracketed_start`,
+    `hamiltonian._solve_chain` passes a `_Start` from `_bracketed_start`,
     whose bracket it has already formed to choose the start.
     """
     A, B, C, index = _slices(M)

@@ -1,8 +1,10 @@
 """Effective-Hamiltonian tables, transport quantities and structural diagnostics.
 
 The Hamiltonian H(p) is the principal eigenvalue of the cell operator at
-momentum p.  The macroscopic velocity DH(0) comes from one left eigenvector
-at p = 0 (`velocity_of_model`, any dimension).  From a sampled table this
+momentum p.  `sweep` samples it on a grid as two warm-started chains of
+solves from p = 0, one per sign of p.  The macroscopic velocity DH(0)
+comes from one left eigenvector at p = 0 (`velocity_of_model`, any
+dimension).  From a sampled table this
 module derives the Lagrangian L(v) = sup_p [p v - H(p)] (Legendre-Fenchel
 transform on the grid with parabolic refinement), action integrals of
 piecewise-linear paths, and the checks that every valid model must pass:
@@ -59,7 +61,7 @@ class HamiltonianTable:
     certificates: tuple           # EigenCertificate or None per sample
     provenance: dict = field(default_factory=dict)
     failures: dict = field(default_factory=dict)   # sample index -> message
-    starts: tuple = ()            # start label per sample (see `_solve_outward`)
+    starts: tuple = ()            # start label per sample (see `_solve_chain`)
 
     def __post_init__(self):
         p = np.asarray(self.p_grid, dtype=float)
@@ -68,6 +70,11 @@ class HamiltonianTable:
             raise ValueError("p grid and values must be matching 1-d arrays")
         if np.any(np.diff(p) <= 0):
             raise ValueError("p grid must be strictly increasing")
+        if len(self.certificates) != len(p) or len(self.starts) not in (0, len(p)):
+            raise ValueError("certificates and starts must hold one entry "
+                             "per sample")
+        if not set(self.failures) <= set(range(len(p))):
+            raise ValueError("failures must be keyed by sample index")
         for arr in (p, v):
             arr.setflags(write=False)
         object.__setattr__(self, "p_grid", p)
@@ -96,16 +103,6 @@ class HamiltonianTable:
                              f"{cert.residual:.17g},{cert.cw_gap:.17g}\n")
 
 
-def _outward(count: int, origin: int):
-    """(sample, inner neighbour) pairs of a chain that starts at `origin`
-    (neighbour None) and walks outward to both ends of `count` samples."""
-    yield origin, None
-    for k in range(origin + 1, count):
-        yield k, k - 1
-    for k in range(origin - 1, -1, -1):
-        yield k, k + 1
-
-
 def _extrapolate(momenta: Sequence[float], logs: Sequence[np.ndarray],
                  p: float) -> np.ndarray:
     """exp of the Lagrange polynomial through the points (momenta[j], logs[j])
@@ -118,53 +115,46 @@ def _extrapolate(momenta: Sequence[float], logs: Sequence[np.ndarray],
     return np.exp(log_g - np.max(log_g))
 
 
-def _solve_outward(at, momenta: np.ndarray, origin: int, *,
-                   tol: float) -> tuple:
-    """Solve `principal_eigenpair(at(momenta[k]))` for every k, outward from
-    `origin` to both ends.  Returns (certificates, start labels, failures):
-    a failed sample has certificate None and its exception in `failures`.
+def _solve_chain(at, momenta: np.ndarray, tol: float) -> tuple:
+    """Solve `principal_eigenpair(at(momenta[k]))` for k = 0, 1, ... in turn,
+    `momenta[0]` being p = 0.  Returns (certificates, start labels,
+    failures): a failed sample has certificate None and its exception as a
+    "Type: message" text in `failures`, keyed by k.
 
-    The sample at the origin starts cold (from the all-ones vector).  Every
-    other sample extends a chain: its certified samples from the inner
-    neighbour back towards the origin, up to `_EXTRAPOLATION_SAMPLES` of
-    them, stopping at a failed sample and at the origin.  An empty chain
-    starts cold; a chain of one sample starts from its eigenvector (the
-    "neighbour" start).  A longer chain also offers the extrapolated start:
-    the Lagrange polynomial in p through the chain's log-eigenvectors,
-    evaluated at the new momentum.  The principal eigenvector is analytic in
-    p, so this start is close; but the polynomial can overshoot on a rough
-    operator, so the solve starts from whichever of the two has the tighter
-    Collatz-Wielandt bracket on the new operator, the neighbour on a tie;
-    the solve takes that bracket with its start (`eigensolver._bracketed_start`)
-    instead of forming it again.  Any positive start gives a valid bracket,
-    so the choice moves the iteration count only.  Labels: "cold",
-    "neighbour" or "extrapolated:<k>" with k the number of samples used; a
-    sample whose operator could not be built keeps "cold".
-
-    The chain above the origin and the one below it read nothing of each
-    other, so a walk over `momenta[origin:]` (origin 0) or over
-    `momenta[:origin + 1]` gives, sample for sample, the bits of the whole
-    walk; `sweep` runs the two sides that way in two processes.
+    The sample at p = 0 starts cold (from the all-ones vector).  Sample k
+    extends its chain: the certified samples k - 1, k - 2, ... back towards
+    p = 0, up to `_EXTRAPOLATION_SAMPLES` of them, stopping at a failed one.
+    An empty chain starts cold; a chain of one sample starts from its
+    eigenvector (the "neighbour" start).  A longer chain also offers the
+    extrapolated start: the Lagrange polynomial in p through the chain's
+    log-eigenvectors, evaluated at the new momentum.  The principal
+    eigenvector is analytic in p, so this start is close; but the
+    polynomial can overshoot on a rough operator, so the solve starts from
+    whichever of the two has the tighter Collatz-Wielandt bracket on the
+    new operator, the neighbour on a tie; the solve takes that bracket with
+    its start (`eigensolver._bracketed_start`) instead of forming it again.
+    Any positive start gives a valid bracket, so the choice moves the
+    iteration count only.  Labels: "cold", "neighbour" or
+    "extrapolated:<k>" with k the number of samples used; a sample whose
+    operator could not be built keeps "cold".
     """
     count = len(momenta)
     certs: List[Optional[EigenCertificate]] = [None] * count
     logs: List[Optional[np.ndarray]] = [None] * count
     starts = ["cold"] * count
     failures = {}
-    for k, inner in _outward(count, origin):
+    for k in range(count):
         chain = []
-        if inner is not None:
-            step = inner - k
-            j = inner
-            while (len(chain) < _EXTRAPOLATION_SAMPLES
-                   and (j - origin) * step <= 0 and certs[j] is not None):
-                chain.append(j)
-                j += step
+        j = k - 1
+        while (j >= 0 and len(chain) < _EXTRAPOLATION_SAMPLES
+               and certs[j] is not None):
+            chain.append(j)
+            j -= 1
         try:
             op = at(float(momenta[k]))
             start = None
             if chain:
-                start = _bracketed_start(op, certs[inner].eigenvector)
+                start = _bracketed_start(op, certs[k - 1].eigenvector)
                 starts[k] = "neighbour"
             if len(chain) > 1:
                 guess = _extrapolate([momenta[j] for j in chain],
@@ -175,50 +165,38 @@ def _solve_outward(at, momenta: np.ndarray, origin: int, *,
                         start, starts[k] = offered, f"extrapolated:{len(chain)}"
             certs[k] = principal_eigenpair(op, tol=tol, start=start)
         except Exception as exc:   # recorded per sample
-            failures[k] = exc
+            failures[k] = f"{type(exc).__name__}: {exc}"
         else:
             logs[k] = np.log(certs[k].eigenvector)
     return certs, starts, failures
-
-
-def _solve_span(at, momenta: np.ndarray, first: int, tol: float) -> tuple:
-    """`_solve_outward` over `momenta`, a span of a sweep's grid that starts
-    at its sample `first` and holds p = 0; its failures as "Type: message"
-    texts keyed by grid index."""
-    origin = int(np.flatnonzero(momenta == 0.0)[0])
-    certs, starts, errors = _solve_outward(at, momenta, origin, tol=tol)
-    return certs, starts, {first + k: f"{type(exc).__name__}: {exc}"
-                           for k, exc in errors.items()}
 
 
 def sweep(model: Model, p_min: float, p_max: float, count: int, *,
           N: int = 128, tol: float = 1e-10, axis: int = 0) -> HamiltonianTable:
     """Tabulate H over a uniform momentum grid; p = 0 is always included.
 
-    The cell operator is built once and every sample tilts it.  The solve
-    at p = 0 starts from the all-ones vector; the others march outward from
-    it (`_solve_outward`), each starting from the eigenvector of its inner
-    neighbour or from the log-polynomial extrapolation through the last
-    eigenvectors of its chain, whichever has the tighter Collatz-Wielandt
-    bracket (the tilt moves the eigenvector analytically, so one or two
-    inverse steps usually suffice).  `starts` records which start each
-    sample took.  A value therefore equals `hamiltonian_at(p)` within the
-    certificate, not bit for bit.  Failures are recorded per sample (value
-    NaN), and the sample beyond a failure starts cold; the table is still
-    returned.  If the operator cannot be built, every sample records that
-    error.  For continuous models with dim > 1 the sweep runs along the
-    momentum line t -> t * e_axis.
+    The cell operator is built once and every sample tilts it.  The table
+    is two chains from p = 0 (`_solve_chain`), one down to `p_min` and one
+    up to `p_max`.  Each starts with a cold solve at p = 0, which takes one
+    iteration (the all-ones vector is the eigenvector there), and each
+    later sample starts from the eigenvector of its inner neighbour or from
+    the log-polynomial extrapolation through the last eigenvectors of its
+    chain, whichever has the tighter Collatz-Wielandt bracket (the tilt
+    moves the eigenvector analytically, so one or two inverse steps usually
+    suffice).  `starts` records which start each sample took.  A value
+    therefore equals `hamiltonian_at(p)` within the certificate, not bit
+    for bit.  Failures are recorded per sample (value NaN), and the sample
+    beyond a failure starts cold; the table is still returned.  If the
+    operator cannot be built, every sample records that error.  For
+    continuous models with dim > 1 the sweep runs along the momentum line
+    t -> t * e_axis.
 
-    A large sweep runs on two cores: when (samples on the shorter side of
-    p = 0) x (operator unknowns) reaches `_FORK_WORK`, `workers.run` forks
-    a child that walks p >= 0 while this process walks p <= 0, and the
-    child's certificates, start labels and failure texts join the table.
-    Each side starts from its own cold solve at p = 0, which takes one
-    iteration (the all-ones vector is the eigenvector there), and neither
-    side reads the other's samples, so the table is bit for bit the
-    one-process table.  Smaller sweeps run in one walk, and wherever
-    `workers.run` does not fork (one core, Python 3.12 and later) both
-    sides run in process.
+    Neither chain reads the other, so they may run anywhere.  When (samples
+    on the shorter side of p = 0) x (operator unknowns) reaches
+    `_FORK_WORK`, they run through `workers.run`, which forks a child for
+    p >= 0 while this process walks p <= 0 (both run here where it does
+    not fork: one core, Python 3.12 and later); smaller sweeps run both
+    here.  The table is the same bits either way.
     """
     if count < 3:
         raise ValueError("sweep needs at least 3 samples")
@@ -248,19 +226,19 @@ def sweep(model: Model, p_min: float, p_max: float, count: int, *,
         failures = dict.fromkeys(range(len(grid)), f"{type(exc).__name__}: {exc}")
     else:
         origin = int(np.flatnonzero(grid == 0.0)[0])
+        chains = [functools.partial(_solve_chain, at, grid[origin::-1], tol),
+                  functools.partial(_solve_chain, at, grid[origin:], tol)]
         shorter = min(origin, len(grid) - 1 - origin)
         unknowns = op.up.shape[0] * op.up.shape[-1]     # states x points
         if shorter * unknowns >= _FORK_WORK:
-            # this process: p <= 0; a child, where `workers.run` forks: p >= 0
-            below, above = workers.run([
-                functools.partial(_solve_span, at, grid[:origin + 1], 0, tol),
-                functools.partial(_solve_span, at, grid[origin:], origin, tol)])
-            certs = below[0] + above[0][1:]
-            starts = below[1] + above[1][1:]
-            # the order of the one-process walk: origin, p > 0, p < 0
-            failures = {**above[2], **below[2]}
+            below, above = workers.run(chains)
         else:
-            certs, starts, failures = _solve_span(at, grid, 0, tol)
+            below, above = (chain() for chain in chains)
+        certs = below[0][::-1] + above[0][1:]
+        starts = below[1][::-1] + above[1][1:]
+        # in the order origin, p > 0, p < 0
+        failures = {**{origin + k: text for k, text in above[2].items()},
+                    **{origin - k: text for k, text in below[2].items()}}
     values = np.array([np.nan if c is None else c.eigenvalue for c in certs])
     return HamiltonianTable(grid, values, tuple(certs),
                             provenance={"regime": model.regime, "N": N,

@@ -240,6 +240,14 @@ def max_total_switching_rate(model: ContinuousModel) -> float:
                                axis=2)))
 
 
+def _check_dimension(model: ContinuousModel) -> None:
+    """Raise NotImplementedError unless the paths of `model` can be
+    stepped: the stepper is written for d = 1."""
+    if model.dim != 1:
+        raise NotImplementedError("trajectory sampling is implemented for "
+                                  f"d = 1, got d = {model.dim}")
+
+
 def _fast_step(eps: float, dt: Optional[float]) -> float:
     """The fast step ds = dt/eps of a continuous run at scale eps.  dt
     defaults to eps/DT_FACTOR (ds = 1/DT_FACTOR) and must satisfy
@@ -282,8 +290,7 @@ def _continuous_paths(model: ContinuousModel, horizons: Sequence[float],
     path stepped once in fast steps ds = dt/eps; a step that passes a
     horizon short of the last writes the end there by a partial step.
     `records` collects every path's (s, y, i) records."""
-    if model.dim != 1:
-        raise NotImplementedError("trajectory sampling is implemented for d = 1")
+    _check_dimension(model)
     horizons = _check_run(model, horizons, i0)
     last, ahead = horizons[-1], np.append(horizons, math.inf)
     paths = len(streams.indices)
@@ -503,13 +510,15 @@ def experiment_scales(model: Model, scales: Sequence[float],
     Raises ValueError unless there is a scale, every eps is positive and
     finite with a step eps/dt_factor that resolves the fast variable, every
     n is a positive integer, and the scales refine monotonically (eps
-    decreasing, n increasing).
+    decreasing, n increasing); NotImplementedError for a continuous model
+    with d > 1, whose paths the stepper cannot run.
     """
     scales = list(scales)
     if len(scales) == 0:
         raise ValueError("need at least one scale")
     continuous = isinstance(model, ContinuousModel)
     if continuous:
+        _check_dimension(model)
         for eps in scales:
             _fast_step(float(eps), float(eps) / dt_factor)
     refining = np.diff(scales) < 0 if continuous else np.diff(scales) > 0

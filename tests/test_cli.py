@@ -249,6 +249,26 @@ def test_simulate_bad_block_exits_2_before_any_stream(tmp_path, monkeypatch,
     assert not (out / "summary.csv").exists()
 
 
+def test_simulate_two_dim_model_exits_2_before_any_solve(tmp_path, caplog,
+                                                        monkeypatch):
+    """The stepper runs d = 1 only: a d = 2 model is rejected with exit 2
+    before the velocity solve or any stream (it once ran the prediction,
+    then exited 3)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(simulator, "_stream", refuse)
+    monkeypatch.setattr(hamiltonian, "velocity_of_model", refuse)
+    cfg = write_config(tmp_path, {
+        "model": model_to_dict(two_dim_model()),
+        "simulate": {"scales": [0.2, 0.1], "T": 0.5, "paths": 4, "seed": 1}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert ('"simulate" block: trajectory sampling is implemented for d = 1, '
+            "got d = 2") in caplog.text
+    assert not (out / "summary.csv").exists()
+
+
 @pytest.mark.parametrize("command,key,value", [
     ("sweep", "count", 5.5), ("sweep", "N", True),
     ("legendre", "count", 20.5), ("velocity", "N", 64.5),

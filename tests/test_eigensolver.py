@@ -883,11 +883,12 @@ def test_one_product_per_iterate(monkeypatch):
     assert len(products) == retried.iterations - retried.fallbacks
     monkeypatch.setattr(eigensolver, "_cyclic_solve", real_cyclic)
 
-    # a sweep: samples two or more steps from p = 0 weigh two candidates
+    # a sweep: samples two or more steps from p = 0 weigh two candidates,
+    # and each of its two chains solves p = 0 in one iteration
     products.clear()
     table = hamiltonian.sweep(constant_drift(), -2.0, 2.0, 9, N=32)
     assert not table.failures
-    assert len(products) == sum(c.iterations for c in table.certificates) + 6
+    assert len(products) == sum(c.iterations for c in table.certificates) + 7
 
 
 def test_discrete_regime_II_warm_solve_takes_few_inverse_steps():

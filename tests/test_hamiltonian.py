@@ -133,17 +133,19 @@ def _momentum(model, axis, t):
 @pytest.mark.parametrize("kind,regime", FAMILIES)
 def test_sweep_reuse_equals_fresh_build(kind, regime):
     """A sweep tilts one operator and chains warm starts outward from p = 0;
-    every sample must equal the same chain, with the same start rule,
+    every sample must equal the same two chains, with the same start rule,
     solved on fresh builds."""
     model, kw, axis = _family(kind, regime)
     table = sweep(model, -1.5, 1.5, 7, axis=axis, **kw)
     assert not table.failures
     grid = table.p_grid
     origin = int(np.flatnonzero(grid == 0.0)[0])
-    certs, starts, failures = hamiltonian._solve_outward(
-        lambda t: cell_operator(model, **kw).at(
-            _momentum(model, axis, t)), grid, origin, tol=1e-10)
-    assert not failures and tuple(starts) == table.starts
+    below, above = (hamiltonian._solve_chain(
+        lambda t: cell_operator(model, **kw).at(_momentum(model, axis, t)),
+        side, tol=1e-10) for side in (grid[origin::-1], grid[origin:]))
+    assert not below[2] and not above[2]
+    certs = below[0][::-1] + above[0][1:]
+    assert tuple(below[1][::-1] + above[1][1:]) == table.starts
     for k, cert in enumerate(certs):
         got = table.certificates[k]
         np.testing.assert_array_equal(
@@ -254,7 +256,9 @@ def test_chosen_start_is_no_wider_than_the_neighbour(monkeypatch, case):
     table = sweep(model, -2.0, 2.0, 9, axis=axis, **kw)
     assert not table.failures
     origin = int(np.flatnonzero(table.p_grid == 0.0)[0])
-    order = [origin] + list(range(origin + 1, 9)) + list(range(origin - 1, -1, -1))
+    # the chain below p = 0, then the one above, each from p = 0
+    order = list(range(origin, -1, -1)) + list(range(origin, 9))
+    assert len(solves) == len(order)
     for k, (op, start) in zip(order, solves):
         if k == origin:
             assert start is None and table.starts[k] == "cold"
@@ -300,6 +304,21 @@ def test_regime2_sweep_golden_pin():
     assert [_sweep_digest(table) for table in tables] == [
         "05832721c1a3dd6d7379f60ed35ddc6b7459d6ec9dd69d28a5abeb394c26a540",
         "53d968ffb5cedc6b778a90e7418a3fc11e1ac49b856eff14e84e21d5d5ebafdf"]
+
+
+def test_regime1_sweep_golden_pin(monkeypatch):
+    """Pins a regime-I sweep of the shape of the benchmark's `sweep_1d`
+    (J = 2, N = 256: 512 unknowns, 30 samples a side of p = 0, so it
+    forks): on one core in one process, and on two with its p >= 0 chain
+    in a child.  Pinned before the two-way walk gave way to two chains."""
+    model = random_continuous_model(np.random.default_rng(4242), J=2)
+    forked = record_forks(monkeypatch)
+    for cores, forks in ((1, 0), (2, 1)):
+        monkeypatch.setattr(workers, "_cores", lambda n=cores: n)
+        table = sweep(model, -3.0, 3.0, 61, N=256, tol=1e-9)
+        assert len(forked) == forks and not table.failures
+        assert _sweep_digest(table) == (
+            "907582d9ece3799ab6c8035efcd7dba0efd37cc69e619c9fbeb4130aebc286dd")
 
 
 def test_sweep_records_build_failure_for_every_sample():
@@ -615,6 +634,24 @@ def test_table_csv_format(tmp_path):
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize("change,match", [
+    ({"certificates": ()}, "one entry per sample"),
+    ({"certificates": (None,) * 4}, "one entry per sample"),
+    ({"starts": ("cold",)}, "one entry per sample"),
+    ({"failures": {3: "ValueError: x"}}, "keyed by sample index"),
+    ({"failures": {-1: "ValueError: x"}}, "keyed by sample index"),
+], ids=["no-certificates", "extra-certificate", "short-starts",
+        "failure-past-the-end", "failure-before-the-start"])
+def test_table_rejects_columns_off_its_grid(change, match):
+    """A table holds one certificate per sample, no start labels or one per
+    sample, and failures only at its samples: a mismatch is rejected when
+    built, not by an IndexError when written."""
+    columns = {"certificates": (None,) * 3, "starts": (), "failures": {}}
+    assert HamiltonianTable([-1.0, 0.0, 1.0], np.zeros(3), **columns).starts == ()
+    with pytest.raises(ValueError, match=match):
+        HamiltonianTable([-1.0, 0.0, 1.0], np.zeros(3), **{**columns, **change})
+
+
 def test_lagrangian_csv_format(tmp_path):
     lag = legendre(quadratic_table(), [0.0, 1.0])
     path = tmp_path / "l.csv"
@@ -695,11 +732,12 @@ def test_forked_sweep_equals_one_process(monkeypatch, case):
                    for cert in table.certificates)
 
 
-@pytest.mark.parametrize("failing", [(0.5,), (0.0,), (-1.0, 1.5)])
+@pytest.mark.parametrize("failing", [(0.5,), (0.0,), (-1.0, 1.5), (-0.5, -1.0)])
 def test_forked_sweep_reports_failures_as_one_process(monkeypatch, failing):
-    """A sample that fails, on the child's side, at p = 0 (on both sides) or
-    on both, reads the same failure text in the same place and order with
-    and without the fork, and so does every start after it."""
+    """A sample that fails, on the child's side, at p = 0 (on both sides),
+    on both sides or twice on this process's side, reads the same failure
+    text in the same place and order with and without the fork, and so does
+    every start after it."""
     real_at = TiltedGenerator.at
 
     def at(gen, p):
@@ -715,10 +753,11 @@ def test_forked_sweep_reports_failures_as_one_process(monkeypatch, failing):
         tables.append(sweep(discrete_two_state(), -1.5, 1.5, 7))
     assert _table_digest(tables[0]) == _table_digest(tables[1])
     grid = tables[0].p_grid
-    walk = [k for k, _ in hamiltonian._outward(len(grid), 3)]
+    # the order of the failures: p = 0, then p > 0 outward, then p < 0
+    order = [3, 4, 5, 6, 2, 1, 0]
     assert list(tables[1].failures.items()) == [
         (k, f"ConvergenceError: injected at p = {grid[k]}")
-        for k in walk if grid[k] in failing]
+        for k in order if grid[k] in failing]
 
 
 def test_a_sweep_forks_only_when_its_shorter_side_is_worth_it(monkeypatch):
@@ -762,7 +801,7 @@ def test_an_interrupted_sweep_kills_and_reaps_its_child(monkeypatch):
     side of a forked sweep leaves only after the child is killed and
     reaped, with no pipe left open."""
     fds, forked = open_fds(), record_forks(monkeypatch)
-    parent, walk = os.getpid(), hamiltonian._solve_outward
+    parent, walk = os.getpid(), hamiltonian._solve_chain
 
     def slow(*args, **kw):
         time.sleep(10 if os.getpid() == parent else 60)
@@ -771,7 +810,7 @@ def test_an_interrupted_sweep_kills_and_reaps_its_child(monkeypatch):
     def on_alarm(signum, frame):
         raise Interrupt
 
-    monkeypatch.setattr(hamiltonian, "_solve_outward", slow)
+    monkeypatch.setattr(hamiltonian, "_solve_chain", slow)
     force_fork(monkeypatch)
     previous = signal.signal(signal.SIGALRM, on_alarm)
     start = time.monotonic()

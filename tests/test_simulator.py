@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from effham import simulator, workers
+from effham import hamiltonian, simulator, workers
 from effham.fields import PeriodicScalarField, fourier_gradients, stack_modes
 from effham.cli import main
 from effham.hamiltonian import velocity_of_model
@@ -729,6 +729,18 @@ def test_zero_paths_rejected(run):
     solve or step (it once gave NaN rows, or a stray trajectory error)."""
     with pytest.raises(ValueError, match="at least one path"):
         run()
+
+
+def test_two_dim_experiment_is_rejected_before_its_prediction(monkeypatch):
+    """A concentration experiment on a d = 2 model raises before it solves
+    for the predicted velocity or keys a stream."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(hamiltonian, "velocity_of_model", refuse)
+    monkeypatch.setattr(simulator, "_stream", refuse)
+    with pytest.raises(NotImplementedError, match="d = 1, got d = 2"):
+        concentration_experiment(two_dim_model(), [0.2, 0.1], 0.5, 4, 1)
 
 
 @pytest.mark.parametrize("run,error,match", [

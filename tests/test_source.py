@@ -258,7 +258,7 @@ def test_simulator_builds_trajectories_only_from_records():
 
 def test_warm_starts_come_from_one_helper():
     """Every warm-started solve of a sweep goes through
-    `hamiltonian._solve_outward`, so the start rule (neighbour or
+    `hamiltonian._solve_chain`, so the start rule (neighbour or
     extrapolated, CW-guarded) has one home; the only other start is the
     Gibbs start of the velocity's left solve."""
     found = []
@@ -272,8 +272,23 @@ def test_warm_starts_come_from_one_helper():
                   and "principal_eigenpair" in (getattr(node.func, "id", None),
                                                 getattr(node.func, "attr", None))
                   and any(kw.arg == "start" for kw in node.keywords)]
-    assert sorted(found) == ["hamiltonian.py:_solve_outward",
+    assert sorted(found) == ["hamiltonian.py:_solve_chain",
                              "hamiltonian.py:velocity_of_model"], found
+
+
+def test_only_sweep_walks_chains():
+    """`hamiltonian.sweep` is the only code that names `_solve_chain`: every
+    table is its two chains from p = 0, forked or not, so no second walk
+    can form a table beside them."""
+    found = []
+    for path in sorted(Path(effham.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = {id(node): func.name for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+        found += [f"{path.name}:{owner.get(id(node))}" for node in ast.walk(tree)
+                  if "_solve_chain" in (getattr(node, "id", None),
+                                        getattr(node, "attr", None))]
+    assert found and set(found) == {"hamiltonian.py:sweep"}, found
 
 
 def test_cyclic_reduction_runs_through_one_shifted_solve():
