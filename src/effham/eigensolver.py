@@ -34,18 +34,20 @@ min_i (Mw)_i/w_i and max_i (Mw)_i/w_i sandwich the principal eigenvalue, and
 iteration stops only once that sandwich is tighter than the tolerance, or
 raises once it stops shrinking.  Each inverse step shifts to the middle of
 the sandwich: a solution of either sign moves one end of it past the
-middle, and a singular or mixed-sign step is retried above the sandwich.
+middle, and a singular or mixed-sign step is retried above the sandwich,
+where every later step of that solve stays.
 The solver works on the slice blocks: products slice by slice, and inverse
 steps by block cyclic reduction, which costs O(n b^2) for blocks of size b
-instead of a dense O(n^3) LU; slices of one unknown (b = 1) reduce as plain
-vectors with the same arithmetic, and it ends at one dense LU of at most 64
-unknowns.
+instead of a dense O(n^3) LU; slices of one unknown (b = 1) reduce and
+multiply as plain vectors with the same arithmetic, and it ends at one dense
+LU of at most 64 unknowns, filled through cells computed once per base shape.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -211,8 +213,9 @@ class TiltedGenerator:
     at rate switching[i, j, y].  Its diagonal is minus the sum of the untilted
     weights and rates, so rows sum to zero at p = 0.  `side` is the number of
     grid points (or sites) per axis and `period` the cell length along each
-    axis, so the grid step is h = period / side.  The hop-weight check and the
-    momentum-free part of the slice blocks are done once, here (the builders
+    axis, so the grid step is h = period / side.  The hop-weight check, the
+    momentum-free part of the slice blocks, the first-axis hop weights in
+    slice order and the drift's range are done once, here (the builders
     check the rates); `at` applies the tilt and any Peclet guard.
     """
 
@@ -227,6 +230,13 @@ class TiltedGenerator:
         if not (np.all(up > 0) and np.all(down > 0)):
             raise ValueError(f"assemble_{kind}: hop weights must be positive")
         J, dim, n = up.shape
+        # max |p - drift| is reached at a per-axis minimum or maximum of the
+        # drift: (2, d), or None
+        self._drift_range = None if drift is None else np.stack(
+            [drift.min(axis=(0, 1)), drift.max(axis=(0, 1))])
+        # untilted couplings to the next and previous slice, (side, J * R)
+        self._up_slices = _slice_layout(up[:, 0], side)
+        self._down_slices = _slice_layout(down[:, 0], side)
         diagonal = np.zeros((J, n))
         for a in range(dim):
             diagonal -= up[:, a] + down[:, a]
@@ -257,9 +267,9 @@ class TiltedGenerator:
         """The Metzler operator at momentum p, as slice blocks."""
         J, dim, n = self.up.shape
         pvec = _as_momentum(p, dim)
-        if self.drift is not None:
-            _peclet_guard(float(np.max(np.abs(pvec - self.drift))), self.h,
-                          self.period, self.side, f"assemble_{self.kind}")
+        if self._drift_range is not None:
+            _peclet_guard(float(np.max(np.abs(pvec - self._drift_range))),
+                          self.h, self.period, self.side, f"assemble_{self.kind}")
         grow = [math.exp(pa * self.h) for pa in pvec]
         shrink = [math.exp(-pa * self.h) for pa in pvec]
         blocks = self._fixed.copy()
@@ -267,10 +277,8 @@ class TiltedGenerator:
             blocks[self._slice_of, self._local, up_cols] = self.up[:, a] * grow[a]
             blocks[self._slice_of, self._local, down_cols] = (
                 self.down[:, a] * shrink[a])
-        m = len(blocks)
-        return AssembledOperator(blocks, _slice_layout(self.up[:, 0] * grow[0], m),
-                                 _slice_layout(self.down[:, 0] * shrink[0], m),
-                                 n, J)
+        return AssembledOperator(blocks, self._up_slices * grow[0],
+                                 self._down_slices * shrink[0], n, J)
 
 
 def cell_operator(model: Model, *, N: int = 128) -> TiltedGenerator:
@@ -400,9 +408,15 @@ def _slices(M) -> tuple:
 
 
 def _apply(A, B, C, x: np.ndarray) -> np.ndarray:
-    """z_k = A_k x_k + B_k x_{k+1} + C_k x_{k-1}, slices mod m."""
+    """z_k = A_k x_k + B_k x_{k+1} + C_k x_{k-1}, slices mod m.  Slices of
+    one unknown multiply as plain vectors: a 1 x 1 product is one exact
+    multiply."""
     ring = np.concatenate((x[-1:], x, x[:1]))
-    return (A @ x[..., None])[..., 0] + B * ring[2:] + C * ring[:-2]
+    if x.shape[-1] == 1:
+        Ax = A.reshape(x.shape) * x
+    else:
+        Ax = (A @ x[..., None])[..., 0]
+    return Ax + B * ring[2:] + C * ring[:-2]
 
 
 def _block_solve(D: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -425,10 +439,32 @@ def _block_solve(D: np.ndarray, R: np.ndarray) -> np.ndarray:
     return aug[:, :, b:]
 
 
+@lru_cache(maxsize=8)
+def _identity(b: int) -> np.ndarray:
+    """The read-only b x b identity; one per slice width b, for the few
+    widths in use."""
+    eye = np.eye(b)
+    eye.setflags(write=False)
+    return eye
+
+
 def _dense(C: np.ndarray) -> np.ndarray:
     """Diagonal couplings (m, b) expanded to blocks (m, b, b); blocks and
     one-unknown couplings (m,) are returned as they are."""
-    return C[..., None] * np.eye(C.shape[-1]) if C.ndim == 2 else C
+    return C[..., None] * _identity(C.shape[-1]) if C.ndim == 2 else C
+
+
+@lru_cache(maxsize=None)
+def _base_cells(m: int, b: int) -> tuple:
+    """Flat cells of the dense (m b) x (m b) matrix of a periodic system of
+    m >= 2 slices of b unknowns: where D_k, U_k and L_k go, each as (m, b, b)
+    in the blocks' own order.  Read-only, computed once per base shape."""
+    k, r, c = np.ix_(np.arange(m), np.arange(b), np.arange(b))
+    row = (k * b + r) * (m * b)
+    cells = tuple(row + ((k + shift) % m) * b + c for shift in (0, 1, -1))
+    for a in cells:
+        a.setflags(write=False)
+    return cells
 
 
 def _coupled(C: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -455,20 +491,29 @@ def _cyclic_solve(D, U, L, f: np.ndarray) -> np.ndarray:
     Schur complements of a nonsingular M-matrix (a shift above the
     principal eigenvalue) are M-matrices, and below it the caller checks
     the solution's sign and finiteness instead.  The
-    recursion ends at one slice (a raw matrix) or at most `_DENSE_BASE`
-    unknowns: that periodic system is scattered into one dense matrix (for
-    one slice, its block plus both couplings) and solved by one pivoted
-    dense LU, so a 1-D grid of 256 points takes 2 to 4 reduction levels
-    (b = 1 to 3), not 8.
+    recursion ends at one slice (a raw matrix, or the last level of a 2-D
+    grid) or at most `_DENSE_BASE` unknowns, solved by one pivoted dense
+    LU, so a 1-D grid of 256 points takes 2 to 4 reduction levels (b = 1 to
+    3), not 8.  One slice is its block plus both couplings, summed left to
+    right; m >= 2 slices are scattered into the zero matrix through the flat
+    cells of `_base_cells`, computed once per (m, b) and read-only, in the
+    order D, U, L, so at m = 2 (and m = 1) the couplings that share a block
+    add up.  Either way the matrix is the one a fancy-index scatter built
+    per call, bit for bit.
     """
     shape, m = f.shape, len(f)
     b = f.size // m   # 1 for a vector level
     if m == 1 or m * b <= _DENSE_BASE:
-        k = np.arange(m)
-        system = np.zeros((m, b, m, b))
-        system[k, :, k] = D.reshape(m, b, b)
-        system[k, :, (k + 1) % m] += _dense(U).reshape(m, b, b)
-        system[k, :, (k - 1) % m] += _dense(L).reshape(m, b, b)
+        if m == 1:
+            system = (D.reshape(b, b) + _dense(U).reshape(b, b)
+                      + _dense(L).reshape(b, b))
+        else:
+            # at m = 2 the couplings to k+1 and k-1 share a block, U first
+            on, above, below = _base_cells(m, b)
+            system = np.zeros(m * b * m * b)
+            system[on] = D.reshape(m, b, b)
+            system[above] += _dense(U).reshape(m, b, b)
+            system[below] += _dense(L).reshape(m, b, b)
         return np.linalg.solve(system.reshape(m * b, m * b),
                                f.reshape(m * b)).reshape(shape)
     # odd slice j' = 2j+1 lies between kept slices j and j+1 (mod the kept
@@ -511,9 +556,10 @@ def _shifted_solve(A, B, C, sigma: float, f: np.ndarray) -> np.ndarray:
     a nonsingular M-matrix and a positive f gives a positive x; with sigma
     below it, x may have either sign, or be non-finite where an unpivoted
     elimination in `_cyclic_solve` meets a zero pivot."""
-    shifted = -A
-    b = A.shape[-1]
-    shifted[:, range(b), range(b)] += sigma
+    m, b, _ = A.shape
+    # C order, so the block diagonals are a strided view of the copy
+    shifted = np.negative(A, order="C")
+    shifted.reshape(m, b * b)[:, ::b + 1] += sigma
     return _cyclic_solve(shifted, -B, -C, f)
 
 
@@ -592,7 +638,9 @@ def principal_eigenpair(M, tol: float = 1e-10,
     2**k `_SHIFT_FRACTION` = 2**k / 16 of the CW gap after k failures in a
     row, where (sigma I - M) is a nonsingular M-matrix (a far shift makes a
     positive near-power step); failures count in the certificate's
-    `fallbacks`.
+    `fallbacks`.  After a solve's first failure every later step shifts
+    above the upper bound by that rule (a sixteenth of the gap once a step
+    has succeeded), not back to the middle, where its steps had failed.
     Terminates when the sandwich width is below tol * (1 + |lambda|) (with a
     floor at the round-off level of the shifted matrix); raises
     `ConvergenceError` after `_MAX_ITERATIONS` iterations, or once the width
@@ -646,9 +694,9 @@ def principal_eigenpair(M, tol: float = 1e-10,
         if iters >= _MAX_ITERATIONS:
             raise ConvergenceError(f"no convergence after {iters} iterations "
                                    f"(CW gap {gap:.3e})", certificate(lam))
-        if failed_in_row:
-            # a retry: sigma above the principal eigenvalue, twice as far
-            # per failure in a row
+        if fallbacks:
+            # once a step has failed, every later one shifts above the
+            # principal eigenvalue, twice as far per failure in a row
             distance = 2.0 ** failed_in_row * max(
                 gap * _SHIFT_FRACTION, 16.0 * _EPS * (alpha + abs(upper)))
             sigma = upper + distance

@@ -111,7 +111,8 @@ def _extrapolate(momenta: Sequence[float], logs: Sequence[np.ndarray],
     weights = [math.prod((p - other) / (node - other)
                          for i, other in enumerate(momenta) if i != j)
                for j, node in enumerate(momenta)]
-    log_g = np.tensordot(weights, logs, axes=1)
+    # the (1 x K)(K x n) product np.tensordot(weights, logs, axes=1) forms
+    log_g = np.dot(np.reshape(weights, (1, -1)), logs)[0]
     return np.exp(log_g - np.max(log_g))
 
 

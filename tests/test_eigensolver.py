@@ -17,7 +17,7 @@ from effham.eigensolver import (ConvergenceError, PecletError,
 from effham.fields import PeriodicScalarField
 from effham.hamiltonian import hamiltonian_at
 from effham.model import (ContinuousModel, DiscreteModel,
-                          SwitchingRateMatrix, model_to_dict,
+                          SwitchingRateMatrix, model_from_dict, model_to_dict,
                           scaled_switching, validate)
 from effham.presets import (constant_drift, detailed_balance_pair,
                             discrete_two_state, tilted_cosine,
@@ -1021,6 +1021,212 @@ def test_raw_matrix_keeps_dense_arithmetic(rng):
         assert np.array_equal(eigensolver._apply(A[None], B, C, x[None])[0], A @ x)
         assert np.array_equal(eigensolver._cyclic_solve(A[None], U, L, x[None])[0],
                               np.linalg.solve(A, x))
+
+
+def _fancy_index_base(D, U, L, m, b):
+    """The dense base of `_cyclic_solve` as it was scattered through fancy
+    indices rebuilt on every call, couplings expanded by a fresh identity;
+    the bit-for-bit reference of the cached flat cells."""
+    def dense(C):
+        return C[..., None] * np.eye(C.shape[-1]) if C.ndim == 2 else C
+    k = np.arange(m)
+    system = np.zeros((m, b, m, b))
+    system[k, :, k] = D.reshape(m, b, b)
+    system[k, :, (k + 1) % m] += dense(U).reshape(m, b, b)
+    system[k, :, (k - 1) % m] += dense(L).reshape(m, b, b)
+    return system.reshape(m * b, m * b)
+
+
+def _periodic_system(rng, m, b, coupling):
+    """A diagonally dominant periodic system of m slices of b unknowns, with
+    couplings as one-unknown vectors (m,), diagonals (m, b) or blocks
+    (m, b, b), a few entries negative zeros; and its explicit dense matrix,
+    each block added in on its own."""
+    D = rng.uniform(-1.0, 0.0, (m, b, b))
+    D[:, range(b), range(b)] = rng.uniform(6.0, 8.0, (m, b)) * b
+    D[0, -1, 0] = -0.0 if b > 1 else D[0, -1, 0]
+    shape = {"vector": (m,), "diagonal": (m, b), "block": (m, b, b)}[coupling]
+    U, L = rng.uniform(-1.0, 0.0, shape), rng.uniform(-1.0, 0.0, shape)
+    U.flat[0] = L.flat[-1] = -0.0
+    f = rng.uniform(0.1, 1.0, (m, b))
+    explicit = np.zeros((m * b, m * b))
+    for k in range(m):
+        for j, C in ((k, D[k]), ((k + 1) % m, U[k]), ((k - 1) % m, L[k])):
+            block = C if C.ndim == 2 else np.diag(np.atleast_1d(C))
+            explicit[k * b:(k + 1) * b, j * b:(j + 1) * b] += block
+    if coupling == "vector":
+        D, f = D.reshape(m), f.reshape(m)
+    return (D, U, L, f), explicit
+
+
+@pytest.mark.parametrize("m,b,coupling", [
+    (m, b, coupling) for m in (1, 2, 3) for b in (1, 2, 3)
+    for coupling in ("vector", "diagonal", "block")
+    if coupling != "vector" or b == 1]
+    + [(1, 80, "diagonal"), (1, 80, "block")])
+def test_dense_base_edge_cases(m, b, coupling, monkeypatch):
+    """The dense base of `_cyclic_solve` on periodic systems of 1, 2 and 3
+    slices (at m <= 2 the couplings to k+1 and k-1 land on the same block
+    and add) and on one raw slice wider than `_DENSE_BASE` unknowns: the
+    matrix it factors is the fancy-index scatter's bit for bit, signed
+    zeros included, and its solution matches a dense solve of the
+    explicitly assembled matrix within rounding."""
+    rng = np.random.default_rng([m, b, len(coupling)])
+    (D, U, L, f), explicit = _periodic_system(rng, m, b, coupling)
+    real_solve, factored = np.linalg.solve, []
+
+    def solve(a, rhs):
+        factored.append(a.copy())
+        return real_solve(a, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    x = eigensolver._cyclic_solve(D, U, L, f)
+    monkeypatch.undo()
+    assert len(factored) == 1 and x.shape == f.shape
+    assert factored[0].tobytes() == _fancy_index_base(D, U, L, m, b).tobytes()
+    np.testing.assert_allclose(x.reshape(-1),
+                               np.linalg.solve(explicit, f.reshape(-1)),
+                               rtol=1e-13, atol=0.0)
+    if m > 1:
+        assert not any(a.flags.writeable for a in eigensolver._base_cells(m, b))
+
+
+def test_inverse_step_kernels_keep_their_arithmetic(rng):
+    """The strided-diagonal shift, the plain-vector product of one-unknown
+    slices and the direct dot of the extrapolation give the bits of the
+    range-indexed shift, the stacked 1 x 1 matmul and `np.tensordot`."""
+    def matmul_apply(A, B, C, x):
+        ring = np.concatenate((x[-1:], x, x[:1]))
+        return (A @ x[..., None])[..., 0] + B * ring[2:] + C * ring[:-2]
+
+    def range_shifted_solve(A, B, C, sigma, f):
+        shifted = -A
+        b = A.shape[-1]
+        shifted[:, range(b), range(b)] += sigma
+        return eigensolver._cyclic_solve(shifted, -B, -C, f)
+
+    operators = [cell_operator(replace(detailed_balance_pair(), regime=r),
+                               N=256).at(0.7) for r in ("I", "II")]
+    M = rng.uniform(0.0, 1.0, (70, 70))
+    operators.append(np.asfortranarray(M))   # a raw matrix in Fortran order
+    for op in operators:
+        A, B, C, index = eigensolver._slices(op)
+        x = rng.uniform(0.1, 1.0, index.shape)
+        assert np.array_equal(eigensolver._apply(A, B, C, x),
+                              matmul_apply(A, B, C, x))
+        sigma = collatz_wielandt_bounds(op, np.ones(index.size))[1] + 0.3
+        assert np.array_equal(eigensolver._shifted_solve(A, B, C, sigma, x),
+                              range_shifted_solve(A, B, C, sigma, x))
+    for count in (2, 3, 4):
+        momenta = list(rng.uniform(-1.0, 1.0, count))
+        logs = [rng.normal(size=40) for _ in range(count)]
+        weights = [math.prod((0.3 - other) / (node - other)
+                             for i, other in enumerate(momenta) if i != j)
+                   for j, node in enumerate(momenta)]
+        log_g = np.tensordot(weights, logs, axes=1)
+        assert np.array_equal(hamiltonian._extrapolate(momenta, logs, 0.3),
+                              np.exp(log_g - np.max(log_g)))
+
+
+@pytest.mark.parametrize("case", ["continuous-I", "continuous-II", "discrete",
+                                  "dim2"])
+def test_tilt_scales_the_first_axis_weights_laid_out_once(case, rng,
+                                                          monkeypatch):
+    """`TiltedGenerator.at` scales first-axis hop weights laid out in slice
+    order once per generator, and bounds max |p - drift| by the drift's
+    per-axis extremes: the couplings and the Peclet bound are those of
+    tilting the state-major weights and laying them out per call, and of
+    the bound over every drift sample, bit for bit."""
+    if case == "dim2":
+        gen = cell_operator(two_dim_model(), N=12)
+        momenta = [(0.5, 0.2), (-1.3, 0.0), (2.0, -3.1)]
+    elif case == "discrete":
+        gen = cell_operator(random_discrete_model(rng, ell=7, J=3))
+        momenta = [0.0, 0.8, -1.7]
+    else:
+        regime = case.split("-")[1]
+        gen = cell_operator(random_continuous_model(rng, J=3, regime=regime),
+                            N=64)
+        momenta = [0.0, 0.8, -1.7, 40.0]
+    bounds = []
+    monkeypatch.setattr(eigensolver, "_peclet_guard",
+                        lambda bound, *args: bounds.append(bound))
+    for p in momenta:
+        op = gen.at(p)
+        pvec = np.atleast_1d(np.asarray(p, dtype=float))
+        grow, shrink = math.exp(pvec[0] * gen.h), math.exp(-pvec[0] * gen.h)
+        m = len(op.blocks)
+        assert op.up.tobytes() == eigensolver._slice_layout(
+            gen.up[:, 0] * grow, m).tobytes()
+        assert op.down.tobytes() == eigensolver._slice_layout(
+            gen.down[:, 0] * shrink, m).tobytes()
+        if gen.drift is not None:
+            assert bounds.pop() == float(np.max(np.abs(pvec - gen.drift)))
+    assert not bounds
+
+
+# `sweep_1d`'s model of benchmark seed 4242, input set 3: a cold left solve
+# at p = 0 meets a failed inverse step
+SWEEP_1D_SET_3 = {
+    "kind": "continuous", "dim": 1, "J": 2, "regime": "I", "period": 1.0,
+    "potentials": [
+        {"coeffs": [[1, -0.2572166142209147, -0.03632170501671905],
+                    [2, 0.05828540617992245, -0.11516242925445144]],
+         "slope": []},
+        {"coeffs": [[1, 0.46239181318788714, -0.5833838768928777],
+                    [2, 0.0717326247828125, -0.2916443015997445]],
+         "slope": []}],
+    "rates": [
+        [None, {"coeffs": [[0, 1.8759235316567504, 0.0],
+                           [1, -0.03741767519958372, -0.0810307062144507]],
+                "slope": []}],
+        [{"coeffs": [[0, 1.9562519898089759, 0.0],
+                     [1, -0.9139824849460424, 0.9123454779002893]],
+          "slope": []}, None]]}
+
+
+def test_failed_step_keeps_later_shifts_above_the_bracket(monkeypatch):
+    """Once an inverse step of a solve has failed, every later step of that
+    solve shifts above the CW upper bound, a sixteenth of the gap doubled
+    per failure in a row, never back inside the bracket.  The cold left
+    solve at p = 0 of this model fails its second step, at the midpoint,
+    and then takes 9 iterations in all (12, with 4 failures, when later
+    steps returned to the midpoint)."""
+    op = cell_operator(model_from_dict(SWEEP_1D_SET_3), N=256).at(0.0).T
+    real_shifted, real_bracket = eigensolver._shifted_solve, eigensolver._bracket
+    events = []
+
+    def shifted(A, B, C, sigma, f):
+        events.append(("step", sigma))
+        return real_shifted(A, B, C, sigma, f)
+
+    def bracket(A, B, C, w):
+        z, lo, up = real_bracket(A, B, C, w)
+        events.append(("bracket", lo, up))
+        return z, lo, up
+
+    monkeypatch.setattr(eigensolver, "_shifted_solve", shifted)
+    monkeypatch.setattr(eigensolver, "_bracket", bracket)
+    cert = principal_eigenpair(op, tol=1e-9)
+    monkeypatch.undo()
+    # the start's bracket, then per step its shift and, if it succeeded,
+    # the new iterate's bracket
+    assert events[0][0] == "bracket"
+    lower, upper = events[0][1:]
+    shifts, failed = [], []
+    for k, event in enumerate(events[1:], start=1):
+        if event[0] == "bracket":
+            lower, upper = max(lower, event[1]), min(upper, event[2])
+            continue
+        shifts.append((event[1], lower, upper))
+        failed.append(k + 1 == len(events) or events[k + 1][0] == "step")
+    assert cert.fallbacks == sum(failed) >= 1 and not failed[-1]
+    assert cert.iterations == len(shifts) + 1 <= 9
+    first = failed.index(True)
+    assert all(lo < sigma < up for sigma, lo, up in shifts[:first + 1])
+    assert all(sigma > up for sigma, _, up in shifts[first + 1:])
+    # the generator's principal eigenvalue at p = 0 is 0
+    assert cert.cw_lower <= 0.0 <= cert.cw_upper
 
 
 @settings(max_examples=30, deadline=None)
