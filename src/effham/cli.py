@@ -251,7 +251,7 @@ def cmd_simulate(cfg: dict, model, outdir: Path,
     block = _block(cfg, "simulate", True)
     if seed_override is None and block.get("seed") is None:
         raise ConfigError("stochastic command needs a seed (config or --seed)")
-    # the seed is the first word of every path's Philox key
+    # the seed is the first word of every Philox key (a group of 64 paths)
     source, name = ((block, where) if seed_override is None
                     else ({"seed": seed_override}, "--seed"))
     seed = _integer(source, "seed", name, at_least=0, at_most=2**64 - 1)

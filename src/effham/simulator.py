@@ -23,32 +23,37 @@ not independent samples.
 
 The rows of a run are numpy arrays stepped together, one array step per
 row at a time; rows drop out when they pass their last horizon, and a step
-tests horizons and drop-outs only when some row reaches a horizon.  Each
-path reads its own Philox streams, keyed by (seed, k) for seed and k in
+tests horizons and drop-outs only when some row reaches a horizon.  Every
+draw is an addressed element of a Philox stream.  Paths 64 g to 64 g + 63
+share group g's streams, keyed by (seed, g) for seed and path index in
 [0, 2**64), one per kind of draw (normals, uniforms) with the kind in the
-counter, each once, in blocks of `_BLOCK`; an exponential is -log1p(-u) of
-the path's next uniform u.  A kind that every running row reads as often
-per array step (the normals; the discrete clock and choice) keeps one
-cursor for all rows; the thinning draws keep one per path.  So every draw
-is a function of (seed, path, kind, index), whatever the other paths of
-the run and the block size: each row of a concentration experiment equals
-the one-scale experiment of its scale, and `simulate_*` with `traj_index=k`
-ends where path k of an experiment does whenever its fast step dt/eps
-equals the experiment's 1/dt_factor in floating point.  Each row's drift is
-`fields.fourier_gradients` of its state's column of the potentials'
-`stack_modes`, gathered again only when the row jumps, and its switching
-rates are `SwitchingRateMatrix.rates_out_of` its state, clipped at 0: the
-sums and the round-off rule of the fields and of `values`.  (t, x, i)
-records and `Trajectory` objects are built only for `simulate_*`, one
-path at a time, and close at exactly T; an experiment keeps each path's
-end at each horizon.
+counter.  A stepper reads `per` slots of a kind per row and array step:
+slot c of array step t of path k is element (t per + c) 64 + k mod 64 of
+its group's stream, read `_BLOCK` steps at a time.  A continuous row reads
+one normal and two uniforms at each step t >= 1: the normal moves it, and
+when the step reaches its candidate jump time the first uniform u thins
+(a jump to the state count(cum <= u lam) unless u lam >= the total rate)
+and the second gives the next gap -log1p(-u')/lam; step 0 gives the first
+gaps.  A discrete row reads its clock and its event choice at each step.
+So every draw is a function of (seed, path, kind, step, slot), whatever
+the other paths of the run and the block size: each row of a
+concentration experiment equals the one-scale experiment of its scale, and
+`simulate_*` with `traj_index=k` ends where path k of an experiment does
+whenever its fast step dt/eps equals the experiment's 1/dt_factor in
+floating point.  Each row's drift is `fields.fourier_gradients` of its
+state's column of the potentials' `stack_modes`, gathered again only when
+the row jumps, and its switching rates are `SwitchingRateMatrix.rates_out_of`
+its state, clipped at 0: the sums and the round-off rule of the fields and
+of `values`.  (t, x, i) records and `Trajectory` objects are built only for
+`simulate_*`, one path at a time, and close at exactly T; an experiment
+keeps each path's end at each horizon.
 
 A concentration experiment splits its paths into k = min(cores, paths)
 contiguous shards, with cores the size of the process's affinity mask
 (`workers._cores`).  `workers.run` forks a child for each shard but the
 first, which this process steps, and the shards' ends join in path order.
 A shard keeps its paths' indices, and a path's draws depend on nothing but
-(seed, path, kind, index), so each path's ends are its one-process ends
+(seed, path, kind, step, slot), so each path's ends are its one-process ends
 bit for bit and the report does not depend on k.  The experiment runs in
 process wherever `workers.run` does not fork (one core, no `os.fork` or
 `os.sched_getaffinity`, Python 3.12 and later) and with one path.  The
@@ -73,19 +78,20 @@ from .fields import (fourier_gradients, grid_points, sampling_resolution,
 from .model import ContinuousModel, DiscreteModel, Model
 
 DT_FACTOR = 200.0   # default Euler-Maruyama step dt = eps / DT_FACTOR
-_BLOCK = 64         # draws per path and kind read from its stream at once
+_GROUP = 64         # consecutive paths that share one stream per kind of draw
+_BLOCK = 16         # array steps of draws read from each stream at once
 _RECORDS = 256      # strided records per continuous path (plus switches)
 _KINDS = ("standard_normal", "random")   # kind j of draw: Generator methods
 
 
-def _stream(seed: int, k: int, kind: str):
+def _stream(seed: int, group: int, kind: str):
     """The bound `Generator` method that draws `kind` (j in `_KINDS`) for
-    path k: Philox keyed by (seed, k), its counter from (0, 0, 0, j).
-    Distinct keys give independent streams (Salmon et al., SC 2011).  The
-    words go in as uint64 arrays: numpy reads a list that holds a word
-    >= 2**63 through float64."""
+    the paths of `group` g, 64 g to 64 g + 63: Philox keyed by (seed, g),
+    its counter from (0, 0, 0, j).  Distinct keys give independent streams
+    (Salmon et al., SC 2011).  The words go in as uint64 arrays: numpy
+    reads a list that holds a word >= 2**63 through float64."""
     return getattr(np.random.Generator(np.random.Philox(
-        key=np.array([seed, k], dtype=np.uint64),
+        key=np.array([seed, group], dtype=np.uint64),
         counter=np.array([0, 0, 0, _KINDS.index(kind)], dtype=np.uint64))),
         kind)
 
@@ -93,9 +99,10 @@ def _stream(seed: int, k: int, kind: str):
 class _Streams:
     """The seed and path indices of a run, Philox key words: integers in
     [0, 2**64), never a float truncated (`TypeError`) or a value wrapped
-    (`ValueError`), and at least one path (`ValueError`).  Each kind of draw
-    of each path reads its own `_stream`, so a path's draws depend neither
-    on the other paths in the run nor on the block size."""
+    (`ValueError`), and at least one path (`ValueError`).  Path k reads the
+    streams of group k // `_GROUP` at lane k % `_GROUP`; the run lays its
+    `groups` side by side, so that path p of the run is column
+    `columns[p]` of every step's draws."""
 
     def __init__(self, seed: int, indices: Sequence[int]):
         self.seed, *self.indices = words = [operator.index(word)
@@ -106,57 +113,42 @@ class _Streams:
         if bad:
             raise ValueError("a seed or trajectory index must be a "
                              f"non-negative integer below 2**64, got {bad[0]}")
+        groups, lanes = np.divmod(np.array(self.indices, dtype=np.uint64),
+                                  _GROUP)
+        groups, rank = np.unique(groups, return_inverse=True)
+        self.groups = groups.tolist()
+        self.columns = rank * _GROUP + lanes.astype(np.intp)
 
 
-class _Draws:
-    """One kind of draw for a run's paths, each path reading its stream at
-    its own pace: a (paths, `_BLOCK`) block with one cursor per path, whose
-    row p is refilled from path p's stream when p has read it all.  A
-    stepper builds each kind's streams once and reads each of them once,
-    whatever the number of scales it runs."""
+class _StepDraws:
+    """One kind of draw for a run's paths, `per` slots per array step: slot
+    c of step t of path k is element (t per + c) `_GROUP` + k % `_GROUP` of
+    its group's `_stream`.  A refill reads the next `_BLOCK` steps of every
+    group's stream, one (`_BLOCK`, per, `_GROUP`) block per group, and lays
+    them side by side, so that a step's slot is one row of the run's
+    columns.  So a path's draws depend neither on the other paths in the
+    run nor on the block size.  A stepper builds each kind's streams once
+    and reads each of them once, whatever the number of scales it runs."""
 
-    def __init__(self, streams: _Streams, kind: str):
-        self._draw = [_stream(streams.seed, k, kind) for k in streams.indices]
-        self._block = np.empty((len(self._draw), _BLOCK))
-        self._next = np.full(len(self._draw), _BLOCK)   # next unread column
+    def __init__(self, streams: _Streams, kind: str, per: int):
+        self._draw = [_stream(streams.seed, g, kind) for g in streams.groups]
+        groups = len(self._draw)
+        self._fill = np.empty((groups, _BLOCK, per, _GROUP))
+        self._block = np.empty((_BLOCK, per, groups * _GROUP))
+        # the block by (step, slot, group, lane): a view of the same memory
+        self._lanes = self._block.reshape(_BLOCK, per, groups, _GROUP)
+        self._end = 0           # the block holds steps [_end - _BLOCK, _end)
 
-    def _refill(self, paths: np.ndarray) -> None:
-        for p in paths.tolist():
-            self._draw[p](out=self._block[p])
-
-    def __call__(self, paths: np.ndarray) -> np.ndarray:
-        """One draw for each path in `paths` (distinct path numbers)."""
-        column = self._next[paths]
-        spent = column == self._block.shape[1]
-        if np.count_nonzero(spent):
-            self._refill(paths[spent])
-            column[spent] = 0
-        self._next[paths] = column + 1
-        return self._block[paths, column]
-
-    def exponential(self, paths: np.ndarray) -> np.ndarray:
-        """-log1p(-u) of each path's next uniform u: standard exponentials."""
-        return -np.log1p(-self(paths))
-
-
-class _StepDraws(_Draws):
-    """A kind of draw that every running path reads as often per array step
-    (the normals once, the discrete uniforms twice), so that one cursor
-    serves every path."""
-
-    def __init__(self, streams: _Streams, kind: str):
-        super().__init__(streams, kind)
-        self._next = _BLOCK
-
-    def __call__(self, paths: np.ndarray) -> np.ndarray:
-        """One draw for each path in `paths`, the running paths in order."""
-        if self._next == self._block.shape[1]:
-            self._refill(paths)
-            self._next = 0
-        self._next += 1
-        if len(paths) == len(self._draw):   # every path: a column view
-            return self._block[:, self._next - 1]
-        return self._block[paths, self._next - 1]
+    def __call__(self, step: int, slot: int,
+                 columns: np.ndarray) -> np.ndarray:
+        """Slot `slot` of array step `step` for each row at `columns`; the
+        steps read never decrease."""
+        while step >= self._end:
+            for draw, block in zip(self._draw, self._fill):
+                draw(out=block)
+            np.copyto(self._lanes, self._fill.transpose(1, 2, 0, 3))
+            self._end += len(self._block)
+        return self._block[step % len(self._block), slot].take(columns)
 
 
 @dataclass(frozen=True)
@@ -294,31 +286,32 @@ def _continuous_paths(model: ContinuousModel, horizons: Sequence[float],
     horizons = _check_run(model, horizons, i0)
     last, ahead = horizons[-1], np.append(horizons, math.inf)
     paths = len(streams.indices)
-    normal = _StepDraws(streams, "standard_normal")
-    uniform = _Draws(streams, "random")     # thinning: one cursor per path
+    normal = _StepDraws(streams, "standard_normal", 1)
+    uniform = _StepDraws(streams, "random", 2)  # thinning, then the next gap
     # the thinning bound has 1% headroom: the lattice max can sit slightly
     # below the continuum sup
     lam = 1.01 * max_total_switching_rate(model)
     potentials = stack_modes(model.potentials)
     slopes = np.array([psi.slope[0] for psi in model.potentials])
 
-    live = np.arange(paths)     # path numbers of the running rows
+    live = streams.columns      # the draws' columns of the running rows
     s, y = np.zeros(paths), np.zeros(paths)
     due = np.zeros(paths, dtype=np.intp)    # index of each row's next horizon
     first = horizons[0]         # the earliest horizon a running row is due at
-    ends = np.empty((len(horizons), paths))
+    ends = np.empty((len(horizons), len(streams.groups) * _GROUP))
     state = np.full(paths, i0)
     columns, slope = potentials[..., state], slopes[state]
     if records is not None:
         stride = max(1, math.ceil(last / ds) // _RECORDS)
         records.add(live, 0.0, 0.0, i0)
-    candidate = (uniform.exponential(live) / lam if lam > 0
+    candidate = (-np.log1p(-uniform(0, 1, live)) / lam if lam > 0
                  else np.full(paths, math.inf))
 
-    steps = 0                   # array steps taken, the same for every row
+    t = 0                       # array steps taken, the same for every row
     while live.size:
+        t += 1
         target = np.minimum(s + ds, candidate)
-        z = normal(live)
+        z = normal(t, 0, live)
         drift = slope + fourier_gradients(columns, y[None])[0]
         # a row passes a horizon, stops at the last one and drops out only
         # on a step whose targets reach the earliest horizon still due
@@ -336,8 +329,7 @@ def _continuous_paths(model: ContinuousModel, horizons: Sequence[float],
         step = target - s
         y = y + (np.sqrt(step) * z - drift * step)
         s = target
-        steps += 1
-        if records is not None and steps % stride == 0:
+        if records is not None and t % stride == 0:
             records.add(live, s, y, state)
 
         hit = (s >= candidate).nonzero()[0]
@@ -349,17 +341,18 @@ def _continuous_paths(model: ContinuousModel, horizons: Sequence[float],
             if total.max() > lam * (1 + 1e-12):
                 raise RuntimeError("thinning bound violated; rate field "
                                    "sampling resolution too low")
-            accept = uniform(rows) < total / lam
+            # one uniform accepts and chooses: state j with chance r_j/lam
+            u = uniform(t, 0, rows) * lam
+            accept = u < total
             jump = hit[accept]
             if jump.size:
-                u = uniform(rows[accept]) * total[accept]
-                new = (cum[accept] <= u[:, None]).sum(axis=1)
+                new = (cum[accept] <= u[accept, None]).sum(axis=1)
                 state[jump] = new
                 if records is not None:
                     records.add(rows[accept], s[jump], y[jump], new)
                 columns[..., jump] = potentials[..., new]
                 slope[jump] = slopes[new]
-            candidate[hit] = s[hit] + uniform.exponential(rows) / lam
+            candidate[hit] = s[hit] - np.log1p(-uniform(t, 1, rows)) / lam
         if reached:
             running = due < len(horizons)
             if not running.all():
@@ -372,7 +365,7 @@ def _continuous_paths(model: ContinuousModel, horizons: Sequence[float],
                 columns = columns[..., running]
             if live.size:
                 first = ahead[due].min()
-    return ends
+    return ends[:, streams.columns]
 
 
 def simulate_continuous(model: ContinuousModel, eps: float, T: float,
@@ -404,8 +397,8 @@ def _discrete_paths(model: DiscreteModel, horizons: Sequence[float],
     horizons = _check_run(model, horizons, i0)
     ahead = np.append(horizons, math.inf)
     paths = len(streams.indices)
-    # each running row reads its clock, then its event choice
-    uniform = _StepDraws(streams, "random")
+    # each running row reads its clock (slot 0), then its event choice
+    uniform = _StepDraws(streams, "random", 2)
     J = model.J
     switching = np.where(np.eye(J, dtype=bool)[:, :, None], 0.0, model.switching)
     # cumulative event rates (J, ell, 2 + J): hop up, hop down, switch to j
@@ -414,18 +407,20 @@ def _discrete_paths(model: DiscreteModel, horizons: Sequence[float],
          np.moveaxis(switching, 1, 2)], axis=2), axis=2)
     hop = np.r_[1, -1, np.zeros(J, dtype=int)].astype(np.int32)
 
-    live = np.arange(paths)     # path numbers of the running rows
+    live = streams.columns      # the draws' columns of the running rows
     s = np.zeros(paths)
     m = np.zeros(paths, dtype=np.int32)     # lifted integer position
     due = np.zeros(paths, dtype=np.intp)    # index of each row's next horizon
     first = horizons[0]         # the earliest horizon a running row is due at
-    ends = np.empty((len(horizons), paths), dtype=np.int32)
+    ends = np.empty((len(horizons), len(streams.groups) * _GROUP),
+                    dtype=np.int32)
     state = np.full(paths, i0)
     if records is not None:
         records.add(live, 0.0, 0.0, i0)
+    t = 0                       # array steps taken, the same for every row
     while live.size:
         cum = cum_rates[state, m % model.ell]
-        s = s + uniform.exponential(live) / cum[:, -1]
+        s = s - np.log1p(-uniform(t, 0, live)) / cum[:, -1]
         if s.max() >= first:    # some clock passes a horizon
             passed = (ahead[due] <= s).nonzero()[0]
             while passed.size:  # sites at the horizons this clock passes
@@ -441,13 +436,14 @@ def _discrete_paths(model: DiscreteModel, horizons: Sequence[float],
                     live, s, m, due, state, cum))
             if live.size:
                 first = ahead[due].min()
-        u = uniform(live) * cum[:, -1]
+        u = uniform(t, 1, live) * cum[:, -1]
         event = (cum <= u[:, None]).sum(axis=1)
         m = m + hop[event]
         state = np.where(event >= 2, event - 2, state)
         if records is not None:
             records.add(live, s, m, state)
-    return ends
+        t += 1
+    return ends[:, streams.columns]
 
 
 def simulate_discrete(model: DiscreteModel, n: int, T: float, seed: int = 0, *,

@@ -79,12 +79,12 @@ def test_batch_membership_does_not_change_a_path():
 
 
 def test_block_size_does_not_change_a_path(monkeypatch):
-    """Each kind of draw has its own stream, read by its path alone, so the
-    draw block size is a memory setting only, for every kind of draw: the
-    normals and thinning draws of a continuous run, the clocks and choices
-    of a discrete one, refilled as the paths read them at their own pace.
-    The records of paths 0 and 5 simulated alone and the ends of a six-path
-    run are the same bits with either block."""
+    """Every draw is addressed by (path, step, slot), so the number of
+    steps a refill reads is a memory setting only, for every kind of draw:
+    the normals and thinning draws of a continuous run, the clocks and
+    choices of a discrete one.  The records of paths 0 and 5 simulated
+    alone and the ends of a six-path run are the same bits with either
+    block."""
     runs = []
     streams = simulator._Streams(8, range(6))
     for block in (simulator._BLOCK, 5):
@@ -112,9 +112,9 @@ def test_concentration_rows_equal_independent_batches(monkeypatch):
     experiment of its scale, bit for bit, also with switching scaled by
     gamma != 1; and, calling the stepper from i0 = 1, the first and last
     paths end at every horizon where `simulate_*` with their index ends.
-    The scales end at different steps, and the paths read their draws at
-    different paces; with a block of 5 the draw blocks refill many times
-    within a run."""
+    The scales end at different steps, and the paths drop out at different
+    steps; with a block of 5 the draw blocks refill many times within a
+    run."""
     gamma, seed, dt_factor = 1.7, 31, 150.0
     cases = ((scaled_switching(two_state_flashing(), gamma),
               [0.1, 0.07, 0.05], 0.3, 6),
@@ -170,9 +170,10 @@ def test_experiment_does_only_its_finest_scales_work(monkeypatch):
 
 def test_concentration_builds_no_paths_and_reads_each_stream_once(monkeypatch):
     """The experiment keeps end positions only: it builds no `Trajectory`
-    and no `_Records`, and it builds one Philox per path and kind of draw it
-    uses (normals and uniforms for a continuous model, uniforms alone for a
-    discrete one), whatever the number of scales.  One shard, so that every
+    and no `_Records`, and it builds one Philox per group of 64 paths and
+    kind of draw (normals and uniforms for a continuous model, uniforms
+    for a discrete one), keyed by (seed, group), whatever the number of
+    scales: three groups for 2 * 64 + 3 paths.  One shard, so that every
     stream is built in this process."""
     set_cores(monkeypatch, 1)
 
@@ -189,14 +190,14 @@ def test_concentration_builds_no_paths_and_reads_each_stream_once(monkeypatch):
         return philox(key=key, counter=counter)
 
     monkeypatch.setattr(np.random, "Philox", counted)
-    paths = 7
+    paths = 2 * 64 + 3
     cases = ((two_state_flashing(), [0.2, 0.1, 0.05], 0.2, (0, 1)),
              (discrete_two_state(), [8, 16, 32], 0.5, (1,)))
     for model, scales, T, kinds in cases:
         built.clear()
         concentration_experiment(model, scales, T, paths, 5, predicted_v=0.0)
-        assert sorted(built) == sorted((kind, (5, k)) for kind in kinds
-                                       for k in range(paths))
+        assert sorted(built) == sorted((kind, (5, g)) for kind in kinds
+                                       for g in range(3))
 
 
 def set_cores(monkeypatch, cores):
@@ -204,12 +205,14 @@ def set_cores(monkeypatch, cores):
     monkeypatch.setattr(workers, "_cores", lambda: cores)
 
 
-@pytest.mark.parametrize("paths", [1, 2, 7])
+@pytest.mark.parametrize("paths", [1, 2, 7, 2 * 64 + 3])
 def test_shards_equal_one_process(monkeypatch, paths):
-    """Split across 2 or 3 forked shards (unequal ones for 7 paths), every
-    path's ends at every scale equal its one-process ends bit for bit, for a
-    continuous and a discrete model, from i0 = 0 and 1; so the experiment's
-    report is the same with one shard and with two."""
+    """Split across 2 or 3 forked shards (unequal ones for 7 paths; for
+    2 * 64 + 3 paths the cuts fall inside groups of 64, whose streams both
+    sides then read), every path's ends at every scale equal its
+    one-process ends bit for bit, for a continuous and a discrete model,
+    from i0 = 0 and 1; so the experiment's report is the same with one
+    shard and with two."""
     forked = record_forks(monkeypatch)
     seed = 2**64 - 3
     cases = ((scaled_switching(two_state_flashing(), 1.7), [0.1, 0.07, 0.05],
@@ -367,30 +370,39 @@ def test_the_experiment_forks_only_where_it_may(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1])
-def test_streams_are_keyed_by_seed_path_and_kind(seed):
-    """Kind j of path k reads, as a stepper's `_Draws` serves it, block for
-    block what a `Generator` on `Philox(key=(seed, k), counter=(0, 0, 0,
-    j))` draws, for seeds and indices up to the top of the uint64 range;
-    different paths and kinds draw differently.  (The reference passes its
-    words as uint64 arrays: numpy reads a list that holds a word >= 2**63
-    through float64.)"""
-    indices = [0, 999, 2**32, 2**40 + 5]
-    paths, blocks = np.arange(len(indices)), 3
+def test_streams_are_keyed_by_seed_path_and_kind(monkeypatch, seed):
+    """Slot c of array step t of path k reads, for either kind j and either
+    number of slots per step, element (t per + c) 64 + k % 64 of what a
+    `Generator` on `Philox(key=(seed, k // 64), counter=(0, 0, 0, j))`
+    draws, with a block of 16 steps and of 5, for seeds and indices up to
+    the top of the uint64 range and indices on both sides of group
+    boundaries, also when a run reads only some rows at steps that skip
+    whole blocks; different paths and kinds draw differently.  (The reference
+    passes its words as uint64 arrays: numpy reads a list that holds a word
+    >= 2**63 through float64.)"""
+    indices = [63, 0, 64, 65, 2**32 + 1, 2**64 - 65, 2**64 - 64, 2**64 - 1]
+    steps = 23
     streams = simulator._Streams(seed, indices)
     firsts = set()
-    for j, kind in enumerate(simulator._KINDS):
-        draws = simulator._Draws(streams, kind)
-        drawn = np.array([draws(paths)
-                          for _ in range(blocks * simulator._BLOCK)]).T
-        for k, row in zip(indices, drawn):
+    for block, (j, kind), per in itertools.product(
+            (16, 5), enumerate(simulator._KINDS), (1, 2)):
+        monkeypatch.setattr(simulator, "_BLOCK", block)
+        draws = simulator._StepDraws(streams, kind, per)
+        drawn = np.array([[draws(t, c, streams.columns) for c in range(per)]
+                          for t in range(steps)])
+        # as the thinning draws are read: some rows, at steps far apart
+        sparse = simulator._StepDraws(streams, kind, per)
+        rows = streams.columns[1::3]
+        for t in range(0, steps, 7):
+            np.testing.assert_array_equal(sparse(t, per - 1, rows),
+                                          drawn[t, per - 1, 1::3])
+        for k, row in zip(indices, np.moveaxis(drawn, 2, 0)):
             reference = getattr(np.random.Generator(np.random.Philox(
-                key=np.array([seed, k], dtype=np.uint64),
+                key=np.array([seed, k // 64], dtype=np.uint64),
                 counter=np.array([0, 0, 0, j], dtype=np.uint64))), kind)
-            expected = np.empty((blocks, simulator._BLOCK))
-            for block in expected:
-                reference(out=block)
-            np.testing.assert_array_equal(row, expected.ravel())
-            firsts.add(row[0])
+            elements = reference(size=steps * per * 64).reshape(steps, per, 64)
+            np.testing.assert_array_equal(row, elements[..., k % 64])
+            firsts.add(row[0, 0])
     assert len(firsts) == len(simulator._KINDS) * len(indices)
 
 
@@ -428,11 +440,11 @@ def test_negative_seed_or_index_raises(seed, index):
 def test_concentration_golden_pin():
     """Pins small seeded experiments of each kind, with several scales and
     the discrete model's switching scaled by gamma != 1.  Re-pinned when
-    the stream keying changed to Philox keyed by (seed, path) with the kind
-    in the counter, and every exponential became -log1p(-u) of the path's
-    uniform stream (every draw changed; the values before were those of
-    numpy's `SeedSequence((seed, k))` children).  A change of scheme,
-    streams or draw order must update them on purpose."""
+    every draw became an element of one Philox stream per group of 64
+    paths, addressed by (path, step, slot), and one thinning uniform came
+    to both accept and choose (every draw changed; the values before were
+    those of one Philox stream per path, keyed by (seed, path)).  A change
+    of scheme, streams or draw order must update them on purpose."""
     cont = concentration_experiment(two_state_flashing(), [0.1], 0.5, 64,
                                     2024, predicted_v=0.0)
     disc = [concentration_experiment(scaled_switching(discrete_two_state(),
@@ -442,13 +454,13 @@ def test_concentration_golden_pin():
                                   ([10, 20], 1.3))]
     assert [(r.mean_v, r.sd) for report in [cont] + disc
             for r in report.rows] == [
-        (0.1815873839391895, 0.25719844443896905),
-        (-0.115234375, 0.43304402401616293),
-        (-0.0595703125, 0.43092129862957484),
-        (-0.10107421875, 0.3399520615121551),
-        (-0.111572265625, 0.2586078129043713),
-        (0.014062499999999999, 0.5117251207497528),
-        (-0.06015624999999998, 0.40709771139983597)]
+        (0.2163774795896797, 0.24389100938331285),
+        (-0.1171875, 0.4984474905079278),
+        (-0.0908203125, 0.4943793316362519),
+        (-0.10888671875, 0.31339119884145555),
+        (-0.081298828125, 0.2352279401726985),
+        (-0.08125, 0.606806629589926),
+        (-0.0953125, 0.4243312899737582)]
 
 
 def _records_digest(trajectories):
@@ -463,18 +475,19 @@ def _records_digest(trajectories):
 
 def test_trajectory_records_golden_pin():
     """Pins the records of a continuous path with switches and of discrete
-    paths 0 to 7 of one seed.  Both digests were re-pinned when the stream keying changed to
-    Philox keyed by (seed, path) with the kind in the counter, and every
-    exponential became -log1p(-u) of the path's uniform stream.  A change
-    of stepper, streams or record rule must update them on purpose."""
+    paths 0 to 7 of one seed.  Both digests were re-pinned when every draw
+    became an element of one Philox stream per group of 64 paths,
+    addressed by (path, step, slot), and one thinning uniform came to both
+    accept and choose.  A change of stepper, streams or record rule must
+    update them on purpose."""
     switching = simulate_continuous(two_state_flashing(), 0.1, 1.0, seed=5,
                                     traj_index=2)
     disc = [simulate_discrete(discrete_two_state(), 32, 1.0, seed=9,
                               traj_index=k) for k in range(8)]
     assert switching.switch_count > 0
     assert [_records_digest([switching]), _records_digest(disc)] == [
-        "d6dddec85acb4504e08eee5b1afd83d1b5a0761ef6c91c501a8273d1448d8c8e",
-        "428f6ddb1f32ac7852e35b756dc78237bf0ad22b1846d1b99aa1ca8456a37cfe"]
+        "1e583a55767efd46ba62ac61e2fff05a5539fe974bf7481198860780103d6650",
+        "689c3b70ba2c4da6975eb4ef2e8e0e32abd6e58ddba0506b563cbbb768070b15"]
 
 
 def three_state_table_model():
@@ -572,23 +585,41 @@ def test_dt_must_resolve_fast_variable():
         simulate_continuous(constant_drift(1.0), 0.1, 1.0, dt=0.02, seed=0)
 
 
+def constant_rate_model(rates):
+    """Flat potentials and the constant switching rates `rates[i][j]`."""
+    J = len(rates)
+    entries = tuple(tuple(const_field(r) if r else None for r in row)
+                    for row in rates)
+    return ContinuousModel(dim=1, J=J,
+                           potentials=(PeriodicScalarField(dim=1),) * J,
+                           rates=SwitchingRateMatrix(J=J, entries=entries))
+
+
 def test_thinning_rates_of_constant_rate_model():
-    """Rates that do not depend on x make the switching a two-state Markov
-    chain whose empirical exit rates must match (gamma/eps) r_ij."""
+    """Rates that do not depend on x make the switching a Markov chain
+    whose empirical exit rates must match r_ij/eps.  One uniform both thins
+    and chooses the new state, so of the jumps out of state 0 of a J = 3
+    chain with rates 1 and 3 out of it, the share that goes to state 2
+    must be 3/4."""
     eps = 0.5
-    c12, c21 = 1.0, 2.0
-    m = two_state_constant_rates(c12, c21)
-    tr = simulate_continuous(m, eps, 60.0, seed=5)
-    t_in = {0: 0.0, 1: 0.0}
-    exits = {0: 0, 1: 0}
-    for k in range(len(tr.times) - 1):
-        t_in[int(tr.states[k])] += tr.times[k + 1] - tr.times[k]
-        if tr.states[k + 1] != tr.states[k]:
-            exits[int(tr.states[k])] += 1
-    for state, rate in ((0, c12 / eps), (1, c21 / eps)):
-        n, T_occ = exits[state], t_in[state]
-        assert n > 10
-        assert abs(n / T_occ - rate) <= 3.0 * math.sqrt(n) / T_occ
+    for rates in ([[0.0, 1.0], [2.0, 0.0]],
+                  [[0.0, 1.0, 3.0], [2.0, 0.0, 0.0], [2.0, 0.0, 0.0]]):
+        tr = simulate_continuous(constant_rate_model(rates), eps, 60.0,
+                                 seed=5)
+        J = len(rates)
+        t_in, jumps = np.zeros(J), np.zeros((J, J), dtype=int)
+        np.add.at(t_in, tr.states[:-1], np.diff(tr.times))
+        np.add.at(jumps, (tr.states[:-1], tr.states[1:]), 1)
+        np.fill_diagonal(jumps, 0)      # records between jumps
+        for state in range(J):
+            n, T_occ = jumps[state].sum(), t_in[state]
+            assert n > 10
+            assert abs(n / T_occ - sum(rates[state]) / eps) <= \
+                3.0 * math.sqrt(n) / T_occ
+        if J == 3:
+            n, share = jumps[0].sum(), 3.0 / 4.0
+            assert abs(jumps[0, 2] / n - share) <= \
+                3.0 * math.sqrt(share * (1 - share) / n)
 
 
 def test_thinning_rates_scale_with_gamma():

@@ -84,9 +84,9 @@ def test_cli_import_leaves_numpy_random_unloaded():
 
 
 def test_streams_are_built_at_one_philox_call():
-    """Every Monte Carlo stream is a `Philox` keyed by (seed, path) with its
-    kind in the counter, constructed at one call site; no module hashes
-    seeds through numpy's `SeedSequence` or reaches into its
+    """Every Monte Carlo stream is a `Philox` keyed by (seed, group of 64
+    paths) with its kind in the counter, constructed at one call site; no
+    module hashes seeds through numpy's `SeedSequence` or reaches into its
     `bit_generator` module."""
     calls, named = [], []
     for path in sorted(Path(effham.__file__).parent.glob("*.py")):
@@ -101,6 +101,22 @@ def test_streams_are_built_at_one_philox_call():
                       getattr(node.func, "attr", None))]
     assert len(calls) == 1, calls
     assert not named, named
+
+
+def test_only_the_step_addressed_draws_open_streams():
+    """Every draw is read by (path, step, slot) from one stream per group
+    of 64 paths: `_stream` is called by `simulator._StepDraws` alone, so
+    per-path generators and their refill loops cannot come back."""
+    found = []
+    for path in sorted(Path(effham.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = {id(node): cls.name for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for node in ast.walk(cls)}
+        found += [f"{path.name}:{owner.get(id(node))}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and "_stream" in (getattr(node.func, "id", None),
+                                    getattr(node.func, "attr", None))]
+    assert found == ["simulator.py:_StepDraws"], found
 
 
 def test_one_point_chain_helpers_called_only_in_chains():
