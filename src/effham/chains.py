@@ -200,14 +200,14 @@ def averaged_hop_rates(model: DiscreteModel, k: int) -> tuple:
                  for rates in (model.hop_rates_plus, model.hop_rates_minus))
 
 
-def detailed_balance_report(model: ContinuousModel,
-                            sample_grid: int = 256) -> tuple:
-    """Check r_ij(x) e^{-2 psi^i(x)} = r_ji(x) e^{-2 psi^j(x)} on a lattice.
+def detailed_balance_report(model: ContinuousModel) -> tuple:
+    """Check r_ij(x) e^{-2 psi^i(x)} = r_ji(x) e^{-2 psi^j(x)} on a lattice
+    of max(256, `sampling_resolution`) points per axis.
 
     Returns (holds, max_violation).  `holds` means the worst absolute
     imbalance stays below 1e-10 relative to the scale of the compared terms.
     """
-    n = max(sample_grid, sampling_resolution(
+    n = max(256, sampling_resolution(
         list(model.potentials) + model.rates.iter_fields()))
     pts = grid_points(model.dim, n, model.period)
     weights = [np.exp(-2.0 * psi.values(pts)) for psi in model.potentials]

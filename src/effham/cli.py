@@ -37,7 +37,7 @@ _BLOCK_KEYS = {
     "velocity": {"N", "tol", "gamma", "regime"},
     "simulate": {"scales", "T", "dt_factor", "paths", "seed", "predicted_v",
                  "N", "gamma", "dump_trajectories"},
-    "check": {"grid", "p_max", "count", "N", "tol", "gamma", "regime"},
+    "check": {"p_max", "count", "N", "tol", "gamma", "regime"},
 }
 _TOP_KEYS = {"model", "model_file", "preset", "out", *_BLOCK_KEYS}
 
@@ -298,7 +298,6 @@ def cmd_check(cfg: dict, model, outdir: Path) -> int:
     block = _block(cfg, "check", False)
     p_max = _real(block, "p_max", where, 2.0, positive=True)
     count = _integer(block, "count", where, 21, at_least=3)
-    grid = _integer(block, "grid", where, 256, at_least=1)
     model, solver = _solver(model, block, where)
     table = ham.sweep(model, -p_max, p_max, count, **solver)
     if table.failures:
@@ -310,7 +309,7 @@ def cmd_check(cfg: dict, model, outdir: Path) -> int:
     sym = ham.symmetry_check(table)
     coer = ham.coercivity_check(table, model)
     if isinstance(model, ContinuousModel):
-        holds, violation = chains.detailed_balance_report(model, grid)
+        holds, violation = chains.detailed_balance_report(model)
         db = {"applicable": True, "holds": holds, "max_violation": violation,
               "pass": bool((not holds) or sym <= 1e-6)}
     else:

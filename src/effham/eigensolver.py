@@ -46,7 +46,7 @@ LU of at most 64 unknowns, filled through cells computed once per base shape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
@@ -54,7 +54,7 @@ import numpy as np
 
 from .chains import (_measures_or_raise, _switching_findings, point_label,
                      state_average)
-from .fields import grid_points
+from .fields import Frozen, freeze, grid_points, read_only
 from .model import ContinuousModel, DiscreteModel, Model
 
 _EPS = np.finfo(float).eps
@@ -150,7 +150,7 @@ class AssembledOperator:
 
 
 @dataclass(frozen=True)
-class EigenCertificate:
+class EigenCertificate(Frozen):
     """Principal eigenpair plus the Collatz-Wielandt sandwich that proves it."""
 
     eigenvalue: float
@@ -166,15 +166,8 @@ class EigenCertificate:
         return self.cw_upper - self.cw_lower
 
     def __post_init__(self):
-        g = np.asarray(self.eigenvector, dtype=float)
-        if np.any(g <= 0):
-            raise ValueError("certificate eigenvector must be strictly positive")
-        g.setflags(write=False)
-        object.__setattr__(self, "eigenvector", g)
-
-    def __reduce__(self):
-        # unpickled through __init__: checked again, and read-only
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        g = freeze(self, "eigenvector")
+        _positive_vector(g, g.size, "certificate eigenvector")
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +436,7 @@ def _block_solve(D: np.ndarray, R: np.ndarray) -> np.ndarray:
 def _identity(b: int) -> np.ndarray:
     """The read-only b x b identity; one per slice width b, for the few
     widths in use."""
-    eye = np.eye(b)
-    eye.setflags(write=False)
-    return eye
+    return read_only(np.eye(b))
 
 
 def _dense(C: np.ndarray) -> np.ndarray:
@@ -461,10 +452,8 @@ def _base_cells(m: int, b: int) -> tuple:
     in the blocks' own order.  Read-only, computed once per base shape."""
     k, r, c = np.ix_(np.arange(m), np.arange(b), np.arange(b))
     row = (k * b + r) * (m * b)
-    cells = tuple(row + ((k + shift) % m) * b + c for shift in (0, 1, -1))
-    for a in cells:
-        a.setflags(write=False)
-    return cells
+    return tuple(read_only(row + ((k + shift) % m) * b + c, np.intp)
+                 for shift in (0, 1, -1))
 
 
 def _coupled(C: np.ndarray, X: np.ndarray) -> np.ndarray:

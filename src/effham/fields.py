@@ -9,6 +9,9 @@ derivatives of the series, so they carry no discretization error.  The affine
 part is stored separately: it represents a constant external force and is
 well defined on the torus through its local increments even though it is not
 periodic itself.
+
+The module also holds the rule every frozen value type of the library follows:
+it derives from `Frozen` and keeps read-only copies of its arrays (`freeze`).
 """
 
 from __future__ import annotations
@@ -22,8 +25,34 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
+class Frozen:
+    """Base of the library's frozen dataclass values: a value pickles as its
+    `init` fields and unpickles through `__init__`, so a copy that crosses a
+    process is checked again, and read-only as its constructor leaves it."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self)
+                                 if f.init)
+
+
+def read_only(value, dtype=float) -> np.ndarray:
+    """A read-only copy of `value` as a `dtype` array."""
+    arr = np.array(value, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+def freeze(obj, name: str, dtype=float) -> np.ndarray:
+    """Set field `name` of the frozen dataclass `obj` to a read-only copy of
+    its value as a `dtype` array, and return it: the caller's array stays its
+    own, and writeable."""
+    arr = read_only(getattr(obj, name), dtype)
+    object.__setattr__(obj, name, arr)
+    return arr
+
+
 @dataclass(frozen=True)
-class PeriodicScalarField:
+class PeriodicScalarField(Frozen):
     """Band-limited scalar field on a d-dimensional torus of period `period`."""
 
     dim: int
@@ -54,9 +83,8 @@ class PeriodicScalarField:
             if not np.all(np.isfinite(k) & (k == np.round(k))):
                 raise ValueError(f"wave vectors must be integer, got {k}")
             coeffs.append((tuple(int(x) for x in k), float(a), float(b)))
-        slope = np.zeros(self.dim) if len(self.affine_slope) == 0 else np.asarray(
-            self.affine_slope, dtype=float
-        )
+        slope = read_only(self.affine_slope if len(self.affine_slope)
+                          else np.zeros(self.dim))
         if slope.shape != (self.dim,):
             raise ValueError(
                 f"affine slope {slope} does not match field dimension {self.dim}"
@@ -69,17 +97,10 @@ class PeriodicScalarField:
             size = float(np.sum(np.abs(modes[-2])) + np.sum(np.abs(modes[-1])))
         if not (math.isfinite(size) and np.all(np.isfinite(slope))):
             raise ValueError("Fourier amplitudes and affine slope must be finite")
-        for arr in (modes, slope):
-            arr.setflags(write=False)
-        object.__setattr__(self, "_modes", modes)
+        object.__setattr__(self, "_modes", read_only(modes))
         object.__setattr__(self, "_slope", slope)
         object.__setattr__(self, "_tilted", bool(np.any(slope != 0.0)))
         object.__setattr__(self, "_roundoff", 8.0 * np.finfo(float).eps * size)
-
-    def __reduce__(self):
-        # unpickled through __init__: checked again, and read-only
-        return type(self), tuple(getattr(self, f.name) for f in fields(self)
-                                 if f.init)
 
     # -- evaluation ------------------------------------------------------------
 

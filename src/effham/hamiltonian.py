@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from . import workers
 from .eigensolver import (EigenCertificate, _bracketed_start, _shifted_solve,
                           cell_operator, principal_eigenpair)
-from .fields import grid_points, sampling_resolution
+from .fields import Frozen, freeze, grid_points, sampling_resolution
 from .model import ContinuousModel, DiscreteModel, Model
 
 log = logging.getLogger(__name__)
@@ -53,7 +53,7 @@ def hamiltonian_at(model: Model, p, *, N: int = 128,
 
 
 @dataclass(frozen=True)
-class HamiltonianTable:
+class HamiltonianTable(Frozen):
     """Sampled map p -> H(p) with one solver certificate per sample."""
 
     p_grid: np.ndarray
@@ -64,8 +64,8 @@ class HamiltonianTable:
     starts: tuple = ()            # start label per sample (see `_solve_chain`)
 
     def __post_init__(self):
-        p = np.asarray(self.p_grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        p = freeze(self, "p_grid")
+        v = freeze(self, "values")
         if p.ndim != 1 or p.shape != v.shape:
             raise ValueError("p grid and values must be matching 1-d arrays")
         if np.any(np.diff(p) <= 0):
@@ -75,14 +75,6 @@ class HamiltonianTable:
                              "per sample")
         if not set(self.failures) <= set(range(len(p))):
             raise ValueError("failures must be keyed by sample index")
-        for arr in (p, v):
-            arr.setflags(write=False)
-        object.__setattr__(self, "p_grid", p)
-        object.__setattr__(self, "values", v)
-
-    def __reduce__(self):
-        # unpickled through __init__: checked again, and read-only
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def value_at(self, p: float) -> float:
         hits = np.nonzero(np.isclose(self.p_grid, p, rtol=0.0, atol=1e-12))[0]
@@ -303,7 +295,7 @@ def velocity_of_model(model: Model, *, N: int = 128,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LagrangianTable:
+class LagrangianTable(Frozen):
     """Sampled Lagrangian with the maximizing momenta and edge flags."""
 
     v_grid: np.ndarray
@@ -313,18 +305,10 @@ class LagrangianTable:
 
     def __post_init__(self):
         for name in ("v_grid", "values", "pstar"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            freeze(self, name)
+        freeze(self, "boundary", bool)
         if np.any(np.diff(self.v_grid) <= 0):
             raise ValueError("v grid must be strictly increasing")
-        b = np.asarray(self.boundary, dtype=bool)
-        b.setflags(write=False)
-        object.__setattr__(self, "boundary", b)
-
-    def __reduce__(self):
-        # unpickled through __init__: checked again, and read-only
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def to_csv(self, path) -> None:
         """Fixed column order: v,L,pstar,boundary_flag."""

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Union
 
 import numpy as np
 
 from .chains import _switching_findings, point_label
-from .fields import (PeriodicScalarField, fourier_values, grid_points,
-                     point_array, sampling_resolution, stack_modes)
+from .fields import (Frozen, PeriodicScalarField, fourier_values, freeze,
+                     grid_points, point_array, read_only, sampling_resolution,
+                     stack_modes)
 
 REGIMES = ("I", "II")
 
@@ -35,7 +36,7 @@ def _snapped(values, roundoff):
 
 
 @dataclass(frozen=True)
-class SwitchingRateMatrix:
+class SwitchingRateMatrix(Frozen):
     """J x J array of rate fields r_ij(y); the diagonal is ignored."""
 
     J: int
@@ -79,9 +80,9 @@ class SwitchingRateMatrix:
                 raise ValueError("each state's summed rate amplitudes must be "
                                  "finite")
         object.__setattr__(self, "_stack", (
-            modes.reshape(modes.shape[:2] + (self.J, self.J)), np.reshape(
-                [0.0 if f is None else f.roundoff for f in fields],
-                (self.J, self.J))))
+            read_only(modes.reshape(modes.shape[:2] + (self.J, self.J))),
+            read_only(np.reshape([0.0 if f is None else f.roundoff
+                                  for f in fields], (self.J, self.J)))))
 
     def rates_at(self, y) -> np.ndarray:
         """Full J x J rate matrix at a point (diagonal zero): one row of
@@ -111,7 +112,7 @@ class SwitchingRateMatrix:
 
 
 @dataclass(frozen=True)
-class ContinuousModel:
+class ContinuousModel(Frozen):
     """Diffusion in per-state potentials, switching at rates r_ij(y)."""
 
     dim: int
@@ -146,7 +147,7 @@ class ContinuousModel:
 
 
 @dataclass(frozen=True)
-class DiscreteModel:
+class DiscreteModel(Frozen):
     """Nearest-neighbour walk on a torus of `ell` sites with chemical switching."""
 
     ell: int
@@ -161,9 +162,9 @@ class DiscreteModel:
             raise ValueError("torus length ell must be >= 2")
         if self.J < 1:
             raise ValueError("J must be >= 1")
-        rp = np.asarray(self.hop_rates_plus, dtype=float)
-        rm = np.asarray(self.hop_rates_minus, dtype=float)
-        sw = np.asarray(self.switching, dtype=float)
+        rp = freeze(self, "hop_rates_plus")
+        rm = freeze(self, "hop_rates_minus")
+        sw = freeze(self, "switching")
         if rp.shape != (self.J, self.ell) or rm.shape != (self.J, self.ell):
             raise ValueError(f"hop rate arrays must have shape ({self.J}, {self.ell})")
         if sw.shape != (self.J, self.J, self.ell):
@@ -178,17 +179,8 @@ class DiscreteModel:
         if not np.isfinite(exits).all():
             raise ValueError("each state's total exit rate (hops plus "
                              "switching) must be finite at every site")
-        for arr in (rp, rm, sw):
-            arr.setflags(write=False)
         if self.regime not in REGIMES:
             raise ValueError(f"regime must be one of {REGIMES}")
-        object.__setattr__(self, "hop_rates_plus", rp)
-        object.__setattr__(self, "hop_rates_minus", rm)
-        object.__setattr__(self, "switching", sw)
-
-    def __reduce__(self):
-        # unpickled through __init__: checked again, and read-only
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 Model = Union[ContinuousModel, DiscreteModel]

@@ -67,14 +67,14 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import workers
-from .fields import (fourier_gradients, grid_points, sampling_resolution,
-                     stack_modes)
+from .fields import (Frozen, fourier_gradients, freeze, grid_points,
+                     sampling_resolution, stack_modes)
 from .model import ContinuousModel, DiscreteModel, Model
 
 DT_FACTOR = 200.0   # default Euler-Maruyama step dt = eps / DT_FACTOR
@@ -152,7 +152,7 @@ class _StepDraws:
 
 
 @dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Frozen):
     """One lifted sample path of (X_t, I_t)."""
 
     seed: int
@@ -163,17 +163,11 @@ class Trajectory:
     kind: str               # "continuous" | "discrete"
 
     def __post_init__(self):
-        for name, dtype in (("times", float), ("positions", float),
-                            ("states", int)):
-            arr = np.asarray(getattr(self, name), dtype=dtype)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        freeze(self, "times")
+        freeze(self, "positions")
+        freeze(self, "states", int)
         if len(self.times) < 2 or self.times[0] != 0.0:
             raise ValueError("trajectory must start at t = 0 and have >= 2 records")
-
-    def __reduce__(self):
-        # unpickled through __init__: checked again, and read-only
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def switch_count(self) -> int:

@@ -272,7 +272,7 @@ def test_simulate_two_dim_model_exits_2_before_any_solve(tmp_path, caplog,
 @pytest.mark.parametrize("command,key,value", [
     ("sweep", "count", 5.5), ("sweep", "N", True),
     ("legendre", "count", 20.5), ("velocity", "N", 64.5),
-    ("check", "count", 21.5), ("check", "N", "128"), ("check", "grid", 64.5),
+    ("check", "count", 21.5), ("check", "N", "128"),
     ("simulate", "seed", 1.5), ("simulate", "paths", 10.7),
     ("simulate", "paths", True), ("simulate", "N", 64.5),
 ])
@@ -319,7 +319,7 @@ def test_non_integer_config_value_exits_2(tmp_path, caplog, monkeypatch,
     ("sweep", "N", 2, "at least 3"),
     ("velocity", "N", 2, "at least 3"),
     ("check", "N", 2, "at least 3"),
-    ("check", "grid", -5, "at least 1"),
+    ("check", "tol", -1e-9, "a positive finite number"),
     ("simulate", "N", 2, "at least 3"),
     ("simulate", "seed", -1, "at least 0"),
     ("simulate", "scales", ["a"], "a non-empty array of finite numbers"),
@@ -381,13 +381,15 @@ def test_bad_real_config_value_exits_2(tmp_path, caplog, monkeypatch,
     ("simulate", "simulate", "x", '"simulate" block must be a JSON object'),
     ("velocity", "velocity", {"delta": 1e-3},
      """unknown keys ['delta'] in "velocity" block"""),
+    ("check", "check", {"grid": 256},
+     """unknown keys ['grid'] in "check" block"""),
 ], ids=["velocity-number", "check-null", "legendre-number", "sweep-list",
-        "simulate-string", "velocity-delta"])
+        "simulate-string", "velocity-delta", "check-grid"])
 def test_bad_config_block_exits_2(tmp_path, caplog, monkeypatch, command,
                                   block, value, message):
     """A command block that is not a JSON object, or that holds a key the
-    command does not read (the velocity has no step "delta"), exits 2
-    before any solve or stream."""
+    command does not read (the velocity has no step "delta", the check no
+    lattice "grid"), exits 2 before any solve or stream."""
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 

@@ -831,8 +831,9 @@ def test_an_interrupted_sweep_kills_and_reaps_its_child(monkeypatch):
 def test_certificates_and_tables_unpickle_read_only():
     """Pickling rebuilds a certificate, a Hamiltonian table and a Lagrangian
     table through their constructors: the copies' arrays are read-only and
-    equal, and a certificate that the constructor would reject does not
-    unpickle."""
+    equal, and a certificate that the constructor would reject (an
+    eigenvector entry that is zero, NaN or infinite) neither builds nor
+    unpickles."""
     table = sweep(detailed_balance_pair(), -1.0, 1.0, 5, N=32)
     lag = legendre(table, [-0.2, 0.0, 0.2])
     for obj, names in ((table.certificates[1], ["eigenvector"]),
@@ -845,7 +846,10 @@ def test_certificates_and_tables_unpickle_read_only():
                                           getattr(obj, name))
     assert _table_digest(pickle.loads(pickle.dumps(table))) == \
         _table_digest(table)
-    bad = pickle.loads(pickle.dumps(table.certificates[1]))
-    object.__setattr__(bad, "eigenvector", np.zeros(3))
-    with pytest.raises(ValueError, match="strictly positive"):
-        pickle.loads(pickle.dumps(bad))
+    for entry in (0.0, np.nan, np.inf):
+        bad = pickle.loads(pickle.dumps(table.certificates[1]))
+        object.__setattr__(bad, "eigenvector", np.array([1.0, entry, 1.0]))
+        with pytest.raises(ValueError, match="strictly positive and finite"):
+            pickle.loads(pickle.dumps(bad))
+        with pytest.raises(ValueError, match="strictly positive and finite"):
+            EigenCertificate(0.0, bad.eigenvector, 0.0, -1e-9, 1e-9, 1)

@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 import effham
-from effham import eigensolver, hamiltonian, simulator
+from effham import eigensolver, fields, hamiltonian, simulator
 from effham.presets import (constant_drift, discrete_two_state,
                             two_state_flashing)
 
@@ -66,6 +66,49 @@ def test_runtime_imports_numpy_only():
             found += [f"{path.name}:{node.lineno}" for name in names
                       if name.split(".")[0] == "scipy"]
     assert not found, f"scipy imported by the library: {found}"
+
+
+def test_every_imported_name_is_read():
+    """Every name an import binds in a library module (the package's
+    `__init__` re-exports, so it is left out) is read in that module: an
+    import left behind by a deleted function fails here."""
+    found = []
+    for path in sorted(Path(effham.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found += [f"{path.name}:{node.lineno} {name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"
+                  for name in (alias.asname or alias.name.split(".")[0]
+                               for alias in node.names)
+                  if name not in read]
+    assert not found, f"imported and never read: {found}"
+
+
+def test_frozen_values_pickle_by_one_rule():
+    """`fields.Frozen` holds the library's one `__reduce__` for frozen values
+    (rebuilt through `__init__`, so checked again and read-only), and every
+    frozen value type derives from it; the only other `__reduce__` is
+    `ConvergenceError`'s, which carries its certificate."""
+    found = []
+    for path in sorted(Path(effham.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = {id(node): cls.name for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for node in cls.body}
+        found += [f"{path.stem}.{owner.get(id(node))}" for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "__reduce__"]
+    assert found == ["eigensolver.ConvergenceError", "fields.Frozen"], found
+    values = (effham.PeriodicScalarField, effham.SwitchingRateMatrix,
+              effham.ContinuousModel, effham.DiscreteModel,
+              effham.EigenCertificate, effham.HamiltonianTable,
+              effham.LagrangianTable, effham.Trajectory)
+    assert [cls.__name__ for cls in values
+            if not issubclass(cls, fields.Frozen)] == []
 
 
 def test_cli_import_leaves_numpy_random_unloaded():

@@ -10,8 +10,9 @@ import pytest
 from effham import workers
 from effham.eigensolver import ConvergenceError, EigenCertificate
 from effham.fields import PeriodicScalarField
-from effham.presets import discrete_two_state
-from effham.simulator import simulate_discrete
+from effham.hamiltonian import HamiltonianTable, LagrangianTable
+from effham.presets import discrete_two_state, two_state_flashing
+from effham.simulator import Trajectory, simulate_discrete
 
 from conftest import record_forks
 
@@ -125,3 +126,48 @@ def test_frozen_value_types_unpickle_read_only(make):
         else:
             assert value == want, f.name
     assert arrays >= 2
+
+
+@pytest.mark.parametrize("build,arrays", [
+    (lambda a: dataclasses.replace(discrete_two_state(), **a),
+     {name: np.array(getattr(discrete_two_state(), name)) for name in
+      ("hop_rates_plus", "hop_rates_minus", "switching")}),
+    (lambda a: EigenCertificate(0.0, residual=0.0, cw_lower=-1e-9,
+                                cw_upper=1e-9, iterations=1, **a),
+     {"eigenvector": np.array([1.0, 0.5, 0.25])}),
+    (lambda a: HamiltonianTable(certificates=(None,) * 3, **a),
+     {"p_grid": np.array([-1.0, 0.0, 1.0]),
+      "values": np.array([0.5, 0.0, 0.5])}),
+    (lambda a: LagrangianTable(**a),
+     {"v_grid": np.array([-0.5, 0.5]), "values": np.array([0.2, 0.3]),
+      "pstar": np.array([-1.0, 1.0]), "boundary": np.array([False, True])}),
+    (lambda a: Trajectory(seed=1, scale=16, kind="discrete", **a),
+     {"times": np.array([0.0, 0.5, 1.0]), "positions": np.array([0.0, 1.0, 0.0]),
+      "states": np.array([0, 1, 1])}),
+], ids=["DiscreteModel", "EigenCertificate", "HamiltonianTable",
+        "LagrangianTable", "Trajectory"])
+def test_frozen_values_copy_the_callers_arrays(build, arrays):
+    """A frozen value holds read-only copies of the arrays it is built from:
+    the caller's arrays stay writeable, and writing to them afterwards leaves
+    the value as it was built."""
+    obj = build(arrays)
+    built = {name: getattr(obj, name).copy() for name in arrays}
+    for name, arr in arrays.items():
+        assert arr.flags.writeable, name
+        assert not getattr(obj, name).flags.writeable, name
+        arr[0] = ~arr[0] if arr.dtype == bool else arr[0] + 1
+        assert not np.array_equal(arr, built[name]), name
+        np.testing.assert_array_equal(getattr(obj, name), built[name])
+
+
+def test_rate_tables_are_read_only_and_unpickle_so():
+    """The Fourier table of a rate matrix (`_stack`, read by the operator
+    builders and the thinning step) is read-only in a preset and in a
+    pickled copy of its model, which equals the original."""
+    model = two_state_flashing()
+    copy = pickle.loads(pickle.dumps(model))
+    assert copy == model
+    for got, want in zip(copy.rates._stack, model.rates._stack):
+        assert not got.flags.writeable
+        assert not want.flags.writeable
+        np.testing.assert_array_equal(got, want)
