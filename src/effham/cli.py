@@ -1,9 +1,9 @@
 """Batch front-end: JSON config in, CSV/JSON artifacts out.
 
 Subcommands: sweep, velocity, legendre, simulate, check, validate.
-Exit codes: 0 success, 2 invalid config or model, 3 numerical failure.
-Outputs are deterministic given the config (stochastic commands: given the
-seed), so reruns produce bit-identical files.
+Exit codes: 0 success, 2 invalid config or model (`model.InputError`),
+3 numerical failure.  Outputs are deterministic given the config
+(stochastic commands: given the seed), so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from typing import Optional
 import numpy as np
 
 from . import chains, hamiltonian as ham, simulator
-from .model import (REGIMES, ContinuousModel, ModelFormatError, fits_float,
-                    load_model, model_from_dict, scaled_switching, validate)
+from .model import (REGIMES, ContinuousModel, InputError, fits_float, integer,
+                    json_object, load_model, model_from_dict, number,
+                    read_json, scaled_switching, validate)
 from .presets import PRESETS, get_preset
 
 log = logging.getLogger("effham.cli")
@@ -42,105 +43,63 @@ _BLOCK_KEYS = {
 _TOP_KEYS = {"model", "model_file", "preset", "out", *_BLOCK_KEYS}
 
 
-class ConfigError(ValueError):
-    pass
-
-
-def _check_keys(block, allowed: set, where: str) -> None:
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
-
-
 def _block(cfg: dict, name: str, required: bool) -> dict:
     """The config's `name` block, its keys checked against `_BLOCK_KEYS`;
     an absent block is an error when `required` and empty otherwise."""
     block = cfg.get(name, None if required else {})
     if block is None and required:
-        raise ConfigError(f'config is missing the "{name}" block')
-    _check_keys(block, _BLOCK_KEYS[name], f'"{name}" block')
-    return block
+        raise InputError(f'config is missing the "{name}" block')
+    return json_object(block, _BLOCK_KEYS[name], f'"{name}" block')
 
 
-def _integer(block: dict, key: str, where: str, default=None, *,
-             at_least: int, at_most: int = sys.maxsize) -> int:
-    """block[key] (or `default` when absent) as an int in [at_least,
-    at_most]; a bool, a string or a number with a fractional part is
-    rejected, not truncated, and so is an integer too large for an index."""
+def _value(block: dict, key: str, where: str, default):
+    """block[key] (or `default` when absent); a null value is missing."""
     value = block.get(key, default)
     if value is None:
-        raise ConfigError(f'{where} is missing "{key}"')
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or value % 1:     # NaN % 1 and inf % 1 are NaN
-        raise ConfigError(f'{where}: "{key}" must be an integer, got {value!r}')
-    if value < at_least:
-        raise ConfigError(f'{where}: "{key}" must be at least {at_least}, '
-                          f"got {value!r}")
-    if value > at_most:
-        raise ConfigError(f'{where}: "{key}" must be at most {at_most}, '
-                          f"got {value!r}")
-    return int(value)
+        raise InputError(f'{where} is missing "{key}"')
+    return value
+
+
+def _integer(block: dict, key: str, where: str, default=None, **bounds) -> int:
+    """block[key] (or `default` when absent) by the rule `model.integer`
+    (`bounds`: at_least, at_most)."""
+    return integer(_value(block, key, where, default), f'{where}: "{key}"',
+                   **bounds)
 
 
 def _real(block: dict, key: str, where: str, default=None, *,
           positive: bool = False) -> float:
-    """block[key] (or `default` when absent) as a finite float, and > 0 when
-    `positive`; what `fits_float` rejects (a bool, a string, an int beyond
-    the float range) is rejected too."""
-    value = block.get(key, default)
-    if value is None:
-        raise ConfigError(f'{where} is missing "{key}"')
-    if not fits_float(value) or not math.isfinite(value) \
-            or (positive and value <= 0):
-        kind = "a positive finite" if positive else "a finite"
-        raise ConfigError(f'{where}: "{key}" must be {kind} number, '
-                          f"got {value!r}")
-    return float(value)
+    """block[key] (or `default` when absent) by the rule `model.number`:
+    finite, and > 0 when `positive`."""
+    return number(_value(block, key, where, default), f'{where}: "{key}"',
+                  finite=True, positive=positive)
 
 
 def load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file {path} does not exist")
-    try:
-        cfg = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    _check_keys(cfg, _TOP_KEYS, "config")
-    return cfg
+    return json_object(read_json(path, "config"), _TOP_KEYS, "config")
 
 
 def _text(cfg: dict, key: str) -> Optional[str]:
     """cfg[key] as a string, or None when it is absent or null."""
     value = cfg.get(key)
     if value is not None and not isinstance(value, str):
-        raise ConfigError(f'config: "{key}" must be a string, got {value!r}')
+        raise InputError(f'config: "{key}" must be a string, got {value!r}')
     return value
 
 
 def resolve_model(cfg: dict, preset: Optional[str]):
     name = preset or _text(cfg, "preset")
     if name is not None:
-        try:
-            return get_preset(name)
-        except KeyError as exc:
-            raise ConfigError(str(exc)) from exc
+        return get_preset(name)
     if "model" in cfg:
         return model_from_dict(cfg["model"])
     model_file = _text(cfg, "model_file")
     if model_file is not None:
-        path = Path(model_file)
-        if not path.exists():
-            raise ConfigError(f"model file {path} does not exist")
-        return load_model(path)
-    raise ConfigError("no model: provide --preset, or a config with "
-                      '"model" / "model_file"')
+        return load_model(Path(model_file))
+    raise InputError("no model: provide --preset, or a config with "
+                     '"model" / "model_file"')
 
 
 def _require_valid(model, scale: float, where: str):
@@ -149,12 +108,12 @@ def _require_valid(model, scale: float, where: str):
     try:
         model = scaled_switching(model, scale)
     except ValueError as exc:
-        raise ConfigError(f'{where}: "gamma" must be small enough for finite '
-                          f"switching rates, got {scale!r} ({exc})") from exc
+        raise InputError(f'{where}: "gamma" must be small enough for finite '
+                         f"switching rates, got {scale!r} ({exc})") from exc
     report = validate(model)
     if report:
         lines = "\n".join(f"  - {v}" for v in report)
-        raise ConfigError(f"model fails validation:\n{lines}")
+        raise InputError(f"model fails validation:\n{lines}")
     return model
 
 
@@ -166,8 +125,8 @@ def _solver(model, block: dict, where: str) -> tuple:
     if regime is None:
         regime = model.regime
     elif regime not in REGIMES:
-        raise ConfigError(f'{where}: "regime" must be one of {list(REGIMES)}, '
-                          f"got {regime!r}")
+        raise InputError(f'{where}: "regime" must be one of {list(REGIMES)}, '
+                         f"got {regime!r}")
     settings = {"N": _integer(block, "N", where, 128, at_least=3),
                 "tol": _real(block, "tol", where, 1e-10, positive=True)}
     scale = _real(block, "gamma", where, 1.0, positive=True)
@@ -200,7 +159,7 @@ def _run_sweep(model, cfg: dict, outdir: Path) -> ham.HamiltonianTable:
     block = _block(cfg, "sweep", True)
     p_min, p_max = _real(block, "p_min", where), _real(block, "p_max", where)
     if not p_max > p_min:
-        raise ConfigError(f'{where}: "p_max" must be greater than "p_min"')
+        raise InputError(f'{where}: "p_max" must be greater than "p_min"')
     count = _integer(block, "count", where, at_least=3)
     model, solver = _solver(model, block, where)
     table = ham.sweep(model, p_min, p_max, count, **solver)
@@ -234,7 +193,7 @@ def cmd_legendre(cfg: dict, model, outdir: Path) -> int:
     v_min, v_max = _real(block, "v_min", where), _real(block, "v_max", where)
     count = _integer(block, "count", where, at_least=1)
     if count > 1 and not v_max > v_min:
-        raise ConfigError(f'{where}: "v_max" must be greater than "v_min"')
+        raise InputError(f'{where}: "v_max" must be greater than "v_min"')
     v_grid = np.linspace(v_min, v_max, count)
     table = _run_sweep(model, cfg, outdir)
     if table.failures:
@@ -250,7 +209,7 @@ def cmd_simulate(cfg: dict, model, outdir: Path,
     where = '"simulate" block'
     block = _block(cfg, "simulate", True)
     if seed_override is None and block.get("seed") is None:
-        raise ConfigError("stochastic command needs a seed (config or --seed)")
+        raise InputError("stochastic command needs a seed (config or --seed)")
     # the seed is the first word of every Philox key (a group of 64 paths)
     source, name = ((block, where) if seed_override is None
                     else ({"seed": seed_override}, "--seed"))
@@ -258,8 +217,8 @@ def cmd_simulate(cfg: dict, model, outdir: Path,
     scales = block.get("scales")
     if not (isinstance(scales, list) and scales and all(
             fits_float(s) and math.isfinite(s) for s in scales)):
-        raise ConfigError(f'{where}: "scales" must be a non-empty array of '
-                          f"finite numbers, got {scales!r}")
+        raise InputError(f'{where}: "scales" must be a non-empty array of '
+                         f"finite numbers, got {scales!r}")
     T = _real(block, "T", where, positive=True)
     paths = _integer(block, "paths", where, at_least=1)
     solver_n = _integer(block, "N", where, 128, at_least=3)
@@ -268,14 +227,14 @@ def cmd_simulate(cfg: dict, model, outdir: Path,
     try:
         simulator.experiment_scales(model, scales, dt_factor)
     except (ValueError, NotImplementedError) as exc:
-        raise ConfigError(f'"simulate" block: {exc}') from exc
+        raise InputError(f'"simulate" block: {exc}') from exc
     scale = _real(block, "gamma", where, 1.0, positive=True)
     predicted_v = (None if block.get("predicted_v") is None
                    else _real(block, "predicted_v", where))
     dump = block.get("dump_trajectories", False)
     if not isinstance(dump, bool):
-        raise ConfigError(f'{where}: "dump_trajectories" must be true or '
-                          f"false, got {dump!r}")
+        raise InputError(f'{where}: "dump_trajectories" must be true or '
+                         f"false, got {dump!r}")
     model = _require_valid(model, scale, where)
     report = simulator.concentration_experiment(
         model, scales, T, paths, seed, predicted_v=predicted_v,
@@ -372,9 +331,9 @@ def main(argv=None) -> int:
         try:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:   # a file in the way
-            raise ConfigError(f"cannot create output directory {outdir}: "
-                              f"{exc.strerror or exc}") from exc
-    except (ConfigError, ModelFormatError) as exc:
+            raise InputError(f"cannot create output directory {outdir}: "
+                             f"{exc.strerror or exc}") from exc
+    except InputError as exc:
         log.error("%s", exc)
         return EXIT_INVALID
     command = _COMMANDS[args.command]
@@ -382,7 +341,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return command(cfg, model, outdir, seed_override=args.seed)
         return command(cfg, model, outdir)
-    except (ConfigError, ModelFormatError) as exc:
+    except InputError as exc:
         log.error("%s", exc)
         return EXIT_INVALID
     except Exception as exc:   # solver and simulation failures

@@ -6,11 +6,15 @@ chemical state that switches with position-dependent rates.  `validate` checks
 the structural assumptions the downstream solvers rely on (nonnegative rates,
 strictly positive hop rates, irreducible coupling) and returns a report rather
 than raising.
+
+Outside input (a model description, a run config) is read by the rules
+here: `read_json`, `json_object`, `integer` and `number` raise `InputError`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Union
@@ -25,8 +29,9 @@ from .fields import (Frozen, PeriodicScalarField, fourier_values, freeze,
 REGIMES = ("I", "II")
 
 
-class ModelFormatError(ValueError):
-    """Malformed model description (JSON schema violation, shape mismatch)."""
+class InputError(ValueError):
+    """Invalid outside input: a config or model file that cannot be read,
+    or a value in it that breaks its rule (the CLI's exit 2)."""
 
 
 def _snapped(values, roundoff):
@@ -260,24 +265,46 @@ _DISC_KEYS = {"kind", "ell", "J", "regime", "hop_rates_plus", "hop_rates_minus",
               "switching"}
 
 
-def _field_from_json(obj, dim: int, period: float) -> PeriodicScalarField:
+def read_json(path, what: str):
+    """The JSON value in the `what` file ("config", "model") at `path`; a
+    file that does not exist, cannot be read as UTF-8 text or is not JSON
+    raises InputError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise InputError(f"{what} file {path} does not exist") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid JSON in {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def json_object(obj, keys, where: str) -> dict:
+    """`obj`, once it is a JSON object with no key outside `keys`; `where`
+    names it in the InputError otherwise."""
     if not isinstance(obj, dict):
-        raise ModelFormatError(f"field must be an object, got {type(obj).__name__}")
-    unknown = set(obj) - _FIELD_KEYS
+        raise InputError(f"{where} must be a JSON object")
+    unknown = set(obj) - keys
     if unknown:
-        raise ModelFormatError(f"unknown field keys {sorted(unknown)}")
+        raise InputError(f"unknown keys {sorted(unknown)} in {where}")
+    return obj
+
+
+def _field_from_json(obj, dim: int, period: float) -> PeriodicScalarField:
+    json_object(obj, _FIELD_KEYS, "field")
     modes = []
     for entry in obj.get("coeffs", []):
         if len(entry) != dim + 2:
-            raise ModelFormatError(
+            raise InputError(
                 f"coeff entry {entry} must have {dim} wave numbers plus (a, b)")
         for k in entry[:dim]:
-            _number(k, "wave number")
-        modes.append((tuple(entry[:dim]), _number(entry[dim], "amplitude"),
-                      _number(entry[dim + 1], "amplitude")))
-    slope = tuple(_number(s, "slope") for s in obj.get("slope", []))
+            number(k, "wave number")
+        modes.append((tuple(entry[:dim]), number(entry[dim], "amplitude"),
+                      number(entry[dim + 1], "amplitude")))
+    slope = tuple(number(s, "slope") for s in obj.get("slope", []))
     if slope and len(slope) != dim:
-        raise ModelFormatError(f"slope {slope} must have length {dim}")
+        raise InputError(f"slope {slope} must have length {dim}")
     return PeriodicScalarField(dim=dim, period=period, fourier_coeffs=tuple(modes),
                                affine_slope=slope)
 
@@ -298,45 +325,60 @@ def fits_float(value) -> bool:
             and (isinstance(value, float) or abs(value) <= sys.float_info.max))
 
 
-def _number(value, what: str) -> float:
-    """A JSON number as a float; anything else `fits_float` rejects (a bool,
-    a string, null, an int beyond the float range) raises, not converted."""
-    if not fits_float(value):
-        raise ModelFormatError(f"{what} must be a number, got {value!r}")
+def number(value, what: str, *, finite: bool = False,
+           positive: bool = False) -> float:
+    """`value` as a float: a JSON number `fits_float` accepts, finite when
+    `finite` and > 0 as well when `positive`.  Anything else (a bool, a
+    string, null, an int beyond the float range) raises InputError naming
+    `what`, and is never converted."""
+    finite = finite or positive
+    if not (fits_float(value) and (not finite or math.isfinite(value))
+            and (not positive or value > 0)):
+        kind = "a positive finite" if positive else "a finite" if finite else "a"
+        raise InputError(f"{what} must be {kind} number, got {value!r}")
     return float(value)
 
 
 def _numbers(value, what: str) -> np.ndarray:
     """Nested lists of JSON numbers as a float array; each entry is checked
-    by `_number` unless all are Python floats."""
+    by `number` unless all are Python floats."""
     items = np.asarray(value, dtype=object)
     if set(map(type, items.flat)) - {float}:
         for item in items.flat:
-            _number(item, what)
+            number(item, what)
     return np.asarray(value, dtype=float)
 
 
-def _integer(obj: dict, key: str) -> int:
-    """obj[key] as an int; anything else `fits_float` rejects, or a number
-    with a fractional part, raises, not truncated."""
-    value = obj[key]
-    if not fits_float(value) or not float(value).is_integer():
-        raise ModelFormatError(f'"{key}" must be an integer, got {value!r}')
+def integer(value, what: str, *, at_least: int = -sys.maxsize - 1,
+            at_most: int = sys.maxsize) -> int:
+    """`value` as an int in [at_least, at_most] (by default, the range of an
+    index).  Any JSON int or whole float is an integer; a bool, a string or
+    a number with a fractional part raises InputError naming `what`, and is
+    never truncated, and so does an integer out of range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or value % 1:     # NaN % 1 and inf % 1 are NaN
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    if value < at_least:
+        raise InputError(f"{what} must be at least {at_least}, got {value!r}")
+    if value > at_most:
+        raise InputError(f"{what} must be at most {at_most}, got {value!r}")
     return int(value)
 
 
-def model_from_dict(obj: dict) -> Model:
-    if not isinstance(obj, dict):
-        raise ModelFormatError("model description must be a JSON object")
-    kind = obj.get("kind")
+def model_from_dict(obj) -> Model:
+    """The model a JSON model description holds; a malformed one raises
+    InputError."""
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if isinstance(obj, dict) and kind not in ("continuous", "discrete"):
+        raise InputError('model "kind" must be "continuous" or "discrete", '
+                         f"got {kind!r}")
+    json_object(obj, _CONT_KEYS if kind == "continuous" else _DISC_KEYS,
+                "model")
     if kind == "continuous":
-        unknown = set(obj) - _CONT_KEYS
-        if unknown:
-            raise ModelFormatError(f"unknown model keys {sorted(unknown)}")
         try:
-            dim, J = _integer(obj, "dim"), _integer(obj, "J")
+            dim, J = integer(obj["dim"], '"dim"'), integer(obj["J"], '"J"')
             regime = str(obj["regime"])
-            period = _number(obj.get("period", 1.0), '"period"')
+            period = number(obj.get("period", 1.0), '"period"')
             pots = tuple(_field_from_json(p, dim, period) for p in obj["potentials"])
             raw = obj["rates"]
             entries = tuple(
@@ -348,21 +390,15 @@ def model_from_dict(obj: dict) -> Model:
                                    rates=SwitchingRateMatrix(J=J, entries=entries),
                                    regime=regime)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ModelFormatError(f"malformed continuous model: {exc}") from exc
-    if kind == "discrete":
-        unknown = set(obj) - _DISC_KEYS
-        if unknown:
-            raise ModelFormatError(f"unknown model keys {sorted(unknown)}")
-        try:
-            return DiscreteModel(
-                ell=_integer(obj, "ell"), J=_integer(obj, "J"),
-                regime=str(obj["regime"]),
-                **{key: _numbers(obj[key], f'"{key}"') for key in (
-                    "hop_rates_plus", "hop_rates_minus", "switching")})
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ModelFormatError(f"malformed discrete model: {exc}") from exc
-    raise ModelFormatError(f'model "kind" must be "continuous" or "discrete", '
-                           f"got {kind!r}")
+            raise InputError(f"malformed continuous model: {exc}") from exc
+    try:
+        return DiscreteModel(
+            ell=integer(obj["ell"], '"ell"'), J=integer(obj["J"], '"J"'),
+            regime=str(obj["regime"]),
+            **{key: _numbers(obj[key], f'"{key}"') for key in (
+                "hop_rates_plus", "hop_rates_minus", "switching")})
+    except (KeyError, ValueError, TypeError) as exc:
+        raise InputError(f"malformed discrete model: {exc}") from exc
 
 
 def model_to_dict(model: Model) -> dict:
@@ -391,11 +427,4 @@ def model_to_dict(model: Model) -> dict:
 
 
 def load_model(path) -> Model:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"invalid JSON in {path}: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
-    return model_from_dict(obj)
+    return model_from_dict(read_json(path, "model"))

@@ -15,7 +15,8 @@ import math
 import numpy as np
 
 from .fields import PeriodicScalarField, field_from_function
-from .model import ContinuousModel, DiscreteModel, SwitchingRateMatrix
+from .model import (ContinuousModel, DiscreteModel, InputError,
+                    SwitchingRateMatrix)
 
 
 def _cosine(dim_amp_shift, period=1.0, slope=0.0):
@@ -115,9 +116,8 @@ PRESETS = {
 
 
 def get_preset(name: str):
-    try:
-        factory = PRESETS[name]
-    except KeyError:
-        raise KeyError(f"unknown preset {name!r}; available: "
-                       f"{', '.join(sorted(PRESETS))}") from None
-    return factory()
+    """A fresh model of preset `name`; an unknown name raises InputError."""
+    if name not in PRESETS:
+        raise InputError(f"unknown preset {name!r}; available: "
+                         f"{', '.join(sorted(PRESETS))}")
+    return PRESETS[name]()

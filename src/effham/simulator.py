@@ -5,6 +5,9 @@ with chemical switches simulated by thinning against a global rate bound, so
 jump times are exact in law and carry no O(dt) bias.  Discrete model: exact
 competing-clock simulation on the lifted lattice.  Positions live on the
 universal cover so displacement and empirical velocity are well defined.
+Both steppers run regime I, the continuous one in d = 1; a model in regime
+II, or a continuous one in d > 1, raises NotImplementedError before any
+stream is built.
 
 Paths are stepped in scale-free fast variables.  A continuous path at scale
 eps is X_t = eps Y_{t/eps}, where dY = -psi_i'(Y) ds + dW_s switches at
@@ -226,12 +229,16 @@ def max_total_switching_rate(model: ContinuousModel) -> float:
                                axis=2)))
 
 
-def _check_dimension(model: ContinuousModel) -> None:
+def _check_steppable(model: Model) -> None:
     """Raise NotImplementedError unless the paths of `model` can be
-    stepped: the stepper is written for d = 1."""
-    if model.dim != 1:
+    stepped: the steppers run the regime-I process, a continuous one in
+    d = 1 (a regime-II model's paths would be those of regime I)."""
+    if isinstance(model, ContinuousModel) and model.dim != 1:
         raise NotImplementedError("trajectory sampling is implemented for "
                                   f"d = 1, got d = {model.dim}")
+    if model.regime != "I":
+        raise NotImplementedError("trajectory sampling is implemented for "
+                                  f"regime I, got regime {model.regime}")
 
 
 def _fast_step(eps: float, dt: Optional[float]) -> float:
@@ -257,7 +264,8 @@ def _lattice_scale(n) -> int:
 
 
 def _check_run(model: Model, horizons: Sequence[float], i0: int) -> np.ndarray:
-    """`horizons` as an array, after checking the run's arguments."""
+    """`horizons` as an array, after checking the run's model and arguments."""
+    _check_steppable(model)
     horizons = np.asarray(horizons, dtype=float)
     if not (horizons.size and 0 < horizons[0] and horizons[-1] < math.inf
             and np.all(np.diff(horizons) > 0)):
@@ -276,7 +284,6 @@ def _continuous_paths(model: ContinuousModel, horizons: Sequence[float],
     path stepped once in fast steps ds = dt/eps; a step that passes a
     horizon short of the last writes the end there by a partial step.
     `records` collects every path's (s, y, i) records."""
-    _check_dimension(model)
     horizons = _check_run(model, horizons, i0)
     last, ahead = horizons[-1], np.append(horizons, math.inf)
     paths = len(streams.indices)
@@ -500,15 +507,16 @@ def experiment_scales(model: Model, scales: Sequence[float],
     Raises ValueError unless there is a scale, every eps is positive and
     finite with a step eps/dt_factor that resolves the fast variable, every
     n is a positive integer, and the scales refine monotonically (eps
-    decreasing, n increasing); NotImplementedError for a continuous model
-    with d > 1, whose paths the stepper cannot run.
+    decreasing, n increasing); NotImplementedError for a model whose paths
+    the steppers cannot run: one in regime II, or a continuous one with
+    d > 1 (`_check_steppable`).
     """
     scales = list(scales)
     if len(scales) == 0:
         raise ValueError("need at least one scale")
+    _check_steppable(model)
     continuous = isinstance(model, ContinuousModel)
     if continuous:
-        _check_dimension(model)
         for eps in scales:
             _fast_step(float(eps), float(eps) / dt_factor)
     refining = np.diff(scales) < 0 if continuous else np.diff(scales) > 0

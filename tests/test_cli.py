@@ -1,6 +1,7 @@
 """End-to-end CLI: files, exit codes, determinism."""
 
 import json
+import logging
 import math
 import sys
 
@@ -9,10 +10,11 @@ import pytest
 
 from effham import cli, hamiltonian, simulator, workers
 from effham.cli import main
-from effham.model import model_to_dict
+from effham.model import InputError, model_to_dict
 from effham.presets import get_preset
 
-from conftest import record_forks, two_dim_model
+from conftest import (random_continuous_model, random_discrete_model,
+                      record_forks, two_dim_model)
 
 
 def write_config(tmp_path, obj, name="cfg.json"):
@@ -113,9 +115,16 @@ def test_unknown_config_key_exits_2(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
-def test_unknown_preset_exits_2(tmp_path):
-    assert main(["sweep", "--preset", "nonesuch",
+def test_unknown_preset_exits_2(tmp_path, caplog):
+    """An unknown preset is an input error: its logged line is its own
+    message, not the quoted text of a KeyError."""
+    with pytest.raises(InputError, match="^unknown preset 'nope'; available: "):
+        get_preset("nope")
+    assert main(["sweep", "--preset", "nope",
                  "--out", str(tmp_path / "o")]) == 2
+    [line] = [r.getMessage() for r in caplog.records
+              if r.levelno >= logging.ERROR]
+    assert line.startswith("unknown preset 'nope'; available: constant_drift, ")
 
 
 def test_solver_failure_exits_3(tmp_path):
@@ -267,6 +276,57 @@ def test_simulate_two_dim_model_exits_2_before_any_solve(tmp_path, caplog,
     assert ('"simulate" block: trajectory sampling is implemented for d = 1, '
             "got d = 2") in caplog.text
     assert not (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("kind,scales", [("continuous", [0.2, 0.1]),
+                                         ("discrete", [16, 32])])
+def test_simulate_regime_two_model_exits_2_before_any_solve(
+        tmp_path, caplog, monkeypatch, kind, scales):
+    """The steppers run regime I only: a regime-II model is rejected with
+    exit 2, naming its regime, before the velocity solve or any stream (a
+    discrete one once exited 0, its regime-I paths failing against the
+    regime-II velocity)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(simulator, "_stream", refuse)
+    monkeypatch.setattr(hamiltonian, "velocity_of_model", refuse)
+    rng = np.random.default_rng(5)
+    model = (random_continuous_model(rng, regime="II") if kind == "continuous"
+             else random_discrete_model(rng, ell=5, regime="II"))
+    cfg = write_config(tmp_path, {
+        "model": model_to_dict(model),
+        "simulate": {"scales": scales, "T": 0.5, "paths": 4, "seed": 1}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert ('"simulate" block: trajectory sampling is implemented for '
+            "regime I, got regime II") in caplog.text
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("value,verdict", [
+    (10**400, f"at most {sys.maxsize}, got {10**400}"),
+    (6.5, "an integer, got 6.5"),
+    (True, "an integer, got True"),
+], ids=["10**400", "6.5", "True"])
+def test_config_and_model_integers_share_one_rule(tmp_path, caplog,
+                                                  monkeypatch, value, verdict):
+    """A config's integer ("N") and a model's ("ell") are read by one rule:
+    the same value gets the same verdict and exit 2 before any solve, in a
+    message that names its key."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli.ham, "velocity_of_model", refuse)
+    model = model_to_dict(get_preset("discrete_two_state"))
+    for key, cfg in (("N", {"model": model, "velocity": {"N": value}}),
+                     ("ell", {"model": {**model, "ell": value}})):
+        caplog.clear()
+        assert main(["velocity", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / key)]) == 2
+        [line] = [r.getMessage() for r in caplog.records
+                  if r.levelno >= logging.ERROR]
+        assert line.endswith(f'"{key}" must be {verdict}'), line
 
 
 @pytest.mark.parametrize("command,key,value", [
@@ -603,8 +663,10 @@ def malformed_model(case: str) -> dict:
         ("hop-rate-bool", '"hop_rates_plus" must be a number, got True'),
         ("amplitude-nan", "Fourier amplitudes and affine slope must be finite"),
         ("slope-1e400", "Fourier amplitudes and affine slope must be finite"),
-        ("ell-10**400", f'"ell" must be an integer, got {10**400}'),
-        ("dim-10**400", f'"dim" must be an integer, got {10**400}'),
+        ("ell-10**400",
+         f'"ell" must be at most {sys.maxsize}, got {10**400}'),
+        ("dim-10**400",
+         f'"dim" must be at most {sys.maxsize}, got {10**400}'),
         ("amplitude-10**400", f"amplitude must be a number, got {10**400}"),
         ("hop-rate-10**400",
          f'"hop_rates_plus" must be a number, got {10**400}')]])
@@ -615,7 +677,8 @@ def test_malformed_model_exits_2(tmp_path, caplog, monkeypatch, case,
     is not converted, and a field with a bad period, dimension, wave number
     or amplitude, or a non-finite amplitude or slope, is a malformed model,
     not a traceback (exit 1) or a numerical failure (exit 3).  So is an
-    integer too large for a float, as a count or as a number."""
+    integer too large for an index as a count (the config's integer rule),
+    or too large for a float as a number."""
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 

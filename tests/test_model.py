@@ -11,7 +11,7 @@ import pytest
 
 from effham.eigensolver import cell_operator
 from effham.fields import PeriodicScalarField
-from effham.model import (ContinuousModel, DiscreteModel, ModelFormatError,
+from effham.model import (ContinuousModel, DiscreteModel, InputError,
                           SwitchingRateMatrix, model_from_dict, model_to_dict,
                           validate)
 from effham.presets import get_preset
@@ -137,16 +137,17 @@ def test_json_roundtrip_values_match(rng):
 def test_unknown_keys_rejected():
     obj = model_to_dict(get_preset("constant_drift"))
     obj["extra"] = 1
-    with pytest.raises(ModelFormatError, match="unknown model keys"):
+    with pytest.raises(InputError, match=r"unknown keys \['extra'\] in model"):
         model_from_dict(obj)
     obj2 = model_to_dict(get_preset("constant_drift"))
     obj2["potentials"][0]["mystery"] = 2
-    with pytest.raises(ModelFormatError, match="unknown field keys"):
+    with pytest.raises(InputError,
+                       match=r"unknown keys \['mystery'\] in field"):
         model_from_dict(obj2)
 
 
 def test_bad_kind_rejected():
-    with pytest.raises(ModelFormatError, match='"kind"'):
+    with pytest.raises(InputError, match='"kind"'):
         model_from_dict({"kind": "quantum"})
 
 

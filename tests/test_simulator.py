@@ -23,7 +23,8 @@ from effham.presets import (constant_drift, discrete_asymmetric,
 from effham.simulator import (concentration_experiment, simulate_continuous,
                               simulate_discrete)
 
-from conftest import open_fds, record_forks, two_dim_model
+from conftest import (open_fds, random_continuous_model, random_discrete_model,
+                      record_forks, two_dim_model)
 
 
 def const_field(c):
@@ -772,6 +773,29 @@ def test_two_dim_experiment_is_rejected_before_its_prediction(monkeypatch):
     monkeypatch.setattr(simulator, "_stream", refuse)
     with pytest.raises(NotImplementedError, match="d = 1, got d = 2"):
         concentration_experiment(two_dim_model(), [0.2, 0.1], 0.5, 4, 1)
+
+
+@pytest.mark.parametrize("kind", ["continuous", "discrete"])
+def test_regime_two_paths_are_refused(monkeypatch, kind):
+    """The steppers run the regime-I process, so a regime-II model is
+    refused, naming its regime, before a prediction or a stream: by the
+    experiment and by a one-path run of either kind."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(hamiltonian, "velocity_of_model", refuse)
+    monkeypatch.setattr(simulator, "_stream", refuse)
+    rng = np.random.default_rng(5)
+    if kind == "continuous":
+        model, scales = random_continuous_model(rng, regime="II"), [0.2, 0.1]
+        simulate = simulate_continuous
+    else:
+        model, scales = random_discrete_model(rng, ell=5, regime="II"), [16, 32]
+        simulate = simulate_discrete
+    with pytest.raises(NotImplementedError, match="regime I, got regime II"):
+        concentration_experiment(model, scales, 0.5, 4, 1)
+    with pytest.raises(NotImplementedError, match="regime I, got regime II"):
+        simulate(model, scales[0], 0.5)
 
 
 @pytest.mark.parametrize("run,error,match", [

@@ -281,6 +281,73 @@ def test_cli_reads_each_solver_setting_once():
     assert sorted(calls["sweep"]) == ["_run_sweep", "cmd_check"], calls
 
 
+def _functions_where(test) -> list:
+    """"module.function" for each node of the library for which `test` holds
+    (the innermost function that holds it, "None" at module level)."""
+    found = []
+    for path in sorted(Path(effham.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = {id(node): func.name for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+        found += [f"{path.stem}.{owner.get(id(node))}"
+                  for node in ast.walk(tree) if test(node)]
+    return found
+
+
+def test_cli_maps_one_error_to_exit_2():
+    """`cli.main` exits 2 for one exception type, `model.InputError`: every
+    rule for a config or a model raises it, so no second type can slip
+    through to exit 3 or a traceback."""
+    path = Path(effham.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    handlers = [ast.unparse(node.type) for node in ast.walk(main)
+                if isinstance(node, ast.ExceptHandler)
+                and any(isinstance(ret, ast.Return)
+                        and ast.unparse(ret.value) == "EXIT_INVALID"
+                        for ret in ast.walk(node))]
+    assert handlers and set(handlers) == {"InputError"}, handlers
+
+
+def test_json_is_parsed_by_one_reader():
+    """`model.read_json` is the library's one `json.load`/`json.loads`, so a
+    config and a model file are read, and their errors worded, alike."""
+    found = _functions_where(lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("load", "loads")
+        and getattr(node.func.value, "id", None) == "json")
+        or (isinstance(node, ast.ImportFrom) and node.module == "json"))
+    assert found == ["model.read_json"], found
+
+
+def test_one_integer_rule():
+    """`model.integer` is the one rule for an integer read from a config or
+    a model: no other function tests a value for a fractional part (`% 1`
+    or `.is_integer()`).  The simulator's `_lattice_scale` checks a library
+    argument, which may be a numpy integer, not a JSON value."""
+    found = _functions_where(lambda node: (
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+        and isinstance(node.right, ast.Constant) and node.right.value == 1)
+        or (isinstance(node, ast.Attribute) and node.attr == "is_integer"))
+    assert sorted(found) == ["model.integer", "simulator._lattice_scale"], found
+
+
+def test_one_input_error_class():
+    """The library defines one error for invalid outside input,
+    `model.InputError` (derived from by nothing); its other exception
+    classes are numerical failures."""
+    found = []
+    for path in sorted(Path(effham.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.stem}.{node.name}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and any(
+                      ast.unparse(base).endswith(("Error", "Exception"))
+                      for base in node.bases)]
+    assert found == ["chains.ReducibleChainError", "eigensolver.PecletError",
+                     "eigensolver.ConvergenceError", "model.InputError"], found
+
+
 def test_only_the_switching_transform_takes_a_gamma():
     """The switching scale gamma is a model transform: no function of the
     library but `model.scaled_switching` has a `gamma` parameter, so no
