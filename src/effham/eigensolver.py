@@ -336,11 +336,11 @@ def _discrete(model: DiscreteModel) -> TiltedGenerator:
 
 
 def _continuous(model: ContinuousModel, N: int) -> TiltedGenerator:
-    """Hop weights exp(-2 * half-step increment) / (2 h^2) of each state;
-    regime II averages the increments y -> y +- h/2 against the switching
-    laws at their quarter points y +- h/4 before exponentiating.  The rates
-    are read, checked and (regime II) solved for their laws once, on the
-    grid stacked with its quarter points y + h/4 and y + 3h/4 per axis."""
+    """Hop weights of `_fitted_hops`: one row per state in regime I, one
+    row of increments averaged against the switching laws in regime II.
+    The rates are read, checked and (regime II) solved for their laws once,
+    on the grid stacked with its quarter points y + h/4 and y + 3h/4 per
+    axis."""
     if N < 3:
         raise ValueError("continuous assembly needs N >= 3")
     regime, dim, h = model.regime, model.dim, model.period / N
@@ -353,7 +353,7 @@ def _continuous(model: ContinuousModel, N: int) -> TiltedGenerator:
     _check_rates(f"continuous_{regime}", R, lambda k: point_label(stack[k]),
                  sampled=True)
     if regime == "I":
-        switching = np.moveaxis(R, 0, -1)
+        switching, laws = np.moveaxis(R, 0, -1), None
     else:
         # rates checked above; laws[0] on the grid, laws[1 + 2a] and
         # laws[2 + 2a] at its quarter points along axis a
@@ -361,11 +361,27 @@ def _continuous(model: ContinuousModel, N: int) -> TiltedGenerator:
         laws = laws.reshape(1 + 2 * dim, len(pts), -1)
         drift = state_average(laws[0], drift)[None]
         switching = None
+    up, down = _fitted_hops(model, N, laws)
+    return TiltedGenerator(f"continuous_{regime}", up, down, switching, N,
+                           model.period, drift)
+
+
+def _fitted_hops(model: ContinuousModel, N: int, laws=None) -> tuple:
+    """Exponentially fitted hop weights exp(-2 * half-step increment) /
+    (2 h^2) towards y + h e_a and y - h e_a on the N**d grid, (J, d, N**d)
+    each; with regime-II `laws` (1 + 2d, N**d, J), the increments y -> y +-
+    h/2 are first averaged against the laws at their quarter points y +- h/4
+    (laws[1 + 2a] and laws[2 + 2a] along axis a), to one row.  The regime-I
+    rows are also the hop rates of the Monte Carlo walk."""
+    dim, h = model.dim, model.period / N
+    pts = grid_points(dim, N, model.period)
+    unit = np.eye(dim)
     fac = 1.0 / (2.0 * h * h)
     _, downs = _neighbor_tables(N, dim)
     vals = np.stack([psi.periodic_values(pts) for psi in model.potentials])
     slopes = np.stack([psi.slope for psi in model.potentials])        # (J, d)
-    up = np.empty((len(drift), dim, N ** dim))   # J rows, or one averaged
+    rows = model.J if laws is None else 1
+    up = np.empty((rows, dim, N ** dim))
     down = np.empty_like(up)
     for a in range(dim):
         mid_pts = pts + 0.5 * h * unit[a]
@@ -375,14 +391,13 @@ def _continuous(model: ContinuousModel, N: int) -> TiltedGenerator:
         tilt = slopes[:, a, None] * 0.5 * h
         inc_up = (mids - vals) + tilt
         inc_down = (mids[:, downs[a]] - vals) - tilt
-        if regime == "II":
+        if laws is not None:
             # y - h/4 is the 3/4 point of the step up from y - h
             inc_up = state_average(laws[1 + 2 * a], inc_up)
             inc_down = state_average(laws[2 + 2 * a][downs[a]], inc_down)
         up[:, a] = fac * np.exp(-2.0 * inc_up)
         down[:, a] = fac * np.exp(-2.0 * inc_down)
-    return TiltedGenerator(f"continuous_{regime}", up, down, switching, N,
-                           model.period, drift)
+    return up, down
 
 
 # ---------------------------------------------------------------------------

@@ -100,16 +100,9 @@ class SwitchingRateMatrix(Frozen):
         A sample within its field's evaluation round-off of zero is exactly
         0, so a rate field that touches zero vanishes there whatever the
         sign of its round-off."""
-        return self.rates_out_of(np.arange(self.J)[None],
-                                 point_array(points, self._dim).T[:, :, None])
-
-    def rates_out_of(self, states, y) -> np.ndarray:
-        """(..., J) rates r_ij out of states i at coordinates y (d, ...), the
-        states broadcasting against y's trailing axes: (n, J) out of the own
-        states of n points y (d, n).  Evaluated and snapped as `values`."""
         modes, roundoff = self._stack
-        return _snapped(fourier_values(modes[:, :, states], y[..., None]),
-                        roundoff[states])
+        y = point_array(points, self._dim).T[:, :, None, None]
+        return _snapped(fourier_values(modes[:, :, None], y), roundoff)
 
     def iter_fields(self) -> list:
         return [e for i, row in enumerate(self.entries)

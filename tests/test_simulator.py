@@ -13,13 +13,15 @@ import numpy as np
 import pytest
 
 from effham import hamiltonian, simulator, workers
-from effham.fields import PeriodicScalarField, fourier_gradients, stack_modes
+from effham.eigensolver import PecletError, cell_operator
+from effham.fields import PeriodicScalarField
 from effham.cli import main
 from effham.hamiltonian import velocity_of_model
 from effham.model import (ContinuousModel, DiscreteModel, SwitchingRateMatrix,
                           scaled_switching)
-from effham.presets import (constant_drift, discrete_asymmetric,
-                            discrete_two_state, two_state_flashing)
+from effham.presets import (constant_drift, detailed_balance_pair,
+                            discrete_asymmetric, discrete_two_state,
+                            tilted_cosine, two_state_flashing)
 from effham.simulator import (concentration_experiment, simulate_continuous,
                               simulate_discrete)
 
@@ -37,6 +39,13 @@ def two_state_constant_rates(c12, c21, psi_amp=0.0):
     rates = SwitchingRateMatrix(J=2, entries=((None, const_field(c12)),
                                               (const_field(c21), None)))
     return ContinuousModel(dim=1, J=2, potentials=(psi, psi), rates=rates)
+
+
+def walk(model, horizons, streams, ds=1 / 200, **options):
+    """Sites of the paths of `streams` at `horizons`: the stepper on the
+    lattice of `model` at fast step ds."""
+    return simulator._discrete_paths(simulator._lattice(model, ds), horizons,
+                                     streams, **options)
 
 
 def test_reproducibility_bit_exact():
@@ -65,11 +74,10 @@ def test_batch_membership_does_not_change_a_path():
     ends, also for potentials with many modes."""
     paths = 5
     streams = simulator._Streams(42, range(paths))
-    runs = [0.1 * simulator._continuous_paths(m(), [0.5 / 0.1], 1 / 200,
-                                              streams)[0]
+    runs = [0.1 * (simulator._lattice(m(), 1 / 200).h
+                   * walk(m(), [0.5 / 0.1], streams)[0])
             for m in (two_state_flashing, six_mode_flashing)]
-    runs.append(simulator._discrete_paths(discrete_two_state(), [32.0],
-                                          streams)[0] / 32)
+    runs.append(walk(discrete_two_state(), [32.0], streams)[0] / 32)
     for k in (0, paths - 1):
         alone = [simulate_continuous(m(), 0.1, 0.5, seed=42, traj_index=k)
                  for m in (two_state_flashing, six_mode_flashing)]
@@ -81,9 +89,8 @@ def test_batch_membership_does_not_change_a_path():
 
 def test_block_size_does_not_change_a_path(monkeypatch):
     """Every draw is addressed by (path, step, slot), so the number of
-    steps a refill reads is a memory setting only, for every kind of draw:
-    the normals and thinning draws of a continuous run, the clocks and
-    choices of a discrete one.  The records of paths 0 and 5 simulated
+    steps a refill reads is a memory setting only, for every draw: the
+    clocks and choices of a continuous and of a discrete walk.  The records of paths 0 and 5 simulated
     alone and the ends of a six-path run are the same bits with either
     block."""
     runs = []
@@ -94,10 +101,8 @@ def test_block_size_does_not_change_a_path(monkeypatch):
                                        seed=8, traj_index=k) for k in (0, 5)]
         singles += [simulate_discrete(discrete_two_state(), 16, 1.0, seed=8,
                                       traj_index=k) for k in (0, 5)]
-        ends = [simulator._continuous_paths(two_state_flashing(), [2.0, 3.0],
-                                            1 / 200, streams),
-                simulator._discrete_paths(discrete_two_state(), [8.0, 16.0],
-                                          streams)]
+        ends = [walk(two_state_flashing(), [2.0, 3.0], streams),
+                walk(discrete_two_state(), [8.0, 16.0], streams)]
         runs.append((singles, ends))
     for a, b in zip(*(singles for singles, _ in runs)):
         np.testing.assert_array_equal(a.times, b.times)
@@ -121,7 +126,8 @@ def test_concentration_rows_equal_independent_batches(monkeypatch):
               [0.1, 0.07, 0.05], 0.3, 6),
              (scaled_switching(discrete_two_state(), gamma), [16, 32, 64],
               1.0, 8))
-    # simulate_continuous steps ds = dt/eps, the experiment 1/dt_factor
+    # simulate_continuous walks at ds = dt/eps, the experiment at
+    # 1/dt_factor: the same N sites per period
     assert all((s / dt_factor) / s == 1.0 / dt_factor for s in cases[0][1])
     for block, (model, scales, T, paths) in itertools.product(
             (simulator._BLOCK, 5), cases):
@@ -134,16 +140,16 @@ def test_concentration_rows_equal_independent_batches(monkeypatch):
                 dt_factor=dt_factor).rows[0]
         streams = simulator._Streams(seed, range(paths))
         if isinstance(model, ContinuousModel):
-            ends = simulator._continuous_paths(
-                model, [T / s for s in scales], 1.0 / dt_factor, streams,
-                i0=1) * np.array(scales)[:, None]
+            lattice = simulator._lattice(model, 1.0 / dt_factor)
+            ends = np.array(scales)[:, None] * (lattice.h * walk(
+                model, [T / s for s in scales], streams, 1.0 / dt_factor,
+                i0=1))
             alone = [[simulate_continuous(model, s, T, s / dt_factor, seed,
                                           i0=1, traj_index=k)
                       for k in (0, paths - 1)] for s in scales]
         else:
-            ends = simulator._discrete_paths(
-                model, [n * T for n in scales], streams,
-                i0=1) / np.array(scales)[:, None]
+            ends = walk(model, [n * T for n in scales], streams,
+                        i0=1) / np.array(scales)[:, None]
             alone = [[simulate_discrete(model, s, T, seed, i0=1, traj_index=k)
                       for k in (0, paths - 1)] for s in scales]
         for x, singles in zip(ends, alone):
@@ -152,14 +158,16 @@ def test_concentration_rows_equal_independent_batches(monkeypatch):
 
 def test_experiment_does_only_its_finest_scales_work(monkeypatch):
     """Every scale reads the same paths at its own horizon, so an experiment
-    evaluates the drift at as many rows as a one-scale experiment of its
-    finest scale: the coarser scales cost no steps of their own.  One
-    shard, so that every row is stepped in this process."""
+    draws as many row events as a one-scale experiment of its finest
+    scale: the coarser scales cost no steps of their own.  One shard, so
+    that every row is stepped in this process."""
     set_cores(monkeypatch, 1)
     rows = []
-    gradients = simulator.fourier_gradients
-    monkeypatch.setattr(simulator, "fourier_gradients", lambda modes, y: (
-        rows.append(y.shape[-1]) or gradients(modes, y)))
+    draw = simulator._StepDraws.__call__
+    monkeypatch.setattr(simulator._StepDraws, "__call__",
+                        lambda self, step, columns: (
+                            rows.append(len(columns))
+                            or draw(self, step, columns)))
     model, T, paths, seed = two_state_flashing(), 0.3, 6, 4
     concentration_experiment(model, [0.1, 0.05], T, paths, seed,
                              predicted_v=0.0)
@@ -171,11 +179,11 @@ def test_experiment_does_only_its_finest_scales_work(monkeypatch):
 
 def test_concentration_builds_no_paths_and_reads_each_stream_once(monkeypatch):
     """The experiment keeps end positions only: it builds no `Trajectory`
-    and no `_Records`, and it builds one Philox per group of 64 paths and
-    kind of draw (normals and uniforms for a continuous model, uniforms
-    for a discrete one), keyed by (seed, group), whatever the number of
-    scales: three groups for 2 * 64 + 3 paths.  One shard, so that every
-    stream is built in this process."""
+    and no `_Records`, and it builds one Philox per group of 64 paths,
+    keyed by (seed, group) with the uniforms' word in its counter, for a
+    continuous and a discrete model, whatever the number of scales: three
+    groups for 2 * 64 + 3 paths.  One shard, so that every stream is built
+    in this process."""
     set_cores(monkeypatch, 1)
 
     def refuse(*args, **kwargs):
@@ -192,13 +200,12 @@ def test_concentration_builds_no_paths_and_reads_each_stream_once(monkeypatch):
 
     monkeypatch.setattr(np.random, "Philox", counted)
     paths = 2 * 64 + 3
-    cases = ((two_state_flashing(), [0.2, 0.1, 0.05], 0.2, (0, 1)),
-             (discrete_two_state(), [8, 16, 32], 0.5, (1,)))
-    for model, scales, T, kinds in cases:
+    cases = ((two_state_flashing(), [0.2, 0.1, 0.05], 0.2),
+             (discrete_two_state(), [8, 16, 32], 0.5))
+    for model, scales, T in cases:
         built.clear()
         concentration_experiment(model, scales, T, paths, 5, predicted_v=0.0)
-        assert sorted(built) == sorted((kind, (5, g)) for kind in kinds
-                                       for g in range(3))
+        assert sorted(built) == [(1, (5, g)) for g in range(3)]
 
 
 def set_cores(monkeypatch, cores):
@@ -219,15 +226,12 @@ def test_shards_equal_one_process(monkeypatch, paths):
     cases = ((scaled_switching(two_state_flashing(), 1.7), [0.1, 0.07, 0.05],
               0.3), (discrete_two_state(), [8, 16, 32], 0.5))
     for model, scales, T in cases:
-        if isinstance(model, ContinuousModel):
-            def run(streams, i0):
-                return simulator._continuous_paths(
-                    model, [T / eps for eps in scales], 1 / 200, streams,
-                    i0=i0)
-        else:
-            def run(streams, i0):
-                return simulator._discrete_paths(
-                    model, [n * T for n in scales], streams, i0=i0)
+        horizons = ([T / eps for eps in scales]
+                    if isinstance(model, ContinuousModel)
+                    else [n * T for n in scales])
+
+        def run(streams, i0):
+            return walk(model, horizons, streams, i0=i0)
         streams = simulator._Streams(seed, range(paths))
         for i0, cores in itertools.product((0, 1), (2, 3)):
             alone = run(streams, i0)
@@ -259,17 +263,17 @@ def test_a_childs_exception_is_raised_in_the_parent(monkeypatch):
     fds, parent, stepper = open_fds(), os.getpid(), simulator._discrete_paths
     set_cores(monkeypatch, 3)
     for error in (RuntimeError, ShardError, Unpicklable):
-        def failing(model, horizons, streams, **options):
+        def failing(lattice, horizons, streams, **options):
             if os.getpid() != parent:
-                raise error("thinning bound violated in the shard from path "
+                raise error("the walk failed in the shard from path "
                             f"{streams.indices[0]}")
-            return stepper(model, horizons, streams, **options)
+            return stepper(lattice, horizons, streams, **options)
 
         monkeypatch.setattr(simulator, "_discrete_paths", failing)
         with pytest.raises(Exception) as info:
             concentration_experiment(discrete_two_state(), [8], 0.5, 6, 1,
                                      predicted_v=0.0)
-        message = "thinning bound violated in the shard from path 2"
+        message = "the walk failed in the shard from path 2"
         if error is Unpicklable:
             assert type(info.value) is RuntimeError
             assert str(info.value) == f"Unpicklable: {message}"
@@ -289,7 +293,7 @@ def test_an_interrupted_parent_kills_and_reaps_its_children(monkeypatch):
     reaped, long before the child's shard would end, and no pipe is left
     open."""
     fds, forked = open_fds(), record_forks(monkeypatch)
-    parent, stepper = os.getpid(), simulator._continuous_paths
+    parent, stepper = os.getpid(), simulator._discrete_paths
 
     def slow(*args, **options):
         time.sleep(10 if os.getpid() == parent else 60)
@@ -298,7 +302,7 @@ def test_an_interrupted_parent_kills_and_reaps_its_children(monkeypatch):
     def on_alarm(signum, frame):
         raise Interrupt
 
-    monkeypatch.setattr(simulator, "_continuous_paths", slow)
+    monkeypatch.setattr(simulator, "_discrete_paths", slow)
     set_cores(monkeypatch, 2)
     previous = signal.signal(signal.SIGALRM, on_alarm)
     start = time.monotonic()
@@ -372,39 +376,37 @@ def test_the_experiment_forks_only_where_it_may(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1])
 def test_streams_are_keyed_by_seed_path_and_kind(monkeypatch, seed):
-    """Slot c of array step t of path k reads, for either kind j and either
-    number of slots per step, element (t per + c) 64 + k % 64 of what a
-    `Generator` on `Philox(key=(seed, k // 64), counter=(0, 0, 0, j))`
-    draws, with a block of 16 steps and of 5, for seeds and indices up to
-    the top of the uint64 range and indices on both sides of group
+    """Slot c of array step t of path k reads element (2 t + c) 64 + k % 64
+    of what `Generator.random` on `Philox(key=(seed, k // 64),
+    counter=(0, 0, 0, 1))` draws (word 1 names the one kind of draw,
+    uniforms), with a block of 16 steps and of 5, for seeds and indices up
+    to the top of the uint64 range and indices on both sides of group
     boundaries, also when a run reads only some rows at steps that skip
-    whole blocks; different paths and kinds draw differently.  (The reference
-    passes its words as uint64 arrays: numpy reads a list that holds a word
+    whole blocks; different paths draw differently.  (The reference passes
+    its words as uint64 arrays: numpy reads a list that holds a word
     >= 2**63 through float64.)"""
     indices = [63, 0, 64, 65, 2**32 + 1, 2**64 - 65, 2**64 - 64, 2**64 - 1]
     steps = 23
     streams = simulator._Streams(seed, indices)
+    assert simulator._KIND == 1
     firsts = set()
-    for block, (j, kind), per in itertools.product(
-            (16, 5), enumerate(simulator._KINDS), (1, 2)):
+    for block in (16, 5):
         monkeypatch.setattr(simulator, "_BLOCK", block)
-        draws = simulator._StepDraws(streams, kind, per)
-        drawn = np.array([[draws(t, c, streams.columns) for c in range(per)]
-                          for t in range(steps)])
-        # as the thinning draws are read: some rows, at steps far apart
-        sparse = simulator._StepDraws(streams, kind, per)
+        draws = simulator._StepDraws(streams)
+        drawn = np.array([draws(t, streams.columns) for t in range(steps)])
+        # as rows drop out: some rows, at steps far apart
+        sparse = simulator._StepDraws(streams)
         rows = streams.columns[1::3]
         for t in range(0, steps, 7):
-            np.testing.assert_array_equal(sparse(t, per - 1, rows),
-                                          drawn[t, per - 1, 1::3])
+            np.testing.assert_array_equal(sparse(t, rows), drawn[t, :, 1::3])
         for k, row in zip(indices, np.moveaxis(drawn, 2, 0)):
-            reference = getattr(np.random.Generator(np.random.Philox(
+            reference = np.random.Generator(np.random.Philox(
                 key=np.array([seed, k // 64], dtype=np.uint64),
-                counter=np.array([0, 0, 0, j], dtype=np.uint64))), kind)
-            elements = reference(size=steps * per * 64).reshape(steps, per, 64)
+                counter=np.array([0, 0, 0, 1], dtype=np.uint64))).random
+            elements = reference(size=steps * 2 * 64).reshape(steps, 2, 64)
             np.testing.assert_array_equal(row, elements[..., k % 64])
             firsts.add(row[0, 0])
-    assert len(firsts) == len(simulator._KINDS) * len(indices)
+    assert len(firsts) == len(indices)
 
 
 @pytest.mark.parametrize("seed,index", [(-1, 0), (0, -1), (-2**32, 0),
@@ -440,12 +442,11 @@ def test_negative_seed_or_index_raises(seed, index):
 
 def test_concentration_golden_pin():
     """Pins small seeded experiments of each kind, with several scales and
-    the discrete model's switching scaled by gamma != 1.  Re-pinned when
-    every draw became an element of one Philox stream per group of 64
-    paths, addressed by (path, step, slot), and one thinning uniform came
-    to both accept and choose (every draw changed; the values before were
-    those of one Philox stream per path, keyed by (seed, path)).  A change
-    of scheme, streams or draw order must update them on purpose."""
+    the discrete model's switching scaled by gamma != 1.  The continuous
+    row was re-pinned when continuous paths came to walk the fitted
+    lattice in place of Euler steps with thinning; the discrete rows kept
+    their values.  A change of scheme, streams or draw order must update
+    them on purpose."""
     cont = concentration_experiment(two_state_flashing(), [0.1], 0.5, 64,
                                     2024, predicted_v=0.0)
     disc = [concentration_experiment(scaled_switching(discrete_two_state(),
@@ -455,7 +456,7 @@ def test_concentration_golden_pin():
                                   ([10, 20], 1.3))]
     assert [(r.mean_v, r.sd) for report in [cont] + disc
             for r in report.rows] == [
-        (0.2163774795896797, 0.24389100938331285),
+        (0.19333333333333336, 0.2661476430503088),
         (-0.1171875, 0.4984474905079278),
         (-0.0908203125, 0.4943793316362519),
         (-0.10888671875, 0.31339119884145555),
@@ -476,73 +477,70 @@ def _records_digest(trajectories):
 
 def test_trajectory_records_golden_pin():
     """Pins the records of a continuous path with switches and of discrete
-    paths 0 to 7 of one seed.  Both digests were re-pinned when every draw
-    became an element of one Philox stream per group of 64 paths,
-    addressed by (path, step, slot), and one thinning uniform came to both
-    accept and choose.  A change of stepper, streams or record rule must
-    update them on purpose."""
+    paths 0 to 7 of one seed.  The continuous digest was re-pinned when
+    continuous paths came to walk the fitted lattice, with strided records
+    of its events; the discrete digest kept its value.  A change of
+    stepper, streams or record rule must update them on purpose."""
     switching = simulate_continuous(two_state_flashing(), 0.1, 1.0, seed=5,
                                     traj_index=2)
     disc = [simulate_discrete(discrete_two_state(), 32, 1.0, seed=9,
                               traj_index=k) for k in range(8)]
     assert switching.switch_count > 0
     assert [_records_digest([switching]), _records_digest(disc)] == [
-        "1e583a55767efd46ba62ac61e2fff05a5539fe974bf7481198860780103d6650",
+        "63e9d71f1b8cfa2149390494d5597ffa4a80e69a15320b0ea7729e15efcd0fc6",
         "689c3b70ba2c4da6975eb4ef2e8e0e32abd6e58ddba0506b563cbbb768070b15"]
 
 
-def three_state_table_model():
-    """J = 3 with 0-, 2- and 6-mode potentials (the first tilted, the last
-    tilted too) and one missing rate."""
-    rng = np.random.default_rng(17)
+def test_walk_is_the_solvers_chain():
+    """A continuous walk is the Markov chain of the solver's cell operator
+    at p = 0: its hop tables are the `up` and `down` weights of
+    `cell_operator(model, N=N)` bit for bit, and its tables as a discrete
+    model on N sites have the velocity `velocity_of_model(model, N=N)`
+    once scaled by the site spacing h (both solved to tol 1e-12), for presets with and without
+    switching, tilt and detailed balance and a J = 3 model, at N = 8, 15
+    and 32 (lattices of fast steps 1/N**2)."""
+    models = (two_state_flashing(), detailed_balance_pair(), tilted_cosine(),
+              constant_drift(), random_continuous_model(
+                  np.random.default_rng(7), J=3))
+    for model, N in itertools.product(models, (8, 15, 32)):
+        lattice = simulator._lattice(model, 1.0 / N**2)
+        assert simulator._walk_sites(model, 1.0 / N**2) == N
+        assert lattice.h == model.period / N
+        operator = cell_operator(model, N=N)
+        assert lattice.up.tobytes() == operator.up[:, 0].tobytes()
+        assert lattice.down.tobytes() == operator.down[:, 0].tobytes()
+        chain = DiscreteModel(ell=N, J=model.J, hop_rates_plus=lattice.up,
+                              hop_rates_minus=lattice.down,
+                              switching=lattice.switching)
+        v_chain, _ = velocity_of_model(chain, tol=1e-12)
+        v_model, _ = velocity_of_model(model, N=N, tol=1e-12)
+        assert abs(v_chain * lattice.h - v_model) <= 1e-12, (model, N)
 
-    def modes(count):
-        return tuple(((k,), *(rng.uniform(-0.5, 0.5, size=2) / k))
-                     for k in range(1, count + 1))
 
-    pots = (PeriodicScalarField(dim=1, affine_slope=(-0.4,)),
-            PeriodicScalarField(dim=1, fourier_coeffs=modes(2)),
-            PeriodicScalarField(dim=1, fourier_coeffs=modes(6),
-                                affine_slope=(0.3,)))
-
-    def rate(count):   # dips below zero somewhere: exercises the clip
-        return PeriodicScalarField(dim=1, fourier_coeffs=(
-            ((0,), 0.4, 0.0),) + modes(count))
-
-    entries = ((None, rate(1), None), (rate(3), None, rate(2)),
-               (rate(2), rate(5), None))
-    return ContinuousModel(dim=1, J=3, potentials=pots,
-                           rates=SwitchingRateMatrix(J=3, entries=entries))
-
-
-def test_fourier_tables_equal_the_fields_bit_for_bit():
-    """The stepper's calls give each path its own potential's gradient, from
-    its state's column of the stacked potentials, and its own state's rates
-    (clipped at 0), as the fields and `values` compute them."""
-    model = three_state_table_model()
-    rng = np.random.default_rng(5)
-    y = rng.uniform(-40.0, 40.0, size=4097)
-    state = rng.integers(0, model.J, size=len(y))
-    potentials = stack_modes(model.potentials)
-    slopes = np.array([psi.slope[0] for psi in model.potentials])
-    drift = slopes[state] + fourier_gradients(potentials[..., state],
-                                              y[None])[0]
-    rates = np.maximum(model.rates.rates_out_of(state, y[None]), 0.0)
-    clipped = 0
-    for i, psi in enumerate(model.potentials):
-        on = state == i
-        np.testing.assert_array_equal(drift[on], psi.gradients(y[on])[:, 0])
-        np.testing.assert_array_equal(
-            rates[on], np.maximum(model.rates.values(y[on, None])[:, i], 0.0))
-        for j, entry in enumerate(model.rates.entries[i]):
-            if entry is None or j == i:
-                np.testing.assert_array_equal(rates[on, j], 0.0)
-                continue
-            raw = entry.values(y[on])
-            snapped = np.where(np.abs(raw) <= entry.roundoff, 0.0, raw)
-            np.testing.assert_array_equal(rates[on, j], np.maximum(snapped, 0.0))
-            clipped += np.sum(raw < 0.0)
-    assert clipped > 0
+def test_walk_lattice_rule():
+    """A continuous walk at fast step ds has N = ceil(L/sqrt(ds)) sites per
+    period, 15 at ds = 1/200 and L = 1, unless the drift needs more: then
+    it walks on the Peclet minimum that the solver's guard names at the
+    smaller N.  A step dt/eps an ulp off 1/dt_factor walks the lattice of
+    1/dt_factor.  `simulate_continuous(..., traj_index=k)` at
+    dt = eps/dt_factor ends where path k of the experiment ends."""
+    assert simulator._lattice(two_state_flashing(), 1 / 200).up.shape == (2, 15)
+    ds = (0.0378 / 121) / 0.0378
+    assert ds != 1 / 121
+    assert simulator._walk_sites(two_state_flashing(), ds) == 11
+    steep = constant_drift(force=40.0)
+    with pytest.raises(PecletError) as info:
+        cell_operator(steep, N=15).at(0.0)
+    assert simulator._walk_sites(steep, 1 / 200) == info.value.minimal_n == 41
+    cell_operator(steep, N=41).at(0.0)
+    model, eps, T, dt_factor, seed = two_state_flashing(), 0.05, 0.4, 200, 3
+    lattice = simulator._lattice(model, 1 / dt_factor)
+    ends = eps * (lattice.h * walk(model, [T / eps], simulator._Streams(
+        seed, range(4)), 1 / dt_factor)[0])
+    for k in range(4):
+        tr = simulate_continuous(model, eps, T, eps / dt_factor, seed,
+                                 traj_index=k)
+        assert tr.positions[-1] == ends[k]
 
 
 def test_default_dt_matches_eigen_velocity():
@@ -553,15 +551,6 @@ def test_default_dt_matches_eigen_velocity():
     row, = concentration_experiment(model, [0.05], 1.0, 1000, 61,
                                     predicted_v=v_eig).rows
     assert abs(row.mean_v - v_eig) <= max(3.0 * row.se, 0.05)
-
-
-def test_thinning_bound_violation_raises(monkeypatch):
-    model = two_state_flashing()
-    true_sup = simulator.max_total_switching_rate(model)
-    monkeypatch.setattr(simulator, "max_total_switching_rate",
-                        lambda m: 0.5 * true_sup)
-    with pytest.raises(RuntimeError, match="thinning bound"):
-        simulate_continuous(model, 0.1, 1.0, seed=3)
 
 
 def test_drift_only_mean_displacement():
@@ -598,10 +587,9 @@ def constant_rate_model(rates):
 
 def test_thinning_rates_of_constant_rate_model():
     """Rates that do not depend on x make the switching a Markov chain
-    whose empirical exit rates must match r_ij/eps.  One uniform both thins
-    and chooses the new state, so of the jumps out of state 0 of a J = 3
-    chain with rates 1 and 3 out of it, the share that goes to state 2
-    must be 3/4."""
+    whose empirical exit rates must match r_ij/eps, and of the jumps out of
+    state 0 of a J = 3 chain with rates 1 and 3 out of it, the share that
+    goes to state 2 must be 3/4.  The records hold every switch."""
     eps = 0.5
     for rates in ([[0.0, 1.0], [2.0, 0.0]],
                   [[0.0, 1.0, 3.0], [2.0, 0.0, 0.0], [2.0, 0.0, 0.0]]):
@@ -708,8 +696,8 @@ def test_concentration_discrete_uses_increasing_n():
 
 @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
 def test_bad_gamma_raises(gamma):
-    """A gamma <= 0 would leave the thinning clock unset (no switching at
-    all); the transform that builds the model a run samples rejects it, and
+    """A gamma <= 0 would switch at no rate, or at negative ones; the
+    transform that builds the model a run samples rejects it, and
     the runners take no gamma of their own that could bypass it."""
     for model in (two_state_flashing(), discrete_two_state()):
         with pytest.raises(ValueError, match="gamma"):
@@ -723,14 +711,19 @@ def test_bad_gamma_raises(gamma):
         simulate_discrete(discrete_two_state(), 16, 0.5, gamma=gamma)
 
 
-@pytest.mark.parametrize("n", [0, 2.5, 10**400], ids=["0", "2.5", "10**400"])
-def test_bad_lattice_scale_raises(n):
+@pytest.mark.parametrize("n,scales", [(0, [0, 2]), (2.5, [2.5, 3]),
+                                      (10**400, [10**400]), (True, [True, 2])],
+                         ids=["0", "2.5", "10**400", "True"])
+def test_bad_lattice_scale_raises(n, scales):
     """A lattice refinement that is not a positive integer a float holds is
-    a ValueError, also one too large to convert."""
+    a ValueError, also one too large to convert, and a bool (which would
+    run at n = 1)."""
     with pytest.raises(ValueError, match="must be a positive integer"):
         simulate_discrete(discrete_asymmetric(), n, 0.5, seed=4)
     with pytest.raises(ValueError, match="must be a positive integer"):
         concentration_experiment(discrete_asymmetric(), [n], 0.5, 4, 1)
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        simulator.experiment_scales(discrete_two_state(), scales)
 
 
 def test_trajectory_csv(tmp_path):

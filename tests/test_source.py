@@ -162,6 +162,41 @@ def test_only_the_step_addressed_draws_open_streams():
     assert found == ["simulator.py:_StepDraws"], found
 
 
+def test_simulator_has_one_stepper_drawing_one_kind():
+    """`simulator.py` walks every path with one stepper, `_discrete_paths`,
+    the only function that opens draws (`_StepDraws`), and draws uniforms
+    only: no `standard_normal` and no thinning bound.  Its continuous hop
+    weights are `eigensolver._fitted_hops`, called by `_lattice` alone, the
+    function that `eigensolver._continuous` builds its weights with; the
+    simulator exponentiates nothing, so the walk cannot drift from the
+    solver's chain."""
+    found = {}
+    for name in ("simulator.py", "eigensolver.py"):
+        path = Path(effham.__file__).parent / name
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text, filename=str(path))
+        owner = {id(node): func.name for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = (getattr(node.func, "id", None)
+                          or getattr(node.func, "attr", ""))
+                found.setdefault(f"{name} {callee}", []).append(
+                    owner.get(id(node)))
+        if name == "simulator.py":
+            for word in ("standard_normal", "normal(", "thinning",
+                         "max_total_switching_rate"):
+                assert word not in text, word
+    assert found["simulator.py _StepDraws"] == ["_discrete_paths"], found
+    assert found["simulator.py _fitted_hops"] == ["_lattice"], found
+    assert found["eigensolver.py _fitted_hops"] == ["_continuous"], found
+    assert not [key for key in found if key.startswith("simulator.py ")
+                and key.split()[1] in ("exp", "expm1")], found
+    steppers = [name for name, obj in vars(simulator).items()
+                if name.endswith("_paths") and inspect.isfunction(obj)]
+    assert steppers == ["_discrete_paths"], steppers
+
+
 def test_one_point_chain_helpers_called_only_in_chains():
     """Stationary laws are computed on whole lattices by
     `chains.stationary_measures`; the one-point helpers are for users and
@@ -222,10 +257,12 @@ def test_switching_rate_rule_has_one_home():
 
 def test_switching_laws_are_averaged_only_by_the_weight_builders():
     """Outside chains.py only the weight builders `eigensolver._continuous`
-    and `eigensolver._discrete` solve for switching laws
-    (`_measures_or_raise`) or average against them (`state_average`), and
-    each solves at most once, so a second averaging path cannot come back."""
-    builders = ("eigensolver.py:_continuous", "eigensolver.py:_discrete")
+    (with its hop weights, `_fitted_hops`) and `eigensolver._discrete`
+    solve for switching laws (`_measures_or_raise`) or average against them
+    (`state_average`), and each solves at most once, so a second averaging
+    path cannot come back."""
+    builders = ("eigensolver.py:_continuous", "eigensolver.py:_fitted_hops",
+                "eigensolver.py:_discrete")
     solves, found = [], []
     for path in sorted(Path(effham.__file__).parent.glob("*.py")):
         if path.name == "chains.py":

@@ -162,7 +162,7 @@ def test_frozen_values_copy_the_callers_arrays(build, arrays):
 
 def test_rate_tables_are_read_only_and_unpickle_so():
     """The Fourier table of a rate matrix (`_stack`, read by the operator
-    builders and the thinning step) is read-only in a preset and in a
+    builders and the walk's tables) is read-only in a preset and in a
     pickled copy of its model, which equals the original."""
     model = two_state_flashing()
     copy = pickle.loads(pickle.dumps(model))
